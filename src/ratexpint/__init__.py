@@ -7,15 +7,14 @@ from .integrators import Engine, EngineConfig, Trajectory, integrate, step
 from .krylov import (AugmentedOperator, ExpmvReport, RationalDecomposition,
                      assemble_augmented, error_estimate, evaluate_approximant,
                      expmv_polynomial, expmv_rational, full_error_expansion,
-                     rational_arnoldi_step, start_decomposition)
-from .linalg import SparseOperator, dense_expm, orthogonal_extend, phi_dense, spmv
+                     rational_arnoldi_step)
+from .linalg import SparseOperator, dense_expm, orthogonal_extend, phi_dense
 from .poles import PoleSet, builtin_pole_set, load_poles, repeated_real, save_poles
 from .problems import (Graph, Problem, allen_cahn_2d, allen_cahn_graph, builtin_graph,
                        fd_laplacian_1d, fd_laplacian_2d, gierer_meinhardt_2d,
                        graph_laplacian, largest_connected_component)
 from .solvers import (Factorization, ShiftedSolver, ShiftedSystemKey, SolverCache,
-                      SolverConfig, block_backsubstitute, factorize, solve_direct,
-                      solve_iterative)
+                      SolverConfig, block_backsubstitute, solve_iterative)
 from .tableaus import Tableau, tableau
 
 __version__ = "0.1.0"

@@ -231,7 +231,8 @@ def integrate(problem: Problem, tab: Tableau, h: float, T: float,
               engine: Engine, u0: Optional[np.ndarray] = None,
               snapshot_stride: int = 0) -> Trajectory:
     """Fixed-step time loop over [0, T]; the last step is shortened when h
-    does not divide T exactly.
+    does not divide T exactly. A remainder within rounding of h runs as a
+    full step h, and the final time is exactly T.
 
     ``snapshot_stride = k`` stores every k-th state (0: only initial and
     final). Aborts with a diagnostic snapshot on non-finite state.
@@ -246,8 +247,11 @@ def integrate(problem: Problem, tab: Tableau, h: float, T: float,
     t = 0.0
     idx = 0
     t_start = time.perf_counter()
-    while t < T - 1e-12 * T:
+    slack = 1e-12 * T
+    while t < T - slack:
         h_step = min(h, T - t)
+        if h - h_step <= slack:
+            h_step = h
         u_next, reports = step(problem, tab, u, t, h_step, engine)
         u_next = np.asarray(u_next)
         if np.iscomplexobj(u_next):
@@ -255,7 +259,7 @@ def integrate(problem: Problem, tab: Tableau, h: float, T: float,
         if not np.all(np.isfinite(u_next)):
             raise NumericalBlowup(
                 f"non-finite state after step at t={t + h_step:.6g}", t + h_step, u_next)
-        t += h_step
+        t = T if T - (t + h_step) <= slack else t + h_step
         idx += 1
         u = u_next
         traj.times.append(t)
@@ -266,7 +270,7 @@ def integrate(problem: Problem, tab: Tableau, h: float, T: float,
             max_estimate=max((r.estimate for r in reports), default=0.0),
             max_residual=max((r.solver_residual_max for r in reports), default=0.0),
             substeps=sum(r.substeps for r in reports)))
-        if snapshot_stride and idx % snapshot_stride == 0 and t < T - 1e-12 * T:
+        if snapshot_stride and idx % snapshot_stride == 0 and t < T - slack:
             traj.snapshots.append(u.copy())
             traj.snapshot_times.append(t)
     traj.snapshots.append(u.copy())

@@ -10,7 +10,6 @@ used by the exponential integrators.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -203,11 +202,6 @@ class RationalDecomposition:
             self.V = self.V.astype(np.complex128)
             self.H = self.H.astype(np.complex128)
             self.K = self.K.astype(np.complex128)
-
-
-def start_decomposition(aug: AugmentedOperator, c_tilde: np.ndarray,
-                        capacity: int = 40, dtype=None) -> RationalDecomposition:
-    return RationalDecomposition(aug, c_tilde, capacity=capacity, dtype=dtype)
 
 
 def rational_arnoldi_step(d: RationalDecomposition, pole: complex,
@@ -417,6 +411,59 @@ def _fold_payload(alpha: float, c_vectors: Sequence[np.ndarray], h: float):
     return alpha * h, folded
 
 
+def _adaptive_krylov(d: RationalDecomposition, poles: Sequence[complex],
+                     solver: Optional[ShiftedSolver], theta: float, tol: float,
+                     m_min: int, cap: int, check_cadence: int, history: list):
+    """Grow ``d`` until the estimate of e^{theta A~} c~ meets ``tol``.
+
+    Finite poles are consumed in order, then polynomial steps follow. The
+    estimate is checked at ``m_min`` and every ``check_cadence`` steps after
+    it, each time after a polynomial step settles the newest pole (finishing
+    a conjugate pair first, so that conjugate-closed sets keep real data
+    real). A singular projection is retried after one more polynomial step.
+    Every check is appended to ``history`` as (m, estimate).
+
+    Returns (value, estimate, converged); not converged means the subspace
+    reached ``cap`` first.
+    """
+    cap = min(cap, d.dim)
+    target = max(1, min(m_min, cap))
+    ptr = 0
+
+    def grow():
+        nonlocal ptr
+        if ptr < len(poles):
+            ptr += 1
+            rational_arnoldi_step(d, poles[ptr - 1], solver)
+        else:
+            rational_arnoldi_step(d, INF_POLE)
+
+    while True:
+        while d.m < target and not d.happy:
+            grow()
+        last = d.poles_used[-1]
+        if not d.happy and not is_infinite(last):
+            if last.imag != 0 and ptr < len(poles) and \
+                    abs(poles[ptr] - last.conjugate()) <= 1e-12 * max(abs(poles[ptr]), 1.0):
+                grow()
+            if not d.happy:
+                rational_arnoldi_step(d, INF_POLE)
+        while True:
+            try:
+                value, estimate = _approximant_and_estimate(d, theta)
+                break
+            except SingularProjection:
+                if d.m >= cap or d.happy:
+                    raise
+                rational_arnoldi_step(d, INF_POLE)
+        history.append((d.m, estimate))
+        if estimate <= tol:
+            return value, estimate, True
+        if d.m >= cap:
+            return value, estimate, False
+        target = min(d.m + check_cadence, cap)
+
+
 def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndarray],
                    h: float, pole_set: Optional[PoleSet], solver: Optional[ShiftedSolver],
                    tol: float = RATIONAL_DEFAULTS["tol"],
@@ -452,8 +499,6 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
     finite_poles = finite_poles[:m_max]
     if m_hard is None:
         m_hard = max(m_max + 128, 64)
-    m_hard = min(m_hard, aug.dim)
-    m_min = max(1, min(m_min, m_hard))
 
     complex_data = np.iscomplexobj(c_tilde) or any(p.imag != 0 for p in finite_poles)
     dtype = np.complex128 if complex_data else np.float64
@@ -461,64 +506,9 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
                               dtype=dtype)
 
     log_start = len(solver.solve_log) if solver is not None else 0
-    pole_ptr = 0
-
-    def next_step():
-        nonlocal pole_ptr
-        if pole_ptr < len(finite_poles):
-            xi = finite_poles[pole_ptr]
-            pole_ptr += 1
-            rational_arnoldi_step(d, xi, solver)
-        else:
-            rational_arnoldi_step(d, INF_POLE)
-
-    def settle_for_check():
-        """Make the newest step polynomial, finishing a conjugate pair first."""
-        if d.happy or not d.poles_used:
-            return
-        last = d.poles_used[-1]
-        if is_infinite(last):
-            return
-        if (pole_set is not None and pole_ptr < len(finite_poles) and last.imag != 0):
-            nxt = finite_poles[pole_ptr]
-            if abs(nxt - last.conjugate()) <= 1e-12 * max(abs(nxt), 1.0):
-                next_step()
-                if d.happy:
-                    return
-        rational_arnoldi_step(d, INF_POLE)
-
     history: list[tuple[int, float]] = []
-    result = None
-    estimate = math.inf
-    converged = False
-
-    while True:
-        while d.m < m_min and not d.happy and d.m < m_hard:
-            next_step()
-        settle_for_check()
-        if d.happy:
-            result = evaluate_approximant(d, 1.0)
-            estimate = 0.0
-            history.append((d.m, 0.0))
-            converged = True
-            break
-        for _attempt in range(3):
-            try:
-                result, estimate = _approximant_and_estimate(d, 1.0)
-                break
-            except SingularProjection:
-                if d.m >= m_hard or d.happy:
-                    raise
-                rational_arnoldi_step(d, INF_POLE)
-        history.append((d.m, estimate))
-        if estimate <= tol:
-            converged = True
-            break
-        if d.m >= m_hard:
-            break
-        target = min(d.m + check_cadence, m_hard)
-        while d.m < target and not d.happy:
-            next_step()
+    result, estimate, converged = _adaptive_krylov(
+        d, finite_poles, solver, 1.0, tol, m_min, m_hard, check_cadence, history)
 
     report = ExpmvReport(
         vector=result, n=op.n, m=d.m, estimate=estimate, tol=tol,
@@ -545,18 +535,17 @@ def expmv_polynomial(op: SparseOperator, alpha: float, c_vectors: Sequence[np.nd
                      check_cadence: int = POLYNOMIAL_DEFAULTS["check_cadence"]) -> ExpmvReport:
     """Polynomial Krylov evaluation of e^{h A~} c~ with time sub-stepping.
 
-    Runs Arnoldi with the same a-posteriori estimate (all poles at
-    infinity); if the subspace cap is reached before the estimate meets the
-    proportional sub-step budget, the sub-step is halved and the segment
-    restarted, composing e^{h A~} = prod e^{theta_i A~}.
+    Runs the adaptive loop with no finite poles (all poles at infinity),
+    checking the estimate against the proportional budget tol * theta. If
+    the subspace cap is reached first, the sub-step theta is halved and the
+    same basis re-evaluated, since the Krylov space does not depend on
+    theta; the accepted segments compose e^{h A~} = prod e^{theta_i A~}.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     t0 = time.perf_counter()
     alpha_eff, folded = _fold_payload(alpha, c_vectors, h)
     aug, c_tilde = assemble_augmented(op, alpha_eff, folded)
-    m_max = min(m_max, aug.dim)
-    m_min = max(1, min(m_min, m_max))
 
     history: list[tuple[int, float]] = []
     w = c_tilde
@@ -564,50 +553,28 @@ def expmv_polynomial(op: SparseOperator, alpha: float, c_vectors: Sequence[np.nd
     theta = 1.0
     substeps = 0
     total_steps = 0
-    final_estimate = 0.0
     breakdown = False
 
     while done < 1.0 - 1e-15:
         theta = min(theta, 1.0 - done)
-        if theta < SUBSTEP_UNDERFLOW:
-            raise KrylovError(f"sub-step underflow: theta={theta:.3e}")
-        sub_tol = tol * theta
         d = RationalDecomposition(aug, w, capacity=m_max,
                                   dtype=np.result_type(w.dtype, np.float64))
-        accepted = False
-        while True:
-            while d.m < m_min and not d.happy and d.m < m_max:
-                rational_arnoldi_step(d, INF_POLE)
-            if d.happy:
-                w = evaluate_approximant(d, theta)
-                history.append((d.m, 0.0))
-                total_steps += d.m
-                breakdown = True
-                accepted = True
-                final_estimate = 0.0
-                break
-            value, estimate = _approximant_and_estimate(d, theta)
-            history.append((d.m, estimate))
-            if estimate <= sub_tol:
-                w = value
-                total_steps += d.m
-                final_estimate = estimate
-                accepted = True
-                break
-            if d.m >= m_max:
-                total_steps += d.m
-                break
-            target = min(d.m + check_cadence, m_max)
-            while d.m < target and not d.happy:
-                rational_arnoldi_step(d, INF_POLE)
-        if accepted:
-            done += theta
-            substeps += 1
-        else:
+        w, estimate, converged = _adaptive_krylov(
+            d, [], None, theta, tol * theta, m_min, m_max, check_cadence, history)
+        while not converged:
             theta /= 2.0
+            if theta < SUBSTEP_UNDERFLOW:
+                raise KrylovError(f"sub-step underflow: theta={theta:.3e}")
+            w, estimate = _approximant_and_estimate(d, theta)
+            history.append((d.m, estimate))
+            converged = estimate <= tol * theta
+        total_steps += d.m
+        breakdown = breakdown or d.happy
+        done += theta
+        substeps += 1
 
     return ExpmvReport(
-        vector=w, n=op.n, m=total_steps, estimate=final_estimate, tol=tol,
+        vector=w, n=op.n, m=total_steps, estimate=estimate, tol=tol,
         converged=True, breakdown=breakdown, estimate_history=history,
         poles_consumed=[], substeps=substeps, arnoldi_steps=total_steps,
         solver_iterations=[], wall_time=time.perf_counter() - t0,

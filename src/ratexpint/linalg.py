@@ -1,7 +1,7 @@
 """Sparse and small-dense linear algebra kernels.
 
 This module is the computational substrate for the rest of the package:
-CSR operators, the scaling-and-squaring matrix exponential, phi-functions
+CSR operators, the dense matrix exponential, phi-functions
 of small matrices, and Gram-Schmidt orthogonalization.
 
 Dense matrices and vectors are plain numpy arrays throughout; complex
@@ -125,105 +125,27 @@ class SparseOperator:
         return f"SparseOperator(n={self.n}, nnz={self.nnz}, symmetric={self.symmetric})"
 
 
-def spmv(op: SparseOperator, x: np.ndarray) -> np.ndarray:
-    """y = A x in working precision."""
-    return op.matvec(x)
-
-
-# ---------------------------------------------------------------------------
-# Dense matrix exponential: diagonal Pade with scaling and squaring.
-# Degree switches at the usual double-precision 1-norm thresholds; degree 13
-# with norm-threshold scaling handles everything above them.
-# ---------------------------------------------------------------------------
-
-_PADE_COEFFS = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0,
-         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-         960960.0, 16380.0, 182.0, 1.0),
-}
-
-_PADE_THETA = {
-    3: 1.495585217958292e-2,
-    5: 2.539398330063230e-1,
-    7: 9.504178996162932e-1,
-    9: 2.097847961257068e0,
-    13: 5.371920351148152e0,
-}
-
-
-def _pade_uv(a: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    b = _PADE_COEFFS[degree]
-    n = a.shape[0]
-    eye = np.eye(n, dtype=a.dtype)
-    a2 = a @ a
-    if degree == 13:
-        a4 = a2 @ a2
-        a6 = a2 @ a4
-        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
-        return u, v
-    powers = [eye, a2]
-    for _ in range((degree - 1) // 2 - 1):
-        powers.append(powers[-1] @ a2)
-    u = sum(b[2 * k + 1] * powers[k] for k in range((degree + 1) // 2))
-    v = sum(b[2 * k] * powers[k] for k in range((degree + 1) // 2))
-    return a @ u, v
-
-
 def dense_expm(z: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a small dense matrix.
+    """Matrix exponential of a small dense matrix (scipy's scaling and
+    squaring Pade).
 
     Raises
     ------
     ValueError
-        If the input contains non-finite entries or the scaling/squaring
-        phase overflows.
+        If the input contains non-finite entries or the result overflows.
     """
     z = np.asarray(z)
     if z.ndim != 2 or z.shape[0] != z.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {z.shape}")
-    m = z.shape[0]
-    if m == 0:
+    if z.shape[0] == 0:
         return np.zeros((0, 0), dtype=z.dtype)
     if not np.all(np.isfinite(z)):
         raise ValueError("matrix exponential of non-finite input")
     dtype = np.complex128 if np.iscomplexobj(z) else np.float64
-    a = z.astype(dtype, copy=True)
-
-    norm = float(np.linalg.norm(a, 1))
-    squarings = 0
-    degree = 13
-    for d in (3, 5, 7, 9):
-        if norm <= _PADE_THETA[d]:
-            degree = d
-            break
-    if degree == 13 and norm > _PADE_THETA[13]:
-        squarings = int(np.ceil(np.log2(norm / _PADE_THETA[13])))
-        a /= 2.0 ** squarings
-
-    u, v = _pade_uv(a, degree)
-    try:
-        r = sla.solve(v - u, v + u)
-    except sla.LinAlgError as exc:  # pragma: no cover - Pade denominator singular
-        raise ValueError("Pade denominator is singular") from exc
-    for _ in range(squarings):
-        r = r @ r
-        if not np.all(np.isfinite(r)):
-            raise ValueError("overflow during squaring phase of the matrix exponential")
+    r = sla.expm(z.astype(dtype))
+    if not np.all(np.isfinite(r)):
+        raise ValueError("overflow in the matrix exponential")
     return r
-
-
-def expm_action_dense(z: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """e^Z v through the dense exponential; brute-force oracle helper."""
-    return dense_expm(z) @ v
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .integrators import Engine, EngineConfig, integrate, stage_to_expmv
-from .krylov import (assemble_augmented, dense_expm, error_estimate,
-                     evaluate_approximant, expmv_rational,
-                     full_error_expansion, rational_arnoldi_step,
-                     start_decomposition)
+from .krylov import (RationalDecomposition, assemble_augmented, dense_expm,
+                     error_estimate, evaluate_approximant, expmv_rational,
+                     full_error_expansion, rational_arnoldi_step)
 from .linalg import SparseOperator, phi_dense_all
 from .poles import INF_POLE, PoleSet, builtin_pole_set, is_infinite
 from .problems import Problem, fd_laplacian_1d, fd_laplacian_2d
@@ -154,7 +153,7 @@ def check_error_expansion(instances: int = 20, seed: int = 303,
             cs = [rng.standard_normal(n) for _ in range(p + 1)]
             aug, ct = assemble_augmented(op, 1.0, cs)
             solver = ShiftedSolver(op, SolverConfig(mode="direct"))
-            d = start_decomposition(aug, ct, dtype=np.complex128)
+            d = RationalDecomposition(aug, ct, dtype=np.complex128)
             schedule = [complex(6.0, 2.0), complex(6.0, -2.0), 4.0, INF_POLE]
             for xi in schedule:
                 if d.happy:
@@ -216,7 +215,7 @@ def estimator_study(op: SparseOperator, h: float, c0: np.ndarray,
     exact = dense_expm(aug.dense()) @ ct
     if solver is None:
         solver = ShiftedSolver(op, SolverConfig(mode="direct"))
-    d = start_decomposition(aug, ct, capacity=m_cap + 2, dtype=np.complex128)
+    d = RationalDecomposition(aug, ct, capacity=m_cap + 2, dtype=np.complex128)
     points = []
     pole_iter = iter(pole_set)
 

@@ -16,8 +16,8 @@ from ratexpint.cli import main as cli_main
 from ratexpint.integrators import Engine, EngineConfig, integrate
 from ratexpint.poles import builtin_pole_set
 from ratexpint.problems import allen_cahn_2d, allen_cahn_graph, builtin_graph
-from ratexpint.solvers import (ShiftedSystemKey, SolverConfig, factorize,
-                               solve_direct, solve_iterative)
+from ratexpint.solvers import (ShiftedSystemKey, SolverCache, SolverConfig,
+                               solve_iterative)
 from ratexpint.tableaus import tableau
 
 
@@ -173,7 +173,7 @@ def test_criterion_7_solver_contract(eoc_data, sweep_data):
     key = ShiftedSystemKey.make(prob.A, pole, scale)
     rng = np.random.default_rng(99)
     b = rng.standard_normal(prob.n).astype(complex)
-    x_direct = solve_direct(factorize(prob.A, key), b)
+    x_direct = SolverCache().factorization(prob.A, key).solve(b)
     info = solve_iterative(prob.A, key, b,
                            SolverConfig(mode="iterative", tolerance=1e-8,
                                         preconditioner="aggregation-amg"))

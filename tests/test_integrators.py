@@ -225,6 +225,18 @@ def test_last_step_shortened():
     assert traj.times[-1] == pytest.approx(1.0)
 
 
+def test_remainder_within_rounding_is_a_full_step():
+    rng = np.random.default_rng(6)
+    n = 10
+    op = random_spd(rng, n, lam_max=4.0)
+    prob = linear_problem(op, rng.standard_normal(n))
+    eng = Engine(prob, rational_config(tol=1e-10, m_hard=n))
+    traj = integrate(prob, tableau("sw2"), 0.05, 1.0, eng)
+    assert len(traj.steps) == 20
+    assert all(s.h == 0.05 for s in traj.steps)
+    assert traj.times[-1] == 1.0
+
+
 def test_linear_exactness_over_partition():
     rng = np.random.default_rng(7)
     n = 40

@@ -6,12 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from ratexpint.krylov import (KrylovError, ToleranceNotReached,
+from ratexpint.krylov import (KrylovError, RationalDecomposition, ToleranceNotReached,
                               arnoldi_relation_residual, assemble_augmented,
                               error_estimate, evaluate_approximant,
                               expmv_polynomial, expmv_rational,
-                              full_error_expansion, rational_arnoldi_step,
-                              start_decomposition)
+                              full_error_expansion, rational_arnoldi_step)
 from ratexpint.linalg import SparseOperator, dense_expm, phi_dense_all
 from ratexpint.poles import INF_POLE, PoleSet, builtin_pole_set, repeated_real
 from ratexpint.solvers import ShiftedSolver, SolverConfig
@@ -88,7 +87,7 @@ def test_infinite_pole_step_is_polynomial_step():
     rng = np.random.default_rng(3)
     op = random_spd(rng, 10)
     aug, ct = assemble_augmented(op, 1.0, [rng.standard_normal(10)])
-    d = start_decomposition(aug, ct)
+    d = RationalDecomposition(aug, ct)
     rational_arnoldi_step(d, INF_POLE)
     # K column must be the unit vector e_1
     assert d.K[0, 0] == 1.0
@@ -107,7 +106,7 @@ def test_arnoldi_relation_residual_mixed_poles(seed):
     cs = [rng.standard_normal(n) for _ in range(p + 1)]
     aug, ct = assemble_augmented(op, 0.9, cs)
     solver = direct_solver(op)
-    d = start_decomposition(aug, ct, dtype=np.complex128)
+    d = RationalDecomposition(aug, ct, dtype=np.complex128)
     poles = [complex(3, 4), complex(3, -4), INF_POLE, 7.5, complex(1, -9)]
     for xi in poles:
         rational_arnoldi_step(d, xi, solver)
@@ -125,7 +124,7 @@ def test_nilpotent_operator_breaks_down_at_index():
     cs = [rng.standard_normal(4), rng.standard_normal(4), rng.standard_normal(4)]
     aug, ct = assemble_augmented(op, 1.0, cs)
     solver = direct_solver(op)
-    d = start_decomposition(aug, ct)
+    d = RationalDecomposition(aug, ct)
     steps = 0
     for _ in range(6):
         if d.happy:
@@ -144,7 +143,7 @@ def test_orthonormality_up_to_m128():
     op = random_spd(rng, n, lam_max=100.0)
     aug, ct = assemble_augmented(op, 1.0, [rng.standard_normal(n)])
     solver = direct_solver(op)
-    d = start_decomposition(aug, ct, dtype=np.complex128)
+    d = RationalDecomposition(aug, ct, dtype=np.complex128)
     poles = list(builtin_pole_set("cf12")) * 4
     for j in range(128):
         xi = poles[j] if j < len(poles) else INF_POLE
@@ -171,7 +170,7 @@ def test_estimator_tracks_true_error_on_small_instances():
         aug, ct = assemble_augmented(op, 25.0, [c0])  # folded spectral radius ~ 100 lam_scale
         exact = dense_expm(aug.dense()) @ ct
         solver = direct_solver(op)
-        d = start_decomposition(aug, ct, dtype=np.complex128)
+        d = RationalDecomposition(aug, ct, dtype=np.complex128)
         pole_iter = iter(builtin_pole_set("cf12"))
         checked = 0
         while d.m < 30 and not d.happy:
@@ -207,7 +206,7 @@ def test_exactness_on_invariant_subspace():
     c0 = q[:, :4] @ rng.standard_normal(4)
     aug, ct = assemble_augmented(op, 1.0, [c0])
     solver = direct_solver(op)
-    d = start_decomposition(aug, ct)
+    d = RationalDecomposition(aug, ct)
     for _ in range(8):
         if d.happy:
             break
@@ -240,7 +239,7 @@ def test_singular_projection_detected():
     op = random_spd(rng, 12, lam_max=5.0)
     aug, ct = assemble_augmented(op, 1.0, [rng.standard_normal(12)])
     solver = direct_solver(op)
-    d = start_decomposition(aug, ct, dtype=np.complex128)
+    d = RationalDecomposition(aug, ct, dtype=np.complex128)
     for xi in (4.0, complex(2, 1), INF_POLE):
         rational_arnoldi_step(d, xi, solver)
     d.K[:d.m, :d.m] = 0.0  # forced singular square block
@@ -252,7 +251,7 @@ def test_zero_step_returns_start_vector():
     rng = np.random.default_rng(9)
     op = random_spd(rng, 12)
     aug, ct = assemble_augmented(op, 1.0, [rng.standard_normal(12)])
-    d = start_decomposition(aug, ct)
+    d = RationalDecomposition(aug, ct)
     rational_arnoldi_step(d, INF_POLE)
     out = evaluate_approximant(d, 0.0)
     assert np.linalg.norm(out - ct) <= 1e-13 * np.linalg.norm(ct)
@@ -267,7 +266,7 @@ def _built_decomposition(rng, n=40, p=1, steps=5, lam_max=8.0):
     cs = [rng.standard_normal(n) for _ in range(p + 1)]
     aug, ct = assemble_augmented(op, 1.0, cs)
     solver = direct_solver(op)
-    d = start_decomposition(aug, ct, dtype=np.complex128)
+    d = RationalDecomposition(aug, ct, dtype=np.complex128)
     schedule = [complex(5, 3), complex(5, -3), 6.0, complex(2, 7), complex(2, -7)][:steps - 1]
     for xi in schedule:
         rational_arnoldi_step(d, xi, solver)
@@ -278,7 +277,7 @@ def _built_decomposition(rng, n=40, p=1, steps=5, lam_max=8.0):
 def test_estimate_zero_after_breakdown():
     op = SparseOperator.zeros(5)
     aug, ct = assemble_augmented(op, 1.0, [np.ones(5)])
-    d = start_decomposition(aug, ct)
+    d = RationalDecomposition(aug, ct)
     rational_arnoldi_step(d, INF_POLE)
     assert d.happy
     assert error_estimate(d, 1.0) == 0.0
@@ -439,6 +438,12 @@ def test_polynomial_substepping_triggers_and_composes():
     c0 = rng.standard_normal(n)
     rep = expmv_polynomial(op, 1.0, [c0], 1.0, tol=1e-8, m_min=4, m_max=12)
     assert rep.substeps > 1
+    assert rep.arnoldi_steps <= rep.substeps * 12
+    # a failed sub-step re-evaluates its basis at theta/2 instead of rebuilding
+    # it, so with m_min = m_max every accepted sub-step costs exactly m_max steps
+    full = expmv_polynomial(op, 1.0, [c0], 1.0, tol=1e-8, m_min=12, m_max=12)
+    assert full.substeps > 1
+    assert full.arnoldi_steps == full.substeps * 12
     exact = dense_expm(-op.todense()) @ c0
     # sub-step budgeting keeps the composed error near the target
     assert np.linalg.norm(rep.vector - exact) <= 1e-6 * max(np.linalg.norm(exact), 1.0)

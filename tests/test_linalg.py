@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ratexpint.linalg import (SMALL_MATRIX_CAP, DimensionMismatch, SparseOperator,
                               dense_expm, orthogonal_extend, phi_dense,
-                              phi_dense_all, spmv)
+                              phi_dense_all)
 
 
 def taylor_expm(z, terms=60):
@@ -21,13 +21,13 @@ def taylor_expm(z, terms=60):
 
 
 # ---------------------------------------------------------------------------
-# spmv
+# SparseOperator.matvec
 # ---------------------------------------------------------------------------
 
 def test_spmv_identity():
     op = SparseOperator.identity(3)
     x = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(spmv(op, x), x)
+    assert np.array_equal(op.matvec(x), x)
 
 
 def test_spmv_tridiagonal_stencil_row():
@@ -36,7 +36,7 @@ def test_spmv_tridiagonal_stencil_row():
                                  [-1, 0, 1]).tocsr(), symmetric=True)
     e1 = np.zeros(n)
     e1[0] = 1.0
-    assert np.allclose(spmv(op, e1), [2.0, -1.0, 0.0])
+    assert np.allclose(op.matvec(e1), [2.0, -1.0, 0.0])
 
 
 def test_spmv_matches_dense_reference():
@@ -46,13 +46,13 @@ def test_spmv_matches_dense_reference():
     x = rng.standard_normal(50) + 1j * rng.standard_normal(50)
     ref = dense @ x
     bound = 1e-13 * np.linalg.norm(dense) * np.linalg.norm(x)
-    assert np.max(np.abs(spmv(op, x) - ref)) <= bound
+    assert np.max(np.abs(op.matvec(x) - ref)) <= bound
 
 
 def test_spmv_dimension_mismatch():
     op = SparseOperator.identity(4)
     with pytest.raises(DimensionMismatch):
-        spmv(op, np.ones(5))
+        op.matvec(np.ones(5))
 
 
 @settings(max_examples=25, deadline=None)
@@ -64,8 +64,8 @@ def test_spmv_linearity(seed):
     op = SparseOperator.from_dense(dense)
     x, y = rng.standard_normal(n), rng.standard_normal(n)
     a, b = rng.standard_normal(2)
-    lhs = spmv(op, a * x + b * y)
-    rhs = a * spmv(op, x) + b * spmv(op, y)
+    lhs = op.matvec(a * x + b * y)
+    rhs = a * op.matvec(x) + b * op.matvec(y)
     scale = max(np.linalg.norm(rhs), 1.0)
     assert np.linalg.norm(lhs - rhs) <= 1e-13 * scale
 

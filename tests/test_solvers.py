@@ -11,9 +11,8 @@ from ratexpint.linalg import SparseOperator
 from ratexpint.problems import fd_laplacian_1d, fd_laplacian_2d
 from ratexpint.solvers import (IterativeDivergence, ShiftedSolver,
                                ShiftedSystemKey, SolverCache, SolverConfig,
-                               SolverError, block_backsubstitute, factorize,
-                               shifted_matrix, solve_direct, solve_iterative,
-                               solve_jordan_tail)
+                               SolverError, block_backsubstitute,
+                               shifted_matrix, solve_iterative, solve_jordan_tail)
 
 
 def key_for(op, pole, scale=1.0):
@@ -26,19 +25,19 @@ def key_for(op, pole, scale=1.0):
 
 def test_zero_operator_solves_are_scalar_division():
     op = SparseOperator.zeros(6)
-    fact = factorize(op, key_for(op, 2.0))
+    fact = SolverCache().factorization(op, key_for(op, 2.0))
     rng = np.random.default_rng(0)
     b = rng.standard_normal(6)
-    assert np.allclose(solve_direct(fact, b), b / 2.0, rtol=1e-15)
+    assert np.allclose(fact.solve(b), b / 2.0, rtol=1e-15)
 
 
 def test_direct_complex_shift_residual():
     op = fd_laplacian_1d(100, 1.0, "dirichlet")
     pole = 1.0 + 1.0j
-    fact = factorize(op, key_for(op, pole))
+    fact = SolverCache().factorization(op, key_for(op, pole))
     rng = np.random.default_rng(1)
     b = rng.standard_normal(100) + 1j * rng.standard_normal(100)
-    x = solve_direct(fact, b)
+    x = fact.solve(b)
     matrix = shifted_matrix(op, pole, 1.0)
     assert np.linalg.norm(matrix @ x - b) <= 1e-12 * np.linalg.norm(b)
 
@@ -51,23 +50,23 @@ def test_direct_manufactured_solution_real_and_complex():
         x_true = rng.standard_normal(60) + (1j * rng.standard_normal(60)
                                             if complex(pole).imag else 0.0)
         b = matrix @ x_true
-        fact = factorize(op, key_for(op, pole, 0.7))
-        x = solve_direct(fact, b)
+        fact = SolverCache().factorization(op, key_for(op, pole, 0.7))
+        x = fact.solve(b)
         assert np.linalg.norm(x - x_true) <= 1e-10 * np.linalg.norm(x_true)
 
 
 def test_direct_zero_rhs():
     op = fd_laplacian_1d(10, 1.0, "dirichlet")
-    fact = factorize(op, key_for(op, 1.0))
-    assert np.array_equal(solve_direct(fact, np.zeros(10)), np.zeros(10))
+    fact = SolverCache().factorization(op, key_for(op, 1.0))
+    assert np.array_equal(fact.solve(np.zeros(10)), np.zeros(10))
 
 
 def test_factorization_cache_hit():
     op = fd_laplacian_1d(50, 1.0, "dirichlet")
     cache = SolverCache()
     key = key_for(op, 2.0 + 1.0j)
-    f1 = factorize(op, key, cache)
-    f2 = factorize(op, key, cache)
+    f1 = cache.factorization(op, key)
+    f2 = cache.factorization(op, key)
     assert f1 is f2
     assert cache.numeric_factorizations == 1
     assert cache.hits == 1
@@ -79,7 +78,7 @@ def test_cache_single_flight_under_concurrency():
     keys = [key_for(op, 1.0 + k * 1.0j, 0.5) for k in range(4)]
 
     def work(i):
-        return factorize(op, keys[i % 4], cache)
+        return cache.factorization(op, keys[i % 4])
 
     with ThreadPoolExecutor(max_workers=8) as pool:
         list(pool.map(work, range(32)))
@@ -90,7 +89,7 @@ def test_singular_shift_rejected():
     # pole exactly at a negated eigenvalue of alpha*A makes xi I + alpha A singular
     op = SparseOperator.from_dense(np.diag([1.0, 2.0, 3.0]), symmetric=True)
     with pytest.raises(SolverError):
-        factorize(op, key_for(op, -2.0))
+        SolverCache().factorization(op, key_for(op, -2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +150,8 @@ def test_direct_and_iterative_agree():
     pole, scale = 4.0 + 1.5j, 0.5
     rng = np.random.default_rng(6)
     b = rng.standard_normal(24 * 24)
-    fact = factorize(op, key_for(op, pole, scale))
-    x_direct = solve_direct(fact, b.astype(complex))
+    fact = SolverCache().factorization(op, key_for(op, pole, scale))
+    x_direct = fact.solve(b.astype(complex))
     cfg = SolverConfig(mode="iterative", tolerance=1e-9, preconditioner="ilu0",
                        max_iterations=300)
     info = solve_iterative(op, key_for(op, pole, scale), b.astype(complex), cfg)
@@ -164,8 +163,9 @@ def test_conjugate_shift_symmetry():
     rng = np.random.default_rng(7)
     b = rng.standard_normal(40)
     pole = 2.0 + 1.0j
-    x = solve_direct(factorize(op, key_for(op, pole)), b.astype(complex))
-    x_bar = solve_direct(factorize(op, key_for(op, pole.conjugate())), b.astype(complex))
+    cache = SolverCache()
+    x = cache.factorization(op, key_for(op, pole)).solve(b.astype(complex))
+    x_bar = cache.factorization(op, key_for(op, pole.conjugate())).solve(b.astype(complex))
     assert np.linalg.norm(x_bar - np.conj(x)) <= 1e-12 * np.linalg.norm(x)
 
 
@@ -189,8 +189,8 @@ def test_block_solve_p0_reduces_to_shifted_solve():
     rng = np.random.default_rng(8)
     rhs = rng.standard_normal(30)
     x_block = block_backsubstitute(aug, 3.0, rhs, solver)
-    fact = factorize(op, key_for(op, 3.0, 0.8))
-    x_ref = solve_direct(fact, 3.0 * rhs)
+    fact = SolverCache().factorization(op, key_for(op, 3.0, 0.8))
+    x_ref = fact.solve(3.0 * rhs)
     assert np.allclose(x_block, x_ref, rtol=0, atol=1e-13 * np.linalg.norm(x_ref))
 
 
@@ -220,8 +220,8 @@ def test_block_solve_decouples_when_coupling_vanishes():
     solver = ShiftedSolver(op, SolverConfig(mode="direct"))
     rhs = rng.standard_normal(n + p)
     x = block_backsubstitute(aug, 4.0, rhs, solver)
-    fact = factorize(op, key_for(op, 4.0, 1.0))
-    top_ref = solve_direct(fact, 4.0 * rhs[:n])
+    fact = SolverCache().factorization(op, key_for(op, 4.0, 1.0))
+    top_ref = fact.solve(4.0 * rhs[:n])
     assert np.allclose(x[:n], top_ref, atol=1e-12)
 
 
@@ -241,9 +241,12 @@ def test_shifted_solver_logs_residuals():
     op = fd_laplacian_2d(16, 1.0, "neumann")
     solver = ShiftedSolver(op, SolverConfig(mode="direct"))
     rng = np.random.default_rng(11)
-    for pole in (2.0, 1.0 + 1.0j):
-        solver.solve_shifted(pole, 0.5, rng.standard_normal(256))
-    assert len(solver.solve_log) == 2
+    cases = [(2.0, rng.standard_normal(256)), (1.0 + 1.0j, rng.standard_normal(256)),
+             # real pole, complex right-hand side: solved as two real halves
+             (2.0, rng.standard_normal(256) + 1j * rng.standard_normal(256))]
+    for pole, rhs in cases:
+        solver.solve_shifted(pole, 0.5, rhs)
+    assert len(solver.solve_log) == 3
     assert all(info.residual <= 1e-10 for info in solver.solve_log)
 
 
