@@ -14,7 +14,7 @@ from .problems import (Graph, Problem, allen_cahn_2d, allen_cahn_graph, builtin_
                        fd_laplacian_1d, fd_laplacian_2d, gierer_meinhardt_2d,
                        graph_laplacian, largest_connected_component)
 from .solvers import (Factorization, ShiftedSolver, ShiftedSystemKey, SolverCache,
-                      SolverConfig, block_backsubstitute, solve_iterative)
+                      SolverConfig, solve_iterative)
 from .tableaus import Tableau, tableau
 
 __version__ = "0.1.0"

@@ -13,6 +13,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+#: Hierarchy depth, the coarsest level included.
+MAX_LEVELS = 4
+#: Levels at or below this size are not coarsened further but solved by LU.
+COARSE_SIZE = 600
+#: Damping factor of the Jacobi smoother.
+OMEGA = 0.7
+
 
 def _pairwise_aggregates(a: sp.csr_matrix) -> np.ndarray:
     """Strength-based pairwise matching, fully vectorized.
@@ -69,24 +76,28 @@ def _pairwise_aggregates(a: sp.csr_matrix) -> np.ndarray:
     return agg
 
 
-def _aggregate_level(a: sp.csr_matrix, rounds: int = 2) -> np.ndarray:
-    """Compose `rounds` pairwise matchings (aggregates of size up to 2^rounds)."""
-    n = a.shape[0]
-    agg = np.arange(n, dtype=np.int64)
+def _tentative(agg: np.ndarray, dtype) -> sp.csr_matrix:
+    """Piecewise-constant prolongator of the aggregation map ``agg``."""
+    n = agg.shape[0]
+    return sp.csr_matrix((np.ones(n, dtype=dtype), (np.arange(n), agg)),
+                         shape=(n, int(agg.max()) + 1))
+
+
+def _aggregate_level(a: sp.csr_matrix) -> np.ndarray:
+    """Compose two pairwise matchings (aggregates of up to 4 nodes)."""
+    agg = np.arange(a.shape[0], dtype=np.int64)
     current = a
-    for _ in range(rounds):
+    for _ in range(2):
         step = _pairwise_aggregates(current.tocsr())
         agg = step[agg]
-        nc = int(step.max()) + 1
-        p = sp.csr_matrix((np.ones(n, dtype=current.dtype), (np.arange(n), agg)),
-                          shape=(n, int(agg.max()) + 1))
+        p = _tentative(agg, current.dtype)
         current = (p.T @ a @ p).tocsr()
-        if nc <= 1:
+        if step.max() == 0:
             break
     return agg
 
 
-def build_aggregates(matrix, max_levels: int = 3, coarse_size: int = 600) -> list:
+def build_aggregates(matrix) -> list:
     """Aggregation maps for every level, computed once per operator.
 
     Matching only looks at off-diagonal strengths, which a diagonal shift
@@ -97,92 +108,52 @@ def build_aggregates(matrix, max_levels: int = 3, coarse_size: int = 600) -> lis
     """
     a = sp.csr_matrix(matrix)
     maps = []
-    while len(maps) < max_levels - 1 and a.shape[0] > coarse_size:
+    while len(maps) < MAX_LEVELS - 1 and a.shape[0] > COARSE_SIZE:
         agg = _aggregate_level(a)
-        nc = int(agg.max()) + 1
-        if nc >= a.shape[0]:
+        if int(agg.max()) + 1 >= a.shape[0]:
             break
-        n = a.shape[0]
-        p = sp.csr_matrix((np.ones(n, dtype=a.dtype), (np.arange(n), agg)),
-                          shape=(n, nc))
         maps.append(agg)
+        p = _tentative(agg, a.dtype)
         a = (p.T @ a @ p).tocsr()
     return maps
 
 
-class _Level:
-    __slots__ = ("a", "p", "dinv")
-
-    def __init__(self, a: sp.csr_matrix, p, dinv):
-        self.a = a
-        self.p = p
-        self.dinv = dinv
-
-
 class AmgPreconditioner:
-    """V-cycle preconditioner for a fixed sparse matrix.
+    """V-cycle preconditioner for one sparse matrix (real or complex, with a
+    nonzero diagonal) over the aggregation maps of :func:`build_aggregates`.
 
-    Parameters
-    ----------
-    matrix : sparse matrix (real or complex), diagonally nonzero.
-    max_levels : hierarchy depth including the coarsest level.
-    coarse_size : stop coarsening below this size and solve directly.
-    omega : damping factor for the Jacobi smoother.
-    smooth_steps : pre- and post-smoothing sweeps.
-    smooth_prolongator : apply one damped-Jacobi sweep to the tentative
-        piecewise-constant prolongator; costs some coarse-operator fill and
-        buys near-size-independent convergence on Laplacian-like systems.
+    Each level smooths its tentative prolongator with one damped-Jacobi
+    sweep, which costs some coarse-operator fill and buys near-size-independent
+    convergence on Laplacian-like systems; one pre- and one post-smoothing
+    Jacobi sweep with damping ``OMEGA`` surround the coarse correction, and
+    the coarsest level is solved by sparse LU.
     """
 
-    def __init__(self, matrix, max_levels: int = 3, coarse_size: int = 600,
-                 omega: float = 0.7, smooth_steps: int = 1,
-                 smooth_prolongator: bool = True, aggregates: list | None = None):
+    def __init__(self, matrix, aggregates: list):
         a = sp.csr_matrix(matrix)
-        self.omega = float(omega)
-        self.smooth_steps = int(smooth_steps)
-        self.levels: list[_Level] = []
         self.dtype = a.dtype
-        if aggregates is None:
-            aggregates = build_aggregates(a, max_levels, coarse_size)
+        self.levels = []  # (matrix, smoothed prolongator, inverse diagonal)
         for agg in aggregates:
             diag = a.diagonal()
             if np.any(diag == 0):
                 raise ValueError("AMG smoother requires a nonzero diagonal")
-            nc = int(agg.max()) + 1
-            n = a.shape[0]
-            if agg.shape[0] != n or nc >= n:
-                break
-            p = sp.csr_matrix((np.ones(n, dtype=a.dtype), (np.arange(n), agg)),
-                              shape=(n, nc))
-            if smooth_prolongator:
-                dinv_a = sp.diags(1.0 / diag) @ a
-                p = (p - (2.0 / 3.0) * (dinv_a @ p)).tocsr()
-            self.levels.append(_Level(a, p, 1.0 / diag))
+            p = _tentative(agg, a.dtype)
+            dinv_a = sp.diags(1.0 / diag) @ a
+            p = (p - (2.0 / 3.0) * (dinv_a @ p)).tocsr()
+            self.levels.append((a, p, 1.0 / diag))
             a = (p.T @ a @ p).tocsr()
         self._coarse_lu = spla.splu(a.tocsc())
-        self._coarse_n = a.shape[0]
-
-    @property
-    def num_levels(self) -> int:
-        return len(self.levels) + 1
 
     def _cycle(self, level: int, b: np.ndarray) -> np.ndarray:
         if level == len(self.levels):
             return self._coarse_lu.solve(b)
-        lvl = self.levels[level]
-        x = self.omega * lvl.dinv * b
-        for _ in range(self.smooth_steps - 1):
-            x += self.omega * lvl.dinv * (b - lvl.a @ x)
-        r = b - lvl.a @ x
-        xc = self._cycle(level + 1, lvl.p.T @ r)
-        x = x + lvl.p @ xc
-        for _ in range(self.smooth_steps):
-            x += self.omega * lvl.dinv * (b - lvl.a @ x)
+        a, p, dinv = self.levels[level]
+        x = OMEGA * dinv * b
+        r = b - a @ x
+        xc = self._cycle(level + 1, p.T @ r)
+        x = x + p @ xc
+        x += OMEGA * dinv * (b - a @ x)
         return x
 
     def matvec(self, b: np.ndarray) -> np.ndarray:
         return self._cycle(0, np.asarray(b, dtype=self.dtype))
-
-    def as_linear_operator(self) -> spla.LinearOperator:
-        n = self.levels[0].a.shape[0] if self.levels else self._coarse_n
-        return spla.LinearOperator((n, n), matvec=self.matvec, dtype=self.dtype)

@@ -18,13 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from . import verify as verify_mod
-from .integrators import Engine, EngineConfig, NumericalBlowup, Trajectory, integrate
+from .integrators import (ENGINES, Engine, EngineConfig, NumericalBlowup, Trajectory,
+                          integrate)
 from .krylov import KrylovError, ToleranceNotReached
 from .poles import PoleFileError, PoleSet, builtin_pole_set, load_poles, repeated_real, validate
-from .problems import (Problem, allen_cahn_2d, allen_cahn_graph, builtin_graph,
+from .problems import (Graph, Problem, allen_cahn_2d, allen_cahn_graph, builtin_graph,
                        gierer_meinhardt_2d, largest_connected_component,
                        load_edge_list, load_matrix_market_adjacency)
-from .solvers import IterativeDivergence, SolverConfig, SolverError
+from .solvers import PRECONDITIONERS, IterativeDivergence, SolverConfig, SolverError
 from .tableaus import TableauError, available, tableau
 
 PROBLEMS = ("ac2d", "gm2d", "ac-graph")
@@ -69,14 +70,14 @@ def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--eps", type=float, help="interface parameter (ac-graph)")
     p.add_argument("--diffusion", type=float, help="graph diffusion constant D")
     p.add_argument("--integrator", help=f"one of: {', '.join(available())}")
-    p.add_argument("--engine", choices=("rational", "polynomial"))
+    p.add_argument("--engine", choices=ENGINES)
     p.add_argument("--poles", help="pole file path or builtin:<name>")
     p.add_argument("--repeated-pole", type=float, help="single repeated real pole value")
     p.add_argument("--repeated-count", type=int, default=72)
     p.add_argument("--solver", choices=("direct", "iterative"))
     p.add_argument("--solver-tol", type=float)
     p.add_argument("--solver-maxiter", type=int)
-    p.add_argument("--preconditioner", choices=("none", "ilu0", "aggregation-amg"))
+    p.add_argument("--preconditioner", choices=PRECONDITIONERS)
     p.add_argument("--h", type=float, help="time step size")
     p.add_argument("--T", type=float, help="final time")
     p.add_argument("--tol", type=float, help="expmv tolerance")
@@ -129,22 +130,26 @@ def build_problem(cfg: dict) -> Problem:
                                    p=_get(cfg, "p", float), mu=_get(cfg, "mu", float),
                                    pprime=_get(cfg, "pprime", float), nu=_get(cfg, "nu", float))
     if kind == "ac-graph":
-        spec = cfg.get("graph_file", "builtin:road2600")
-        if str(spec).startswith("builtin:"):
-            g = builtin_graph(str(spec).split(":", 1)[1])
-        else:
-            path = Path(spec)
-            if not path.exists():
-                raise ConfigError(f"graph file not found: {path}")
-            if path.suffix in (".mtx", ".mm"):
-                g = load_matrix_market_adjacency(path)
-            else:
-                g = load_edge_list(path, one_based=bool(cfg.get("graph_one_based")))
+        g = load_graph_spec(cfg.get("graph_file", "builtin:road2600"),
+                            bool(cfg.get("graph_one_based")))
         g = largest_connected_component(g)
         return allen_cahn_graph(g, eps=_get(cfg, "eps", float),
                                 diffusion=_get(cfg, "diffusion", float),
                                 seed=_get(cfg, "seed", int))
     raise ConfigError(f"unknown problem {kind!r}; expected one of {PROBLEMS}")
+
+
+def load_graph_spec(spec, one_based: bool = False) -> Graph:
+    """``builtin:<name>``, a MatrixMarket adjacency (.mtx/.mm) or an edge list."""
+    spec = str(spec)
+    if spec.startswith("builtin:"):
+        return builtin_graph(spec.split(":", 1)[1])
+    path = Path(spec)
+    if not path.exists():
+        raise ConfigError(f"graph file not found: {path}")
+    if path.suffix in (".mtx", ".mm"):
+        return load_matrix_market_adjacency(path)
+    return load_edge_list(path, one_based=one_based)
 
 
 def build_pole_set(cfg: dict) -> PoleSet | None:
@@ -154,6 +159,11 @@ def build_pole_set(cfg: dict) -> PoleSet | None:
     spec = cfg.get("poles")
     if spec is None:
         spec = "builtin:cf16_shifted" if _get(cfg, "solver") == "iterative" else "builtin:cf12"
+    return load_pole_spec(spec)
+
+
+def load_pole_spec(spec) -> PoleSet:
+    """``builtin:<name>`` or a pole file."""
     spec = str(spec)
     if spec.startswith("builtin:"):
         return builtin_pole_set(spec.split(":", 1)[1])
@@ -165,8 +175,6 @@ def build_pole_set(cfg: dict) -> PoleSet | None:
 
 def build_engine_config(cfg: dict) -> EngineConfig:
     engine = _get(cfg, "engine")
-    if engine not in ("rational", "polynomial"):
-        raise ConfigError(f"unknown engine {engine!r}")
     solver_kwargs = {}
     if cfg.get("solver_maxiter") is not None:
         solver_kwargs["max_iterations"] = int(cfg["solver_maxiter"])
@@ -282,10 +290,7 @@ def cmd_bench(args) -> int:
     try:
         cfg = _merge_config(args)
         sizes = [int(s) for s in str(cfg.get("sizes", "64,128")).split(",") if s]
-        engines = [e.strip() for e in str(cfg.get("engines", "rational,polynomial")).split(",") if e]
-        for e in engines:
-            if e not in ("rational", "polynomial"):
-                raise ConfigError(f"unknown engine {e!r}")
+        engines = [e.strip() for e in str(cfg.get("engines", ",".join(ENGINES))).split(",") if e]
         tab = _integrator(cfg)
         out_path = Path(cfg.get("out", ".")) / "bench.csv"
         out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -342,10 +347,8 @@ def cmd_verify(args) -> int:
 
 def cmd_poles_validate(args) -> int:
     try:
-        spec = str(args.poles)
-        ps = builtin_pole_set(spec.split(":", 1)[1]) if spec.startswith("builtin:") \
-            else load_poles(Path(spec))
-    except (PoleFileError, FileNotFoundError) as exc:
+        ps = load_pole_spec(args.poles)
+    except (ConfigError, PoleFileError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print(f"poles: {len(ps)} ({ps.kind}, convention {ps.convention}, "
@@ -361,14 +364,8 @@ def cmd_poles_validate(args) -> int:
 
 
 def cmd_graph_info(args) -> int:
-    path = Path(args.graph_file)
     try:
-        if str(args.graph_file).startswith("builtin:"):
-            g = builtin_graph(str(args.graph_file).split(":", 1)[1])
-        elif path.suffix in (".mtx", ".mm"):
-            g = load_matrix_market_adjacency(path)
-        else:
-            g = load_edge_list(path, one_based=args.graph_one_based)
+        g = load_graph_spec(args.graph_file, args.graph_one_based)
     except (FileNotFoundError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -19,7 +19,7 @@ import scipy.linalg as sla
 
 from .linalg import (SparseOperator, dense_expm, orthogonal_extend,
                      phi_column_stack)
-from .poles import INF_POLE, PoleSet, is_infinite
+from .poles import INF_POLE, PoleSet, is_conjugate, is_infinite
 from .solvers import ShiftedSolver
 
 #: Default adaptivity parameters for the rational engine.
@@ -378,7 +378,6 @@ class ExpmvReport:
 
     vector: np.ndarray
     n: int
-    m: int
     estimate: float
     tol: float
     converged: bool
@@ -443,8 +442,7 @@ def _adaptive_krylov(d: RationalDecomposition, poles: Sequence[complex],
             grow()
         last = d.poles_used[-1]
         if not d.happy and not is_infinite(last):
-            if last.imag != 0 and ptr < len(poles) and \
-                    abs(poles[ptr] - last.conjugate()) <= 1e-12 * max(abs(poles[ptr]), 1.0):
+            if last.imag != 0 and ptr < len(poles) and is_conjugate(poles[ptr], last):
                 grow()
             if not d.happy:
                 rational_arnoldi_step(d, INF_POLE)
@@ -511,7 +509,7 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
         d, finite_poles, solver, 1.0, tol, m_min, m_hard, check_cadence, history)
 
     report = ExpmvReport(
-        vector=result, n=op.n, m=d.m, estimate=estimate, tol=tol,
+        vector=result, n=op.n, estimate=estimate, tol=tol,
         converged=converged, breakdown=d.happy, estimate_history=history,
         poles_consumed=list(d.poles_used), substeps=1, arnoldi_steps=d.m,
         solver_iterations=[s.iterations for s in solver.solve_log[log_start:]]
@@ -574,7 +572,7 @@ def expmv_polynomial(op: SparseOperator, alpha: float, c_vectors: Sequence[np.nd
         substeps += 1
 
     return ExpmvReport(
-        vector=w, n=op.n, m=total_steps, estimate=estimate, tol=tol,
+        vector=w, n=op.n, estimate=estimate, tol=tol,
         converged=True, breakdown=breakdown, estimate_history=history,
         poles_consumed=[], substeps=substeps, arnoldi_steps=total_steps,
         solver_iterations=[], wall_time=time.perf_counter() - t0,

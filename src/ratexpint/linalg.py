@@ -54,28 +54,12 @@ class SparseOperator:
         self.symmetric = bool(symmetric)
         self._fingerprint = None
 
-    # CSR array views
-    @property
-    def row_ptr(self) -> np.ndarray:
-        return self._csr.indptr
-
-    @property
-    def col_idx(self) -> np.ndarray:
-        return self._csr.indices
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._csr.data
-
     @property
     def nnz(self) -> int:
         return self._csr.nnz
 
     def tocsr(self) -> sp.csr_matrix:
         return self._csr
-
-    def tocsc(self) -> sp.csc_matrix:
-        return self._csr.tocsc()
 
     def todense(self) -> np.ndarray:
         return self._csr.toarray()

@@ -64,19 +64,10 @@ class PoleSet:
     def __iter__(self):
         return iter(self.poles)
 
-    def pair_partner_index(self, idx: int) -> Optional[int]:
-        """Index of the adjacent conjugate partner of poles[idx], if it has one."""
-        xi = self.poles[idx]
-        if xi.imag == 0:
-            return None
-        if idx + 1 < len(self.poles) and _is_conjugate(xi, self.poles[idx + 1]):
-            return idx + 1
-        if idx > 0 and _is_conjugate(xi, self.poles[idx - 1]):
-            return idx - 1
-        return None
 
-
-def _is_conjugate(a: complex, b: complex, tol: float = CONJUGATE_MATCH_TOL) -> bool:
+def is_conjugate(a: complex, b: complex, tol: float = CONJUGATE_MATCH_TOL) -> bool:
+    """True iff ``a`` is the conjugate of ``b`` to ``tol`` relative to
+    max(|a|, |b|, 1)."""
     scale = max(abs(a), abs(b), 1.0)
     return abs(a - b.conjugate()) <= tol * scale
 
@@ -100,7 +91,7 @@ def check_conjugate_closure(poles: Sequence[complex], tol: float = CONJUGATE_MAT
         if xi.imag == 0:
             i += 1
             continue
-        if i + 1 < len(poles) and _is_conjugate(xi, poles[i + 1]):
+        if i + 1 < len(poles) and is_conjugate(xi, poles[i + 1]):
             i += 2
             continue
         return False

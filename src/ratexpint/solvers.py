@@ -4,8 +4,8 @@ Every finite-pole rational Krylov step needs one solve with
 (xi I + alpha A) for a complex pole xi and a positive operator scale alpha.
 Poles and scales repeat across Krylov iterations and time steps, so direct
 factorizations (and iterative preconditioners) are cached per
-(pole, scale, operator) key. The block variant eliminates the small
-Jordan tail of the augmented operator first and back-substitutes.
+(pole, scale, operator) key. The block solve of the augmented operator
+back-substitutes its small Jordan tail first.
 """
 
 from __future__ import annotations
@@ -52,10 +52,13 @@ class ShiftedSystemKey:
 @dataclass
 class SolverConfig:
     mode: str = "direct"                 # "direct" | "iterative"
-    tolerance: float = 1e-7              # relative residual target, iterative mode
+    # relative residual target of iterative solves; a solve of either mode
+    # whose residual exceeds 10x this raises
+    tolerance: float = 1e-7
     max_iterations: int = 400
-    preconditioner: str = "ilu0"         # "none" | "ilu0" | "aggregation-amg"
-    amg_levels: int = 4
+    # "none" | "ilu0" | "aggregation-amg"; "ilu0" is scipy's threshold ILU
+    # (spilu, drop_tol=1e-4, fill_factor=10), not a zero-fill ILU(0)
+    preconditioner: str = "ilu0"
 
     def __post_init__(self):
         if self.mode not in ("direct", "iterative"):
@@ -108,67 +111,46 @@ class Factorization:
         return self._lu.solve(rhs.astype(self.dtype, copy=False))
 
 
-class _Preconditioner:
-    """Cached preconditioner (plus the assembled matrix) for one shifted system."""
-
-    def __init__(self, kind: str, matrix: sp.csr_matrix, amg_levels: int,
-                 aggregates: Optional[list] = None):
-        self.kind = kind
-        self.matrix = matrix
-        if kind == "none":
-            self.op = None
-        elif kind == "ilu0":
-            ilu = spla.spilu(matrix.tocsc(), drop_tol=1e-4, fill_factor=10)
-            self.op = spla.LinearOperator(matrix.shape, matvec=ilu.solve, dtype=matrix.dtype)
-        elif kind == "aggregation-amg":
-            self.op = AmgPreconditioner(matrix, max_levels=amg_levels,
-                                        aggregates=aggregates).as_linear_operator()
-        else:  # pragma: no cover
-            raise ValueError(kind)
-
-
 class SolverCache:
-    """Per-process cache of factorizations and preconditioners.
+    """Per-process cache of everything the shifted systems of one run need.
 
-    Lookups are synchronized and single-flight: concurrent requests for the
-    same key perform the numeric work exactly once. There is no eviction;
-    call :meth:`clear` explicitly.
+    One table holds LU factorizations (keyed by ``ShiftedSystemKey``),
+    preconditioners (keyed by ``(key, kind)``) and AMG aggregates (keyed by
+    ``("aggregates", fingerprint)``). Lookups are synchronized and
+    single-flight: concurrent requests for the same key perform the numeric
+    work exactly once. There is no eviction; call :meth:`clear` explicitly.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._factorizations: dict[ShiftedSystemKey, Factorization] = {}
-        self._preconditioners: dict[tuple, _Preconditioner] = {}
-        self._aggregates: dict[tuple, list] = {}
+        self._entries: dict = {}
         self._building: dict = {}
         self.numeric_factorizations = 0
         self.hits = 0
 
     def clear(self):
         with self._lock:
-            self._factorizations.clear()
-            self._preconditioners.clear()
-            self._aggregates.clear()
+            self._entries.clear()
             self._building.clear()
             self.numeric_factorizations = 0
             self.hits = 0
 
-    def _single_flight(self, table: dict, key, build):
+    def _single_flight(self, key, build):
         with self._lock:
-            entry = table.get(key)
+            entry = self._entries.get(key)
             if entry is not None:
                 self.hits += 1
                 return entry
             gate = self._building.setdefault(key, threading.Lock())
         with gate:
             with self._lock:
-                entry = table.get(key)
+                entry = self._entries.get(key)
                 if entry is not None:
                     self.hits += 1
                     return entry
             entry = build()
             with self._lock:
-                table[key] = entry
+                self._entries[key] = entry
                 self._building.pop(key, None)
             return entry
 
@@ -180,30 +162,28 @@ class SolverCache:
                 self.numeric_factorizations += 1
             return fact
 
-        return self._single_flight(self._factorizations, key, build)
+        return self._single_flight(key, build)
 
-    def aggregates(self, op: SparseOperator, levels: int) -> list:
-        """Aggregation maps shared by every shifted system of one operator."""
-        akey = ("agg", op.fingerprint, levels)
+    def preconditioner(self, op: SparseOperator, key: ShiftedSystemKey, kind: str) -> tuple:
+        """``(matrix, M)``: the assembled (xi I + alpha A) and its
+        preconditioner ``kind`` as a ``LinearOperator`` (``None`` for "none").
 
+        AMG aggregates are built once per operator and shared by all its
+        shifted systems (see :func:`build_aggregates`).
+        """
         def build():
-            return build_aggregates(op.tocsr(), max_levels=levels)
+            matrix = shifted_matrix(op, key.pole, key.scale)
+            if kind == "none":
+                return matrix, None
+            if kind == "ilu0":
+                apply = spla.spilu(matrix.tocsc(), drop_tol=1e-4, fill_factor=10).solve
+            else:
+                aggregates = self._single_flight(("aggregates", op.fingerprint),
+                                                 lambda: build_aggregates(op.tocsr()))
+                apply = AmgPreconditioner(matrix, aggregates).matvec
+            return matrix, spla.LinearOperator(matrix.shape, matvec=apply, dtype=matrix.dtype)
 
-        return self._single_flight(self._aggregates, akey, build)
-
-    def preconditioner(self, op: SparseOperator, key: ShiftedSystemKey,
-                       cfg: SolverConfig) -> _Preconditioner:
-        pkey = (key, cfg.preconditioner, cfg.amg_levels)
-
-        def build():
-            aggregates = None
-            if cfg.preconditioner == "aggregation-amg":
-                aggregates = self.aggregates(op, cfg.amg_levels)
-            return _Preconditioner(cfg.preconditioner,
-                                   shifted_matrix(op, key.pole, key.scale),
-                                   cfg.amg_levels, aggregates=aggregates)
-
-        return self._single_flight(self._preconditioners, pkey, build)
+        return self._single_flight((key, kind), build)
 
 
 def solve_iterative(op: SparseOperator, key: ShiftedSystemKey, rhs: np.ndarray,
@@ -221,12 +201,8 @@ def solve_iterative(op: SparseOperator, key: ShiftedSystemKey, rhs: np.ndarray,
     bnorm = float(np.linalg.norm(rhs))
     if bnorm == 0.0:
         return SolveInfo(np.zeros_like(rhs), 0, 0.0, True)
-    if cache is not None:
-        entry = cache.preconditioner(op, key, cfg)
-    else:
-        entry = _Preconditioner(cfg.preconditioner,
-                                shifted_matrix(op, key.pole, key.scale), cfg.amg_levels)
-    matrix, precond = entry.matrix, entry.op
+    cache = cache if cache is not None else SolverCache()
+    matrix, precond = cache.preconditioner(op, key, cfg.preconditioner)
     if np.iscomplexobj(rhs) and matrix.dtype != np.complex128:
         matrix = matrix.astype(np.complex128)
     if precond is not None and np.iscomplexobj(rhs) and precond.dtype != np.complex128:
@@ -249,24 +225,6 @@ def solve_iterative(op: SparseOperator, key: ShiftedSystemKey, rhs: np.ndarray,
     residual = float(np.linalg.norm(rhs - matrix @ x)) / bnorm
     converged = info == 0 and residual <= cfg.tolerance * 10
     return SolveInfo(x=x, iterations=iterations, residual=residual, converged=converged)
-
-
-def solve_jordan_tail(pole: complex, rhs_tail: np.ndarray) -> np.ndarray:
-    """Solve (xi I_p - J_p) x = xi * rhs_tail by back-substitution.
-
-    J_p is the nilpotent upper Jordan block, so the system is upper
-    bidiagonal with diagonal xi and superdiagonal -1.
-    """
-    p = rhs_tail.shape[0]
-    if p == 0:
-        return rhs_tail
-    if pole == 0:
-        raise SolverError("pole 0 makes the Jordan tail singular")
-    x = np.zeros(p, dtype=np.result_type(rhs_tail.dtype, np.asarray(pole).dtype, np.float64))
-    x[p - 1] = rhs_tail[p - 1]
-    for i in range(p - 2, -1, -1):
-        x[i] = rhs_tail[i] + x[i + 1] / pole
-    return x
 
 
 class ShiftedSolver:
@@ -292,6 +250,10 @@ class ShiftedSolver:
                 # counts see only Krylov steps
                 ax = self.op.tocsr() @ x
                 res = float(np.linalg.norm(rhs - (pole * x + scale * ax))) / bnorm
+            if res > 10 * self.config.tolerance:
+                raise SolverError(
+                    f"direct solve for pole {pole} is inaccurate: relative residual "
+                    f"{res:.3e} exceeds {10 * self.config.tolerance:.1e}")
             info = SolveInfo(x=x, iterations=0, residual=res, converged=True)
         else:
             info = solve_iterative(self.op, key, rhs, self.config, self.cache)
@@ -303,33 +265,26 @@ class ShiftedSolver:
         return info.x
 
     def solve_block(self, aug, pole: complex, rhs: np.ndarray) -> np.ndarray:
-        """Solve (xi I - A_tilde) x = xi * rhs for the augmented operator.
+        """Solve (xi I - A~) x = xi * rhs for the augmented operator ``aug``.
 
-        The Jordan tail is eliminated first; its solution feeds the coupling
-        block into the right-hand side of one shifted solve.
+        ``aug`` carries the sparse top block -alpha A, the dense coupling
+        block C and an implicit Jordan tail of size p. The tail system
+        (xi I_p - J_p) x_tail = xi * rhs_tail is upper bidiagonal (diagonal
+        xi, superdiagonal -1) and is back-substituted first; C x_tail then
+        joins the right-hand side of one shifted solve for the top block.
+        For p = 0 this is one shifted solve with right-hand side xi * rhs.
         """
-        return block_backsubstitute(aug, pole, rhs, self)
-
-
-def block_backsubstitute(aug, pole: complex, rhs: np.ndarray,
-                         solver: ShiftedSolver) -> np.ndarray:
-    """Block solve of the augmented shifted system.
-
-    ``aug`` carries the sparse top block -alpha A, the dense coupling block C
-    and an implicit Jordan tail of size p. For p = 0 this reduces to one
-    shifted solve with right-hand side xi * rhs.
-    """
-    n, p = aug.n, aug.p
-    if rhs.shape[0] != n + p:
-        raise ValueError(f"expected right-hand side of length {n + p}, got {rhs.shape[0]}")
-    if p == 0:
-        return solver.solve_shifted(pole, aug.alpha, pole * rhs)
-    if pole == 0:
-        raise SolverError("pole 0 is singular on the augmented system")
-    x_tail = solve_jordan_tail(pole, rhs[n:])
-    top_rhs = pole * rhs[:n] + aug.C @ x_tail
-    x_top = solver.solve_shifted(pole, aug.alpha, top_rhs)
-    out = np.zeros(n + p, dtype=np.result_type(x_top.dtype, x_tail.dtype))
-    out[:n] = x_top
-    out[n:] = x_tail
-    return out
+        n, p = aug.n, aug.p
+        if rhs.shape[0] != n + p:
+            raise ValueError(f"expected right-hand side of length {n + p}, got {rhs.shape[0]}")
+        if p == 0:
+            return self.solve_shifted(pole, aug.alpha, pole * rhs)
+        if pole == 0:
+            raise SolverError("pole 0 is singular on the augmented system")
+        tail = rhs[n:]
+        x_tail = np.zeros(p, dtype=np.result_type(tail.dtype, np.asarray(pole).dtype, np.float64))
+        x_tail[p - 1] = tail[p - 1]
+        for i in range(p - 2, -1, -1):
+            x_tail[i] = tail[i] + x_tail[i + 1] / pole
+        x_top = self.solve_shifted(pole, aug.alpha, pole * rhs[:n] + aug.C @ x_tail)
+        return np.concatenate([x_top, x_tail])

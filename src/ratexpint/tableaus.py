@@ -57,15 +57,6 @@ class Tableau:
             if not 1 <= j <= self.stages:
                 raise TableauError(f"update index {j} out of range")
 
-    def max_phi_index(self) -> int:
-        out = 0
-        for row in self.stage_coeffs.values():
-            for terms in row.values():
-                out = max(out, max(terms))
-        for terms in self.update_coeffs.values():
-            out = max(out, max(terms))
-        return out
-
     def update_weights_at_zero(self) -> float:
         """sum_j b_j(0); equals 1 for any consistent method (phi_k(0) = 1/k!)."""
         import math

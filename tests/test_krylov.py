@@ -357,7 +357,7 @@ def test_expmv_estimate_history_and_poles_recorded():
     assert rep.converged
     assert len(rep.estimate_history) >= 1
     assert rep.estimate_history[-1][1] <= 1e-9
-    assert len(rep.poles_consumed) == rep.m
+    assert len(rep.poles_consumed) == rep.arnoldi_steps
     assert any(not np.isfinite(xi.real) for xi in rep.poles_consumed)  # settling steps
 
 
@@ -372,7 +372,7 @@ def test_expmv_pole_exhaustion_continues_polynomially():
     assert rep.converged
     finite = [xi for xi in rep.poles_consumed if np.isfinite(xi.real)]
     assert len(finite) == 2
-    assert rep.m > 3
+    assert rep.arnoldi_steps > 3
 
 
 def test_expmv_hard_cap_raises_with_report():
@@ -385,7 +385,7 @@ def test_expmv_hard_cap_raises_with_report():
                        tol=1e-14, m_min=2, check_cadence=2, m_hard=6)
     rep = err.value.report
     assert not rep.converged
-    assert rep.m == 6
+    assert rep.arnoldi_steps == 6
     assert rep.vector is not None
 
 

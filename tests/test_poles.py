@@ -151,7 +151,7 @@ def test_cf12_drives_engine_below_tolerance_quickly():
     rep = expmv_rational(op, 1.0, [c0], 1.0, builtin_pole_set("cf12"), solver,
                          tol=1e-8, m_min=12, check_cadence=1)
     assert rep.converged
-    assert rep.m <= 14
+    assert rep.arnoldi_steps <= 14
     assert rep.estimate <= 1e-8
 
 

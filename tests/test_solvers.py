@@ -11,8 +11,7 @@ from ratexpint.linalg import SparseOperator
 from ratexpint.problems import fd_laplacian_1d, fd_laplacian_2d
 from ratexpint.solvers import (IterativeDivergence, ShiftedSolver,
                                ShiftedSystemKey, SolverCache, SolverConfig,
-                               SolverError, block_backsubstitute,
-                               shifted_matrix, solve_iterative, solve_jordan_tail)
+                               SolverError, shifted_matrix, solve_iterative)
 
 
 def key_for(op, pole, scale=1.0):
@@ -174,9 +173,13 @@ def test_conjugate_shift_symmetry():
 # ---------------------------------------------------------------------------
 
 def test_jordan_tail_solve():
+    # the tail of the block solve does not see the top block
+    op = SparseOperator.identity(4)
+    aug, _ = assemble_augmented(op, 1.0, [np.ones(4)] * 4)
+    solver = ShiftedSolver(op, SolverConfig(mode="direct"))
     pole = 2.0 + 1.0j
     rhs = np.array([1.0, -2.0, 0.5], dtype=complex)
-    x = solve_jordan_tail(pole, rhs)
+    x = solver.solve_block(aug, pole, np.r_[np.zeros(4), rhs])[4:]
     p = 3
     mat = pole * np.eye(p, dtype=complex) - np.diag(np.ones(p - 1), 1)
     assert np.linalg.norm(mat @ x - pole * rhs) <= 1e-13 * np.linalg.norm(rhs)
@@ -188,7 +191,7 @@ def test_block_solve_p0_reduces_to_shifted_solve():
     solver = ShiftedSolver(op, SolverConfig(mode="direct"))
     rng = np.random.default_rng(8)
     rhs = rng.standard_normal(30)
-    x_block = block_backsubstitute(aug, 3.0, rhs, solver)
+    x_block = solver.solve_block(aug, 3.0, rhs)
     fact = SolverCache().factorization(op, key_for(op, 3.0, 0.8))
     x_ref = fact.solve(3.0 * rhs)
     assert np.allclose(x_block, x_ref, rtol=0, atol=1e-13 * np.linalg.norm(x_ref))
@@ -205,7 +208,7 @@ def test_block_solve_matches_dense_brute_force():
     solver = ShiftedSolver(op, SolverConfig(mode="direct"))
     pole = 2.5 + 0.5j
     rhs = rng.standard_normal(n + p) + 1j * rng.standard_normal(n + p)
-    x = block_backsubstitute(aug, pole, rhs, solver)
+    x = solver.solve_block(aug, pole, rhs)
     dense = pole * np.eye(n + p) - aug.dense()
     x_ref = np.linalg.solve(dense, pole * rhs)
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
@@ -219,7 +222,7 @@ def test_block_solve_decouples_when_coupling_vanishes():
     aug, _ = assemble_augmented(op, 1.0, cs)
     solver = ShiftedSolver(op, SolverConfig(mode="direct"))
     rhs = rng.standard_normal(n + p)
-    x = block_backsubstitute(aug, 4.0, rhs, solver)
+    x = solver.solve_block(aug, 4.0, rhs)
     fact = SolverCache().factorization(op, key_for(op, 4.0, 1.0))
     top_ref = fact.solve(4.0 * rhs[:n])
     assert np.allclose(x[:n], top_ref, atol=1e-12)
@@ -230,7 +233,7 @@ def test_block_solve_zero_pole_rejected():
     aug, _ = assemble_augmented(op, 1.0, [np.ones(4), np.ones(4)])
     solver = ShiftedSolver(op, SolverConfig(mode="direct"))
     with pytest.raises(SolverError):
-        block_backsubstitute(aug, 0.0, np.ones(5), solver)
+        solver.solve_block(aug, 0.0, np.ones(5))
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +251,18 @@ def test_shifted_solver_logs_residuals():
         solver.solve_shifted(pole, 0.5, rhs)
     assert len(solver.solve_log) == 3
     assert all(info.residual <= 1e-10 for info in solver.solve_log)
+
+
+def test_inaccurate_direct_solve_raises():
+    # a pole a relative 1e-12 from a negated eigenvalue: LU succeeds, but the
+    # solution misses the 10x-tolerance residual bound of the iterative path
+    op = fd_laplacian_1d(50, 1.0, "dirichlet")
+    lam4 = np.linalg.eigvalsh(op.todense())[3]
+    solver = ShiftedSolver(op, SolverConfig(mode="direct"))
+    rhs = np.random.default_rng(0).standard_normal(50)
+    with pytest.raises(SolverError, match="inaccurate"):
+        solver.solve_shifted(-lam4 * (1 - 1e-12), 1.0, rhs)
+    assert solver.solve_log == []
 
 
 def test_shifted_solver_iterative_divergence_carries_result():
