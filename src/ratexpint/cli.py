@@ -25,7 +25,8 @@ from .poles import PoleFileError, PoleSet, builtin_pole_set, load_poles, repeate
 from .problems import (Graph, Problem, allen_cahn_2d, allen_cahn_graph, builtin_graph,
                        gierer_meinhardt_2d, largest_connected_component,
                        load_edge_list, load_matrix_market_adjacency)
-from .solvers import PRECONDITIONERS, IterativeDivergence, SolverConfig, SolverError
+from .solvers import (PRECONDITIONERS, IterativeDivergence, SolverCache, SolverConfig,
+                      SolverError)
 from .tableaus import TableauError, available, tableau
 
 PROBLEMS = ("ac2d", "gm2d", "ac-graph")
@@ -228,7 +229,8 @@ def write_trajectory_csv(path: Path, traj: Trajectory, max_columns: int = 10000)
                                 + [f"{float(v)!r}" for v in u[idx]])
 
 
-def write_run_report(path: Path, cfg: dict, traj: Trajectory, checksum: str):
+def write_run_report(path: Path, cfg: dict, traj: Trajectory, checksum: str,
+                     cache: SolverCache):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# run report\n")
         for key in sorted(cfg):
@@ -239,6 +241,8 @@ def write_run_report(path: Path, cfg: dict, traj: Trajectory, checksum: str):
         fh.write(f"avg_krylov_iterations = {traj.average_krylov_iterations():.4f}\n")
         fh.write(f"solver_iterations = {traj.total_solver_iterations()}\n")
         fh.write(f"max_solver_residual = {traj.max_residual():.6e}\n")
+        fh.write(f"numeric_factorizations = {cache.numeric_factorizations}\n")
+        fh.write(f"cache_hits = {cache.hits}\n")
         fh.write(f"wall_time_s = {traj.wall_time:.4f}\n")
         fh.write(f"final_checksum = {checksum}\n")
 
@@ -274,7 +278,7 @@ def cmd_run(args) -> int:
     traj_path = out_dir / f"{problem.name}-{tab.name}-trajectory.csv"
     report_path = out_dir / f"{problem.name}-{tab.name}-report.txt"
     write_trajectory_csv(traj_path, traj)
-    write_run_report(report_path, cfg, traj, checksum)
+    write_run_report(report_path, cfg, traj, checksum, engine.solver.cache)
     print(f"wrote {traj_path}")
     print(f"wrote {report_path}")
     print(f"final_checksum = {checksum}")

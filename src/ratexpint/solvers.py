@@ -4,8 +4,12 @@ Every finite-pole rational Krylov step needs one solve with
 (xi I + alpha A) for a complex pole xi and a positive operator scale alpha.
 Poles and scales repeat across Krylov iterations and time steps, so direct
 factorizations (and iterative preconditioners) are cached per
-(pole, scale, operator) key. The block solve of the augmented operator
-back-substitutes its small Jordan tail first.
+(pole, scale, operator) key. A and alpha are real, so
+(conj(xi) I + alpha A) = conj(xi I + alpha A): a pole with Im xi < 0 is served
+by the factorization or preconditioner of conj(xi) through conjugation, and a
+conjugate pair costs one setup. Each pole of the pair still makes its own
+solve. The block solve of the augmented operator back-substitutes its small
+Jordan tail first.
 """
 
 from __future__ import annotations
@@ -119,6 +123,9 @@ class SolverCache:
     ``("aggregates", fingerprint)``). Lookups are synchronized and
     single-flight: concurrent requests for the same key perform the numeric
     work exactly once. There is no eviction; call :meth:`clear` explicitly.
+    :meth:`ShiftedSolver.solve_shifted` asks only for keys with Im xi >= 0;
+    the conjugate pole reuses that entry, so ``numeric_factorizations`` counts
+    one per conjugate pair.
     """
 
     def __init__(self):
@@ -240,9 +247,22 @@ class ShiftedSolver:
         self.solve_log: list[SolveInfo] = []
 
     def solve_shifted(self, pole: complex, scale: float, rhs: np.ndarray) -> np.ndarray:
-        key = ShiftedSystemKey.make(self.op, pole, scale)
+        """Solve (xi I + alpha A) x = rhs and log the residual.
+
+        A pole with Im xi < 0 is served by the factorization or
+        preconditioner of conj(xi): x = conj(solve_conj(xi)(conj(rhs))), exact
+        because A and alpha are real. Only the setup is shared; each pole
+        still makes its own solve. The logged residual is that of the pole
+        actually asked for (for iterative solves, conjugation leaves it
+        unchanged).
+        """
+        flip = pole.imag < 0
+        key = ShiftedSystemKey.make(self.op, pole.conjugate() if flip else pole, scale)
+        b = np.conj(rhs) if flip else rhs
         if self.config.mode == "direct":
-            x = self.cache.factorization(self.op, key).solve(rhs)
+            x = self.cache.factorization(self.op, key).solve(b)
+            if flip:
+                x = np.conj(x)
             bnorm = float(np.linalg.norm(rhs))
             res = 0.0
             if bnorm > 0:
@@ -256,7 +276,9 @@ class ShiftedSolver:
                     f"{res:.3e} exceeds {10 * self.config.tolerance:.1e}")
             info = SolveInfo(x=x, iterations=0, residual=res, converged=True)
         else:
-            info = solve_iterative(self.op, key, rhs, self.config, self.cache)
+            info = solve_iterative(self.op, key, b, self.config, self.cache)
+            if flip:
+                info.x = np.conj(info.x)
             if not info.converged:
                 raise IterativeDivergence(
                     f"iterative solve for pole {pole} stalled at residual {info.residual:.3e} "

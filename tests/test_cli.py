@@ -5,6 +5,7 @@ import csv
 import numpy as np
 
 from ratexpint.cli import BENCH_HEADER, main, read_config_file
+from ratexpint.solvers import ShiftedSolver
 
 
 def run_cli(*argv):
@@ -15,7 +16,16 @@ def run_cli(*argv):
 # run
 # ---------------------------------------------------------------------------
 
-def test_run_writes_outputs_and_exits_zero(tmp_path, capsys):
+def test_run_writes_outputs_and_exits_zero(tmp_path, capsys, monkeypatch):
+    # rational engine, direct solver, default cf12 poles
+    consumed = set()
+    solve_shifted = ShiftedSolver.solve_shifted
+
+    def recording(self, pole, scale, rhs):
+        consumed.add((complex(pole), float(scale)))
+        return solve_shifted(self, pole, scale, rhs)
+
+    monkeypatch.setattr(ShiftedSolver, "solve_shifted", recording)
     code = run_cli("run", "--problem", "ac2d", "--nx", "16", "--integrator", "sw2",
                    "--engine", "rational", "--h", "0.25", "--T", "0.5",
                    "--out", str(tmp_path))
@@ -32,6 +42,10 @@ def test_run_writes_outputs_and_exits_zero(tmp_path, capsys):
     report = reports[0].read_text()
     assert "final_checksum" in report
     assert "avg_krylov_iterations" in report
+    fields = dict(line.split(" = ", 1) for line in report.splitlines()[1:])
+    assert int(fields["cache_hits"]) > 0
+    # one factorization per conjugate pair of (pole, scale)
+    assert consumed and int(fields["numeric_factorizations"]) * 2 == len(consumed)
 
 
 def test_run_spec_shape_repeated_pole(tmp_path):

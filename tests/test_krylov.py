@@ -490,3 +490,17 @@ def test_concurrent_expmv_calls_share_cache():
         assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
     distinct_poles = {xi for xi in poles}
     assert cache.numeric_factorizations <= len(distinct_poles)
+
+
+def test_conjugate_pairs_share_factorizations():
+    # cf12 is six conjugate pairs: consuming all twelve poles makes twelve
+    # solves but only six factorizations
+    rng = np.random.default_rng(29)
+    n = 50
+    op = random_spd(rng, n, lam_max=80.0)
+    poles = builtin_pole_set("cf12")
+    solver = ShiftedSolver(op, SolverConfig(mode="direct"))
+    expmv_rational(op, 1.0, [rng.standard_normal(n)], 0.5, poles, solver,
+                   tol=1e-12, m_min=len(poles))
+    assert len(solver.solve_log) == len(poles) == 12
+    assert solver.cache.numeric_factorizations == 6

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 from ratexpint.krylov import assemble_augmented
 from ratexpint.linalg import SparseOperator
+from ratexpint.poles import builtin_pole_set
 from ratexpint.problems import fd_laplacian_1d, fd_laplacian_2d
 from ratexpint.solvers import (IterativeDivergence, ShiftedSolver,
                                ShiftedSystemKey, SolverCache, SolverConfig,
@@ -166,6 +167,43 @@ def test_conjugate_shift_symmetry():
     x = cache.factorization(op, key_for(op, pole)).solve(b.astype(complex))
     x_bar = cache.factorization(op, key_for(op, pole.conjugate())).solve(b.astype(complex))
     assert np.linalg.norm(x_bar - np.conj(x)) <= 1e-12 * np.linalg.norm(x)
+
+
+def test_conjugate_pole_reuses_factorization():
+    # real but nonsymmetric: diffusion plus a one-sided (upwind) difference,
+    # so the reuse rests on A being real, not on symmetry
+    n = 60
+    upwind = sp.diags([np.full(n, 1.0), np.full(n - 1, -1.0)], [0, -1]) * n
+    op = SparseOperator((fd_laplacian_1d(n, 1.0, "dirichlet").tocsr() + 40.0 * upwind).tocsr())
+    assert not op.check_symmetry()
+    solver = ShiftedSolver(op, SolverConfig(mode="direct"))
+    pole, scale = 2.0 + 3.0j, 0.4
+    rng = np.random.default_rng(12)
+    for b in (rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+        solver.solve_shifted(pole, scale, b)
+        x = solver.solve_shifted(pole.conjugate(), scale, b)
+        matrix = shifted_matrix(op, pole.conjugate(), scale)
+        assert np.linalg.norm(matrix @ x - b) <= 1e-12 * np.linalg.norm(b)
+        logged = np.linalg.norm(b - (pole.conjugate() * x + scale * (op.tocsr() @ x)))
+        assert solver.solve_log[-1].residual == logged / np.linalg.norm(b)
+    assert solver.cache.numeric_factorizations == 1
+
+
+def test_conjugate_pole_reuses_amg_preconditioner():
+    op = fd_laplacian_2d(48, 1.0, "neumann")
+    cache = SolverCache()
+    solver = ShiftedSolver(op, SolverConfig(mode="iterative", tolerance=1e-8,
+                                            preconditioner="aggregation-amg"), cache=cache)
+    pole = next(xi for xi in builtin_pole_set("cf16_shifted") if xi.imag > 0)
+    alpha = 0.25
+    rng = np.random.default_rng(13)
+    b = rng.standard_normal(48 * 48) + 1j * rng.standard_normal(48 * 48)
+    x_bar = solver.solve_shifted(pole.conjugate(), alpha, b)
+    x = solver.solve_shifted(pole, alpha, np.conj(b))
+    assert np.array_equal(x_bar, np.conj(x))
+    built = [k for k in cache._entries if isinstance(k, tuple) and k[1] == "aggregation-amg"]
+    assert built == [(key_for(op, pole, alpha), "aggregation-amg")]
+    assert all(info.converged for info in solver.solve_log)
 
 
 # ---------------------------------------------------------------------------
