@@ -91,7 +91,7 @@ def certify(poles, spectrum_max, tol=1e-8, n=1500):
     exact = np.exp(-lam) * c0
     solver = ShiftedSolver(op, SolverConfig(mode="direct"))
     ps = PoleSet(poles=tuple(poles), kind="complex-file")
-    rep = expmv_rational(op, 1.0, [c0], 1.0, ps, solver,
+    rep = expmv_rational(op, 1.0, [c0], ps, solver,
                          tol=tol, m_min=4, m_max=len(poles), check_cadence=2)
     err = np.linalg.norm(rep.phi_combination - exact) / np.linalg.norm(exact)
     return rep.arnoldi_steps, err

@@ -241,6 +241,7 @@ def write_run_report(path: Path, cfg: dict, traj: Trajectory, checksum: str,
         fh.write(f"avg_krylov_iterations = {traj.average_krylov_iterations():.4f}\n")
         fh.write(f"solver_iterations = {traj.total_solver_iterations()}\n")
         fh.write(f"max_solver_residual = {traj.max_residual():.6e}\n")
+        fh.write(f"max_imag_discarded = {traj.max_imag_discarded():.6e}\n")
         fh.write(f"numeric_factorizations = {cache.numeric_factorizations}\n")
         fh.write(f"cache_hits = {cache.hits}\n")
         fh.write(f"wall_time_s = {traj.wall_time:.4f}\n")

@@ -1,8 +1,9 @@
 """Exponential Runge-Kutta time stepping.
 
 Each stage and the final update are a linear combination of phi-function
-actions; both map onto a single evaluation of e^{h' A~} c~ against the
-augmented operator, so one step of an s-stage method costs at most s
+actions; :func:`stage_to_expmv` maps each onto one operator scale
+alpha = c_j h and a payload [c_0, ..., c_p] whose engine value is
+sum_k phi_k(-alpha A) c_k, so one step of an s-stage method costs at most s
 engine calls (stages with zero nodes are free).
 """
 
@@ -14,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .krylov import (POLYNOMIAL_DEFAULTS, RATIONAL_DEFAULTS, ExpmvReport,
-                     expmv_polynomial, expmv_rational)
+from .krylov import (DEFAULT_CHECK_CADENCE, DEFAULT_TOL, ExpmvReport, expmv_polynomial,
+                     expmv_rational)
 from .poles import PoleSet
 from .problems import Problem
 from .solvers import ShiftedSolver, SolverConfig
@@ -25,26 +26,15 @@ ENGINES = ("rational", "polynomial")
 
 
 @dataclass
-class ExpmvInput:
-    """Payload of one engine call: step h' and vectors [c_0, ..., c_p]."""
-
-    h: float
-    c_vectors: list
-
-    @property
-    def p(self) -> int:
-        return len(self.c_vectors) - 1
-
-
-@dataclass
 class EngineConfig:
-    """Which expmv engine to use and how to drive it."""
+    """Which expmv engine to use and how to drive it; ``m_min``/``m_max`` of
+    ``None`` keep the engine's own defaults."""
 
     engine: str = "rational"
-    tol: float = RATIONAL_DEFAULTS["tol"]
+    tol: float = DEFAULT_TOL
     m_min: Optional[int] = None
     m_max: Optional[int] = None
-    check_cadence: int = RATIONAL_DEFAULTS["check_cadence"]
+    check_cadence: int = DEFAULT_CHECK_CADENCE
     poles: Optional[PoleSet] = None
     solver: SolverConfig = field(default_factory=SolverConfig)
     m_hard: Optional[int] = None
@@ -52,22 +42,6 @@ class EngineConfig:
     def __post_init__(self):
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}; expected one of {ENGINES}")
-
-    def resolved_m_min(self) -> int:
-        if self.m_min is not None:
-            return self.m_min
-        return RATIONAL_DEFAULTS["m_min"] if self.engine == "rational" \
-            else POLYNOMIAL_DEFAULTS["m_min"]
-
-    def resolved_m_max(self) -> int:
-        if self.m_max is not None:
-            return self.m_max
-        if self.engine == "polynomial":
-            return POLYNOMIAL_DEFAULTS["m_max"]
-        if self.poles is None:
-            return 0
-        # repeated-real sets lean on many poles, complex files on few
-        return len(self.poles)
 
 
 class Engine:
@@ -82,29 +56,27 @@ class Engine:
         self.config = config
         self.solver = ShiftedSolver(problem.A, config.solver)
 
-    def expmv(self, inp: ExpmvInput) -> ExpmvReport:
+    def expmv(self, alpha: float, c_vectors: list) -> ExpmvReport:
         cfg = self.config
+        sizes = {k: v for k, v in (("m_min", cfg.m_min), ("m_max", cfg.m_max)) if v is not None}
         if cfg.engine == "rational":
-            return expmv_rational(
-                self.problem.A, 1.0, inp.c_vectors, inp.h,
-                pole_set=cfg.poles, solver=self.solver, tol=cfg.tol,
-                m_min=cfg.resolved_m_min(), m_max=cfg.resolved_m_max(),
-                check_cadence=cfg.check_cadence, m_hard=cfg.m_hard)
-        return expmv_polynomial(
-            self.problem.A, 1.0, inp.c_vectors, inp.h, tol=cfg.tol,
-            m_min=cfg.resolved_m_min(), m_max=cfg.resolved_m_max(),
-            check_cadence=cfg.check_cadence)
+            return expmv_rational(self.problem.A, alpha, c_vectors, cfg.poles, self.solver,
+                                  tol=cfg.tol, check_cadence=cfg.check_cadence,
+                                  m_hard=cfg.m_hard, **sizes)
+        return expmv_polynomial(self.problem.A, alpha, c_vectors, tol=cfg.tol,
+                                check_cadence=cfg.check_cadence, **sizes)
 
 
 def stage_to_expmv(tab: Tableau, stage: int, h: float, u: np.ndarray,
-                   g_values: list) -> ExpmvInput:
-    """Assemble the engine payload for one stage (or the update).
+                   g_values: list) -> tuple[float, list]:
+    """Operator scale and payload ``(alpha, [c_0, ..., c_p])`` of one stage
+    (or the update).
 
     Stage j reads U_j = e^{-c_j h A} u + h sum_k a_{jk}(-h A) G_k with
-    a_{jk} = sum_l beta phi_l(-c_j h A); rescaling by powers of c_j h turns
-    this into one phi-combination at step h' = c_j h:
-    c_l = sum_k beta_{jkl} G_k / (c_j^l h^{l-1}). ``stage = 0`` assembles the
-    final update (h' = h).
+    a_{jk} = sum_l beta_{jkl} phi_l(-c_j h A). That is the engine value
+    sum_l phi_l(-alpha A) c_l with alpha = c_j h, c_0 = u and
+    c_l = h sum_k beta_{jkl} G_k. ``stage = 0`` assembles the final update
+    (alpha = h).
     """
     if stage == 0:
         node = 1.0
@@ -114,7 +86,6 @@ def stage_to_expmv(tab: Tableau, stage: int, h: float, u: np.ndarray,
         row = tab.stage_coeffs.get(stage, {})
         if row and node == 0.0:
             raise ValueError(f"stage {stage} has zero node but nonzero coefficients")
-    h_eff = node * h
     max_l = 0
     for terms in row.values():
         if terms:
@@ -129,13 +100,10 @@ def stage_to_expmv(tab: Tableau, stage: int, h: float, u: np.ndarray,
             combos[l] = combos.get(l, 0.0) + contrib
     c_vectors = [u]
     for l in range(1, max_l + 1):
-        if l in combos:
-            c_vectors.append(combos[l] / (node ** l * h ** (l - 1)))
-        else:
-            c_vectors.append(np.zeros_like(u))
+        c_vectors.append(h * combos[l] if l in combos else np.zeros_like(u))
     while len(c_vectors) > 1 and not np.any(c_vectors[-1]):
         c_vectors.pop()
-    return ExpmvInput(h=h_eff, c_vectors=c_vectors)
+    return node * h, c_vectors
 
 
 def step(problem: Problem, tab: Tableau, u: np.ndarray, t: float, h: float,
@@ -144,37 +112,33 @@ def step(problem: Problem, tab: Tableau, u: np.ndarray, t: float, h: float,
 
     For real problem data the stage values are kept real: with
     conjugate-closed pole sets the exact results are real and only a
-    rounding-level imaginary residue is discarded.
+    rounding-level imaginary residue is discarded; :func:`integrate` records
+    its size per step.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
     real_data = not np.iscomplexobj(u)
     reports: list[ExpmvReport] = []
     g_values: list[np.ndarray] = []
+
+    def value(stage: int) -> np.ndarray:
+        rep = engine.expmv(*stage_to_expmv(tab, stage, h, u, g_values))
+        reports.append(rep)
+        return rep.phi_combination.real if real_data else rep.phi_combination
+
     for j in range(1, tab.stages + 1):
         node = tab.c[j - 1]
         if j == 1 or (node == 0.0 and not tab.stage_coeffs.get(j)):
             u_stage = u
         else:
-            inp = stage_to_expmv(tab, j, h, u, g_values)
-            rep = engine.expmv(inp)
-            reports.append(rep)
-            u_stage = rep.phi_combination
-            if real_data and np.iscomplexobj(u_stage):
-                u_stage = u_stage.real
+            u_stage = value(j)
         g_val = problem.g(t + node * h, u_stage)
         if not np.all(np.isfinite(g_val)):
             raise NumericalBlowup(
                 f"non-finite reaction value at stage {j}, t={t + node * h:.6g}",
                 t + node * h, np.asarray(u_stage))
         g_values.append(g_val)
-    inp = stage_to_expmv(tab, 0, h, u, g_values)
-    rep = engine.expmv(inp)
-    reports.append(rep)
-    u_next = rep.phi_combination
-    if real_data and np.iscomplexobj(u_next):
-        u_next = u_next.real
-    return u_next, reports
+    return value(0), reports
 
 
 @dataclass
@@ -187,6 +151,8 @@ class StepSummary:
     max_estimate: float
     max_residual: float
     substeps: int
+    #: largest 2-norm of an imaginary part dropped from a stage or update value
+    max_imag_discarded: float
 
 
 @dataclass
@@ -218,6 +184,9 @@ class Trajectory:
 
     def max_residual(self) -> float:
         return max((s.max_residual for s in self.steps), default=0.0)
+
+    def max_imag_discarded(self) -> float:
+        return max((s.max_imag_discarded for s in self.steps), default=0.0)
 
 
 class NumericalBlowup(RuntimeError):
@@ -253,9 +222,6 @@ def integrate(problem: Problem, tab: Tableau, h: float, T: float,
         if h - h_step <= slack:
             h_step = h
         u_next, reports = step(problem, tab, u, t, h_step, engine)
-        u_next = np.asarray(u_next)
-        if np.iscomplexobj(u_next):
-            u_next = u_next.real.copy()
         if not np.all(np.isfinite(u_next)):
             raise NumericalBlowup(
                 f"non-finite state after step at t={t + h_step:.6g}", t + h_step, u_next)
@@ -266,10 +232,12 @@ def integrate(problem: Problem, tab: Tableau, h: float, T: float,
         traj.steps.append(StepSummary(
             t=t, h=h_step, expmv_calls=len(reports),
             arnoldi_steps=sum(r.arnoldi_steps for r in reports),
-            solver_iterations=sum(sum(r.solver_iterations) for r in reports),
+            solver_iterations=sum(r.solver_iterations for r in reports),
             max_estimate=max((r.estimate for r in reports), default=0.0),
             max_residual=max((r.solver_residual_max for r in reports), default=0.0),
-            substeps=sum(r.substeps for r in reports)))
+            substeps=sum(r.substeps for r in reports),
+            max_imag_discarded=max((float(np.linalg.norm(r.phi_combination.imag))
+                                    for r in reports), default=0.0)))
         if snapshot_stride and idx % snapshot_stride == 0 and t < T - slack:
             traj.snapshots.append(u.copy())
             traj.snapshot_times.append(t)

@@ -5,12 +5,13 @@ exponential action evaluates a whole linear combination of phi-functions in
 one go, a rational Arnoldi decomposition extended one pole at a time, the
 a-posteriori error estimate that drives subspace adaptivity, and the two
 ``expmv`` engines (rational with pole sets, polynomial with sub-stepping)
-used by the exponential integrators.
+used by the exponential integrators. Both engines take one operator scale
+alpha and a ready payload [c_0, ..., c_p] and return
+sum_k phi_k(-alpha A) c_k, the top block of e^{A~(alpha)} c~.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -22,10 +23,9 @@ from .linalg import (SparseOperator, dense_expm, orthogonal_extend,
 from .poles import INF_POLE, PoleSet, is_conjugate, is_infinite
 from .solvers import ShiftedSolver
 
-#: Default adaptivity parameters for the rational engine.
-RATIONAL_DEFAULTS = {"tol": 1e-8, "m_min": 5, "check_cadence": 5}
-#: Default adaptivity parameters for the polynomial baseline.
-POLYNOMIAL_DEFAULTS = {"tol": 1e-8, "m_min": 10, "m_max": 128, "check_cadence": 5}
+#: Default tolerance and estimate-check cadence of both engines.
+DEFAULT_TOL = 1e-8
+DEFAULT_CHECK_CADENCE = 5
 
 #: Sub-step sizes below this fraction of the requested step abort the
 #: polynomial engine.
@@ -114,7 +114,8 @@ def assemble_augmented(op: SparseOperator, alpha: float,
 
     The start vector is (c_0; e_p) with e_p the last unit vector of the
     Jordan tail; the exponential action then satisfies
-    e^{h A~}(c_0; e_p) = (sum_k h^k phi_k(-h alpha A) c_k; e^{h J_p} e_p).
+    e^{t A~}(c_0; e_p) = (sum_k t^k phi_k(-t alpha A) c_k; e^{t J_p} e_p),
+    so at t = 1 the top block is sum_k phi_k(-alpha A) c_k.
     """
     if len(c_vectors) == 0:
         raise ValueError("need at least the c_0 payload vector")
@@ -379,35 +380,19 @@ class ExpmvReport:
     vector: np.ndarray
     n: int
     estimate: float
-    tol: float
     converged: bool
     breakdown: bool = False
     estimate_history: list = field(default_factory=list)
     poles_consumed: list = field(default_factory=list)
     substeps: int = 1
     arnoldi_steps: int = 0
-    solver_iterations: list = field(default_factory=list)
+    solver_iterations: int = 0
     solver_residual_max: float = 0.0
-    wall_time: float = 0.0
 
     @property
     def phi_combination(self) -> np.ndarray:
         """Top block: the requested linear combination of phi-function actions."""
         return self.vector[:self.n]
-
-
-def _fold_payload(alpha: float, c_vectors: Sequence[np.ndarray], h: float):
-    """Absorb the step size into the operator scale and payload.
-
-    e^{h A~(alpha)} (c_0; e_p) has the same top block as
-    e^{A~(h alpha)} (c_0; e_p) with c_k scaled by h^k, and the folded form is
-    what the pole sets are fitted for: every shifted solve becomes
-    (xi I + h alpha A).
-    """
-    folded = [np.asarray(c_vectors[0])]
-    for k in range(1, len(c_vectors)):
-        folded.append((h ** k) * np.asarray(c_vectors[k]))
-    return alpha * h, folded
 
 
 def _adaptive_krylov(d: RationalDecomposition, poles: Sequence[complex],
@@ -463,17 +448,17 @@ def _adaptive_krylov(d: RationalDecomposition, poles: Sequence[complex],
 
 
 def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndarray],
-                   h: float, pole_set: Optional[PoleSet], solver: Optional[ShiftedSolver],
-                   tol: float = RATIONAL_DEFAULTS["tol"],
-                   m_min: int = RATIONAL_DEFAULTS["m_min"],
-                   m_max: Optional[int] = None,
-                   check_cadence: int = RATIONAL_DEFAULTS["check_cadence"],
+                   pole_set: Optional[PoleSet], solver: Optional[ShiftedSolver],
+                   tol: float = DEFAULT_TOL, m_min: int = 5, m_max: Optional[int] = None,
+                   check_cadence: int = DEFAULT_CHECK_CADENCE,
                    m_hard: Optional[int] = None) -> ExpmvReport:
-    """Adaptive rational Krylov evaluation of e^{h A~} c~.
+    """Adaptive rational Krylov evaluation of sum_k phi_k(-alpha A) c_k.
 
-    Finite poles are consumed in order (truncated at ``m_max``); after
-    exhaustion the subspace keeps growing with polynomial steps until the
-    error estimate meets ``tol``. The estimate is only evaluated every
+    This is the top block of e^{A~(alpha)} c~, so every shifted solve is
+    (xi I + alpha A), the scaling the pole sets are fitted for. Finite poles
+    are consumed in order (truncated at ``m_max``, by default all of them);
+    after exhaustion the subspace keeps growing with polynomial steps until
+    the error estimate meets ``tol``. The estimate is only evaluated every
     ``check_cadence`` iterations past ``m_min``, and a polynomial step is
     inserted before each check when the newest step used a finite pole
     (completing a conjugate pair first so that conjugate-closed sets keep
@@ -487,9 +472,7 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    t0 = time.perf_counter()
-    alpha_eff, folded = _fold_payload(alpha, c_vectors, h)
-    aug, c_tilde = assemble_augmented(op, alpha_eff, folded)
+    aug, c_tilde = assemble_augmented(op, alpha, c_vectors)
 
     finite_poles = list(pole_set) if pole_set is not None else []
     if m_max is None:
@@ -507,16 +490,14 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
     history: list[tuple[int, float]] = []
     result, estimate, converged = _adaptive_krylov(
         d, finite_poles, solver, 1.0, tol, m_min, m_hard, check_cadence, history)
+    solves = solver.solve_log[log_start:] if solver is not None else []
 
     report = ExpmvReport(
-        vector=result, n=op.n, estimate=estimate, tol=tol,
+        vector=result, n=op.n, estimate=estimate,
         converged=converged, breakdown=d.happy, estimate_history=history,
         poles_consumed=list(d.poles_used), substeps=1, arnoldi_steps=d.m,
-        solver_iterations=[s.iterations for s in solver.solve_log[log_start:]]
-        if solver is not None else [],
-        solver_residual_max=max((s.residual for s in solver.solve_log[log_start:]),
-                                default=0.0) if solver is not None else 0.0,
-        wall_time=time.perf_counter() - t0,
+        solver_iterations=sum(s.iterations for s in solves),
+        solver_residual_max=max((s.residual for s in solves), default=0.0),
     )
     if not converged:
         raise ToleranceNotReached(
@@ -526,24 +507,20 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
 
 
 def expmv_polynomial(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndarray],
-                     h: float,
-                     tol: float = POLYNOMIAL_DEFAULTS["tol"],
-                     m_min: int = POLYNOMIAL_DEFAULTS["m_min"],
-                     m_max: int = POLYNOMIAL_DEFAULTS["m_max"],
-                     check_cadence: int = POLYNOMIAL_DEFAULTS["check_cadence"]) -> ExpmvReport:
-    """Polynomial Krylov evaluation of e^{h A~} c~ with time sub-stepping.
+                     tol: float = DEFAULT_TOL, m_min: int = 10, m_max: int = 128,
+                     check_cadence: int = DEFAULT_CHECK_CADENCE) -> ExpmvReport:
+    """Polynomial Krylov evaluation of sum_k phi_k(-alpha A) c_k with time
+    sub-stepping.
 
     Runs the adaptive loop with no finite poles (all poles at infinity),
     checking the estimate against the proportional budget tol * theta. If
     the subspace cap is reached first, the sub-step theta is halved and the
     same basis re-evaluated, since the Krylov space does not depend on
-    theta; the accepted segments compose e^{h A~} = prod e^{theta_i A~}.
+    theta; the accepted segments compose e^{A~} = prod e^{theta_i A~}.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    t0 = time.perf_counter()
-    alpha_eff, folded = _fold_payload(alpha, c_vectors, h)
-    aug, c_tilde = assemble_augmented(op, alpha_eff, folded)
+    aug, c_tilde = assemble_augmented(op, alpha, c_vectors)
 
     history: list[tuple[int, float]] = []
     w = c_tilde
@@ -572,8 +549,7 @@ def expmv_polynomial(op: SparseOperator, alpha: float, c_vectors: Sequence[np.nd
         substeps += 1
 
     return ExpmvReport(
-        vector=w, n=op.n, estimate=estimate, tol=tol,
+        vector=w, n=op.n, estimate=estimate,
         converged=True, breakdown=breakdown, estimate_history=history,
         poles_consumed=[], substeps=substeps, arnoldi_steps=total_steps,
-        solver_iterations=[], wall_time=time.perf_counter() - t0,
     )

@@ -125,7 +125,8 @@ class SolverCache:
     work exactly once. There is no eviction; call :meth:`clear` explicitly.
     :meth:`ShiftedSolver.solve_shifted` asks only for keys with Im xi >= 0;
     the conjugate pole reuses that entry, so ``numeric_factorizations`` counts
-    one per conjugate pair.
+    one per conjugate pair. ``hits`` counts reused factorizations and
+    preconditioners, not aggregate lookups.
     """
 
     def __init__(self):
@@ -142,18 +143,18 @@ class SolverCache:
             self.numeric_factorizations = 0
             self.hits = 0
 
-    def _single_flight(self, key, build):
+    def _single_flight(self, key, build, count_hit: bool = True):
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
-                self.hits += 1
+                self.hits += count_hit
                 return entry
             gate = self._building.setdefault(key, threading.Lock())
         with gate:
             with self._lock:
                 entry = self._entries.get(key)
                 if entry is not None:
-                    self.hits += 1
+                    self.hits += count_hit
                     return entry
             entry = build()
             with self._lock:
@@ -186,7 +187,8 @@ class SolverCache:
                 apply = spla.spilu(matrix.tocsc(), drop_tol=1e-4, fill_factor=10).solve
             else:
                 aggregates = self._single_flight(("aggregates", op.fingerprint),
-                                                 lambda: build_aggregates(op.tocsr()))
+                                                 lambda: build_aggregates(op.tocsr()),
+                                                 count_hit=False)
                 apply = AmgPreconditioner(matrix, aggregates).matvec
             return matrix, spla.LinearOperator(matrix.shape, matvec=apply, dtype=matrix.dtype)
 

@@ -102,7 +102,8 @@ def _random_spd_operator(rng, n: int, lam_max: float = 50.0,
 
 def check_phi_combination_identity(instances: int = 50, seed: int = 202,
                                    tol: float = 1e-9) -> CheckResult:
-    """expmv against the brute-force sum of h^k phi_k(-h alpha A) c_k."""
+    """expmv at scale alpha h with payload h^k c_k against the brute-force sum
+    of h^k phi_k(-h alpha A) c_k."""
     rng = np.random.default_rng(seed)
     poles = builtin_pole_set("cf12")
     worst = 0.0
@@ -117,7 +118,8 @@ def check_phi_combination_identity(instances: int = 50, seed: int = 202,
             op = _random_spd_operator(rng, n, semi=True)
             cs = [rng.standard_normal(n) for _ in range(p + 1)]
             solver = ShiftedSolver(op, SolverConfig(mode="direct"))
-            rep = expmv_rational(op, alpha, cs, h, poles, solver,
+            payload = [cs[0]] + [h ** k * cs[k] for k in range(1, p + 1)]
+            rep = expmv_rational(op, alpha * h, payload, poles, solver,
                                  tol=1e-12, m_min=4, check_cadence=2,
                                  m_hard=n + p)
             phis = phi_dense_all(-h * alpha * op.todense(), p)
@@ -297,10 +299,7 @@ def check_tableau_consistency() -> list[CheckResult]:
     u = rng.standard_normal(n)
     g1 = rng.standard_normal(n)
     tab = tableau("etd3rk")
-    inp = stage_to_expmv(tab, 2, h, u, [g1])
-    aug, ct = assemble_augmented(op, inp.h, [inp.c_vectors[0]]
-                                 + [inp.h ** k * c for k, c in
-                                    enumerate(inp.c_vectors[1:], start=1)])
+    aug, ct = assemble_augmented(op, *stage_to_expmv(tab, 2, h, u, [g1]))
     value = (dense_expm(aug.dense()) @ ct)[:n]
     phis = phi_dense_all(-(h / 2) * op.todense(), 1)
     expected = phis[0] @ u + (h / 2) * (phis[1] @ g1)

@@ -44,6 +44,8 @@ def test_run_writes_outputs_and_exits_zero(tmp_path, capsys, monkeypatch):
     assert "avg_krylov_iterations" in report
     fields = dict(line.split(" = ", 1) for line in report.splitlines()[1:])
     assert int(fields["cache_hits"]) > 0
+    # cf12 is conjugate-closed: only a rounding-level imaginary part is dropped
+    assert 0.0 <= float(fields["max_imag_discarded"]) < 1e-10
     # one factorization per conjugate pair of (pole, scale)
     assert consumed and int(fields["numeric_factorizations"]) * 2 == len(consumed)
 

@@ -7,7 +7,7 @@ from ratexpint.integrators import (Engine, EngineConfig, NumericalBlowup,
                                    integrate, stage_to_expmv, step)
 from ratexpint.krylov import assemble_augmented, dense_expm
 from ratexpint.linalg import SparseOperator, phi_dense_all
-from ratexpint.poles import builtin_pole_set
+from ratexpint.poles import PoleSet, builtin_pole_set
 from ratexpint.problems import Problem, allen_cahn_2d, gierer_meinhardt_2d
 from ratexpint.solvers import SolverConfig
 from ratexpint.tableaus import (TableauError, Tableau, available,
@@ -101,11 +101,11 @@ def test_exponential_euler_stage_payload():
     rng = np.random.default_rng(0)
     u = rng.standard_normal(7)
     g = rng.standard_normal(7)
-    inp = stage_to_expmv(tab, 0, 0.1, u, [g])
-    assert inp.h == pytest.approx(0.1)
-    assert inp.p == 1
-    assert np.array_equal(inp.c_vectors[0], u)
-    assert np.allclose(inp.c_vectors[1], g)
+    alpha, cs = stage_to_expmv(tab, 0, 0.1, u, [g])
+    assert alpha == pytest.approx(0.1)
+    assert len(cs) - 1 == 1
+    assert np.array_equal(cs[0], u)
+    assert np.allclose(cs[1], 0.1 * g)
 
 
 def test_etd3rk_stage2_matches_phi_oracle():
@@ -117,14 +117,42 @@ def test_etd3rk_stage2_matches_phi_oracle():
     u = rng.standard_normal(n)
     g1 = rng.standard_normal(n)
     tab = tableau("etd3rk")
-    inp = stage_to_expmv(tab, 2, h, u, [g1])
-    assert inp.h == pytest.approx(h / 2)
-    assert np.allclose(inp.c_vectors[1], g1)  # (1/2) phi_1 coefficient rescales to G_1
+    alpha, cs = stage_to_expmv(tab, 2, h, u, [g1])
+    assert alpha == pytest.approx(h / 2)
+    assert np.allclose(cs[1], (h / 2) * g1)  # h times the (1/2) phi_1 coefficient
     # evaluate the payload through the dense oracle
-    aug, ct = assemble_augmented(op, inp.h, [inp.c_vectors[0], inp.h * inp.c_vectors[1]])
+    aug, ct = assemble_augmented(op, alpha, cs)
     value = (dense_expm(aug.dense()) @ ct)[:n]
     phis = phi_dense_all(-(h / 2) * op.todense(), 1)
     expected = phis[0] @ u + (h / 2) * (phis[1] @ g1)
+    assert np.linalg.norm(value - expected) <= 1e-11 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("name,stage", [(name, stage) for name in ("sw2", "etd3rk", "krogstad4")
+                                        for stage in range(tableau(name).stages + 1)])
+def test_stage_payloads_match_phi_oracle(name, stage):
+    """Every stage (and the update, stage 0) evaluates to
+    e^{-c_j h A} u + h sum_k sum_l beta_jkl phi_l(-c_j h A) G_k."""
+    rng = np.random.default_rng(6)
+    n, h = 20, 0.37
+    op = random_spd(rng, n, lam_max=6.0)
+    tab = tableau(name)
+    u = rng.standard_normal(n)
+    g_values = [rng.standard_normal(n) for _ in range(tab.stages)]
+    if stage == 0:
+        node, row = 1.0, tab.update_coeffs
+    else:
+        node, row = tab.c[stage - 1], tab.stage_coeffs.get(stage, {})
+        g_values = g_values[:stage - 1]
+    alpha, cs = stage_to_expmv(tab, stage, h, u, g_values)
+    assert alpha == node * h
+    aug, ct = assemble_augmented(op, alpha, cs)
+    value = (dense_expm(aug.dense()) @ ct)[:n]
+    phis = phi_dense_all(-node * h * op.todense(), 3)
+    expected = phis[0] @ u
+    for k, terms in row.items():
+        for l, beta in terms.items():
+            expected = expected + h * beta * (phis[l] @ g_values[k - 1])
     assert np.linalg.norm(value - expected) <= 1e-11 * np.linalg.norm(expected)
 
 
@@ -134,9 +162,9 @@ def test_zero_reaction_gives_p0_payloads():
     u = rng.standard_normal(9)
     zeros = [np.zeros(9)] * 3
     for stage in (2, 3, 4):
-        inp = stage_to_expmv(tab, stage, 0.2, u, zeros[:stage - 1])
-        assert inp.p == 0
-        assert np.array_equal(inp.c_vectors[0], u)
+        alpha, cs = stage_to_expmv(tab, stage, 0.2, u, zeros[:stage - 1])
+        assert len(cs) - 1 == 0
+        assert np.array_equal(cs[0], u)
 
 
 def test_zero_node_with_coefficients_rejected():
@@ -195,6 +223,29 @@ def test_engine_equivalence_on_small_problem():
 # ---------------------------------------------------------------------------
 # Time loop.
 # ---------------------------------------------------------------------------
+
+def test_lone_complex_pole_reports_discarded_imaginary_part():
+    # without its conjugate partner the pole leaves an imaginary part in the
+    # value of every stage; integrate drops it and reports its size
+    rng = np.random.default_rng(7)
+    n = 30
+    op = random_spd(rng, n, lam_max=20.0)
+    u0 = rng.standard_normal(n)
+    prob = Problem(name="cubic", A=op, g=lambda t, u: u - u ** 3,
+                   u0=u0, params={}, lam_max=20.0)
+    lone = PoleSet(poles=(complex(4.0, 3.0),), kind="complex-file", conjugate_closed=False)
+    traj = integrate(prob, tableau("sw2"), 0.25, 0.5,
+                     Engine(prob, rational_config(poles=lone, tol=1e-8, m_hard=n)))
+    assert not np.iscomplexobj(traj.final_state)
+    assert all(s.max_imag_discarded > 0.0 for s in traj.steps)
+    assert traj.max_imag_discarded() > 1e-12 * np.linalg.norm(traj.final_state)
+
+
+def test_conjugate_closed_poles_discard_only_rounding():
+    prob = allen_cahn_2d(16)
+    traj = integrate(prob, tableau("sw2"), 0.5, 1.0, Engine(prob, rational_config()))
+    assert traj.max_imag_discarded() <= 1e-12 * np.linalg.norm(traj.final_state)
+
 
 def test_single_step_integrate_equals_step():
     rng = np.random.default_rng(5)

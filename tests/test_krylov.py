@@ -225,9 +225,9 @@ def test_all_infinite_poles_match_polynomial_engine():
     c0 = rng.standard_normal(n)
     solver = direct_solver(op)
     h = 0.9
-    rep_rat = expmv_rational(op, 1.0, [c0], h, None, solver,
+    rep_rat = expmv_rational(op, h, [c0], None, solver,
                              tol=1e-10, m_min=6, check_cadence=1, m_hard=n)
-    rep_poly = expmv_polynomial(op, 1.0, [c0], h, tol=1e-10, m_min=6, m_max=n,
+    rep_poly = expmv_polynomial(op, h, [c0], tol=1e-10, m_min=6, m_max=n,
                                 check_cadence=1)
     assert np.linalg.norm(rep_rat.vector - rep_poly.vector) \
         <= 1e-12 * np.linalg.norm(rep_poly.vector)
@@ -323,7 +323,7 @@ def test_expmv_zero_step_returns_c0():
     op = random_spd(rng, n)
     c0, c1 = rng.standard_normal(n), rng.standard_normal(n)
     solver = direct_solver(op)
-    rep = expmv_rational(op, 1.0, [c0, c1], 0.0, None, solver, tol=1e-10,
+    rep = expmv_rational(op, 0.0, [c0, 0.0 * c1], None, solver, tol=1e-10,
                          m_min=2, check_cadence=1)
     assert rep.converged
     assert np.linalg.norm(rep.phi_combination - c0) <= 1e-12 * np.linalg.norm(c0)
@@ -336,10 +336,11 @@ def test_expmv_matches_dense_oracle():
     op = random_spd(rng, n, lam_max=40.0)
     cs = [rng.standard_normal(n) for _ in range(p + 1)]
     h = 0.6
+    payload = [cs[0], h * cs[1], h * h * cs[2]]
     solver = direct_solver(op)
-    rep = expmv_rational(op, 1.0, cs, h, builtin_pole_set("cf12"), solver,
+    rep = expmv_rational(op, h, payload, builtin_pole_set("cf12"), solver,
                          tol=1e-8, m_min=5, check_cadence=5)
-    aug, ct = assemble_augmented(op, h, [cs[0], h * cs[1], h * h * cs[2]])
+    aug, ct = assemble_augmented(op, h, payload)
     oracle = dense_expm(aug.dense()) @ ct
     err = np.linalg.norm(rep.vector - oracle) / np.linalg.norm(oracle)
     assert rep.converged
@@ -351,7 +352,7 @@ def test_expmv_estimate_history_and_poles_recorded():
     n = 30
     op = random_spd(rng, n, lam_max=25.0)
     solver = direct_solver(op)
-    rep = expmv_rational(op, 1.0, [rng.standard_normal(n)], 1.0,
+    rep = expmv_rational(op, 1.0, [rng.standard_normal(n)],
                          builtin_pole_set("cf12"), solver, tol=1e-9,
                          m_min=4, check_cadence=3)
     assert rep.converged
@@ -367,7 +368,7 @@ def test_expmv_pole_exhaustion_continues_polynomially():
     op = random_spd(rng, n, lam_max=30.0)
     solver = direct_solver(op)
     short = PoleSet(poles=(complex(4, 2), complex(4, -2)), kind="complex-file")
-    rep = expmv_rational(op, 1.0, [rng.standard_normal(n)], 1.0, short, solver,
+    rep = expmv_rational(op, 1.0, [rng.standard_normal(n)], short, solver,
                          tol=1e-9, m_min=2, check_cadence=2, m_hard=n)
     assert rep.converged
     finite = [xi for xi in rep.poles_consumed if np.isfinite(xi.real)]
@@ -381,7 +382,7 @@ def test_expmv_hard_cap_raises_with_report():
     op = random_spd(rng, n, lam_max=500.0)
     solver = direct_solver(op)
     with pytest.raises(ToleranceNotReached) as err:
-        expmv_rational(op, 1.0, [rng.standard_normal(n)], 1.0, None, solver,
+        expmv_rational(op, 1.0, [rng.standard_normal(n)], None, solver,
                        tol=1e-14, m_min=2, check_cadence=2, m_hard=6)
     rep = err.value.report
     assert not rep.converged
@@ -395,7 +396,7 @@ def test_expmv_repeated_real_poles():
     op = random_spd(rng, n, lam_max=60.0)
     c0 = rng.standard_normal(n)
     solver = direct_solver(op)
-    rep = expmv_rational(op, 1.0, [c0], 1.0, repeated_real(8.0, 40), solver,
+    rep = expmv_rational(op, 1.0, [c0], repeated_real(8.0, 40), solver,
                          tol=1e-8, m_min=5, check_cadence=5, m_hard=n)
     exact = dense_expm(-1.0 * op.todense()) @ c0
     assert rep.converged
@@ -407,7 +408,7 @@ def test_expmv_conjugate_pairs_keep_real_results_real():
     n = 35
     op = random_spd(rng, n, lam_max=50.0)
     solver = direct_solver(op)
-    rep = expmv_rational(op, 1.0, [rng.standard_normal(n)], 0.5,
+    rep = expmv_rational(op, 0.5, [rng.standard_normal(n)],
                          builtin_pole_set("cf12"), solver, tol=1e-9,
                          m_min=4, check_cadence=1)
     assert np.max(np.abs(rep.vector.imag)) <= 1e-9 * np.linalg.norm(rep.vector)
@@ -423,8 +424,9 @@ def test_polynomial_expmv_matches_dense_oracle():
     op = random_spd(rng, n, lam_max=40.0)
     cs = [rng.standard_normal(n) for _ in range(p + 1)]
     h = 0.6
-    rep = expmv_polynomial(op, 1.0, cs, h, tol=1e-8, m_min=10, m_max=64)
-    aug, ct = assemble_augmented(op, h, [cs[0], h * cs[1], h * h * cs[2]])
+    payload = [cs[0], h * cs[1], h * h * cs[2]]
+    rep = expmv_polynomial(op, h, payload, tol=1e-8, m_min=10, m_max=64)
+    aug, ct = assemble_augmented(op, h, payload)
     oracle = dense_expm(aug.dense()) @ ct
     err = np.linalg.norm(rep.vector - oracle) / np.linalg.norm(oracle)
     assert rep.converged
@@ -436,12 +438,12 @@ def test_polynomial_substepping_triggers_and_composes():
     n = 60
     op = random_spd(rng, n, lam_max=400.0)
     c0 = rng.standard_normal(n)
-    rep = expmv_polynomial(op, 1.0, [c0], 1.0, tol=1e-8, m_min=4, m_max=12)
+    rep = expmv_polynomial(op, 1.0, [c0], tol=1e-8, m_min=4, m_max=12)
     assert rep.substeps > 1
     assert rep.arnoldi_steps <= rep.substeps * 12
     # a failed sub-step re-evaluates its basis at theta/2 instead of rebuilding
     # it, so with m_min = m_max every accepted sub-step costs exactly m_max steps
-    full = expmv_polynomial(op, 1.0, [c0], 1.0, tol=1e-8, m_min=12, m_max=12)
+    full = expmv_polynomial(op, 1.0, [c0], tol=1e-8, m_min=12, m_max=12)
     assert full.substeps > 1
     assert full.arnoldi_steps == full.substeps * 12
     exact = dense_expm(-op.todense()) @ c0
@@ -452,7 +454,7 @@ def test_polynomial_substepping_triggers_and_composes():
 def test_polynomial_keeps_real_dtype():
     rng = np.random.default_rng(21)
     op = random_spd(rng, 20, lam_max=5.0)
-    rep = expmv_polynomial(op, 1.0, [rng.standard_normal(20)], 0.5, tol=1e-8)
+    rep = expmv_polynomial(op, 0.5, [rng.standard_normal(20)], tol=1e-8)
     assert not np.iscomplexobj(rep.vector)
 
 
@@ -460,7 +462,7 @@ def test_polynomial_substep_underflow_raises():
     rng = np.random.default_rng(22)
     op = random_spd(rng, 40, lam_max=1e9)
     with pytest.raises(KrylovError):
-        expmv_polynomial(op, 1.0, [rng.standard_normal(40)], 1.0,
+        expmv_polynomial(op, 1.0, [rng.standard_normal(40)],
                          tol=1e-12, m_min=2, m_max=3)
 
 
@@ -480,7 +482,7 @@ def test_concurrent_expmv_calls_share_cache():
 
     def run(c0):
         solver = ShiftedSolver(op, SolverConfig(mode="direct"), cache=cache)
-        return expmv_rational(op, 1.0, [c0], 0.5, poles, solver,
+        return expmv_rational(op, 0.5, [c0], poles, solver,
                               tol=1e-9, m_min=4, check_cadence=2).vector
 
     with ThreadPoolExecutor(max_workers=4) as pool:
@@ -500,7 +502,7 @@ def test_conjugate_pairs_share_factorizations():
     op = random_spd(rng, n, lam_max=80.0)
     poles = builtin_pole_set("cf12")
     solver = ShiftedSolver(op, SolverConfig(mode="direct"))
-    expmv_rational(op, 1.0, [rng.standard_normal(n)], 0.5, poles, solver,
+    expmv_rational(op, 0.5, [rng.standard_normal(n)], poles, solver,
                    tol=1e-12, m_min=len(poles))
     assert len(solver.solve_log) == len(poles) == 12
     assert solver.cache.numeric_factorizations == 6

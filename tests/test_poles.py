@@ -148,7 +148,7 @@ def test_cf12_drives_engine_below_tolerance_quickly():
                          + b * sp.identity(900, format="csr")).tocsr(), symmetric=True)
     c0 = np.full(900, 1.0 / 30.0)
     solver = ShiftedSolver(op, SolverConfig(mode="direct"))
-    rep = expmv_rational(op, 1.0, [c0], 1.0, builtin_pole_set("cf12"), solver,
+    rep = expmv_rational(op, 1.0, [c0], builtin_pole_set("cf12"), solver,
                          tol=1e-8, m_min=12, check_cadence=1)
     assert rep.converged
     assert rep.arnoldi_steps <= 14
@@ -160,7 +160,7 @@ def test_conjugate_closed_set_keeps_real_data_real():
     op = fd_laplacian_1d(80, 1.0, "neumann")
     c0 = rng.standard_normal(80)
     solver = ShiftedSolver(op, SolverConfig(mode="direct"))
-    rep = expmv_rational(op, 1.0, [c0], 1e-3, builtin_pole_set("cf12"), solver,
+    rep = expmv_rational(op, 1e-3, [c0], builtin_pole_set("cf12"), solver,
                          tol=1e-10, m_min=4, check_cadence=2)
     out = rep.vector
     assert np.iscomplexobj(out)

@@ -206,6 +206,21 @@ def test_conjugate_pole_reuses_amg_preconditioner():
     assert all(info.converged for info in solver.solve_log)
 
 
+def test_cache_hits_count_only_shifted_system_reuse():
+    # two poles that are not a conjugate pair build two AMG preconditioners;
+    # the second one reuses the operator's aggregates, which is not a hit
+    op = fd_laplacian_2d(48, 1.0, "neumann")
+    solver = ShiftedSolver(op, SolverConfig(mode="iterative", tolerance=1e-8,
+                                            preconditioner="aggregation-amg"))
+    b = np.random.default_rng(14).standard_normal(48 * 48)
+    for pole in (3.0 + 2.0j, 5.0 + 1.0j):
+        solver.solve_shifted(pole, 0.25, b)
+    assert solver.cache.hits == 0
+    solver.solve_shifted(5.0 - 1.0j, 0.25, b)
+    assert solver.cache.hits == 1
+    assert all(info.converged for info in solver.solve_log)
+
+
 # ---------------------------------------------------------------------------
 # Block back-substitution.
 # ---------------------------------------------------------------------------
