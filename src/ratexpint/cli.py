@@ -101,12 +101,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-_DEFAULTS = {"problem": "ac2d", "nx": 64, "bc": None, "eps2": 0.1, "eps": 0.05,
-             "diffusion": 5e3, "integrator": "sw2", "engine": "rational",
-             "solver": "direct", "solver_tol": 1e-7, "preconditioner": "ilu0",
-             "h": 0.5, "T": 1.0, "tol": 1e-8, "seed": 0,
-             # Gierer-Meinhardt model parameters (config-file keys)
-             "D_a": 0.01, "D_h": 1.0, "p": 1.0, "mu": 1.0, "pprime": 1.0, "nu": 1.0}
+# Only values with no library default, or a different one; every other key
+# is passed on only when set, so the library signatures supply the rest.
+_DEFAULTS = {"problem": "ac2d", "nx": 64, "diffusion": 5e3, "integrator": "sw2",
+             "h": 0.5, "T": 1.0}
 
 
 def _get(cfg: dict, key: str, cast=None):
@@ -119,24 +117,28 @@ def _get(cfg: dict, key: str, cast=None):
         raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from exc
 
 
+def _given(cfg: dict, casts: dict, rename: dict | None = None) -> dict:
+    """Keyword arguments for the keys of ``casts`` that ``cfg`` sets, cast and
+    renamed by ``rename``; unset (or empty) keys are left out."""
+    return {(rename or {}).get(key, key): _get(cfg, key, cast)
+            for key, cast in casts.items() if cfg.get(key) not in (None, "")}
+
+
 def build_problem(cfg: dict) -> Problem:
     kind = _get(cfg, "problem")
     if kind == "ac2d":
-        bc = _get(cfg, "bc") or "neumann"
-        return allen_cahn_2d(_get(cfg, "nx", int), eps2=_get(cfg, "eps2", float), bc=bc)
+        return allen_cahn_2d(_get(cfg, "nx", int), **_given(cfg, {"eps2": float, "bc": str}))
     if kind == "gm2d":
-        bc = _get(cfg, "bc") or "periodic"
-        return gierer_meinhardt_2d(_get(cfg, "nx", int), bc=bc, seed=_get(cfg, "seed", int),
-                                   D_a=_get(cfg, "D_a", float), D_h=_get(cfg, "D_h", float),
-                                   p=_get(cfg, "p", float), mu=_get(cfg, "mu", float),
-                                   pprime=_get(cfg, "pprime", float), nu=_get(cfg, "nu", float))
+        casts = {"bc": str, "seed": int,  # the model parameters are config-file keys
+                 "D_a": float, "D_h": float, "p": float, "mu": float, "pprime": float,
+                 "nu": float}
+        return gierer_meinhardt_2d(_get(cfg, "nx", int), **_given(cfg, casts))
     if kind == "ac-graph":
         g = load_graph_spec(cfg.get("graph_file", "builtin:road2600"),
                             bool(cfg.get("graph_one_based")))
         g = largest_connected_component(g)
-        return allen_cahn_graph(g, eps=_get(cfg, "eps", float),
-                                diffusion=_get(cfg, "diffusion", float),
-                                seed=_get(cfg, "seed", int))
+        return allen_cahn_graph(g, diffusion=_get(cfg, "diffusion", float),
+                                **_given(cfg, {"eps": float, "seed": int}))
     raise ConfigError(f"unknown problem {kind!r}; expected one of {PROBLEMS}")
 
 
@@ -153,13 +155,13 @@ def load_graph_spec(spec, one_based: bool = False) -> Graph:
     return load_edge_list(path, one_based=one_based)
 
 
-def build_pole_set(cfg: dict) -> PoleSet | None:
+def build_pole_set(cfg: dict, mode: str) -> PoleSet:
     if cfg.get("repeated_pole") is not None:
         return repeated_real(_get(cfg, "repeated_pole", float),
-                             _get(cfg, "repeated_count", int) or 72)
+                             _get(cfg, "repeated_count", int))
     spec = cfg.get("poles")
     if spec is None:
-        spec = "builtin:cf16_shifted" if _get(cfg, "solver") == "iterative" else "builtin:cf12"
+        spec = "builtin:cf16_shifted" if mode == "iterative" else "builtin:cf12"
     return load_pole_spec(spec)
 
 
@@ -175,21 +177,14 @@ def load_pole_spec(spec) -> PoleSet:
 
 
 def build_engine_config(cfg: dict) -> EngineConfig:
-    engine = _get(cfg, "engine")
-    solver_kwargs = {}
-    if cfg.get("solver_maxiter") is not None:
-        solver_kwargs["max_iterations"] = int(cfg["solver_maxiter"])
-    solver_cfg = SolverConfig(mode=_get(cfg, "solver"),
-                              tolerance=_get(cfg, "solver_tol", float),
-                              preconditioner=_get(cfg, "preconditioner"),
-                              **solver_kwargs)
-    poles = build_pole_set(cfg) if engine == "rational" else None
-    kwargs = {}
-    for key in ("m_min", "m_max", "check_cadence"):
-        if cfg.get(key) is not None:
-            kwargs[key] = int(cfg[key])
-    return EngineConfig(engine=engine, tol=_get(cfg, "tol", float), poles=poles,
-                        solver=solver_cfg, **kwargs)
+    solver_cfg = SolverConfig(**_given(
+        cfg, {"solver": str, "solver_tol": float, "solver_maxiter": int, "preconditioner": str},
+        rename={"solver": "mode", "solver_tol": "tolerance", "solver_maxiter": "max_iterations"}))
+    engine_cfg = EngineConfig(solver=solver_cfg, **_given(
+        cfg, {"engine": str, "tol": float, "m_min": int, "m_max": int, "check_cadence": int}))
+    if engine_cfg.engine == "rational":
+        engine_cfg.poles = build_pole_set(cfg, solver_cfg.mode)
+    return engine_cfg
 
 
 def _integrator(cfg: dict):
@@ -311,8 +306,8 @@ def cmd_bench(args) -> int:
             problem = build_problem(cell_cfg)
         except (ConfigError, ValueError) as exc:
             for engine_name in engines:
-                rows.append([cfg.get("problem", "ac2d"), nx, "", engine_name,
-                             tab.name, cfg.get("h", 0.5), "", "", "", "", "", "", str(exc)])
+                rows.append([_get(cfg, "problem"), nx, "", engine_name,
+                             tab.name, _get(cfg, "h"), "", "", "", "", "", "", str(exc)])
             continue
         for engine_name in engines:
             cell = dict(cell_cfg)
@@ -326,13 +321,13 @@ def cmd_bench(args) -> int:
                 traj = integrate(problem, tab, h, T, engine)
                 wall = time.perf_counter() - t0
                 rows.append([
-                    cell.get("problem", "ac2d"), nx, problem.n, engine_name, tab.name, h,
+                    _get(cell, "problem"), nx, problem.n, engine_name, tab.name, h,
                     f"{traj.average_krylov_iterations():.4f}", traj.total_expmv_calls(),
                     f"{wall:.4f}", traj.total_solver_iterations(),
                     f"{traj.max_residual():.3e}", state_checksum(traj.final_state), ""])
             except Exception as exc:  # per-cell failures recorded, sweep continues
-                rows.append([cell.get("problem", "ac2d"), nx, problem.n, engine_name,
-                             tab.name, cell.get("h", ""), "", "", "", "", "", "", str(exc)])
+                rows.append([_get(cell, "problem"), nx, problem.n, engine_name,
+                             tab.name, _get(cell, "h"), "", "", "", "", "", "", str(exc)])
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(BENCH_HEADER)

@@ -103,7 +103,8 @@ def load_poles(path, allow_open: bool = False) -> PoleSet:
 
     Format: one ``re im`` float pair per line; ``# key=value`` header lines for
     ``kind``, ``interval`` (two comma-separated floats), ``convention``.
-    Sets that are not conjugate-closed are rejected unless ``allow_open``.
+    Sets that are not conjugate-closed are rejected unless ``allow_open``;
+    any defect, including a set that :class:`PoleSet` rejects, raises PoleFileError.
     """
     meta = {"kind": "complex-file", "convention": "positive-real"}
     interval = None
@@ -151,8 +152,11 @@ def load_poles(path, allow_open: bool = False) -> PoleSet:
     kind = meta.get("kind", "complex-file")
     if kind not in _KINDS:
         kind = "complex-file"
-    return PoleSet(poles=tuple(poles), kind=kind, interval=interval,
-                   conjugate_closed=closed, convention=convention, source=str(path))
+    try:
+        return PoleSet(poles=tuple(poles), kind=kind, interval=interval,
+                       conjugate_closed=closed, convention=convention, source=str(path))
+    except ValueError as exc:
+        raise PoleFileError(f"{path}: {exc}") from exc
 
 
 def save_poles(ps: PoleSet, path) -> None:

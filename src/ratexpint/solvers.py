@@ -10,6 +10,9 @@ by the factorization or preconditioner of conj(xi) through conjugation, and a
 conjugate pair costs one setup. Each pole of the pair still makes its own
 solve. The block solve of the augmented operator back-substitutes its small
 Jordan tail first.
+
+Iterative solves use aggregation AMG (or no preconditioner) with CG iff the
+pole is real and the operator symmetric, BiCGStab otherwise.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import scipy.sparse.linalg as spla
 from .amg import AmgPreconditioner, build_aggregates
 from .linalg import SparseOperator
 
-PRECONDITIONERS = ("none", "ilu0", "aggregation-amg")
+PRECONDITIONERS = ("none", "aggregation-amg")
 
 
 class SolverError(RuntimeError):
@@ -60,9 +63,9 @@ class SolverConfig:
     # whose residual exceeds 10x this raises
     tolerance: float = 1e-7
     max_iterations: int = 400
-    # "none" | "ilu0" | "aggregation-amg"; "ilu0" is scipy's threshold ILU
-    # (spilu, drop_tol=1e-4, fill_factor=10), not a zero-fill ILU(0)
-    preconditioner: str = "ilu0"
+    # "none" | "aggregation-amg"; iterative solves use CG iff the pole is
+    # real and the operator symmetric, BiCGStab otherwise
+    preconditioner: str = "aggregation-amg"
 
     def __post_init__(self):
         if self.mode not in ("direct", "iterative"):
@@ -173,8 +176,8 @@ class SolverCache:
         return self._single_flight(key, build)
 
     def preconditioner(self, op: SparseOperator, key: ShiftedSystemKey, kind: str) -> tuple:
-        """``(matrix, M)``: the assembled (xi I + alpha A) and its
-        preconditioner ``kind`` as a ``LinearOperator`` (``None`` for "none").
+        """``(matrix, M)``: the assembled (xi I + alpha A) and its AMG V-cycle
+        as a ``LinearOperator`` (``None`` for ``kind`` "none").
 
         AMG aggregates are built once per operator and shared by all its
         shifted systems (see :func:`build_aggregates`).
@@ -183,13 +186,10 @@ class SolverCache:
             matrix = shifted_matrix(op, key.pole, key.scale)
             if kind == "none":
                 return matrix, None
-            if kind == "ilu0":
-                apply = spla.spilu(matrix.tocsc(), drop_tol=1e-4, fill_factor=10).solve
-            else:
-                aggregates = self._single_flight(("aggregates", op.fingerprint),
-                                                 lambda: build_aggregates(op.tocsr()),
-                                                 count_hit=False)
-                apply = AmgPreconditioner(matrix, aggregates).matvec
+            aggregates = self._single_flight(("aggregates", op.fingerprint),
+                                             lambda: build_aggregates(op.tocsr()),
+                                             count_hit=False)
+            apply = AmgPreconditioner(matrix, aggregates).matvec
             return matrix, spla.LinearOperator(matrix.shape, matvec=apply, dtype=matrix.dtype)
 
         return self._single_flight((key, kind), build)
@@ -199,10 +199,10 @@ def solve_iterative(op: SparseOperator, key: ShiftedSystemKey, rhs: np.ndarray,
                     cfg: SolverConfig, cache: Optional[SolverCache] = None) -> SolveInfo:
     """Preconditioned Krylov solve of (xi I + alpha A) x = rhs.
 
-    CG for real poles (the system is Hermitian positive definite), BiCGStab
-    for complex poles. Requires Re(xi) > 0; indefinite shifts belong on the
-    direct path. Non-convergence returns the best iterate with
-    ``converged=False``.
+    CG iff the pole is real and ``op.symmetric`` (the system and its AMG
+    V-cycle are then symmetric positive definite), BiCGStab otherwise.
+    Requires Re(xi) > 0; indefinite shifts belong on the direct path.
+    Non-convergence returns the best iterate with ``converged=False``.
     """
     if complex(key.pole).real <= 0:
         raise SolverError(
@@ -225,10 +225,7 @@ def solve_iterative(op: SparseOperator, key: ShiftedSystemKey, rhs: np.ndarray,
         nonlocal iterations
         iterations += 1
 
-    # CG needs a Hermitian positive definite preconditioner; the pivoted
-    # incomplete LU is not symmetric, so it rides with BiCGStab instead.
-    hermitian = complex(key.pole).imag == 0 and cfg.preconditioner in ("none", "aggregation-amg")
-    method = spla.cg if hermitian else spla.bicgstab
+    method = spla.cg if complex(key.pole).imag == 0 and op.symmetric else spla.bicgstab
     x, info = method(matrix, rhs, rtol=cfg.tolerance, atol=0.0,
                      maxiter=cfg.max_iterations, M=precond, callback=count)
     residual = float(np.linalg.norm(rhs - matrix @ x)) / bnorm

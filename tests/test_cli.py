@@ -109,6 +109,14 @@ def test_run_missing_pole_file(tmp_path, capsys):
     assert "pole file" in capsys.readouterr().err
 
 
+def test_run_zero_repeated_count_is_a_config_error(tmp_path, capsys):
+    code = run_cli("run", "--problem", "ac2d", "--nx", "8", "--integrator", "sw2",
+                   "--repeated-pole", "40.0", "--repeated-count", "0",
+                   "--h", "0.25", "--T", "0.25", "--out", str(tmp_path))
+    assert code == 2
+    assert "at least one pole" in capsys.readouterr().err
+
+
 def test_run_numeric_failure_exits_three(tmp_path, capsys):
     code = run_cli("run", "--problem", "ac2d", "--nx", "24", "--integrator", "sw2",
                    "--engine", "rational", "--solver", "iterative",
@@ -200,6 +208,16 @@ def test_poles_validate_warns(tmp_path, capsys):
 def test_poles_validate_missing_file(tmp_path, capsys):
     code = run_cli("poles", "validate", str(tmp_path / "none.poles"))
     assert code == 2
+
+
+def test_poles_validate_zero_pole_is_a_config_error(tmp_path, capsys):
+    pole_file = tmp_path / "zero.poles"
+    pole_file.write_text("0.0 0.0\n")
+    assert run_cli("poles", "validate", str(pole_file)) == 2
+    err = capsys.readouterr().err
+    assert str(pole_file) in err and "must not contain 0" in err
+    assert run_cli("run", "--problem", "ac2d", "--nx", "8", "--poles", str(pole_file),
+                   "--h", "0.25", "--T", "0.25", "--out", str(tmp_path)) == 2
 
 
 def test_graph_info(tmp_path, capsys):

@@ -107,10 +107,10 @@ def test_iterative_dominant_shift_converges_fast():
     assert info.residual <= 1e-10
 
 
-def test_iterative_fd2d_with_ilu_meets_tolerance():
+def test_iterative_fd2d_with_amg_meets_tolerance():
     op = fd_laplacian_2d(64, 1.0, "dirichlet")
     cfg = SolverConfig(mode="iterative", tolerance=1e-7, max_iterations=200,
-                       preconditioner="ilu0")
+                       preconditioner="aggregation-amg")
     rng = np.random.default_rng(4)
     b = rng.standard_normal(64 * 64)
     info = solve_iterative(op, key_for(op, 1.0), b, cfg)
@@ -126,6 +126,22 @@ def test_iterative_amg_complex_shift():
     rng = np.random.default_rng(5)
     b = rng.standard_normal(48 * 48) + 1j * rng.standard_normal(48 * 48)
     info = solve_iterative(op, key_for(op, 2.0 + 3.0j, 0.25), b, cfg)
+    assert info.converged
+    assert info.residual <= 1e-8
+
+
+def test_iterative_real_pole_on_nonsymmetric_operator_uses_bicgstab():
+    # diffusion plus a strong upwind term: real but nonsymmetric, so CG would
+    # stall; a real pole alone must not select it
+    nx = 48
+    upwind = sp.diags([np.full(nx, 1.0), np.full(nx - 1, -1.0)], [0, -1]) * nx
+    advection = sp.kron(sp.identity(nx), upwind)
+    op = SparseOperator((fd_laplacian_2d(nx, 1.0, "dirichlet").tocsr()
+                         + 40.0 * advection).tocsr())
+    assert not op.symmetric and not op.check_symmetry()
+    cfg = SolverConfig(mode="iterative", tolerance=1e-8, preconditioner="aggregation-amg")
+    b = np.random.default_rng(15).standard_normal(nx * nx)
+    info = solve_iterative(op, key_for(op, 2.0, 0.25), b, cfg)
     assert info.converged
     assert info.residual <= 1e-8
 
@@ -146,13 +162,14 @@ def test_iterative_rejects_nonpositive_real_part():
 
 
 def test_direct_and_iterative_agree():
-    op = fd_laplacian_2d(24, 1.0, "dirichlet")
+    # n = 1024 lies above amg.COARSE_SIZE, so the V-cycle is not an exact LU
+    op = fd_laplacian_2d(32, 1.0, "dirichlet")
     pole, scale = 4.0 + 1.5j, 0.5
     rng = np.random.default_rng(6)
-    b = rng.standard_normal(24 * 24)
+    b = rng.standard_normal(32 * 32)
     fact = SolverCache().factorization(op, key_for(op, pole, scale))
     x_direct = fact.solve(b.astype(complex))
-    cfg = SolverConfig(mode="iterative", tolerance=1e-9, preconditioner="ilu0",
+    cfg = SolverConfig(mode="iterative", tolerance=1e-9, preconditioner="aggregation-amg",
                        max_iterations=300)
     info = solve_iterative(op, key_for(op, pole, scale), b.astype(complex), cfg)
     assert np.linalg.norm(x_direct - info.x) <= 10 * 1e-9 * np.linalg.norm(x_direct)
