@@ -156,4 +156,9 @@ class AmgPreconditioner:
         return x
 
     def matvec(self, b: np.ndarray) -> np.ndarray:
-        return self._cycle(0, np.asarray(b, dtype=self.dtype))
+        """One V-cycle. A real hierarchy applies to a complex vector by its
+        real and imaginary parts; it never drops the imaginary part."""
+        b = np.asarray(b)
+        if np.iscomplexobj(b) and self.dtype.kind != "c":
+            return self._cycle(0, b.real) + 1j * self._cycle(0, b.imag)
+        return self._cycle(0, b.astype(self.dtype, copy=False))

@@ -46,7 +46,8 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 def read_config_file(path: Path) -> dict[str, str]:
-    """``key = value`` lines, ``#`` comments; flags override file values."""
+    """``key = value`` lines, ``#`` comments; flags override file values.
+    An empty value counts as unset and is left out."""
     out: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -56,7 +57,8 @@ def read_config_file(path: Path) -> dict[str, str]:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
-            out[key.strip().replace("-", "_")] = value.strip()
+            if value.strip():
+                out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 
@@ -65,7 +67,7 @@ def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--problem", choices=PROBLEMS)
     p.add_argument("--nx", type=int, help="grid points per direction (FD problems)")
     p.add_argument("--graph-file", help="edge list or MatrixMarket file, or builtin:<name>")
-    p.add_argument("--graph-one-based", action="store_true")
+    p.add_argument("--graph-one-based", action="store_true", default=None)
     p.add_argument("--bc", choices=("dirichlet", "neumann", "periodic"))
     p.add_argument("--eps2", type=float, help="interface parameter squared (ac2d)")
     p.add_argument("--eps", type=float, help="interface parameter (ac-graph)")
@@ -74,7 +76,7 @@ def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--engine", choices=ENGINES)
     p.add_argument("--poles", help="pole file path or builtin:<name>")
     p.add_argument("--repeated-pole", type=float, help="single repeated real pole value")
-    p.add_argument("--repeated-count", type=int, default=72)
+    p.add_argument("--repeated-count", type=int, help="length of the repeated pole set")
     p.add_argument("--solver", choices=("direct", "iterative"))
     p.add_argument("--solver-tol", type=float)
     p.add_argument("--solver-maxiter", type=int)
@@ -85,9 +87,9 @@ def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--m-min", type=int)
     p.add_argument("--m-max", type=int)
     p.add_argument("--check-cadence", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    p.add_argument("--snapshots", type=int, default=0, help="snapshot stride (0: ends only)")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out", type=Path, help="output directory (default: .)")
+    p.add_argument("--snapshots", type=int, help="snapshot stride (0, the default: ends only)")
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
@@ -103,13 +105,15 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 # Only values with no library default, or a different one; every other key
 # is passed on only when set, so the library signatures supply the rest.
+# Flags have no argparse defaults, so that a flag left out never overrides
+# the config file.
 _DEFAULTS = {"problem": "ac2d", "nx": 64, "diffusion": 5e3, "integrator": "sw2",
-             "h": 0.5, "T": 1.0}
+             "h": 0.5, "T": 1.0, "repeated_count": 72}
 
 
 def _get(cfg: dict, key: str, cast=None):
     value = cfg.get(key, _DEFAULTS.get(key))
-    if value is None or cast is None or value == "":
+    if value is None or cast is None:
         return value
     try:
         return cast(value)
@@ -119,9 +123,9 @@ def _get(cfg: dict, key: str, cast=None):
 
 def _given(cfg: dict, casts: dict, rename: dict | None = None) -> dict:
     """Keyword arguments for the keys of ``casts`` that ``cfg`` sets, cast and
-    renamed by ``rename``; unset (or empty) keys are left out."""
+    renamed by ``rename``; unset keys are left out."""
     return {(rename or {}).get(key, key): _get(cfg, key, cast)
-            for key, cast in casts.items() if cfg.get(key) not in (None, "")}
+            for key, cast in casts.items() if key in cfg}
 
 
 def build_problem(cfg: dict) -> Problem:
@@ -135,7 +139,7 @@ def build_problem(cfg: dict) -> Problem:
         return gierer_meinhardt_2d(_get(cfg, "nx", int), **_given(cfg, casts))
     if kind == "ac-graph":
         g = load_graph_spec(cfg.get("graph_file", "builtin:road2600"),
-                            bool(cfg.get("graph_one_based")))
+                            str(cfg.get("graph_one_based")).lower() in ("true", "1", "yes"))
         g = largest_connected_component(g)
         return allen_cahn_graph(g, diffusion=_get(cfg, "diffusion", float),
                                 **_given(cfg, {"eps": float, "seed": int}))
@@ -257,6 +261,7 @@ def cmd_run(args) -> int:
         T = _get(cfg, "T", float)
         if h is None or T is None or h <= 0 or T <= 0:
             raise ConfigError("h and T must be positive")
+        snapshot_stride = _get(cfg, "snapshots", int) or 0
         out_dir = Path(cfg.get("out", "."))
         out_dir.mkdir(parents=True, exist_ok=True)
     except (ConfigError, PoleFileError, FileNotFoundError, ValueError) as exc:
@@ -264,8 +269,7 @@ def cmd_run(args) -> int:
         return EXIT_CONFIG
     try:
         engine = Engine(problem, engine_cfg)
-        traj = integrate(problem, tab, h, T, engine,
-                         snapshot_stride=int(cfg.get("snapshots") or 0))
+        traj = integrate(problem, tab, h, T, engine, snapshot_stride=snapshot_stride)
     except (NumericalBlowup, ToleranceNotReached, KrylovError,
             IterativeDivergence, SolverError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

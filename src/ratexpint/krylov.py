@@ -18,8 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.linalg as sla
 
-from .linalg import (SparseOperator, dense_expm, orthogonal_extend,
-                     phi_column_stack)
+from .linalg import SparseOperator, dense_expm, orthogonal_extend
 from .poles import INF_POLE, PoleSet, is_conjugate, is_infinite
 from .solvers import ShiftedSolver
 
@@ -144,9 +143,16 @@ class RationalDecomposition:
     """Growing rational Arnoldi decomposition A~ V K = V H.
 
     After m steps the basis has m+1 orthonormal columns (m on happy
-    breakdown), H and K are (m+1) x m with upper-Hessenberg structure, and
-    the consumed poles are recorded per step. The decomposition mutates in
-    place; it is confined to one expmv call and never shared.
+    breakdown), H is (m+1) x m upper Hessenberg, and the consumed poles are
+    recorded per step. Only V, H and the poles are stored: K is derived from
+    them as K_m = I + H_m diag(1/xi_j), with 1/inf = 0 (:meth:`kmat`).
+
+    The arithmetic is fixed here, once, and is complex iff the payload or a
+    pole is complex: by default ``dtype`` follows the start vector and the
+    payload, and complex poles need ``dtype=np.complex128`` (``expmv_rational``
+    picks it). A real decomposition takes real poles only, which keeps the
+    basis, the shifted solves and the result real. The decomposition mutates
+    in place; it is confined to one expmv call and never shared.
     """
 
     def __init__(self, aug: AugmentedOperator, c_tilde: np.ndarray,
@@ -156,13 +162,14 @@ class RationalDecomposition:
         if norm == 0:
             raise ValueError("start vector is zero")
         self.start_norm = norm
-        if dtype is None:
-            dtype = np.result_type(c_tilde.dtype, np.float64)
+        data_dtype = np.result_type(c_tilde.dtype, aug.C.dtype, np.float64)
+        dtype = data_dtype if dtype is None else np.dtype(dtype)
+        if dtype.kind != "c" and data_dtype.kind == "c":
+            raise ValueError(f"complex data needs a complex decomposition, got {dtype}")
         capacity = max(4, capacity)
         self.V = np.zeros((aug.dim, capacity + 1), dtype=dtype)
         self.V[:, 0] = c_tilde / norm
         self.H = np.zeros((capacity + 1, capacity), dtype=dtype)
-        self.K = np.zeros((capacity + 1, capacity), dtype=dtype)
         self.m = 0
         self.nv = 1
         self.poles_used: list[complex] = []
@@ -183,7 +190,9 @@ class RationalDecomposition:
         return self.H[:self.m + 1, :self.m]
 
     def kmat(self) -> np.ndarray:
-        return self.K[:self.m + 1, :self.m]
+        """K_m = I + H_m diag(1/xi_j), (m+1) x m, with 1/inf = 0."""
+        inv = [0.0 if is_infinite(xi) else 1.0 / xi for xi in self.poles_used]
+        return self.hess() * np.asarray(inv, dtype=self.H.dtype) + np.eye(self.m + 1, self.m)
 
     def _ensure_capacity(self, m_new: int):
         cap = self.H.shape[1]
@@ -194,15 +203,7 @@ class RationalDecomposition:
         V[:, :self.V.shape[1]] = self.V
         H = np.zeros((new_cap + 1, new_cap), dtype=self.H.dtype)
         H[:self.H.shape[0], :self.H.shape[1]] = self.H
-        K = np.zeros_like(H)
-        K[:self.K.shape[0], :self.K.shape[1]] = self.K
-        self.V, self.H, self.K = V, H, K
-
-    def _promote_complex(self):
-        if not np.issubdtype(self.V.dtype, np.complexfloating):
-            self.V = self.V.astype(np.complex128)
-            self.H = self.H.astype(np.complex128)
-            self.K = self.K.astype(np.complex128)
+        self.V, self.H = V, H
 
 
 def rational_arnoldi_step(d: RationalDecomposition, pole: complex,
@@ -210,41 +211,40 @@ def rational_arnoldi_step(d: RationalDecomposition, pole: complex,
     """Extend the decomposition by one step with the given pole.
 
     An infinite pole is a polynomial step (one operator application); a
-    finite pole additionally solves the shifted block system. The
-    continuation vector is the newest basis vector. On happy breakdown the
-    decomposition is flagged and must not be extended further.
+    finite pole additionally solves the shifted block system. A pole with
+    zero imaginary part is passed on as a float, so that on real data its
+    solve stays real; a complex pole needs a complex decomposition. Only the
+    column j of H is written: column j of K follows from it and the pole
+    (see :meth:`RationalDecomposition.kmat`). The continuation vector is the
+    newest basis vector. On happy breakdown the decomposition is flagged and
+    must not be extended further.
     """
     if d.happy:
         raise KrylovError("decomposition reached an invariant subspace; cannot extend")
-    pole = complex(pole) if not is_infinite(pole) else INF_POLE
     finite = not is_infinite(pole)
-    if finite and (pole.imag != 0):
-        d._promote_complex()
-    if finite and solver is None:
-        raise ValueError("finite poles require a shifted-system solver")
+    if finite:
+        pole = complex(pole)
+        if pole.imag == 0:
+            pole = pole.real
+        elif not np.iscomplexobj(d.V):
+            raise ValueError(f"complex pole {pole} given to a real decomposition; "
+                             "construct it with dtype=np.complex128")
+        if solver is None:
+            raise ValueError("finite poles require a shifted-system solver")
+    else:
+        pole = INF_POLE
     d._ensure_capacity(d.m + 1)
 
-    v_cont = d.V[:, d.nv - 1]
-    b = d.aug.apply(v_cont)
-    if finite:
-        x = solver.solve_block(d.aug, pole, b)
-    else:
-        x = b
-    if np.iscomplexobj(x):
-        d._promote_complex()
+    b = d.aug.apply(d.V[:, d.nv - 1])
+    x = solver.solve_block(d.aug, pole, b) if finite else b
 
     j = d.m
     res = orthogonal_extend(d.V[:, :d.nv], x, reorth=1)
     d.H[:d.nv, j] = res.h
-    d.K[j, j] = 1.0
-    if finite:
-        d.K[:d.nv, j] += res.h / pole
     if res.breakdown:
         d.happy = True
     else:
         d.H[d.nv, j] = res.beta
-        if finite:
-            d.K[d.nv, j] += res.beta / pole
         d.V[:, d.nv] = res.v
         d.nv += 1
     d.m += 1
@@ -265,49 +265,59 @@ def arnoldi_relation_residual(d: RationalDecomposition) -> float:
     return float(num / den)
 
 
-def _square_blocks(d: RationalDecomposition):
+def _projected_matrix(d: RationalDecomposition):
+    """S = H_m K_m^{-1}, the compression of A~ onto the subspace, and the LU
+    of K_m^T it comes from; K_m u = w is then ``lu_solve(lu, w, trans=1)``.
+
+    K_m = I + H_m diag(1/xi_j) is the square part of :meth:`~RationalDecomposition.kmat`.
+    """
+    import warnings
+
     if d.m == 0:
         raise KrylovError("empty decomposition")
     m = d.m
-    return d.H[:m, :m], d.K[:m, :m]
-
-
-def _projected_matrix(d: RationalDecomposition) -> np.ndarray:
-    """S = H_m K_m^{-1}, the compression of A~ onto the subspace."""
-    import warnings
-
-    H, K = _square_blocks(d)
     with warnings.catch_warnings():
         # singularity is detected from the pivots below and raised as our own
         warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(K.T)
-    diag = np.abs(np.diag(lu))
+        lu = sla.lu_factor(d.kmat()[:m].T)
+    diag = np.abs(np.diag(lu[0]))
     if diag.min() <= 1e-14 * max(diag.max(), 1e-300):
         raise SingularProjection(
             "projected system K_m is singular; append a polynomial step and retry")
-    return sla.lu_solve((lu, piv), H.T).T
+    return sla.lu_solve(lu, d.H[:m, :m].T).T, lu
+
+
+def _bordered_expm(S: np.ndarray, h: float, terms: int) -> np.ndarray:
+    """e^{hW} for W = [[S, e_1, 0], [0, J_terms]], J the nilpotent Jordan block.
+
+    The top-left m x m block is e^{hS}; the m x terms block right of it holds
+    the columns h^k phi_k(hS) e_1, k = 1..terms.
+    """
+    m = S.shape[0]
+    W = np.zeros((m + terms, m + terms), dtype=S.dtype)
+    W[:m, :m] = S
+    W[0, m] = 1.0
+    tail = np.arange(m, m + terms - 1)
+    W[tail, tail + 1] = 1.0
+    return dense_expm(h * W)
 
 
 def _approximant_and_estimate(d: RationalDecomposition, h: float):
-    """One dense exponential serving both the approximant and the estimate.
+    """One factorization of K_m and one dense exponential serving both the
+    approximant and the estimate.
 
-    The (m+1)-dimensional bordered matrix [[S, e_1], [0, 0]] yields e^{hS}
-    in its exponential's top-left block and h phi_1(hS) e_1 in the last
-    column, which is exactly the ingredient of the error estimate.
+    The exponential of the (m+1)-dimensional bordered matrix [[S, e_1], [0, 0]]
+    holds e^{hS} in its top-left block and h phi_1(hS) e_1 in its last
+    column, the ingredient of the error estimate.
     """
     m = d.m
-    S = _projected_matrix(d)
-    bordered = np.zeros((m + 1, m + 1), dtype=S.dtype)
-    bordered[:m, :m] = S
-    bordered[0, m] = 1.0
-    E = dense_expm(h * bordered)
+    S, lu = _projected_matrix(d)
+    E = _bordered_expm(S, h, 1)
     y = d.start_norm * (d.V[:, :m] @ E[:m, 0])
     beta = d.beta_last
     if beta == 0.0 or h == 0.0:
         return y, 0.0
-    _, K = _square_blocks(d)
-    w = E[:m, m] / h
-    u = sla.solve(K, w)
+    u = sla.lu_solve(lu, E[:m, m] / h, trans=1)
     estimate = h * d.start_norm * beta * abs(u[m - 1])
     return y, float(estimate)
 
@@ -327,8 +337,6 @@ def error_estimate(d: RationalDecomposition, h: float) -> float:
     step used an infinite pole, which the adaptive loop enforces before
     checking.
     """
-    if d.beta_last == 0.0:
-        return 0.0
     _, est = _approximant_and_estimate(d, h)
     return est
 
@@ -347,16 +355,11 @@ def full_error_expansion(d: RationalDecomposition, h: float, terms: int,
     if beta == 0.0:
         return (0.0, [0.0] * terms) if return_partials else 0.0
     m = d.m
-    S = _projected_matrix(d)
-    _, K = _square_blocks(d)
-    e1 = np.zeros(m, dtype=S.dtype)
-    e1[0] = 1.0
-    cols = phi_column_stack(S, h, e1, terms)  # columns h^k phi_k(hS) e_1
+    S, lu = _projected_matrix(d)
+    cols = _bordered_expm(S, h, terms)[:m, m:]  # columns h^k phi_k(hS) e_1
     scale = h ** -np.arange(1, terms + 1)
-    rhs = cols * scale[np.newaxis, :]
-    U = sla.solve(K, rhs)
-    gammas = U[m - 1, :]
-    z = d.V[:, m].astype(np.result_type(S.dtype, d.V.dtype), copy=True)
+    gammas = sla.lu_solve(lu, cols * scale[np.newaxis, :], trans=1)[m - 1, :]
+    z = d.V[:, m]
     acc = np.zeros_like(z)
     prefactor = h * d.start_norm * beta
     partials = []
@@ -532,8 +535,7 @@ def expmv_polynomial(op: SparseOperator, alpha: float, c_vectors: Sequence[np.nd
 
     while done < 1.0 - 1e-15:
         theta = min(theta, 1.0 - done)
-        d = RationalDecomposition(aug, w, capacity=m_max,
-                                  dtype=np.result_type(w.dtype, np.float64))
+        d = RationalDecomposition(aug, w, capacity=m_max)
         w, estimate, converged = _adaptive_krylov(
             d, [], None, theta, tol * theta, m_min, m_max, check_cadence, history)
         while not converged:

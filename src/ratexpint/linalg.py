@@ -174,26 +174,6 @@ def phi_dense_all(z: np.ndarray, kmax: int) -> list[np.ndarray]:
     return [e[:m, j * m:(j + 1) * m].copy() for j in range(kmax + 1)]
 
 
-def phi_column_stack(s: np.ndarray, h: float, payload: np.ndarray, kmax: int) -> np.ndarray:
-    """Columns [h^1 phi_1(hS) b, ..., h^kmax phi_kmax(hS) b] for one vector b.
-
-    Uses the (m + kmax)-dimensional augmented exponential: the payload sits in
-    the first column of the coupling block and a nilpotent Jordan block shifts
-    it through successive phi indices.
-    """
-    s = np.asarray(s)
-    m = s.shape[0]
-    dtype = np.promote_types(np.promote_types(s.dtype, payload.dtype), np.float64)
-    dim = m + kmax
-    w = np.zeros((dim, dim), dtype=dtype)
-    w[:m, :m] = s
-    w[:m, m] = payload
-    for j in range(kmax - 1):
-        w[m + j, m + j + 1] = 1.0
-    e = dense_expm(h * w)
-    return e[:m, m:]
-
-
 # ---------------------------------------------------------------------------
 # Orthogonalization.
 # ---------------------------------------------------------------------------

@@ -212,13 +212,6 @@ def solve_iterative(op: SparseOperator, key: ShiftedSystemKey, rhs: np.ndarray,
         return SolveInfo(np.zeros_like(rhs), 0, 0.0, True)
     cache = cache if cache is not None else SolverCache()
     matrix, precond = cache.preconditioner(op, key, cfg.preconditioner)
-    if np.iscomplexobj(rhs) and matrix.dtype != np.complex128:
-        matrix = matrix.astype(np.complex128)
-    if precond is not None and np.iscomplexobj(rhs) and precond.dtype != np.complex128:
-        base = precond
-        precond = spla.LinearOperator(matrix.shape, dtype=np.complex128,
-                                      matvec=lambda v: base @ v.real + 1j * (base @ v.imag))
-
     iterations = 0
 
     def count(_):

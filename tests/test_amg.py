@@ -30,3 +30,13 @@ def test_vcycle_is_symmetric_for_real_shift():
     v, w = rng.standard_normal(op.n), rng.standard_normal(op.n)
     mv, mw = amg.matvec(v), amg.matvec(w)
     assert abs(v @ mw - w @ mv) <= 1e-12 * np.linalg.norm(v) * np.linalg.norm(mw)
+
+
+def test_real_vcycle_applies_to_complex_vector_by_parts():
+    # a real hierarchy must not drop the imaginary part of its input
+    op = fd_laplacian_2d(48, 1.0, "neumann")
+    amg = AmgPreconditioner(shifted_matrix(op, 3.0, 0.25), build_aggregates(op.tocsr()))
+    rng = np.random.default_rng(13)
+    b = rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)
+    expected = amg.matvec(b.real) + 1j * amg.matvec(b.imag)
+    assert np.array_equal(amg.matvec(b), expected)

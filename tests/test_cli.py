@@ -143,7 +143,7 @@ def test_config_parser(tmp_path):
     assert parsed == {"problem": "ac2d", "solver_tol": "1e-6"}
 
 
-def test_gm_model_parameters_via_config(tmp_path):
+def test_gm_model_parameters_via_config(tmp_path, capsys):
     cfg = tmp_path / "gm.cfg"
     cfg.write_text("problem = gm2d\nnx = 8\nintegrator = etd3rk\nh = 0.01\nT = 0.02\n"
                    "D_a = 0.005\nD_h = 0.5\np = 16\nmu = 16\npprime = 16\nnu = 16\n"
@@ -152,6 +152,19 @@ def test_gm_model_parameters_via_config(tmp_path):
     assert code == 0
     report = next(tmp_path.glob("*-report.txt")).read_text()
     assert "D_a = 0.005" in report
+    # the file's seed is used, not overridden by a flag default
+    from_file = capsys.readouterr().out.splitlines()[-1]
+    assert run_cli("run", "--config", str(cfg), "--seed", "3",
+                   "--out", str(tmp_path / "flag")) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == from_file
+
+
+def test_empty_config_value_counts_as_unset(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("problem = ac2d\nnx = 8\nintegrator = sw2\nh =\nT = 0.5\n")
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path)) == 0
+    report = next(tmp_path.glob("*-report.txt")).read_text()
+    assert "steps = 1" in report  # the default h = 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -90,8 +90,8 @@ def test_infinite_pole_step_is_polynomial_step():
     d = RationalDecomposition(aug, ct)
     rational_arnoldi_step(d, INF_POLE)
     # K column must be the unit vector e_1
-    assert d.K[0, 0] == 1.0
-    assert np.max(np.abs(d.K[1:, 0])) == 0.0
+    assert d.kmat()[0, 0] == 1.0
+    assert np.max(np.abs(d.kmat()[1:, 0])) == 0.0
     # x = A~ v_1 reproduced by V h + beta v_2
     x = aug.apply(d.V[:, 0])
     recon = d.V[:, :2] @ d.H[:2, 0]
@@ -124,7 +124,9 @@ def test_nilpotent_operator_breaks_down_at_index():
     cs = [rng.standard_normal(4), rng.standard_normal(4), rng.standard_normal(4)]
     aug, ct = assemble_augmented(op, 1.0, cs)
     solver = direct_solver(op)
-    d = RationalDecomposition(aug, ct)
+    with pytest.raises(ValueError):
+        rational_arnoldi_step(RationalDecomposition(aug, ct), 2.0 + 0.5j, solver)
+    d = RationalDecomposition(aug, ct, dtype=np.complex128)
     steps = 0
     for _ in range(6):
         if d.happy:
@@ -242,7 +244,9 @@ def test_singular_projection_detected():
     d = RationalDecomposition(aug, ct, dtype=np.complex128)
     for xi in (4.0, complex(2, 1), INF_POLE):
         rational_arnoldi_step(d, xi, solver)
-    d.K[:d.m, :d.m] = 0.0  # forced singular square block
+    # K_m = I + H_m diag(1/xi_j): zero its first column through H
+    d.H[:, 0] = 0.0
+    d.H[0, 0] = -d.poles_used[0]
     with pytest.raises(SingularProjection):
         evaluate_approximant(d, 0.5)
 
@@ -401,6 +405,21 @@ def test_expmv_repeated_real_poles():
     exact = dense_expm(-1.0 * op.todense()) @ c0
     assert rep.converged
     assert np.linalg.norm(rep.phi_combination - exact) <= 1e-7 * np.linalg.norm(exact)
+
+
+def test_expmv_repeated_real_poles_stay_real():
+    """Real poles on real data keep the basis, every shifted solve and the
+    result in real arithmetic."""
+    from ratexpint.problems import fd_laplacian_2d
+    op = fd_laplacian_2d(12, 2.0, "neumann")
+    c0 = np.random.default_rng(31).standard_normal(op.n)
+    solver = direct_solver(op)
+    rep = expmv_rational(op, 0.5, [c0], repeated_real(3.0, 20), solver,
+                         tol=1e-10, m_min=5, check_cadence=5)
+    assert rep.vector.dtype == np.float64
+    assert solver.solve_log and all(s.x.dtype == np.float64 for s in solver.solve_log)
+    exact = dense_expm(-0.5 * op.todense()) @ c0
+    assert np.linalg.norm(rep.vector - exact) <= 1e-10 * np.linalg.norm(exact)
 
 
 def test_expmv_conjugate_pairs_keep_real_results_real():
