@@ -84,13 +84,13 @@ def order_pairs(poles):
 
 def certify(poles, spectrum_max, tol=1e-8, n=1500):
     lam = np.concatenate([[0.0], np.geomspace(spectrum_max * 1e-9, spectrum_max, n - 1)])
-    op = SparseOperator(sp.diags(lam).tocsr(), symmetric=True)
+    op = SparseOperator(sp.diags(lam).tocsr())
     rng = np.random.default_rng(7)
     c0 = rng.standard_normal(n)
     c0 /= np.linalg.norm(c0)
     exact = np.exp(-lam) * c0
     solver = ShiftedSolver(op, SolverConfig(mode="direct"))
-    ps = PoleSet(poles=tuple(poles), kind="complex-file")
+    ps = PoleSet(poles=tuple(poles))
     rep = expmv_rational(op, 1.0, [c0], ps, solver,
                          tol=tol, m_min=4, m_max=len(poles), check_cadence=2)
     err = np.linalg.norm(rep.phi_combination - exact) / np.linalg.norm(exact)
@@ -107,9 +107,7 @@ def main():
         m, err = certify(p12, s)
         print(f"  certify on [0,{s:g}]: m={m} rel_err={err:.2e}")
         assert err <= 1e-8, "cf12 certification failed"
-    save_poles(PoleSet(poles=tuple(p12), kind="complex-file",
-                       conjugate_closed=True, convention="positive-real"),
-               OUT_DIR / "cf12.poles")
+    save_poles(PoleSet(poles=tuple(p12)), OUT_DIR / "cf12.poles")
 
     p16, level16 = cf_poles(16)
     sigma = float(np.ceil(-min(p.real for p in p16) + 1.0))
@@ -121,9 +119,7 @@ def main():
         m, err = certify(p16s, s)
         print(f"  certify on [0,{s:g}]: m={m} rel_err={err:.2e}")
         assert err <= 1e-8, "cf16_shifted certification failed"
-    save_poles(PoleSet(poles=tuple(p16s), kind="complex-file",
-                       conjugate_closed=True, convention="positive-real"),
-               OUT_DIR / "cf16_shifted.poles")
+    save_poles(PoleSet(poles=tuple(p16s)), OUT_DIR / "cf16_shifted.poles")
     print("wrote", OUT_DIR / "cf12.poles")
     print("wrote", OUT_DIR / "cf16_shifted.poles")
 

@@ -74,11 +74,11 @@ def main():
     g = largest_connected_component(g)
 
     lap = graph_laplacian(g)
-    degrees = np.asarray(g.adjacency().sum(axis=1)).ravel()
+    degrees = np.asarray(g.adjacency.sum(axis=1)).ravel()
     print(f"nodes={g.n} edges={g.num_edges} avg_degree={degrees.mean():.2f} "
           f"max_degree={degrees.max():.0f}")
     assert 2400 <= g.n <= 2800, "target is a minnesota-scale graph"
-    assert lap.check_symmetry()
+    assert lap.symmetric
 
     OUT_DIR.mkdir(parents=True, exist_ok=True)
     save_edge_list(g, OUT_DIR / "road2600.edges")

@@ -14,6 +14,7 @@ import hashlib
 import sys
 import time
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -159,14 +160,14 @@ def load_graph_spec(spec, one_based: bool = False) -> Graph:
     return load_edge_list(path, one_based=one_based)
 
 
-def build_pole_set(cfg: dict, mode: str) -> PoleSet:
+def build_pole_set(cfg: dict) -> Optional[PoleSet]:
+    """The pole set a config names; ``None`` leaves the choice to
+    :class:`EngineConfig`."""
     if cfg.get("repeated_pole") is not None:
         return repeated_real(_get(cfg, "repeated_pole", float),
                              _get(cfg, "repeated_count", int))
     spec = cfg.get("poles")
-    if spec is None:
-        spec = "builtin:cf16_shifted" if mode == "iterative" else "builtin:cf12"
-    return load_pole_spec(spec)
+    return load_pole_spec(spec) if spec is not None else None
 
 
 def load_pole_spec(spec) -> PoleSet:
@@ -184,11 +185,8 @@ def build_engine_config(cfg: dict) -> EngineConfig:
     solver_cfg = SolverConfig(**_given(
         cfg, {"solver": str, "solver_tol": float, "solver_maxiter": int, "preconditioner": str},
         rename={"solver": "mode", "solver_tol": "tolerance", "solver_maxiter": "max_iterations"}))
-    engine_cfg = EngineConfig(solver=solver_cfg, **_given(
+    return EngineConfig(solver=solver_cfg, poles=build_pole_set(cfg), **_given(
         cfg, {"engine": str, "tol": float, "m_min": int, "m_max": int, "check_cadence": int}))
-    if engine_cfg.engine == "rational":
-        engine_cfg.poles = build_pole_set(cfg, solver_cfg.mode)
-    return engine_cfg
 
 
 def _integrator(cfg: dict):
@@ -355,8 +353,7 @@ def cmd_poles_validate(args) -> int:
     except (ConfigError, PoleFileError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    print(f"poles: {len(ps)} ({ps.kind}, convention {ps.convention}, "
-          f"conjugate_closed={ps.conjugate_closed})")
+    print(f"poles: {len(ps)} (conjugate_closed={ps.conjugate_closed})")
     for i, xi in enumerate(ps):
         print(f"  {i:3d}: {xi.real:+.6e} {xi.imag:+.6e}i")
     warnings = validate(ps, lam_max=args.lam_max, scale=args.scale)
@@ -374,7 +371,7 @@ def cmd_graph_info(args) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     lcc = largest_connected_component(g)
-    degrees = np.asarray(g.adjacency().sum(axis=1)).ravel()
+    degrees = np.asarray(g.adjacency.sum(axis=1)).ravel()
     print(f"nodes = {g.n}")
     print(f"edges = {g.num_edges}")
     print(f"largest_component = {lcc.n}")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .krylov import (DEFAULT_CHECK_CADENCE, DEFAULT_TOL, ExpmvReport, expmv_polynomial,
                      expmv_rational)
-from .poles import PoleSet
+from .poles import PoleSet, builtin_pole_set
 from .problems import Problem
 from .solvers import ShiftedSolver, SolverConfig
 from .tableaus import Tableau
@@ -28,7 +28,9 @@ ENGINES = ("rational", "polynomial")
 @dataclass
 class EngineConfig:
     """Which expmv engine to use and how to drive it; ``m_min``/``m_max`` of
-    ``None`` keep the engine's own defaults."""
+    ``None`` keep the engine's own defaults. A rational engine given no poles
+    uses ``cf16_shifted`` with the iterative solver (every real part
+    positive) and ``cf12`` with the direct one."""
 
     engine: str = "rational"
     tol: float = DEFAULT_TOL
@@ -42,6 +44,9 @@ class EngineConfig:
     def __post_init__(self):
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}; expected one of {ENGINES}")
+        if self.engine == "rational" and self.poles is None:
+            self.poles = builtin_pole_set(
+                "cf16_shifted" if self.solver.mode == "iterative" else "cf12")
 
 
 class Engine:

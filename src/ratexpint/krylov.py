@@ -384,7 +384,6 @@ class ExpmvReport:
     n: int
     estimate: float
     converged: bool
-    breakdown: bool = False
     estimate_history: list = field(default_factory=list)
     poles_consumed: list = field(default_factory=list)
     substeps: int = 1
@@ -497,7 +496,7 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
 
     report = ExpmvReport(
         vector=result, n=op.n, estimate=estimate,
-        converged=converged, breakdown=d.happy, estimate_history=history,
+        converged=converged, estimate_history=history,
         poles_consumed=list(d.poles_used), substeps=1, arnoldi_steps=d.m,
         solver_iterations=sum(s.iterations for s in solves),
         solver_residual_max=max((s.residual for s in solves), default=0.0),
@@ -531,7 +530,6 @@ def expmv_polynomial(op: SparseOperator, alpha: float, c_vectors: Sequence[np.nd
     theta = 1.0
     substeps = 0
     total_steps = 0
-    breakdown = False
 
     while done < 1.0 - 1e-15:
         theta = min(theta, 1.0 - done)
@@ -546,12 +544,11 @@ def expmv_polynomial(op: SparseOperator, alpha: float, c_vectors: Sequence[np.nd
             history.append((d.m, estimate))
             converged = estimate <= tol * theta
         total_steps += d.m
-        breakdown = breakdown or d.happy
         done += theta
         substeps += 1
 
     return ExpmvReport(
         vector=w, n=op.n, estimate=estimate,
-        converged=True, breakdown=breakdown, estimate_history=history,
+        converged=True, estimate_history=history,
         poles_consumed=[], substeps=substeps, arnoldi_steps=total_steps,
     )

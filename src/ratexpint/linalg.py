@@ -33,14 +33,14 @@ class DimensionMismatch(ValueError):
 
 
 class SparseOperator:
-    """Real sparse matrix in CSR form, optionally tagged as symmetric.
+    """Real square sparse matrix in CSR form.
 
     Instances are immutable after construction and safe for concurrent reads.
     """
 
-    __slots__ = ("n", "_csr", "symmetric", "_fingerprint")
+    __slots__ = ("n", "_csr", "_symmetric", "_fingerprint")
 
-    def __init__(self, csr: sp.csr_matrix, symmetric: bool = False):
+    def __init__(self, csr: sp.csr_matrix):
         csr = sp.csr_matrix(csr)
         if csr.shape[0] != csr.shape[1]:
             raise ValueError(f"operator must be square, got {csr.shape}")
@@ -51,7 +51,7 @@ class SparseOperator:
         csr.sort_indices()
         self.n = csr.shape[0]
         self._csr = csr
-        self.symmetric = bool(symmetric)
+        self._symmetric = None
         self._fingerprint = None
 
     @property
@@ -74,6 +74,15 @@ class SparseOperator:
         return float(abs(self._csr).sum(axis=1).max()) if self.nnz else 0.0
 
     @property
+    def symmetric(self) -> bool:
+        """max |A - A^T| <= 1e-12 max(1, max |a_ij|), measured on first use."""
+        if self._symmetric is None:
+            d = self._csr - self._csr.T
+            scale = max(1.0, float(abs(self._csr).max()))
+            self._symmetric = bool(abs(d).max() <= 1e-12 * scale) if d.nnz else True
+        return self._symmetric
+
+    @property
     def fingerprint(self) -> str:
         """Stable content hash, used to key factorization caches."""
         if self._fingerprint is None:
@@ -85,28 +94,23 @@ class SparseOperator:
             self._fingerprint = h.hexdigest()
         return self._fingerprint
 
-    def check_symmetry(self, rtol: float = 1e-12) -> bool:
-        d = self._csr - self._csr.T
-        scale = max(1.0, float(abs(self._csr).max()))
-        return abs(d).max() <= rtol * scale if d.nnz else True
-
     @classmethod
     def identity(cls, n: int) -> "SparseOperator":
-        return cls(sp.identity(n, format="csr"), symmetric=True)
+        return cls(sp.identity(n, format="csr"))
 
     @classmethod
     def zeros(cls, n: int) -> "SparseOperator":
-        return cls(sp.csr_matrix((n, n)), symmetric=True)
+        return cls(sp.csr_matrix((n, n)))
 
     @classmethod
-    def from_dense(cls, a: np.ndarray, symmetric: bool = False) -> "SparseOperator":
-        return cls(sp.csr_matrix(np.asarray(a, dtype=np.float64)), symmetric=symmetric)
+    def from_dense(cls, a: np.ndarray) -> "SparseOperator":
+        return cls(sp.csr_matrix(np.asarray(a, dtype=np.float64)))
 
     def scaled(self, factor: float) -> "SparseOperator":
-        return SparseOperator(self._csr * float(factor), symmetric=self.symmetric)
+        return SparseOperator(self._csr * float(factor))
 
     def __repr__(self):
-        return f"SparseOperator(n={self.n}, nnz={self.nnz}, symmetric={self.symmetric})"
+        return f"SparseOperator(n={self.n}, nnz={self.nnz})"
 
 
 def dense_expm(z: np.ndarray) -> np.ndarray:

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 INF_POLE = complex(math.inf, 0.0)
 
 _CONVENTIONS = ("positive-real", "negative-real")
-_KINDS = ("repeated-real", "complex-file")
 
 #: Matching tolerance when verifying conjugate closure of a loaded set.
 CONJUGATE_MATCH_TOL = 1e-12
@@ -32,31 +31,24 @@ def is_infinite(xi: complex) -> bool:
 
 @dataclass(frozen=True)
 class PoleSet:
-    """Ordered pole list with provenance metadata.
+    """Ordered list of finite, nonzero poles in the positive-real convention.
 
-    Complex file sets are conjugate-closed with pairs adjacent; repeated-real
-    sets hold one finite value. No pole may be zero.
+    Sets meant for real data are conjugate-closed with pairs adjacent (see
+    :attr:`conjugate_closed`).
     """
 
     poles: tuple
-    kind: str
-    interval: Optional[tuple[float, float]] = None
-    conjugate_closed: bool = True
-    convention: str = "positive-real"
-    source: Optional[str] = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown pole-set kind {self.kind!r}")
-        if self.convention not in _CONVENTIONS:
-            raise ValueError(f"unknown sign convention {self.convention!r}")
         for xi in self.poles:
             if xi == 0:
                 raise ValueError("pole sets must not contain 0")
             if is_infinite(xi):
                 raise ValueError("infinite poles are implicit; do not list them")
-        if self.kind == "repeated-real" and len({p for p in self.poles}) > 1:
-            raise ValueError("repeated-real sets must repeat a single value")
+
+    @property
+    def conjugate_closed(self) -> bool:
+        return check_conjugate_closure(self.poles)
 
     def __len__(self):
         return len(self.poles)
@@ -78,8 +70,7 @@ def repeated_real(value: float, count: int) -> PoleSet:
         raise ValueError("the repeated pole must be nonzero")
     if count < 1:
         raise ValueError("need at least one pole")
-    return PoleSet(poles=tuple(complex(value, 0.0) for _ in range(count)),
-                   kind="repeated-real", conjugate_closed=True)
+    return PoleSet(poles=tuple(complex(value, 0.0) for _ in range(count)))
 
 
 def check_conjugate_closure(poles: Sequence[complex], tol: float = CONJUGATE_MATCH_TOL) -> bool:
@@ -101,13 +92,13 @@ def check_conjugate_closure(poles: Sequence[complex], tol: float = CONJUGATE_MAT
 def load_poles(path, allow_open: bool = False) -> PoleSet:
     """Load a pole file.
 
-    Format: one ``re im`` float pair per line; ``# key=value`` header lines for
-    ``kind``, ``interval`` (two comma-separated floats), ``convention``.
-    Sets that are not conjugate-closed are rejected unless ``allow_open``;
-    any defect, including a set that :class:`PoleSet` rejects, raises PoleFileError.
+    Format: one ``re im`` float pair per line; ``#`` lines are comments, and
+    a ``# convention=positive-real|negative-real`` header declares the sign
+    convention (negative-real files are flipped on load). Sets that are not
+    conjugate-closed are rejected unless ``allow_open``; any defect,
+    including a set that :class:`PoleSet` rejects, raises PoleFileError.
     """
-    meta = {"kind": "complex-file", "convention": "positive-real"}
-    interval = None
+    convention = "positive-real"
     poles: list[complex] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -115,10 +106,9 @@ def load_poles(path, allow_open: bool = False) -> PoleSet:
             if not line:
                 continue
             if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    meta[key.strip()] = value.strip()
+                key, sep, value = line[1:].partition("=")
+                if sep and key.strip() == "convention":
+                    convention = value.strip()
                 continue
             parts = line.split()
             if len(parts) != 2:
@@ -132,29 +122,16 @@ def load_poles(path, allow_open: bool = False) -> PoleSet:
             poles.append(complex(re, im))
     if not poles:
         raise PoleFileError(f"{path}: no poles found")
-    if "interval" in meta:
-        try:
-            lo, hi = (float(v) for v in meta["interval"].split(","))
-            interval = (lo, hi)
-        except ValueError as exc:
-            raise PoleFileError(f"{path}: bad interval header {meta['interval']!r}") from exc
-    convention = meta.get("convention", "positive-real")
     if convention not in _CONVENTIONS:
         raise PoleFileError(f"{path}: unknown convention {convention!r}")
     if convention == "negative-real":
         poles = [-xi for xi in poles]
-        convention = "positive-real"
-    closed = check_conjugate_closure(poles)
-    if not closed and not allow_open:
+    if not allow_open and not check_conjugate_closure(poles):
         raise PoleFileError(
             f"{path}: pole list is not conjugate-closed with adjacent pairs; "
             "pass allow_open=True only if this is intentional")
-    kind = meta.get("kind", "complex-file")
-    if kind not in _KINDS:
-        kind = "complex-file"
     try:
-        return PoleSet(poles=tuple(poles), kind=kind, interval=interval,
-                       conjugate_closed=closed, convention=convention, source=str(path))
+        return PoleSet(poles=tuple(poles))
     except ValueError as exc:
         raise PoleFileError(f"{path}: {exc}") from exc
 
@@ -162,10 +139,7 @@ def load_poles(path, allow_open: bool = False) -> PoleSet:
 def save_poles(ps: PoleSet, path) -> None:
     """Write a pole file that round-trips bit-exactly (repr float formatting)."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# kind={ps.kind}\n")
-        if ps.interval is not None:
-            fh.write(f"# interval={ps.interval[0]!r},{ps.interval[1]!r}\n")
-        fh.write(f"# convention={ps.convention}\n")
+        fh.write("# convention=positive-real\n")
         for xi in ps.poles:
             fh.write(f"{xi.real!r} {xi.imag!r}\n")
 

@@ -74,7 +74,7 @@ def fd_laplacian_1d(nx: int, length: float, bc: str) -> SparseOperator:
     elif bc == "periodic":
         mat[0, nx - 1] = -1.0
         mat[nx - 1, 0] = -1.0
-    op = SparseOperator(sp.csr_matrix(mat) / h**2, symmetric=True)
+    op = SparseOperator(sp.csr_matrix(mat) / h**2)
     return op
 
 
@@ -83,7 +83,7 @@ def fd_laplacian_2d(nx: int, length: float, bc: str) -> SparseOperator:
     t = fd_laplacian_1d(nx, length, bc).tocsr()
     eye = sp.identity(nx, format="csr")
     a = sp.kron(t, eye, format="csr") + sp.kron(eye, t, format="csr")
-    return SparseOperator(a, symmetric=True)
+    return SparseOperator(a)
 
 
 def fd_grid_1d(nx: int, length: float, bc: str, origin: float = 0.0) -> np.ndarray:
@@ -113,70 +113,57 @@ def fd_grid_2d(nx: int, length: float, bc: str, origin: float = 0.0) -> tuple[np
 
 @dataclass
 class Graph:
-    """Undirected simple weighted graph.
+    """Undirected simple weighted graph, held as its adjacency matrix W: a
+    symmetric CSR matrix with positive off-diagonal weights and a zero
+    diagonal."""
 
-    Edges are stored once with i < j and positive weights; construction
-    canonicalizes arbitrary edge lists by dropping self-loops and summing
-    duplicates.
-    """
-
-    n: int
-    edges: list  # list of (i, j, w) with i < j
+    adjacency: sp.csr_matrix
     coords: Optional[np.ndarray] = None
     original_ids: Optional[np.ndarray] = None
 
     @classmethod
     def from_edge_list(cls, n: int, raw_edges: Sequence[tuple], coords=None) -> "Graph":
-        acc: dict[tuple[int, int], float] = {}
-        max_node = n - 1
-        for e in raw_edges:
-            if len(e) == 2:
-                i, j = e
-                w = 1.0
-            else:
-                i, j, w = e
-            i, j = int(i), int(j)
-            w = float(w)
-            if w < 0:
-                raise ValueError(f"negative edge weight {w} on edge ({i}, {j})")
-            if i == j or w == 0.0:
-                continue
-            if i > j:
-                i, j = j, i
-            max_node = max(max_node, j)
-            if i < 0:
-                raise ValueError(f"negative node index {i}")
-            acc[(i, j)] = acc.get((i, j), 0.0) + w
-        n = max(n, max_node + 1)
-        edges = [(i, j, w) for (i, j), w in sorted(acc.items())]
-        return cls(n=n, edges=edges, coords=coords)
+        """Edges ``(i, j)`` (weight 1) or ``(i, j, w)``; self-loops and zero
+        weights are dropped and duplicate edges summed. Node ids past
+        ``n - 1`` grow the graph."""
+        ijw = np.array([(e[0], e[1], e[2] if len(e) == 3 else 1.0) for e in raw_edges],
+                       dtype=np.float64).reshape(-1, 3)
+        i, j, w = ijw[:, 0].astype(np.int64), ijw[:, 1].astype(np.int64), ijw[:, 2]
+        if np.any(w < 0):
+            k = int(np.argmax(w < 0))
+            raise ValueError(f"negative edge weight {w[k]} on edge ({i[k]}, {j[k]})")
+        keep = (i != j) & (w != 0.0)
+        lo, hi, w = np.minimum(i, j)[keep], np.maximum(i, j)[keep], w[keep]
+        if lo.size and lo.min() < 0:
+            raise ValueError(f"negative node index {lo.min()}")
+        n = max(n, int(hi.max()) + 1 if hi.size else 0)
+        upper = sp.csr_matrix((w, (lo, hi)), shape=(n, n))
+        return cls(adjacency=(upper + upper.T).tocsr(), coords=coords)
+
+    @property
+    def n(self) -> int:
+        return self.adjacency.shape[0]
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return sp.triu(self.adjacency, k=1).nnz
 
-    def adjacency(self) -> sp.csr_matrix:
-        if not self.edges:
-            return sp.csr_matrix((self.n, self.n))
-        rows = np.fromiter((e[0] for e in self.edges), dtype=np.int64, count=len(self.edges))
-        cols = np.fromiter((e[1] for e in self.edges), dtype=np.int64, count=len(self.edges))
-        vals = np.fromiter((e[2] for e in self.edges), dtype=np.float64, count=len(self.edges))
-        w = sp.coo_matrix((vals, (rows, cols)), shape=(self.n, self.n))
-        w = w + w.T
-        return w.tocsr()
+    @property
+    def edges(self) -> list:
+        """``(i, j, w)`` with i < j, sorted."""
+        upper = sp.triu(self.adjacency, k=1)
+        return sorted(zip(upper.row.tolist(), upper.col.tolist(), upper.data.tolist()))
 
     def max_degree(self) -> float:
-        return float(self.adjacency().sum(axis=1).max()) if self.edges else 0.0
+        return float(self.adjacency.sum(axis=1).max()) if self.adjacency.nnz else 0.0
 
 
 def graph_laplacian(g: Graph) -> SparseOperator:
     """Unnormalized graph Laplacian L = D - W."""
-    w = g.adjacency()
+    w = g.adjacency
     if w.nnz and w.data.min() < 0:
         raise ValueError("adjacency contains a negative weight")
-    degrees = np.asarray(w.sum(axis=1)).ravel()
-    lap = sp.diags(degrees) - w
-    return SparseOperator(sp.csr_matrix(lap), symmetric=True)
+    return SparseOperator(csgraph.laplacian(w))
 
 
 def largest_connected_component(g: Graph) -> Graph:
@@ -186,18 +173,11 @@ def largest_connected_component(g: Graph) -> Graph:
     """
     if g.n == 0:
         raise ValueError("empty graph")
-    adj = g.adjacency()
-    ncomp, labels = csgraph.connected_components(adj, directed=False)
-    sizes = np.bincount(labels, minlength=ncomp)
-    keep = int(np.argmax(sizes))
+    ncomp, labels = csgraph.connected_components(g.adjacency, directed=False)
+    keep = int(np.argmax(np.bincount(labels, minlength=ncomp)))
     nodes = np.flatnonzero(labels == keep)
-    remap = -np.ones(g.n, dtype=np.int64)
-    remap[nodes] = np.arange(nodes.size)
-    edges = [(int(remap[i]), int(remap[j]), w) for i, j, w in g.edges
-             if remap[i] >= 0 and remap[j] >= 0]
     coords = g.coords[nodes] if g.coords is not None else None
-    out = Graph(n=int(nodes.size), edges=edges, coords=coords, original_ids=nodes)
-    return out
+    return Graph(adjacency=g.adjacency[nodes][:, nodes], coords=coords, original_ids=nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -231,25 +211,23 @@ def load_edge_list(path, one_based: bool = False) -> Graph:
 
 
 def load_matrix_market_adjacency(path) -> Graph:
-    """Read an adjacency matrix in MatrixMarket coordinate format."""
+    """Read an adjacency matrix M in MatrixMarket coordinate format.
+
+    Off the diagonal the graph is M + M^T, halved when M stores both
+    triangles: (M + M^T) / 2 averages a "general" file's (i, j) and (j, i)
+    weights, and gives M back for a "symmetric" file, which scipy reads
+    whole.
+    """
     from scipy.io import mmread
 
-    mat = mmread(path)
-    mat = sp.coo_matrix(mat)
+    mat = sp.coo_matrix(mmread(path))
     if mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{path}: adjacency matrix must be square, got {mat.shape}")
-    raw = list(zip(mat.row.tolist(), mat.col.tolist(), mat.data.tolist()))
-    g = Graph.from_edge_list(mat.shape[0], raw)
-    # symmetric-general files store both triangles; halve the doubled weights
-    if _stored_both_triangles(mat):
-        g = Graph(n=g.n, edges=[(i, j, w / 2.0) for i, j, w in g.edges], coords=g.coords)
+    g = Graph.from_edge_list(mat.shape[0], zip(mat.row, mat.col, mat.data))
+    stored = mat.data != 0
+    if np.any((mat.row < mat.col) & stored) and np.any((mat.row > mat.col) & stored):
+        g.adjacency = g.adjacency / 2.0
     return g
-
-
-def _stored_both_triangles(mat: sp.coo_matrix) -> bool:
-    upper = ((mat.row < mat.col) & (mat.data != 0)).sum()
-    lower = ((mat.row > mat.col) & (mat.data != 0)).sum()
-    return upper > 0 and lower > 0
 
 
 def load_node_coordinates(path, n: int) -> np.ndarray:
@@ -387,7 +365,7 @@ def gierer_meinhardt_2d(nx: int, D_a: float = 0.01, D_h: float = 1.0,
     (a; h).
     """
     lap = fd_laplacian_2d(nx, length, bc).tocsr()
-    a_op = SparseOperator(sp.block_diag([D_a * lap, D_h * lap], format="csr"), symmetric=True)
+    a_op = SparseOperator(sp.block_diag([D_a * lap, D_h * lap], format="csr"))
     n = nx * nx
     u0 = initial_condition("gm2d", nx=nx, seed=seed)
     hx = length / nx

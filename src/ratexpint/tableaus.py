@@ -15,7 +15,6 @@ from importlib import resources
 from typing import Optional
 
 REGISTRY_RESOURCE = "tableaus.txt"
-KNOWN_METHODS = ("sw2", "etd3rk", "krogstad4")
 
 
 class TableauError(ValueError):

@@ -97,7 +97,7 @@ def _random_spd_operator(rng, n: int, lam_max: float = 50.0,
     lam = rng.uniform(0.0, lam_max, size=n)
     if semi:
         lam[0] = 0.0
-    return SparseOperator.from_dense(q @ np.diag(lam) @ q.T, symmetric=True)
+    return SparseOperator.from_dense(q @ np.diag(lam) @ q.T)
 
 
 def check_phi_combination_identity(instances: int = 50, seed: int = 202,
@@ -198,8 +198,7 @@ def scaled_spectrum_matrices() -> dict[str, SparseOperator]:
 def _rescaled(mat: sp.csr_matrix, lam_min: float, lam_max: float) -> SparseOperator:
     a = 999.0 / (lam_max - lam_min)
     b = 1.0 - a * lam_min
-    return SparseOperator((a * mat + b * sp.identity(mat.shape[0], format="csr")).tocsr(),
-                          symmetric=True)
+    return SparseOperator((a * mat + b * sp.identity(mat.shape[0], format="csr")).tocsr())
 
 
 def estimator_study(op: SparseOperator, h: float, c0: np.ndarray,

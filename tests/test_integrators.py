@@ -17,7 +17,7 @@ from ratexpint.tableaus import (TableauError, Tableau, available,
 def random_spd(rng, n, lam_max=20.0):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     lam = rng.uniform(0.0, lam_max, size=n)
-    return SparseOperator.from_dense(q @ np.diag(lam) @ q.T, symmetric=True)
+    return SparseOperator.from_dense(q @ np.diag(lam) @ q.T)
 
 
 def linear_problem(op, u0):
@@ -220,6 +220,13 @@ def test_engine_equivalence_on_small_problem():
     assert np.linalg.norm(u_rat - u_pol) <= 20 * tol * max(np.linalg.norm(u_pol), 1.0)
 
 
+def test_default_pole_set_follows_solver_mode():
+    assert EngineConfig().poles == builtin_pole_set("cf12")
+    iterative = EngineConfig(solver=SolverConfig(mode="iterative"))
+    assert iterative.poles == builtin_pole_set("cf16_shifted")
+    assert EngineConfig(engine="polynomial").poles is None
+
+
 # ---------------------------------------------------------------------------
 # Time loop.
 # ---------------------------------------------------------------------------
@@ -233,7 +240,7 @@ def test_lone_complex_pole_reports_discarded_imaginary_part():
     u0 = rng.standard_normal(n)
     prob = Problem(name="cubic", A=op, g=lambda t, u: u - u ** 3,
                    u0=u0, params={}, lam_max=20.0)
-    lone = PoleSet(poles=(complex(4.0, 3.0),), kind="complex-file", conjugate_closed=False)
+    lone = PoleSet(poles=(complex(4.0, 3.0),))
     traj = integrate(prob, tableau("sw2"), 0.25, 0.5,
                      Engine(prob, rational_config(poles=lone, tol=1e-8, m_hard=n)))
     assert not np.iscomplexobj(traj.final_state)

@@ -19,7 +19,7 @@ from ratexpint.solvers import ShiftedSolver, SolverConfig
 def random_spd(rng, n, lam_max=20.0):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     lam = rng.uniform(0.0, lam_max, size=n)
-    return SparseOperator.from_dense(q @ np.diag(lam) @ q.T, symmetric=True)
+    return SparseOperator.from_dense(q @ np.diag(lam) @ q.T)
 
 
 def direct_solver(op):
@@ -166,8 +166,7 @@ def test_estimator_tracks_true_error_on_small_instances():
     from ratexpint.problems import fd_laplacian_1d
     rng = np.random.default_rng(77)
     for n, lam_scale in ((120, 1.0), (150, 0.2), (90, 2.0)):
-        op = SparseOperator(fd_laplacian_1d(n, float(n), "neumann").tocsr() * lam_scale,
-                            symmetric=True)
+        op = SparseOperator(fd_laplacian_1d(n, float(n), "neumann").tocsr() * lam_scale)
         c0 = rng.standard_normal(n)
         aug, ct = assemble_augmented(op, 25.0, [c0])  # folded spectral radius ~ 100 lam_scale
         exact = dense_expm(aug.dense()) @ ct
@@ -204,7 +203,7 @@ def test_exactness_on_invariant_subspace():
     # payload confined to a 4-dim invariant subspace
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     lam = np.concatenate([[0.5, 1.0, 1.5, 2.0], np.full(n - 4, 3.0)])
-    op = SparseOperator.from_dense(q @ np.diag(lam) @ q.T, symmetric=True)
+    op = SparseOperator.from_dense(q @ np.diag(lam) @ q.T)
     c0 = q[:, :4] @ rng.standard_normal(4)
     aug, ct = assemble_augmented(op, 1.0, [c0])
     solver = direct_solver(op)
@@ -371,7 +370,7 @@ def test_expmv_pole_exhaustion_continues_polynomially():
     n = 40
     op = random_spd(rng, n, lam_max=30.0)
     solver = direct_solver(op)
-    short = PoleSet(poles=(complex(4, 2), complex(4, -2)), kind="complex-file")
+    short = PoleSet(poles=(complex(4, 2), complex(4, -2)))
     rep = expmv_rational(op, 1.0, [rng.standard_normal(n)], short, solver,
                          tol=1e-9, m_min=2, check_cadence=2, m_hard=n)
     assert rep.converged

@@ -33,7 +33,7 @@ def test_spmv_identity():
 def test_spmv_tridiagonal_stencil_row():
     n = 3
     op = SparseOperator(sp.diags([[-1.0] * (n - 1), [2.0] * n, [-1.0] * (n - 1)],
-                                 [-1, 0, 1]).tocsr(), symmetric=True)
+                                 [-1, 0, 1]).tocsr())
     e1 = np.zeros(n)
     e1[0] = 1.0
     assert np.allclose(op.matvec(e1), [2.0, -1.0, 0.0])

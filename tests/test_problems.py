@@ -191,7 +191,7 @@ def test_lcc_planted_components():
 
 def test_lcc_empty_graph_rejected():
     with pytest.raises(ValueError):
-        largest_connected_component(Graph(n=0, edges=[]))
+        largest_connected_component(Graph(sp.csr_matrix((0, 0))))
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +348,14 @@ def test_matrix_market_symmetric_and_general(tmp_path):
                    "3 3 4\n1 2 1.0\n2 1 1.0\n2 3 2.0\n3 2 2.0\n")
     g2 = load_matrix_market_adjacency(gen)
     assert g2.edges == [(0, 1, 1.0), (1, 2, 2.0)]
+
+    # a general file whose (i, j) and (j, i) weights differ gives their mean
+    uneven = tmp_path / "adj_uneven.mtx"
+    uneven.write_text("%%MatrixMarket matrix coordinate real general\n"
+                      "3 3 4\n1 2 1.0\n2 1 3.0\n2 3 2.0\n3 2 2.0\n")
+    g3 = load_matrix_market_adjacency(uneven)
+    assert g3.edges == [(0, 1, 2.0), (1, 2, 2.0)]
+    assert (g3.adjacency != g3.adjacency.T).nnz == 0
 
 
 def test_node_coordinates_csv(tmp_path):

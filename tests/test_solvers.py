@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from ratexpint.krylov import assemble_augmented
 from ratexpint.linalg import SparseOperator
@@ -87,7 +88,7 @@ def test_cache_single_flight_under_concurrency():
 
 def test_singular_shift_rejected():
     # pole exactly at a negated eigenvalue of alpha*A makes xi I + alpha A singular
-    op = SparseOperator.from_dense(np.diag([1.0, 2.0, 3.0]), symmetric=True)
+    op = SparseOperator.from_dense(np.diag([1.0, 2.0, 3.0]))
     with pytest.raises(SolverError):
         SolverCache().factorization(op, key_for(op, -2.0))
 
@@ -130,20 +131,50 @@ def test_iterative_amg_complex_shift():
     assert info.residual <= 1e-8
 
 
-def test_iterative_real_pole_on_nonsymmetric_operator_uses_bicgstab():
+def _record_krylov_methods(monkeypatch) -> list:
+    """Names of the scipy Krylov methods that ``solve_iterative`` calls."""
+    ran = []
+    for name in ("cg", "bicgstab"):
+        method = getattr(spla, name)
+
+        def recorded(*args, _name=name, _method=method, **kwargs):
+            ran.append(_name)
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(spla, name, recorded)
+    return ran
+
+
+def test_iterative_real_pole_on_nonsymmetric_operator_uses_bicgstab(monkeypatch):
     # diffusion plus a strong upwind term: real but nonsymmetric, so CG would
     # stall; a real pole alone must not select it
+    ran = _record_krylov_methods(monkeypatch)
     nx = 48
     upwind = sp.diags([np.full(nx, 1.0), np.full(nx - 1, -1.0)], [0, -1]) * nx
     advection = sp.kron(sp.identity(nx), upwind)
     op = SparseOperator((fd_laplacian_2d(nx, 1.0, "dirichlet").tocsr()
                          + 40.0 * advection).tocsr())
-    assert not op.symmetric and not op.check_symmetry()
+    assert not op.symmetric
     cfg = SolverConfig(mode="iterative", tolerance=1e-8, preconditioner="aggregation-amg")
     b = np.random.default_rng(15).standard_normal(nx * nx)
     info = solve_iterative(op, key_for(op, 2.0, 0.25), b, cfg)
     assert info.converged
     assert info.residual <= 1e-8
+    assert ran == ["bicgstab"]
+
+
+def test_iterative_real_pole_on_symmetric_operator_runs_cg(monkeypatch):
+    # the operator measures its own symmetry: an operator built from a bare
+    # matrix, with no tag, selects CG for a real pole
+    ran = _record_krylov_methods(monkeypatch)
+    op = SparseOperator(fd_laplacian_2d(32, 1.0, "dirichlet").tocsr())
+    cfg = SolverConfig(mode="iterative", tolerance=1e-8, preconditioner="aggregation-amg")
+    b = np.random.default_rng(16).standard_normal(32 * 32)
+    info = solve_iterative(op, key_for(op, 2.0, 0.25), b, cfg)
+    assert info.converged
+    assert ran == ["cg"]
+    solve_iterative(op, key_for(op, 2.0 + 1.0j, 0.25), b, cfg)
+    assert ran == ["cg", "bicgstab"]
 
 
 def test_iterative_zero_rhs_is_free():
@@ -192,7 +223,7 @@ def test_conjugate_pole_reuses_factorization():
     n = 60
     upwind = sp.diags([np.full(n, 1.0), np.full(n - 1, -1.0)], [0, -1]) * n
     op = SparseOperator((fd_laplacian_1d(n, 1.0, "dirichlet").tocsr() + 40.0 * upwind).tocsr())
-    assert not op.check_symmetry()
+    assert not op.symmetric
     solver = ShiftedSolver(op, SolverConfig(mode="direct"))
     pole, scale = 2.0 + 3.0j, 0.4
     rng = np.random.default_rng(12)
@@ -272,7 +303,7 @@ def test_block_solve_matches_dense_brute_force():
     n, p = 6, 2
     spd = rng.standard_normal((n, n))
     spd = spd @ spd.T + n * np.eye(n)
-    op = SparseOperator.from_dense(spd, symmetric=True)
+    op = SparseOperator.from_dense(spd)
     cs = [rng.standard_normal(n) for _ in range(p + 1)]
     aug, _ = assemble_augmented(op, 1.3, cs)
     solver = ShiftedSolver(op, SolverConfig(mode="direct"))
@@ -287,7 +318,7 @@ def test_block_solve_matches_dense_brute_force():
 def test_block_solve_decouples_when_coupling_vanishes():
     rng = np.random.default_rng(10)
     n, p = 8, 2
-    op = SparseOperator.from_dense(np.diag(rng.uniform(1, 3, n)), symmetric=True)
+    op = SparseOperator.from_dense(np.diag(rng.uniform(1, 3, n)))
     cs = [rng.standard_normal(n)] + [np.zeros(n)] * p
     aug, _ = assemble_augmented(op, 1.0, cs)
     solver = ShiftedSolver(op, SolverConfig(mode="direct"))
