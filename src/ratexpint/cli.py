@@ -21,14 +21,13 @@ import numpy as np
 from . import verify as verify_mod
 from .integrators import (ENGINES, Engine, EngineConfig, NumericalBlowup, Trajectory,
                           integrate)
-from .krylov import KrylovError, ToleranceNotReached
-from .poles import PoleFileError, PoleSet, builtin_pole_set, load_poles, repeated_real, validate
+from .krylov import KrylovError
+from .poles import PoleSet, builtin_pole_set, load_poles, repeated_real, validate
 from .problems import (Graph, Problem, allen_cahn_2d, allen_cahn_graph, builtin_graph,
                        gierer_meinhardt_2d, largest_connected_component,
                        load_edge_list, load_matrix_market_adjacency)
-from .solvers import (PRECONDITIONERS, IterativeDivergence, SolverCache, SolverConfig,
-                      SolverError)
-from .tableaus import TableauError, available, tableau
+from .solvers import PRECONDITIONERS, SolverCache, SolverConfig, SolverError
+from .tableaus import Tableau, available, tableau
 
 PROBLEMS = ("ac2d", "gm2d", "ac-graph")
 
@@ -47,7 +46,7 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 def read_config_file(path: Path) -> dict[str, str]:
-    """``key = value`` lines, ``#`` comments; flags override file values.
+    """``key = value`` lines, ``#`` comments; ``-`` in a key reads as ``_``.
     An empty value counts as unset and is left out."""
     out: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -63,88 +62,80 @@ def read_config_file(path: Path) -> dict[str, str]:
     return out
 
 
+def config_flags(path: Path) -> list[str]:
+    """A config file as ``run``/``bench`` flags: ``key = value`` becomes
+    ``--key=value``, so argparse types and checks file values like flags.
+    The one switch, ``graph_one_based``, becomes ``--graph-one-based`` when
+    its value is true/1/yes and is left out otherwise."""
+    flags = []
+    for key, value in read_config_file(path).items():
+        flag = "--" + key.replace("_", "-")
+        if key != "graph_one_based":
+            flags.append(f"{flag}={value}")
+        elif value.lower() in ("true", "1", "yes"):
+            flags.append(flag)
+    return flags
+
+
+#: Gierer-Meinhardt model parameters, passed to ``gierer_meinhardt_2d`` by name.
+GM_PARAMETERS = ("D_a", "D_h", "p", "mu", "pprime", "nu")
+
+
 def _add_run_flags(p: argparse.ArgumentParser):
-    p.add_argument("--config", type=Path, help="config file; flags override its values")
-    p.add_argument("--problem", choices=PROBLEMS)
-    p.add_argument("--nx", type=int, help="grid points per direction (FD problems)")
-    p.add_argument("--graph-file", help="edge list or MatrixMarket file, or builtin:<name>")
-    p.add_argument("--graph-one-based", action="store_true", default=None)
+    """The settings of one cell. Flags with a ``None`` default are passed on
+    only when given, so the library's signature defaults apply."""
+    p.add_argument("--config", type=Path,
+                   help="file of 'key = value' lines naming these flags; "
+                        "flags on the command line win")
+    p.add_argument("--problem", choices=PROBLEMS, default="ac2d")
+    p.add_argument("--nx", type=int, default=64, help="grid points per direction (FD problems)")
+    p.add_argument("--graph-file", default="builtin:road2600",
+                   help="edge list or MatrixMarket file, or builtin:<name>")
+    p.add_argument("--graph-one-based", action="store_true")
     p.add_argument("--bc", choices=("dirichlet", "neumann", "periodic"))
     p.add_argument("--eps2", type=float, help="interface parameter squared (ac2d)")
     p.add_argument("--eps", type=float, help="interface parameter (ac-graph)")
-    p.add_argument("--diffusion", type=float, help="graph diffusion constant D")
-    p.add_argument("--integrator", help=f"one of: {', '.join(available())}")
+    p.add_argument("--diffusion", type=float, default=5e3, help="graph diffusion constant D")
+    for name in GM_PARAMETERS:
+        p.add_argument("--" + name.replace("_", "-"), dest=name, type=float,
+                       help="Gierer-Meinhardt model parameter (gm2d)")
+    p.add_argument("--integrator", default="sw2", help=f"one of: {', '.join(available())}")
     p.add_argument("--engine", choices=ENGINES)
     p.add_argument("--poles", help="pole file path or builtin:<name>")
     p.add_argument("--repeated-pole", type=float, help="single repeated real pole value")
-    p.add_argument("--repeated-count", type=int, help="length of the repeated pole set")
+    p.add_argument("--repeated-count", type=int, default=72,
+                   help="length of the repeated pole set")
     p.add_argument("--solver", choices=("direct", "iterative"))
     p.add_argument("--solver-tol", type=float)
     p.add_argument("--solver-maxiter", type=int)
     p.add_argument("--preconditioner", choices=PRECONDITIONERS)
-    p.add_argument("--h", type=float, help="time step size")
-    p.add_argument("--T", type=float, help="final time")
+    p.add_argument("--h", type=float, default=0.5, help="time step size")
+    p.add_argument("--T", type=float, default=1.0, help="final time")
     p.add_argument("--tol", type=float, help="expmv tolerance")
     p.add_argument("--m-min", type=int)
     p.add_argument("--m-max", type=int)
     p.add_argument("--check-cadence", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--out", type=Path, help="output directory (default: .)")
-    p.add_argument("--snapshots", type=int, help="snapshot stride (0, the default: ends only)")
+    p.add_argument("--out", type=Path, default=Path("."), help="output directory")
+    p.add_argument("--snapshots", type=int, default=0,
+                   help="snapshot stride (0: first and last state only)")
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    cfg: dict = {}
-    if args.config:
-        cfg.update(read_config_file(args.config))
-    for key, value in vars(args).items():
-        if key in ("config", "func") or value is None:
-            continue
-        cfg[key] = value
-    return cfg
+def _kwargs(args: argparse.Namespace, *names: str, **renamed: str) -> dict:
+    """Keyword arguments from the flags that are set: each of ``names``
+    under its own name, and ``renamed`` as ``parameter=flag``."""
+    pairs = [(name, name) for name in names] + list(renamed.items())
+    return {param: getattr(args, flag) for param, flag in pairs
+            if getattr(args, flag) is not None}
 
 
-# Only values with no library default, or a different one; every other key
-# is passed on only when set, so the library signatures supply the rest.
-# Flags have no argparse defaults, so that a flag left out never overrides
-# the config file.
-_DEFAULTS = {"problem": "ac2d", "nx": 64, "diffusion": 5e3, "integrator": "sw2",
-             "h": 0.5, "T": 1.0, "repeated_count": 72}
-
-
-def _get(cfg: dict, key: str, cast=None):
-    value = cfg.get(key, _DEFAULTS.get(key))
-    if value is None or cast is None:
-        return value
-    try:
-        return cast(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from exc
-
-
-def _given(cfg: dict, casts: dict, rename: dict | None = None) -> dict:
-    """Keyword arguments for the keys of ``casts`` that ``cfg`` sets, cast and
-    renamed by ``rename``; unset keys are left out."""
-    return {(rename or {}).get(key, key): _get(cfg, key, cast)
-            for key, cast in casts.items() if key in cfg}
-
-
-def build_problem(cfg: dict) -> Problem:
-    kind = _get(cfg, "problem")
-    if kind == "ac2d":
-        return allen_cahn_2d(_get(cfg, "nx", int), **_given(cfg, {"eps2": float, "bc": str}))
-    if kind == "gm2d":
-        casts = {"bc": str, "seed": int,  # the model parameters are config-file keys
-                 "D_a": float, "D_h": float, "p": float, "mu": float, "pprime": float,
-                 "nu": float}
-        return gierer_meinhardt_2d(_get(cfg, "nx", int), **_given(cfg, casts))
-    if kind == "ac-graph":
-        g = load_graph_spec(cfg.get("graph_file", "builtin:road2600"),
-                            str(cfg.get("graph_one_based")).lower() in ("true", "1", "yes"))
-        g = largest_connected_component(g)
-        return allen_cahn_graph(g, diffusion=_get(cfg, "diffusion", float),
-                                **_given(cfg, {"eps": float, "seed": int}))
-    raise ConfigError(f"unknown problem {kind!r}; expected one of {PROBLEMS}")
+def build_problem(args: argparse.Namespace) -> Problem:
+    if args.problem == "ac2d":
+        return allen_cahn_2d(args.nx, **_kwargs(args, "eps2", "bc"))
+    if args.problem == "gm2d":
+        return gierer_meinhardt_2d(args.nx, **_kwargs(args, "bc", "seed", *GM_PARAMETERS))
+    g = largest_connected_component(load_graph_spec(args.graph_file, args.graph_one_based))
+    return allen_cahn_graph(g, diffusion=args.diffusion, **_kwargs(args, "eps", "seed"))
 
 
 def load_graph_spec(spec, one_based: bool = False) -> Graph:
@@ -160,14 +151,12 @@ def load_graph_spec(spec, one_based: bool = False) -> Graph:
     return load_edge_list(path, one_based=one_based)
 
 
-def build_pole_set(cfg: dict) -> Optional[PoleSet]:
-    """The pole set a config names; ``None`` leaves the choice to
+def build_pole_set(args: argparse.Namespace) -> Optional[PoleSet]:
+    """The pole set the flags name; ``None`` leaves the choice to
     :class:`EngineConfig`."""
-    if cfg.get("repeated_pole") is not None:
-        return repeated_real(_get(cfg, "repeated_pole", float),
-                             _get(cfg, "repeated_count", int))
-    spec = cfg.get("poles")
-    return load_pole_spec(spec) if spec is not None else None
+    if args.repeated_pole is not None:
+        return repeated_real(args.repeated_pole, args.repeated_count)
+    return load_pole_spec(args.poles) if args.poles is not None else None
 
 
 def load_pole_spec(spec) -> PoleSet:
@@ -181,20 +170,20 @@ def load_pole_spec(spec) -> PoleSet:
     return load_poles(path)
 
 
-def build_engine_config(cfg: dict) -> EngineConfig:
-    solver_cfg = SolverConfig(**_given(
-        cfg, {"solver": str, "solver_tol": float, "solver_maxiter": int, "preconditioner": str},
-        rename={"solver": "mode", "solver_tol": "tolerance", "solver_maxiter": "max_iterations"}))
-    return EngineConfig(solver=solver_cfg, poles=build_pole_set(cfg), **_given(
-        cfg, {"engine": str, "tol": float, "m_min": int, "m_max": int, "check_cadence": int}))
+def build_engine_config(args: argparse.Namespace) -> EngineConfig:
+    solver_cfg = SolverConfig(**_kwargs(args, "preconditioner", mode="solver",
+                                        tolerance="solver_tol",
+                                        max_iterations="solver_maxiter"))
+    return EngineConfig(solver=solver_cfg, poles=build_pole_set(args), **_kwargs(
+        args, "engine", "tol", "m_min", "m_max", "check_cadence"))
 
 
-def _integrator(cfg: dict):
-    name = _get(cfg, "integrator")
-    try:
-        return tableau(name)
-    except TableauError as exc:
-        raise ConfigError(str(exc)) from exc
+def _setup(args: argparse.Namespace) -> tuple[Problem, Tableau, Engine]:
+    """The problem, method and engine of one cell."""
+    if not (args.h > 0 and args.T > 0):
+        raise ConfigError("h and T must be positive")
+    problem = build_problem(args)
+    return problem, tableau(args.integrator), Engine(problem, build_engine_config(args))
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +215,16 @@ def write_trajectory_csv(path: Path, traj: Trajectory, max_columns: int = 10000)
                                 + [f"{float(v)!r}" for v in u[idx]])
 
 
-def write_run_report(path: Path, cfg: dict, traj: Trajectory, checksum: str,
+def write_run_report(path: Path, args: argparse.Namespace, traj: Trajectory, checksum: str,
                      cache: SolverCache):
+    """Every setting that has a value, defaults included, then the run's
+    statistics."""
+    settings = {key: value for key, value in vars(args).items()
+                if value is not None and key not in ("command", "func")}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# run report\n")
-        for key in sorted(cfg):
-            fh.write(f"{key} = {cfg[key]}\n")
+        for key in sorted(settings):
+            fh.write(f"{key} = {settings[key]}\n")
         fh.write(f"steps = {len(traj.steps)}\n")
         fh.write(f"expmv_calls = {traj.total_expmv_calls()}\n")
         fh.write(f"arnoldi_steps = {traj.total_arnoldi_steps()}\n")
@@ -249,34 +242,29 @@ def write_run_report(path: Path, cfg: dict, traj: Trajectory, checksum: str,
 # Subcommands.
 # ---------------------------------------------------------------------------
 
+#: What ``run`` reports as exit 2 and exit 3, and ``bench`` as a cell's error.
+#: ``ConfigError``, ``PoleFileError`` and ``TableauError`` subclass ``ValueError``.
+CONFIG_ERRORS = (OSError, ValueError)
+NUMERIC_ERRORS = (NumericalBlowup, KrylovError, SolverError)
+
+
 def cmd_run(args) -> int:
     try:
-        cfg = _merge_config(args)
-        problem = build_problem(cfg)
-        tab = _integrator(cfg)
-        engine_cfg = build_engine_config(cfg)
-        h = _get(cfg, "h", float)
-        T = _get(cfg, "T", float)
-        if h is None or T is None or h <= 0 or T <= 0:
-            raise ConfigError("h and T must be positive")
-        snapshot_stride = _get(cfg, "snapshots", int) or 0
-        out_dir = Path(cfg.get("out", "."))
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except (ConfigError, PoleFileError, FileNotFoundError, ValueError) as exc:
+        problem, tab, engine = _setup(args)
+        args.out.mkdir(parents=True, exist_ok=True)
+    except CONFIG_ERRORS as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        engine = Engine(problem, engine_cfg)
-        traj = integrate(problem, tab, h, T, engine, snapshot_stride=snapshot_stride)
-    except (NumericalBlowup, ToleranceNotReached, KrylovError,
-            IterativeDivergence, SolverError) as exc:
+        traj = integrate(problem, tab, args.h, args.T, engine, snapshot_stride=args.snapshots)
+    except NUMERIC_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     checksum = state_checksum(traj.final_state)
-    traj_path = out_dir / f"{problem.name}-{tab.name}-trajectory.csv"
-    report_path = out_dir / f"{problem.name}-{tab.name}-report.txt"
+    traj_path = args.out / f"{problem.name}-{tab.name}-trajectory.csv"
+    report_path = args.out / f"{problem.name}-{tab.name}-report.txt"
     write_trajectory_csv(traj_path, traj)
-    write_run_report(report_path, cfg, traj, checksum, engine.solver.cache)
+    write_run_report(report_path, args, traj, checksum, engine.solver.cache)
     print(f"wrote {traj_path}")
     print(f"wrote {report_path}")
     print(f"final_checksum = {checksum}")
@@ -289,47 +277,33 @@ BENCH_HEADER = ["problem", "nx", "n", "engine", "integrator", "h",
 
 
 def cmd_bench(args) -> int:
+    out_path = args.out / "bench.csv"
     try:
-        cfg = _merge_config(args)
-        sizes = [int(s) for s in str(cfg.get("sizes", "64,128")).split(",") if s]
-        engines = [e.strip() for e in str(cfg.get("engines", ",".join(ENGINES))).split(",") if e]
-        tab = _integrator(cfg)
-        out_path = Path(cfg.get("out", ".")) / "bench.csv"
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-    except (ConfigError, ValueError) as exc:
+        tableau(args.integrator)  # a bad name fails the sweep, not each cell
+        args.out.mkdir(parents=True, exist_ok=True)
+    except CONFIG_ERRORS as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     rows = []
-    for nx in sizes:
-        cell_cfg = dict(cfg)
-        cell_cfg["nx"] = nx
-        try:
-            problem = build_problem(cell_cfg)
-        except (ConfigError, ValueError) as exc:
-            for engine_name in engines:
-                rows.append([_get(cfg, "problem"), nx, "", engine_name,
-                             tab.name, _get(cfg, "h"), "", "", "", "", "", "", str(exc)])
-            continue
-        for engine_name in engines:
-            cell = dict(cell_cfg)
-            cell["engine"] = engine_name
+    for nx in args.sizes:
+        for engine_name in args.engines:
+            cell = argparse.Namespace(**{**vars(args), "nx": nx, "engine": engine_name})
+            n = ""
             try:
-                engine_cfg = build_engine_config(cell)
-                engine = Engine(problem, engine_cfg)
-                h = _get(cell, "h", float)
-                T = _get(cell, "T", float)
+                problem, tab, engine = _setup(cell)
+                n = problem.n
                 t0 = time.perf_counter()
-                traj = integrate(problem, tab, h, T, engine)
+                traj = integrate(problem, tab, cell.h, cell.T, engine)
                 wall = time.perf_counter() - t0
                 rows.append([
-                    _get(cell, "problem"), nx, problem.n, engine_name, tab.name, h,
+                    cell.problem, nx, n, engine_name, tab.name, cell.h,
                     f"{traj.average_krylov_iterations():.4f}", traj.total_expmv_calls(),
                     f"{wall:.4f}", traj.total_solver_iterations(),
                     f"{traj.max_residual():.3e}", state_checksum(traj.final_state), ""])
-            except Exception as exc:  # per-cell failures recorded, sweep continues
-                rows.append([_get(cell, "problem"), nx, problem.n, engine_name,
-                             tab.name, _get(cell, "h"), "", "", "", "", "", "", str(exc)])
+            except CONFIG_ERRORS + NUMERIC_ERRORS as exc:  # recorded; the sweep goes on
+                rows.append([cell.problem, nx, n, engine_name, cell.integrator, cell.h,
+                             "", "", "", "", "", "", str(exc)])
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(BENCH_HEADER)
@@ -350,7 +324,7 @@ def cmd_verify(args) -> int:
 def cmd_poles_validate(args) -> int:
     try:
         ps = load_pole_spec(args.poles)
-    except (ConfigError, PoleFileError, FileNotFoundError) as exc:
+    except CONFIG_ERRORS as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print(f"poles: {len(ps)} (conjugate_closed={ps.conjugate_closed})")
@@ -367,7 +341,7 @@ def cmd_poles_validate(args) -> int:
 def cmd_graph_info(args) -> int:
     try:
         g = load_graph_spec(args.graph_file, args.graph_one_based)
-    except (FileNotFoundError, ValueError) as exc:
+    except CONFIG_ERRORS as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     lcc = largest_connected_component(g)
@@ -381,6 +355,14 @@ def cmd_graph_info(args) -> int:
     return EXIT_OK
 
 
+def _names(text: str) -> list[str]:
+    return [s.strip() for s in text.split(",") if s.strip()]
+
+
+def _sizes(text: str) -> list[int]:
+    return [int(s) for s in _names(text)]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="ratexpint",
@@ -388,14 +370,17 @@ def main(argv=None) -> int:
                     "with adaptive rational Krylov exponential actions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one simulation")
+    # No abbreviations: a config key must name its flag in full.
+    p_run = sub.add_parser("run", help="run one simulation", allow_abbrev=False)
     _add_run_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 
-    p_bench = sub.add_parser("bench", help="benchmark sweep over sizes x engines")
+    p_bench = sub.add_parser("bench", help="benchmark sweep over sizes x engines",
+                             allow_abbrev=False)
     _add_run_flags(p_bench)
-    p_bench.add_argument("--sizes", help="comma-separated nx list", default=None)
-    p_bench.add_argument("--engines", help="comma-separated engine list", default=None)
+    p_bench.add_argument("--sizes", type=_sizes, default="64,128", help="comma-separated nx list")
+    p_bench.add_argument("--engines", type=_names, default=",".join(ENGINES),
+                         help="comma-separated engine list")
     p_bench.set_defaults(func=cmd_bench)
 
     p_verify = sub.add_parser("verify", help="run the built-in oracle suite")
@@ -417,7 +402,17 @@ def main(argv=None) -> int:
     p_gi.add_argument("--graph-one-based", action="store_true")
     p_gi.set_defaults(func=cmd_graph_info)
 
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    if getattr(args, "config", None) is not None:
+        try:
+            file_flags = config_flags(args.config)
+        except CONFIG_ERRORS as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        # File flags go right after the subcommand, so command-line flags win.
+        i = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:i] + file_flags + argv[i:])
     return args.func(args)
 
 

@@ -125,7 +125,7 @@ class SolverCache:
     preconditioners (keyed by ``(key, kind)``) and AMG aggregates (keyed by
     ``("aggregates", fingerprint)``). Lookups are synchronized and
     single-flight: concurrent requests for the same key perform the numeric
-    work exactly once. There is no eviction; call :meth:`clear` explicitly.
+    work exactly once. There is no eviction.
     :meth:`ShiftedSolver.solve_shifted` asks only for keys with Im xi >= 0;
     the conjugate pole reuses that entry, so ``numeric_factorizations`` counts
     one per conjugate pair. ``hits`` counts reused factorizations and
@@ -138,13 +138,6 @@ class SolverCache:
         self._building: dict = {}
         self.numeric_factorizations = 0
         self.hits = 0
-
-    def clear(self):
-        with self._lock:
-            self._entries.clear()
-            self._building.clear()
-            self.numeric_factorizations = 0
-            self.hits = 0
 
     def _single_flight(self, key, build, count_hit: bool = True):
         with self._lock:

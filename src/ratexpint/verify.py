@@ -17,8 +17,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .integrators import Engine, EngineConfig, integrate, stage_to_expmv
-from .krylov import (RationalDecomposition, assemble_augmented, dense_expm,
-                     error_estimate, evaluate_approximant, expmv_rational,
+from .krylov import (RationalDecomposition, _approximant_and_estimate, assemble_augmented,
+                     dense_expm, evaluate_approximant, expmv_rational,
                      full_error_expansion, rational_arnoldi_step)
 from .linalg import SparseOperator, phi_dense_all
 from .poles import INF_POLE, PoleSet, builtin_pole_set, is_infinite
@@ -221,8 +221,7 @@ def estimator_study(op: SparseOperator, h: float, c0: np.ndarray,
     pole_iter = iter(pole_set)
 
     def record():
-        approx = evaluate_approximant(d, 1.0)
-        est = error_estimate(d, 1.0)
+        approx, est = _approximant_and_estimate(d, 1.0)
         true = float(np.linalg.norm(exact - approx))
         points.append((d.m, est, true))
 

@@ -3,6 +3,7 @@
 import csv
 
 import numpy as np
+import pytest
 
 from ratexpint.cli import BENCH_HEADER, main, read_config_file
 from ratexpint.solvers import ShiftedSolver
@@ -134,6 +135,42 @@ def test_run_config_file_with_flag_override(tmp_path, capsys):
     assert code == 0
     report = next(tmp_path.glob("*-report.txt")).read_text()
     assert "nx = 8" in report
+    # every effective setting is listed, defaults included
+    assert "h = 0.25" in report and "snapshots = 0" in report
+    assert "repeated_count = 72" in report
+
+
+@pytest.mark.parametrize("line, flag", [
+    ("tolerance = 1e-3", "--tolerance"),  # names no flag
+    ("sizes = 8", "--sizes"),             # a bench-only key
+    ("solver_t = 1e-3", "--solver-t"),    # an abbreviation of --solver-tol
+    ("nx = abc", "--nx"),                 # typed like the flag
+], ids=["unknown", "bench-only", "abbreviated", "bad-int"])
+def test_bad_config_line_exits_two_and_names_the_key(tmp_path, capsys, line, flag):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"problem = ac2d\n{line}\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--config", str(cfg), "--out", str(tmp_path))
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not list(tmp_path.glob("*-report.txt"))
+
+
+def test_abbreviated_flag_exits_two(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--nx", "8", "--solver-t", "1e-3", "--out", str(tmp_path))
+    assert exc.value.code == 2
+
+
+def test_graph_one_based_config_switch(tmp_path, capsys):
+    edges = tmp_path / "g.edges"
+    edges.write_text("0 1\n1 2\n2 0\n")  # node 0 exists only zero-based
+    cfg = tmp_path / "g.cfg"
+    for value, code in (("yes", 2), ("no", 0)):
+        cfg.write_text(f"problem = ac-graph\ngraph_file = {edges}\n"
+                       f"graph_one_based = {value}\nh = 0.05\nT = 0.05\n")
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path)) == code
+    assert "negative node index" in capsys.readouterr().err
 
 
 def test_config_parser(tmp_path):
@@ -157,6 +194,16 @@ def test_gm_model_parameters_via_config(tmp_path, capsys):
     assert run_cli("run", "--config", str(cfg), "--seed", "3",
                    "--out", str(tmp_path / "flag")) == 0
     assert capsys.readouterr().out.splitlines()[-1] == from_file
+    # the model parameters are flags too, under the same names
+    assert run_cli("run", "--problem", "gm2d", "--nx", "8", "--integrator", "etd3rk",
+                   "--h", "0.01", "--T", "0.02", "--D-a", "0.005", "--D-h", "0.5",
+                   "--p", "16", "--mu", "16", "--pprime", "16", "--nu", "16",
+                   "--seed", "3", "--out", str(tmp_path / "flags")) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == from_file
+    # a flag still wins over the file
+    assert run_cli("run", "--config", str(cfg), "--D-a", "0.01",
+                   "--out", str(tmp_path / "override")) == 0
+    assert capsys.readouterr().out.splitlines()[-1] != from_file
 
 
 def test_empty_config_value_counts_as_unset(tmp_path, capsys):
@@ -196,6 +243,16 @@ def test_bench_records_cell_failures(tmp_path):
         rows = list(csv.reader(fh))
     assert len(rows) == 2
     assert rows[1][-1] != ""  # error column populated
+
+
+def test_bench_propagates_programming_errors(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("a bug, not a cell failure")
+
+    monkeypatch.setattr("ratexpint.cli.integrate", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        run_cli("bench", "--sizes", "8", "--engines", "rational",
+                "--h", "0.25", "--T", "0.25", "--out", str(tmp_path))
 
 
 # ---------------------------------------------------------------------------
