@@ -4,10 +4,8 @@ evaluated through an adaptive rational Krylov approximation of the matrix
 exponential action."""
 
 from .integrators import Engine, EngineConfig, Trajectory, integrate, step
-from .krylov import (AugmentedOperator, ExpmvReport, RationalDecomposition,
-                     assemble_augmented, error_estimate, evaluate_approximant,
-                     expmv_polynomial, expmv_rational, full_error_expansion,
-                     rational_arnoldi_step)
+from .krylov import (AugmentedOperator, ExpmvReport, RationalDecomposition, assemble_augmented,
+                     expmv_polynomial, expmv_rational, rational_arnoldi_step)
 from .linalg import SparseOperator, dense_expm, orthogonal_extend, phi_dense
 from .poles import PoleSet, builtin_pole_set, load_poles, repeated_real, save_poles
 from .problems import (Graph, Problem, allen_cahn_2d, allen_cahn_graph, builtin_graph,

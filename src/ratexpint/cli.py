@@ -341,10 +341,10 @@ def cmd_poles_validate(args) -> int:
 def cmd_graph_info(args) -> int:
     try:
         g = load_graph_spec(args.graph_file, args.graph_one_based)
+        lcc = largest_connected_component(g)
     except CONFIG_ERRORS as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    lcc = largest_connected_component(g)
     degrees = np.asarray(g.adjacency.sum(axis=1)).ravel()
     print(f"nodes = {g.n}")
     print(f"edges = {g.num_edges}")

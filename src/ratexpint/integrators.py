@@ -213,7 +213,10 @@ def integrate(problem: Problem, tab: Tableau, h: float, T: float,
     """
     if T <= 0 or h <= 0:
         raise ValueError("T and h must be positive")
-    u = np.array(problem.u0 if u0 is None else u0, dtype=np.float64, copy=True)
+    u = np.asarray(problem.u0 if u0 is None else u0)
+    if np.iscomplexobj(u):
+        raise ValueError("initial state must be real")
+    u = np.array(u, dtype=np.float64, copy=True)
     traj = Trajectory()
     traj.times.append(0.0)
     traj.snapshots.append(u.copy())

@@ -265,17 +265,30 @@ def arnoldi_relation_residual(d: RationalDecomposition) -> float:
     return float(num / den)
 
 
-def _projected_matrix(d: RationalDecomposition):
-    """S = H_m K_m^{-1}, the compression of A~ onto the subspace, and the LU
-    of K_m^T it comes from; K_m u = w is then ``lu_solve(lu, w, trans=1)``.
+def _approximant_and_estimate(d: RationalDecomposition, h: float, terms: int = 1):
+    """(approximant, estimate) of e^{h A~} c~ from one LU of K_m^T and one
+    dense exponential.
 
-    K_m = I + H_m diag(1/xi_j) is the square part of :meth:`~RationalDecomposition.kmat`.
+    With S = H_m K_m^{-1} the compression of A~ onto the subspace (K_m the
+    square part of :meth:`~RationalDecomposition.kmat`), the approximant is
+    norm(c~) V_m e^{hS} e_1 and the estimate is
+    h norm(c~) h_{m+1,m} ||sum_{k<=terms} gamma_k (h A~)^{k-1} v_{m+1}||,
+    gamma_k = e_m^T K_m^{-1} phi_k(hS) e_1. One term is the leading-term
+    a-posteriori estimate that drives the adaptive loop; more terms give the
+    truncated error series. Both come from e^{hW}, W = [[S, e_1, 0], [0, J]]
+    with J the nilpotent Jordan block of size ``terms``: its top-left block
+    is e^{hS} and the columns right of it are h^k phi_k(hS) e_1. The estimate
+    is derived under the convention that the newest step used an infinite
+    pole, which the adaptive loop enforces before checking; it is zero after
+    happy breakdown and at h = 0.
     """
     import warnings
 
-    if d.m == 0:
-        raise KrylovError("empty decomposition")
+    if terms < 1:
+        raise ValueError("need at least one term")
     m = d.m
+    if m == 0:
+        raise KrylovError("empty decomposition")
     with warnings.catch_warnings():
         # singularity is detected from the pivots below and raised as our own
         warnings.simplefilter("ignore", sla.LinAlgWarning)
@@ -284,92 +297,25 @@ def _projected_matrix(d: RationalDecomposition):
     if diag.min() <= 1e-14 * max(diag.max(), 1e-300):
         raise SingularProjection(
             "projected system K_m is singular; append a polynomial step and retry")
-    return sla.lu_solve(lu, d.H[:m, :m].T).T, lu
-
-
-def _bordered_expm(S: np.ndarray, h: float, terms: int) -> np.ndarray:
-    """e^{hW} for W = [[S, e_1, 0], [0, J_terms]], J the nilpotent Jordan block.
-
-    The top-left m x m block is e^{hS}; the m x terms block right of it holds
-    the columns h^k phi_k(hS) e_1, k = 1..terms.
-    """
-    m = S.shape[0]
+    S = sla.lu_solve(lu, d.H[:m, :m].T).T
     W = np.zeros((m + terms, m + terms), dtype=S.dtype)
     W[:m, :m] = S
     W[0, m] = 1.0
     tail = np.arange(m, m + terms - 1)
     W[tail, tail + 1] = 1.0
-    return dense_expm(h * W)
-
-
-def _approximant_and_estimate(d: RationalDecomposition, h: float):
-    """One factorization of K_m and one dense exponential serving both the
-    approximant and the estimate.
-
-    The exponential of the (m+1)-dimensional bordered matrix [[S, e_1], [0, 0]]
-    holds e^{hS} in its top-left block and h phi_1(hS) e_1 in its last
-    column, the ingredient of the error estimate.
-    """
-    m = d.m
-    S, lu = _projected_matrix(d)
-    E = _bordered_expm(S, h, 1)
+    E = dense_expm(h * W)
     y = d.start_norm * (d.V[:, :m] @ E[:m, 0])
     beta = d.beta_last
     if beta == 0.0 or h == 0.0:
         return y, 0.0
-    u = sla.lu_solve(lu, E[:m, m] / h, trans=1)
-    estimate = h * d.start_norm * beta * abs(u[m - 1])
-    return y, float(estimate)
-
-
-def evaluate_approximant(d: RationalDecomposition, h: float) -> np.ndarray:
-    """norm(c~) V_m e^{h H_m K_m^{-1}} e_1, the subspace approximation of
-    e^{h A~} c~."""
-    y, _ = _approximant_and_estimate(d, h)
-    return y
-
-
-def error_estimate(d: RationalDecomposition, h: float) -> float:
-    """Leading-term a-posteriori estimate of the 2-norm approximation error.
-
-    h * norm(c~) * h_{m+1,m} * |e_m^* K_m^{-1} phi_1(h H_m K_m^{-1}) e_1|;
-    zero after happy breakdown. Derived under the convention that the newest
-    step used an infinite pole, which the adaptive loop enforces before
-    checking.
-    """
-    _, est = _approximant_and_estimate(d, h)
-    return est
-
-
-def full_error_expansion(d: RationalDecomposition, h: float, terms: int,
-                         return_partials: bool = False):
-    """Truncated error series: the estimate's higher-order siblings.
-
-    Accumulates sum_k e_m^* K_m^{-1} phi_k(h S) e_1 (h A~)^{k-1} v_{m+1}
-    for k = 1..terms and returns its 2-norm times h norm(c~) h_{m+1,m}.
-    With one term this reduces to :func:`error_estimate`.
-    """
-    if terms < 1:
-        raise ValueError("need at least one term")
-    beta = d.beta_last
-    if beta == 0.0:
-        return (0.0, [0.0] * terms) if return_partials else 0.0
-    m = d.m
-    S, lu = _projected_matrix(d)
-    cols = _bordered_expm(S, h, terms)[:m, m:]  # columns h^k phi_k(hS) e_1
-    scale = h ** -np.arange(1, terms + 1)
-    gammas = sla.lu_solve(lu, cols * scale[np.newaxis, :], trans=1)[m - 1, :]
+    # lu factors K_m^T, so trans=1 solves with K_m
+    gammas = sla.lu_solve(lu, E[:m, m:] / h ** np.arange(1, terms + 1), trans=1)[m - 1]
     z = d.V[:, m]
-    acc = np.zeros_like(z)
-    prefactor = h * d.start_norm * beta
-    partials = []
-    for k in range(terms):
-        acc = acc + gammas[k] * z
-        partials.append(prefactor * float(np.linalg.norm(acc)))
-        if k + 1 < terms:
-            z = h * d.aug.apply(z)
-    result = partials[-1]
-    return (result, partials) if return_partials else result
+    acc = gammas[0] * z
+    for gamma in gammas[1:]:
+        z = h * d.aug.apply(z)
+        acc = acc + gamma * z
+    return y, float(h * d.start_norm * beta * np.linalg.norm(acc))
 
 
 # ---------------------------------------------------------------------------

@@ -231,7 +231,8 @@ def load_matrix_market_adjacency(path) -> Graph:
 
 
 def load_node_coordinates(path, n: int) -> np.ndarray:
-    """Read ``id,x,y`` rows (optional header) into an (n, 2) array."""
+    """Read ``id,x,y`` rows (optional header) into an (n, 2) array; ids must
+    lie in 0..n-1."""
     coords = np.full((n, 2), np.nan)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -242,6 +243,8 @@ def load_node_coordinates(path, n: int) -> np.ndarray:
                 idx = int(row[0])
             except ValueError:
                 continue  # header line
+            if not 0 <= idx < n:
+                raise ValueError(f"{path}:{reader.line_num}: node id {idx} outside 0..{n - 1}")
             coords[idx] = (float(row[1]), float(row[2]))
     return coords
 

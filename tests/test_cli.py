@@ -300,6 +300,13 @@ def test_graph_info(tmp_path, capsys):
     assert "largest_component = 3" in out
 
 
+def test_graph_info_without_edges_exits_two(tmp_path, capsys):
+    path = tmp_path / "comments.edges"
+    path.write_text("# nodes=0 edges=0\n# nothing else\n")
+    assert run_cli("graph", "info", str(path)) == 2
+    assert "empty graph" in capsys.readouterr().err
+
+
 def test_graph_info_builtin(capsys):
     code = run_cli("graph", "info", "builtin:road2600")
     assert code == 0

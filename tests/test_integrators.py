@@ -295,6 +295,16 @@ def test_remainder_within_rounding_is_a_full_step():
     assert traj.times[-1] == 1.0
 
 
+def test_complex_initial_state_rejected():
+    rng = np.random.default_rng(6)
+    n = 10
+    op = random_spd(rng, n, lam_max=4.0)
+    prob = linear_problem(op, rng.standard_normal(n))
+    eng = Engine(prob, rational_config(tol=1e-10, m_hard=n))
+    with pytest.raises(ValueError, match="real"):
+        integrate(prob, tableau("sw2"), 0.5, 1.0, eng, u0=prob.u0 + 1e-3j)
+
+
 def test_linear_exactness_over_partition():
     rng = np.random.default_rng(7)
     n = 40

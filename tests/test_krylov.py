@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from ratexpint.krylov import (KrylovError, RationalDecomposition, ToleranceNotReached,
-                              arnoldi_relation_residual, assemble_augmented,
-                              error_estimate, evaluate_approximant,
-                              expmv_polynomial, expmv_rational,
-                              full_error_expansion, rational_arnoldi_step)
+                              _approximant_and_estimate, arnoldi_relation_residual,
+                              assemble_augmented, expmv_polynomial, expmv_rational,
+                              rational_arnoldi_step)
 from ratexpint.linalg import SparseOperator, dense_expm, phi_dense_all
 from ratexpint.poles import INF_POLE, PoleSet, builtin_pole_set, repeated_real
 from ratexpint.solvers import ShiftedSolver, SolverConfig
@@ -182,8 +181,7 @@ def test_estimator_tracks_true_error_on_small_instances():
             rational_arnoldi_step(d, INF_POLE)
             if d.m < 5:
                 continue
-            approx = evaluate_approximant(d, 1.0)
-            est = error_estimate(d, 1.0)
+            approx, est = _approximant_and_estimate(d, 1.0)
             true = np.linalg.norm(exact - approx)
             if 1e-12 <= true <= 1e-1:
                 checked += 1
@@ -214,7 +212,7 @@ def test_exactness_on_invariant_subspace():
         rational_arnoldi_step(d, INF_POLE)
     assert d.happy
     h = 0.7
-    approx = evaluate_approximant(d, h)
+    approx, _ = _approximant_and_estimate(d, h)
     exact = dense_expm(h * aug.dense()) @ ct
     assert np.linalg.norm(approx - exact) <= 1e-10 * np.linalg.norm(ct)
 
@@ -247,7 +245,7 @@ def test_singular_projection_detected():
     d.H[:, 0] = 0.0
     d.H[0, 0] = -d.poles_used[0]
     with pytest.raises(SingularProjection):
-        evaluate_approximant(d, 0.5)
+        _approximant_and_estimate(d, 0.5)
 
 
 def test_zero_step_returns_start_vector():
@@ -256,8 +254,10 @@ def test_zero_step_returns_start_vector():
     aug, ct = assemble_augmented(op, 1.0, [rng.standard_normal(12)])
     d = RationalDecomposition(aug, ct)
     rational_arnoldi_step(d, INF_POLE)
-    out = evaluate_approximant(d, 0.0)
+    out, est = _approximant_and_estimate(d, 0.0)
     assert np.linalg.norm(out - ct) <= 1e-13 * np.linalg.norm(ct)
+    assert est == 0.0
+    assert _approximant_and_estimate(d, 0.0, terms=3)[1] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +283,21 @@ def test_estimate_zero_after_breakdown():
     d = RationalDecomposition(aug, ct)
     rational_arnoldi_step(d, INF_POLE)
     assert d.happy
-    assert error_estimate(d, 1.0) == 0.0
+    for terms in (1, 3):
+        assert _approximant_and_estimate(d, 1.0, terms)[1] == 0.0
 
 
 def test_expansion_first_term_equals_estimate():
     rng = np.random.default_rng(10)
     d, _, _ = _built_decomposition(rng)
-    est = error_estimate(d, 0.4)
-    one_term = full_error_expansion(d, 0.4, terms=1)
-    assert one_term == pytest.approx(est, rel=1e-12)
+    h, m = 0.4, d.m
+    # oracle: h norm(c~) h_{m+1,m} |e_m^T K_m^{-1} phi_1(hS) e_1|, S = H_m K_m^{-1}
+    K = d.kmat()[:m]
+    S = np.linalg.solve(K.T, d.hess()[:m].T).T
+    phi1 = phi_dense_all(h * S, 1)[1][:, 0]
+    gamma = np.linalg.solve(K, phi1)[m - 1]
+    oracle = h * d.start_norm * d.beta_last * abs(gamma)
+    assert _approximant_and_estimate(d, h)[1] == pytest.approx(oracle, rel=1e-10)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -300,16 +306,15 @@ def test_expansion_matches_true_error(seed):
     d, aug, ct = _built_decomposition(rng, n=40, p=seed % 3, lam_max=6.0)
     h = 0.25
     exact = dense_expm(h * aug.dense()) @ ct
-    approx = evaluate_approximant(d, h)
+    approx, expansion = _approximant_and_estimate(d, h, terms=30)
     true_err = np.linalg.norm(exact - approx)
-    expansion = full_error_expansion(d, h, terms=30)
     assert abs(expansion - true_err) <= 1e-10 * max(true_err, 1e-30) + 1e-14
 
 
 def test_expansion_partial_sums_settle():
     rng = np.random.default_rng(11)
     d, _, _ = _built_decomposition(rng, lam_max=4.0)
-    _, partials = full_error_expansion(d, 0.3, terms=25, return_partials=True)
+    partials = [_approximant_and_estimate(d, 0.3, k)[1] for k in range(1, 26)]
     diffs = np.abs(np.diff(partials))
     tail = diffs[8:]
     assert np.all(tail <= np.maximum.accumulate(diffs)[7] + 1e-300)

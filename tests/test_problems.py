@@ -365,6 +365,14 @@ def test_node_coordinates_csv(tmp_path):
     assert np.allclose(coords, [[0.0, 1.0], [2.5, 3.5]])
 
 
+@pytest.mark.parametrize("bad_id", [-1, 2, 5])
+def test_node_coordinates_reject_ids_outside_range(tmp_path, bad_id):
+    path = tmp_path / "coords.csv"
+    path.write_text(f"id,x,y\n0,0.0,1.0\n{bad_id},2.5,3.5\n")
+    with pytest.raises(ValueError, match=f"coords.csv:3: node id {bad_id} outside 0..1"):
+        load_node_coordinates(path, 2)
+
+
 def test_builtin_graph_loads():
     g = builtin_graph("road2600")
     assert 2400 <= g.n <= 2800
