@@ -233,6 +233,7 @@ def write_run_report(path: Path, args: argparse.Namespace, traj: Trajectory, che
         fh.write(f"max_solver_residual = {traj.max_residual():.6e}\n")
         fh.write(f"max_imag_discarded = {traj.max_imag_discarded():.6e}\n")
         fh.write(f"numeric_factorizations = {cache.numeric_factorizations}\n")
+        fh.write(f"lu_nnz = {cache.lu_nnz}\n")
         fh.write(f"cache_hits = {cache.hits}\n")
         fh.write(f"wall_time_s = {traj.wall_time:.4f}\n")
         fh.write(f"final_checksum = {checksum}\n")

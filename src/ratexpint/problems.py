@@ -245,7 +245,13 @@ def load_node_coordinates(path, n: int) -> np.ndarray:
                 continue  # header line
             if not 0 <= idx < n:
                 raise ValueError(f"{path}:{reader.line_num}: node id {idx} outside 0..{n - 1}")
-            coords[idx] = (float(row[1]), float(row[2]))
+            if len(row) < 3:
+                raise ValueError(f"{path}:{reader.line_num}: expected 'id,x,y', "
+                                 f"got {','.join(row)!r}")
+            try:
+                coords[idx] = (float(row[1]), float(row[2]))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
     return coords
 
 

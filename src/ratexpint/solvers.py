@@ -8,8 +8,11 @@ factorizations (and iterative preconditioners) are cached per
 (conj(xi) I + alpha A) = conj(xi I + alpha A): a pole with Im xi < 0 is served
 by the factorization or preconditioner of conj(xi) through conjugation, and a
 conjugate pair costs one setup. Each pole of the pair still makes its own
-solve. The block solve of the augmented operator back-substitutes its small
-Jordan tail first.
+solve. Every shifted matrix has the sparsity pattern of A, which is symmetric
+for the operators of this package, so its LU is ordered by minimum degree on
+the pattern of A^T + A (SuperLU's partial pivoting keeps it accurate when A
+is not symmetric). The block solve of the augmented operator back-substitutes
+its small Jordan tail first.
 
 Iterative solves use aggregation AMG (or no preconditioner) with CG iff the
 pole is real and the operator symmetric, BiCGStab otherwise.
@@ -103,11 +106,18 @@ class Factorization:
         self.n = matrix.shape[0]
         self.dtype = matrix.dtype
         try:
-            self._lu = spla.splu(matrix.tocsc(), permc_spec="COLAMD")
+            self._lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise SolverError(
                 f"factorization of (xi I + alpha A) failed for pole {key.pole}: {exc}; "
                 "the pole may coincide with a negated eigenvalue") from exc
+
+    @property
+    def nnz(self) -> int:
+        """Entries SuperLU stores for L and U, explicit zeros of its relaxed
+        supernodes included. Not nnz of ``L`` plus ``U``: reading those
+        attaches a CSC copy of both factors to the LU for good."""
+        return self._lu.nnz
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if rhs.shape[0] != self.n:
@@ -128,7 +138,8 @@ class SolverCache:
     work exactly once. There is no eviction.
     :meth:`ShiftedSolver.solve_shifted` asks only for keys with Im xi >= 0;
     the conjugate pole reuses that entry, so ``numeric_factorizations`` counts
-    one per conjugate pair. ``hits`` counts reused factorizations and
+    one per conjugate pair, and ``lu_nnz`` sums :attr:`Factorization.nnz`
+    over the LUs built. ``hits`` counts reused factorizations and
     preconditioners, not aggregate lookups.
     """
 
@@ -137,6 +148,7 @@ class SolverCache:
         self._entries: dict = {}
         self._building: dict = {}
         self.numeric_factorizations = 0
+        self.lu_nnz = 0
         self.hits = 0
 
     def _single_flight(self, key, build, count_hit: bool = True):
@@ -159,11 +171,13 @@ class SolverCache:
             return entry
 
     def factorization(self, op: SparseOperator, key: ShiftedSystemKey) -> Factorization:
-        """LU of (xi I + alpha A) with a COLAMD fill-reducing ordering."""
+        """LU of (xi I + alpha A), ordered by minimum degree on the pattern
+        of A^T + A."""
         def build():
             fact = Factorization(key, shifted_matrix(op, key.pole, key.scale))
             with self._lock:
                 self.numeric_factorizations += 1
+                self.lu_nnz += fact.nnz
             return fact
 
         return self._single_flight(key, build)

@@ -49,6 +49,15 @@ def test_run_writes_outputs_and_exits_zero(tmp_path, capsys, monkeypatch):
     assert 0.0 <= float(fields["max_imag_discarded"]) < 1e-10
     # one factorization per conjugate pair of (pole, scale)
     assert consumed and int(fields["numeric_factorizations"]) * 2 == len(consumed)
+    assert int(fields["lu_nnz"]) > 0
+
+
+def test_run_report_counts_no_lu_on_iterative_path(tmp_path):
+    code = run_cli("run", "--problem", "ac2d", "--nx", "16", "--solver", "iterative",
+                   "--h", "0.5", "--T", "0.5", "--out", str(tmp_path))
+    assert code == 0
+    report = next(tmp_path.glob("*-report.txt")).read_text()
+    assert "\nnumeric_factorizations = 0\nlu_nnz = 0\n" in report
 
 
 def test_run_spec_shape_repeated_pole(tmp_path):

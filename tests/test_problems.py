@@ -373,6 +373,17 @@ def test_node_coordinates_reject_ids_outside_range(tmp_path, bad_id):
         load_node_coordinates(path, 2)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("0,1.0", "expected 'id,x,y', got '0,1.0'"),
+    ("0,abc,1", "could not convert string to float: 'abc'"),
+], ids=["short-row", "not-a-number"])
+def test_node_coordinates_reject_malformed_rows(tmp_path, row, message):
+    path = tmp_path / "coords.csv"
+    path.write_text(f"id,x,y\n{row}\n")
+    with pytest.raises(ValueError, match=f"coords.csv:2: {message}"):
+        load_node_coordinates(path, 1)
+
+
 def test_builtin_graph_loads():
     g = builtin_graph("road2600")
     assert 2400 <= g.n <= 2800

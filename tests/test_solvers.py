@@ -10,7 +10,9 @@ import scipy.sparse.linalg as spla
 from ratexpint.krylov import assemble_augmented
 from ratexpint.linalg import SparseOperator
 from ratexpint.poles import builtin_pole_set
-from ratexpint.problems import fd_laplacian_1d, fd_laplacian_2d
+from ratexpint.problems import (allen_cahn_2d, builtin_graph, fd_laplacian_1d,
+                                fd_laplacian_2d, graph_laplacian,
+                                largest_connected_component)
 from ratexpint.solvers import (IterativeDivergence, ShiftedSolver,
                                ShiftedSystemKey, SolverCache, SolverConfig,
                                SolverError, shifted_matrix, solve_iterative)
@@ -18,6 +20,11 @@ from ratexpint.solvers import (IterativeDivergence, ShiftedSolver,
 
 def key_for(op, pole, scale=1.0):
     return ShiftedSystemKey.make(op, pole, scale)
+
+
+def _upwind(n):
+    """One-sided first difference n (u_i - u_{i-1}): lower bidiagonal."""
+    return sp.diags([np.full(n, 1.0), np.full(n - 1, -1.0)], [0, -1]) * n
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +100,79 @@ def test_singular_shift_rejected():
         SolverCache().factorization(op, key_for(op, -2.0))
 
 
+def test_lu_nnz_counts_each_built_lu_once():
+    op = fd_laplacian_2d(24, 1.0, "neumann")
+    cache = SolverCache()
+    key = key_for(op, 2.0 + 1.0j, 0.5)
+    fact = cache.factorization(op, key)
+    reference = spla.splu(shifted_matrix(op, key.pole, key.scale).tocsc(),
+                          permc_spec="MMD_AT_PLUS_A")
+    assert cache.lu_nnz == fact.nnz == reference.nnz > 0
+    cache.factorization(op, key)
+    assert cache.hits == 1 and cache.lu_nnz == fact.nnz
+    other = cache.factorization(op, key_for(op, 3.0, 0.5))
+    assert cache.lu_nnz == fact.nnz + other.nnz
+
+
+def _cf12_lus(op):
+    """The cache holding the LU of (xi I + 0.5 A) at the first cf12 pole with
+    Im xi >= 0, that LU, and a COLAMD-ordered reference LU of the same matrix."""
+    pole = next(xi for xi in builtin_pole_set("cf12") if xi.imag >= 0)
+    cache = SolverCache()
+    lu = cache.factorization(op, key_for(op, pole, 0.5))._lu
+    reference = spla.splu(shifted_matrix(op, pole, 0.5).tocsc(), permc_spec="COLAMD")
+    return cache, lu, reference
+
+
+def _fill(lu):
+    return lu.L.nnz + lu.U.nnz
+
+
+@pytest.mark.parametrize("name, bound", [("fd2d-64", 0.6), ("road2600", 0.65)])
+def test_shifted_lu_fill_below_colamd(name, bound):
+    # the shifted matrices share A's symmetric pattern, which minimum degree
+    # on A^T + A orders with about 0.55-0.6x the fill of COLAMD
+    op = (allen_cahn_2d(64).A if name == "fd2d-64"
+          else graph_laplacian(largest_connected_component(builtin_graph("road2600"))))
+    _, lu, reference = _cf12_lus(op)
+    assert _fill(lu) <= bound * _fill(reference)
+
+
+def test_lu_nnz_on_fd2d_below_colamd():
+    # SuperLU's stored entries, relaxed-supernode zeros included, shrink too
+    cache, _, reference = _cf12_lus(allen_cahn_2d(64).A)
+    assert cache.lu_nnz <= 0.6 * reference.nnz
+
+
+@pytest.mark.parametrize("name", ["diffusion+upwind", "upwind"])
+def test_direct_solve_accurate_on_nonsymmetric_operators(name):
+    # minimum degree orders the pattern of A^T + A; partial pivoting must
+    # keep the LU accurate when A != A^T, with or without a symmetric pattern
+    n = 200
+    if name == "upwind":
+        op = SparseOperator(_upwind(n).tocsr())
+    else:
+        op = SparseOperator((fd_laplacian_1d(n, 1.0, "dirichlet").tocsr()
+                             + 40.0 * _upwind(n)).tocsr())
+    pattern = abs(op.tocsr()) > 0
+    assert not op.symmetric
+    assert ((pattern != pattern.T).nnz == 0) == (name != "upwind")
+    rng = np.random.default_rng(17)
+    upper = [xi for xi in builtin_pole_set("cf12") if xi.imag > 0]
+    for pole in (*upper, 3.0):
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        x = SolverCache().factorization(op, key_for(op, pole, 0.5)).solve(b)
+        matrix = shifted_matrix(op, pole, 0.5)
+        residual = np.linalg.norm(matrix @ x - b)
+        # normwise backward error at every pole: at the leftmost cf12 pole the
+        # pure upwind system has |x| ~ 1e3 |b|, and no ordering, the natural
+        # one included, gets its relative residual below about 1e-11
+        assert residual <= 1e-15 * (spla.norm(matrix, 1) * np.linalg.norm(x)
+                                    + np.linalg.norm(b))
+        if pole in (upper[0], 3.0):
+            assert residual <= 1e-12 * np.linalg.norm(b)
+
+
 # ---------------------------------------------------------------------------
 # Iterative path.
 # ---------------------------------------------------------------------------
@@ -150,8 +230,7 @@ def test_iterative_real_pole_on_nonsymmetric_operator_uses_bicgstab(monkeypatch)
     # stall; a real pole alone must not select it
     ran = _record_krylov_methods(monkeypatch)
     nx = 48
-    upwind = sp.diags([np.full(nx, 1.0), np.full(nx - 1, -1.0)], [0, -1]) * nx
-    advection = sp.kron(sp.identity(nx), upwind)
+    advection = sp.kron(sp.identity(nx), _upwind(nx))
     op = SparseOperator((fd_laplacian_2d(nx, 1.0, "dirichlet").tocsr()
                          + 40.0 * advection).tocsr())
     assert not op.symmetric
@@ -221,8 +300,7 @@ def test_conjugate_pole_reuses_factorization():
     # real but nonsymmetric: diffusion plus a one-sided (upwind) difference,
     # so the reuse rests on A being real, not on symmetry
     n = 60
-    upwind = sp.diags([np.full(n, 1.0), np.full(n - 1, -1.0)], [0, -1]) * n
-    op = SparseOperator((fd_laplacian_1d(n, 1.0, "dirichlet").tocsr() + 40.0 * upwind).tocsr())
+    op = SparseOperator((fd_laplacian_1d(n, 1.0, "dirichlet").tocsr() + 40.0 * _upwind(n)).tocsr())
     assert not op.symmetric
     solver = ShiftedSolver(op, SolverConfig(mode="direct"))
     pole, scale = 2.0 + 3.0j, 0.4
