@@ -17,13 +17,6 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-#: Dimension cap for dense kernels. Krylov compressions in this package stay
-#: well below it; the cap guards against accidentally densifying a PDE operator.
-SMALL_MATRIX_CAP = 512
-
-#: Largest phi-function index supported by :func:`phi_dense`.
-MAX_PHI_INDEX = 8
-
 #: Relative threshold below which Gram-Schmidt declares an invariant subspace.
 BREAKDOWN_RTOL = 1e-12
 
@@ -140,31 +133,14 @@ def dense_expm(z: np.ndarray) -> np.ndarray:
 # phi-functions of small matrices.
 # ---------------------------------------------------------------------------
 
-def phi_dense(z: np.ndarray, k: int) -> np.ndarray:
-    """phi_k(Z) for a small dense matrix Z.
-
-    phi_0 = exp; higher indices come from one block-augmented exponential
-    (nilpotent shift blocks appended to Z) so that no linear solves with a
-    possibly singular Z are needed. The augmented matrix has dimension
-    (k+1) * m for an m-by-m input.
-    """
-    if k < 0:
-        raise ValueError("phi index must be >= 0")
-    if k > MAX_PHI_INDEX:
-        raise ValueError(f"phi index {k} exceeds the configured maximum {MAX_PHI_INDEX}")
-    z = np.asarray(z)
-    if z.ndim == 0:
-        return phi_dense(z.reshape(1, 1), k)[0, 0]
-    m = z.shape[0]
-    if m > SMALL_MATRIX_CAP:
-        raise ValueError(f"matrix dimension {m} exceeds the small-matrix cap {SMALL_MATRIX_CAP}")
-    if k == 0:
-        return dense_expm(z)
-    return phi_dense_all(z, k)[k]
-
-
 def phi_dense_all(z: np.ndarray, kmax: int) -> list[np.ndarray]:
-    """[phi_0(Z), ..., phi_kmax(Z)] from a single augmented exponential."""
+    """[phi_0(Z), ..., phi_kmax(Z)] for a small dense matrix Z.
+
+    phi_0 = exp; the higher indices come from one block-augmented
+    exponential (nilpotent shift blocks appended to Z) so that no linear
+    solves with a possibly singular Z are needed. The augmented matrix has
+    dimension (kmax+1) * m for an m-by-m input.
+    """
     z = np.asarray(z)
     m = z.shape[0]
     dtype = np.complex128 if np.iscomplexobj(z) else np.float64

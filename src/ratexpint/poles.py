@@ -9,9 +9,13 @@ convention are flipped on load.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
+import scipy.linalg as sla
 
 INF_POLE = complex(math.inf, 0.0)
 
@@ -89,14 +93,15 @@ def check_conjugate_closure(poles: Sequence[complex], tol: float = CONJUGATE_MAT
     return True
 
 
-def load_poles(path, allow_open: bool = False) -> PoleSet:
+def load_poles(path) -> PoleSet:
     """Load a pole file.
 
     Format: one ``re im`` float pair per line; ``#`` lines are comments, and
     a ``# convention=positive-real|negative-real`` header declares the sign
     convention (negative-real files are flipped on load). Sets that are not
-    conjugate-closed are rejected unless ``allow_open``; any defect,
-    including a set that :class:`PoleSet` rejects, raises PoleFileError.
+    conjugate-closed with adjacent pairs are rejected; this and any other
+    defect, including a set that :class:`PoleSet` rejects, raise
+    PoleFileError.
     """
     convention = "positive-real"
     poles: list[complex] = []
@@ -126,36 +131,63 @@ def load_poles(path, allow_open: bool = False) -> PoleSet:
         raise PoleFileError(f"{path}: unknown convention {convention!r}")
     if convention == "negative-real":
         poles = [-xi for xi in poles]
-    if not allow_open and not check_conjugate_closure(poles):
-        raise PoleFileError(
-            f"{path}: pole list is not conjugate-closed with adjacent pairs; "
-            "pass allow_open=True only if this is intentional")
+    if not check_conjugate_closure(poles):
+        raise PoleFileError(f"{path}: pole list is not conjugate-closed with adjacent pairs")
     try:
         return PoleSet(poles=tuple(poles))
     except ValueError as exc:
         raise PoleFileError(f"{path}: {exc}") from exc
 
 
-def save_poles(ps: PoleSet, path) -> None:
-    """Write a pole file that round-trips bit-exactly (repr float formatting)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# convention=positive-real\n")
-        for xi in ps.poles:
-            fh.write(f"{xi.real!r} {xi.imag!r}\n")
+def cf_poles(n: int) -> tuple[tuple[complex, ...], float]:
+    """Poles of the type-(n,n) Caratheodory-Fejer approximation of e^x on
+    (-inf, 0], and its CF error level sigma_n.
+
+    The semi-axis is transplanted to [-1, 1] by x = 9 (t-1)/(t+1); the
+    singular vector of the Chebyshev-coefficient Hankel matrix carries the
+    denominator, whose roots outside the unit disk map to the poles
+    (Trefethen, Weideman & Schmelzer, BIT 46 (2006)). sigma_n decays like
+    9.28903^-n. Conjugate pairs are adjacent, upper pole first, sorted by
+    |Im| then Re so the strongest poles are consumed first.
+
+    Raises RuntimeError where the construction loses the exterior roots
+    (n >= 17 at this resolution).
+    """
+    scl, k, nf = 9.0, 75, 1024
+    t = np.cos(2.0 * np.pi * np.arange(nf) / nf)
+    c = np.real(np.fft.fft(np.exp(scl * (t - 1.0) / (t + 1.0 + 1e-16)))) / nf
+    _, s, vh = np.linalg.svd(sla.hankel(c[1:k + 1]))
+    zr = np.roots(vh[n, :].conj())
+    roots = zr[np.abs(zr) > 1.0]
+    if len(roots) != n:
+        raise RuntimeError(f"expected {n} exterior roots, found {len(roots)}")
+    # The denominator is real, so its roots come in exact conjugate pairs.
+    upper = sorted((complex(p) for p in scl * ((roots - 1.0) / (roots + 1.0)) ** 2
+                    if p.imag >= 0), key=lambda p: (abs(p.imag), p.real))
+    poles = tuple(q for p in upper for q in ((p, p.conjugate()) if p.imag else (p,)))
+    return poles, float(s[n])
 
 
+#: Built-in set name -> CF degree. ``cf12`` has two conjugate pairs with
+#: negative real parts (direct solver); ``cf16_shifted`` is translated right
+#: by the integer sigma = ceil(1 - min Re) so every real part is positive
+#: (iterative solver). The translation multiplies the attainable accuracy by
+#: e^sigma, which the four extra poles more than buy back.
+_BUILTIN_DEGREES = {"cf12": 12, "cf16_shifted": 16}
+
+
+@functools.cache
 def builtin_pole_set(name: str) -> PoleSet:
-    """Load one of the packaged pole fixtures (``cf12``, ``cf16_shifted``)."""
-    from importlib import resources
-
-    resource = resources.files("ratexpint").joinpath(f"data/poles/{name}.poles")
-    if not resource.is_file():
-        available = [p.name[:-6] for p in resources.files("ratexpint").joinpath("data/poles").iterdir()
-                     if p.name.endswith(".poles")]
-        raise FileNotFoundError(
-            f"no packaged pole set {name!r}; available: {', '.join(sorted(available))}")
-    with resources.as_file(resource) as path:
-        return load_poles(path)
+    """One of the built-in CF pole sets (``cf12``, ``cf16_shifted``),
+    computed on first use and cached."""
+    if name not in _BUILTIN_DEGREES:
+        raise ValueError(f"no built-in pole set {name!r}; available: "
+                         f"{', '.join(_BUILTIN_DEGREES)}")
+    poles, _ = cf_poles(_BUILTIN_DEGREES[name])
+    if name.endswith("_shifted"):
+        sigma = float(math.ceil(1.0 - min(p.real for p in poles)))
+        poles = tuple(p + sigma for p in poles)
+    return PoleSet(poles=poles)
 
 
 def validate(ps: PoleSet, lam_max: float, scale: float = 1.0) -> list[str]:

@@ -80,7 +80,7 @@ def check_expm_series(instances: int = 20, seed: int = 101) -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# Augmented-operator identity: expmv output vs phi_dense combination.
+# Augmented-operator identity: expmv output vs phi_dense_all combination.
 # ---------------------------------------------------------------------------
 
 def _random_spd_operator(rng, n: int, lam_max: float = 50.0,
@@ -130,7 +130,7 @@ def check_phi_combination_identity(instances: int = 50, seed: int = 202,
         return worst
 
     secs, measured = _timed(run)
-    return CheckResult("phi-combination identity (expmv vs phi_dense)", measured, tol,
+    return CheckResult("phi-combination identity (expmv vs phi_dense_all)", measured, tol,
                        measured <= tol, secs)
 
 
@@ -360,7 +360,7 @@ def run_all(verbose_print: Optional[Callable[[str], None]] = None) -> list[Check
 
     def guarded(name, fn, many=False):
         """A crashing check becomes a named FAIL row instead of stopping the
-        suite (missing fixtures, corrupted registry entries)."""
+        suite (a pole set that cannot be built, corrupted registry entries)."""
         try:
             out = fn()
         except Exception as exc:
@@ -374,7 +374,7 @@ def run_all(verbose_print: Optional[Callable[[str], None]] = None) -> list[Check
             emit(out)
 
     guarded("dense expm vs 60-term Taylor series", check_expm_series)
-    guarded("phi-combination identity (expmv vs phi_dense)", check_phi_combination_identity)
+    guarded("phi-combination identity (expmv vs phi_dense_all)", check_phi_combination_identity)
     guarded("error expansion (30 terms) vs true error", check_error_expansion)
     guarded("tableau consistency", check_tableau_consistency, many=True)
     guarded("estimator effectivity", check_estimator_effectivity, many=True)

@@ -289,6 +289,14 @@ def test_poles_validate_missing_file(tmp_path, capsys):
     assert code == 2
 
 
+def test_unknown_builtin_pole_set_is_a_config_error(tmp_path, capsys):
+    assert run_cli("poles", "validate", "builtin:nope") == 2
+    assert "available: cf12, cf16_shifted" in capsys.readouterr().err
+    assert run_cli("run", "--problem", "ac2d", "--nx", "8", "--poles", "builtin:nope",
+                   "--h", "0.25", "--T", "0.25", "--out", str(tmp_path)) == 2
+    assert "'nope'" in capsys.readouterr().err
+
+
 def test_poles_validate_zero_pole_is_a_config_error(tmp_path, capsys):
     pole_file = tmp_path / "zero.poles"
     pole_file.write_text("0.0 0.0\n")

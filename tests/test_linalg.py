@@ -6,9 +6,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratexpint.linalg import (SMALL_MATRIX_CAP, DimensionMismatch, SparseOperator,
-                              dense_expm, orthogonal_extend, phi_dense,
-                              phi_dense_all)
+from ratexpint.linalg import (DimensionMismatch, SparseOperator, dense_expm,
+                              orthogonal_extend, phi_dense_all)
 
 
 def taylor_expm(z, terms=60):
@@ -133,19 +132,18 @@ def test_expm_large_norm_uses_squaring():
 
 
 # ---------------------------------------------------------------------------
-# phi_dense
+# phi_dense_all
 # ---------------------------------------------------------------------------
 
 def test_phi_at_zero():
     import math
-    z = np.zeros((4, 4))
+    phis = phi_dense_all(np.zeros((4, 4)), 4)
     for k in range(5):
-        assert np.allclose(phi_dense(z, k), np.eye(4) / math.factorial(k),
-                           rtol=0, atol=1e-15)
+        assert np.allclose(phis[k], np.eye(4) / math.factorial(k), rtol=0, atol=1e-15)
 
 
 def test_phi_scalar_value():
-    val = phi_dense(np.array([[1.0]]), 1)[0, 0]
+    val = phi_dense_all(np.array([[1.0]]), 1)[1][0, 0]
     assert abs(val - (np.e - 1.0)) <= 1e-14
 
 
@@ -161,18 +159,10 @@ def test_phi_recurrence(seed):
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(np.linalg.norm(phis[k]), 1.0)
 
 
-def test_phi_index_and_cap_limits():
-    z = np.zeros((2, 2))
-    with pytest.raises(ValueError):
-        phi_dense(z, 9)
-    with pytest.raises(ValueError):
-        phi_dense(np.zeros((SMALL_MATRIX_CAP + 1, SMALL_MATRIX_CAP + 1)), 1)
-
-
 def test_phi_zero_index_is_expm():
     rng = np.random.default_rng(3)
     z = rng.standard_normal((5, 5))
-    assert np.allclose(phi_dense(z, 0), dense_expm(z), rtol=1e-13, atol=0)
+    assert np.allclose(phi_dense_all(z, 0)[0], dense_expm(z), rtol=1e-13, atol=0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,23 @@
-"""Pole sets: construction, file round-trips, validation, fixtures."""
+"""Pole sets: construction, file round-trips, validation, the built-in CF sets."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratexpint.krylov import expmv_rational
-from ratexpint.poles import (PoleFileError, PoleSet, builtin_pole_set,
+from ratexpint.linalg import SparseOperator
+from ratexpint.poles import (PoleFileError, PoleSet, builtin_pole_set, cf_poles,
                              check_conjugate_closure, load_poles, repeated_real,
-                             save_poles, validate)
+                             validate)
 from ratexpint.problems import fd_laplacian_1d
 from ratexpint.solvers import ShiftedSolver, SolverConfig
+
+
+def write_poles(path, poles):
+    """A pole file in repr float formatting, which round-trips bit-exactly."""
+    path.write_text("".join(f"{xi.real!r} {xi.imag!r}\n" for xi in poles))
 
 
 def test_repeated_real_basic():
@@ -47,10 +54,8 @@ def test_conjugate_closure_check():
 def test_load_rejects_open_set(tmp_path):
     path = tmp_path / "open.poles"
     path.write_text("# convention=positive-real\n1.0 2.0\n3.0 0.0\n")
-    with pytest.raises(PoleFileError):
+    with pytest.raises(PoleFileError, match="not conjugate-closed"):
         load_poles(path)
-    ps = load_poles(path, allow_open=True)
-    assert not ps.conjugate_closed
 
 
 def test_load_accepts_closed_set(tmp_path):
@@ -74,11 +79,9 @@ def test_round_trip_bit_exact(tmp_path):
     poles = []
     for re, im in zip(vals[:3], vals[3:]):
         poles += [complex(re, abs(im)), complex(re, -abs(im))]
-    ps = PoleSet(poles=tuple(poles))
     path = tmp_path / "rt.poles"
-    save_poles(ps, path)
-    back = load_poles(path)
-    assert back.poles == ps.poles
+    write_poles(path, poles)
+    assert load_poles(path).poles == tuple(poles)
 
 
 @settings(max_examples=30, deadline=None)
@@ -88,9 +91,9 @@ def test_round_trip_property(tmp_path_factory, re, im):
     if re == 0.0 and im == 0.0:
         return
     path = tmp_path_factory.mktemp("poles") / "p.poles"
-    ps = PoleSet(poles=(complex(re, im), complex(re, -im)) if im else (complex(re, 0.0),))
-    save_poles(ps, path)
-    assert load_poles(path).poles == ps.poles
+    poles = (complex(re, im), complex(re, -im)) if im else (complex(re, 0.0),)
+    write_poles(path, poles)
+    assert load_poles(path).poles == poles
 
 
 def test_validate_warns_near_spectrum():
@@ -128,20 +131,57 @@ def test_builtin_cf16_shifted_is_iterative_safe():
 
 
 def test_unknown_builtin():
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(ValueError, match="'nope'; available: cf12, cf16_shifted"):
         builtin_pole_set("nope")
 
 
+def test_builtin_sets_are_computed_once():
+    assert builtin_pole_set("cf12") is builtin_pole_set("cf12")
+
+
+@pytest.mark.parametrize("n", [6, 8, 10, 12, 14])
+def test_cf_error_level_decays_at_the_cf_rate(n):
+    """sigma_n ~ 9.28903^-n, so two degrees buy a factor of about 86.3."""
+    poles, level = cf_poles(n)
+    assert len(poles) == n
+    assert check_conjugate_closure(poles)
+    assert 80.0 <= level / cf_poles(n + 2)[1] <= 92.0
+
+
+def test_cf_construction_limit():
+    with pytest.raises(RuntimeError, match="expected 18 exterior roots"):
+        cf_poles(18)
+
+
+@pytest.mark.parametrize("spectrum_max", [1e3, 1e6, 1e8])
+@pytest.mark.parametrize("name", ["cf12", "cf16_shifted"])
+def test_builtin_set_certified_on_wide_spectra(name, spectrum_max):
+    """The rational engine with each built-in set reproduces e^{-D} c0 to
+    1e-8 for diagonal D with spectrum {0} and 1e-9*s..s, up to s = 1e8."""
+    n = 1500
+    lam = np.concatenate([[0.0], np.geomspace(spectrum_max * 1e-9, spectrum_max, n - 1)])
+    op = SparseOperator(sp.diags(lam).tocsr())
+    c0 = np.random.default_rng(7).standard_normal(n)
+    c0 /= np.linalg.norm(c0)
+    exact = np.exp(-lam) * c0
+    ps = builtin_pole_set(name)
+    if name == "cf16_shifted":
+        assert min(xi.real for xi in ps) > 0
+    solver = ShiftedSolver(op, SolverConfig(mode="direct"))
+    rep = expmv_rational(op, 1.0, [c0], ps, solver,
+                         tol=1e-8, m_min=4, m_max=len(ps), check_cadence=2)
+    err = np.linalg.norm(rep.phi_combination - exact) / np.linalg.norm(exact)
+    assert err <= 1e-8
+
+
 def test_cf12_drives_engine_below_tolerance_quickly():
-    """The fixture's purpose: tolerance 1e-8 within 14 iterations on a
+    """The set's purpose: tolerance 1e-8 within 14 iterations on a
     1D second-difference matrix with spectrum scaled to [1, 1000]."""
     op_raw = fd_laplacian_1d(900, 900.0, "dirichlet")
     k = np.arange(1, 901)
     lam = 2.0 - 2.0 * np.cos(k * np.pi / 901.0)
     a = 999.0 / (lam.max() - lam.min())
     b = 1.0 - a * lam.min()
-    import scipy.sparse as sp
-    from ratexpint.linalg import SparseOperator
     op = SparseOperator((a * op_raw.tocsr()
                          + b * sp.identity(900, format="csr")).tocsr())
     c0 = np.full(900, 1.0 / 30.0)

@@ -29,17 +29,17 @@ def test_corrupted_tableau_names_the_failing_check(monkeypatch):
     assert any("etd3rk stage-2" in r.name for r in failing)
 
 
-def test_missing_pole_fixture_fails_with_actionable_message(monkeypatch):
+def test_raising_check_fails_with_its_message(monkeypatch):
     import ratexpint.verify as v
 
-    def missing(name):
-        raise FileNotFoundError(f"no packaged pole set {name!r}")
+    def broken(name):
+        raise RuntimeError(f"cannot build pole set {name!r}")
 
-    monkeypatch.setattr(v, "builtin_pole_set", missing)
+    monkeypatch.setattr(v, "builtin_pole_set", broken)
     results = v.run_all()
     failing = [r for r in results if not r.passed]
     assert failing
-    assert any("no packaged pole set" in r.detail for r in failing)
+    assert any("RuntimeError: cannot build pole set 'cf12'" in r.detail for r in failing)
 
 
 def test_scaled_spectrum_matrices_have_unit_interval():
