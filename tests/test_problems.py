@@ -1,5 +1,7 @@
 """Problem construction: operators, reactions, initial data, file ingestion."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -390,3 +392,17 @@ def test_builtin_graph_loads():
     assert g.coords is not None
     lcc = largest_connected_component(g)
     assert lcc.n == g.n
+
+
+def test_builtin_graph_is_pinned():
+    # numpy does not promise the same Generator streams across versions
+    # (NEP 19); a change in them shows here rather than as a silently
+    # different benchmark graph.
+    g = builtin_graph("road2600")
+    assert (g.n, g.num_edges) == (2652, 3829)
+    edges = np.array(g.edges)
+    assert np.all(edges[:, 2] == 1.0)
+    ij = np.ascontiguousarray(edges[:, :2].astype(np.int64))
+    assert hashlib.sha256(ij.tobytes()).hexdigest()[:16] == "bf6582fa14daf607"
+    ix, iy = np.divmod(np.arange(g.n), 51)
+    assert np.array_equal(g.coords, np.column_stack([ix, iy]))
