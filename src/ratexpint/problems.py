@@ -1,14 +1,14 @@
 """Benchmark problem construction.
 
 Discrete diffusion operators (finite-difference and graph Laplacians),
-semi-linear reaction terms, initial conditions, and file ingestion for
-graph data. All operators produced here are symmetric positive
-semi-definite.
+semi-linear reaction terms, initial conditions, a built-in road-like graph
+and file ingestion for user graph data. All operators produced here are
+symmetric positive semi-definite; the problem builders reject diffusion
+parameters that would break this.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -40,7 +40,6 @@ class Problem:
     g: Callable[[float, np.ndarray], np.ndarray]
     u0: np.ndarray
     params: dict
-    lam_max: float                      # upper bound on the spectrum of A
     coords: Optional[np.ndarray] = None  # per-dof coordinates, for exports
 
     @property
@@ -180,6 +179,56 @@ def largest_connected_component(g: Graph) -> Graph:
     return Graph(adjacency=g.adjacency[nodes][:, nodes], coords=coords, original_ids=nodes)
 
 
+def builtin_graph(name: str = "road2600") -> Graph:
+    """A built-in benchmark graph, with node coordinates; built on each call.
+
+    ``road2600`` is a 52 x 51 grid graph with 55% of the edges off a
+    spanning tree deleted at random, plus 30 random shortcut edges: sparse,
+    irregular and connected, like a road network. Nodes keep their grid
+    coordinates (ix, iy) and are numbered ix * 51 + iy.
+    """
+    if name != "road2600":
+        raise ValueError(f"no built-in graph {name!r}; available: road2600")
+    nx, ny = 52, 51
+    n = nx * ny
+    rng = np.random.default_rng(20240517)
+    # Grid edges node by node, the x-neighbour (+ny) before the y-neighbour
+    # (+1); the seed picks deleted edges by their index in this order.
+    ix, iy = np.divmod(np.arange(n), ny)
+    node = np.repeat(np.arange(n), 2)
+    in_grid = np.column_stack([ix + 1 < nx, iy + 1 < ny]).ravel()
+    edges = np.column_stack([node, node + np.tile([ny, 1], n)])[in_grid]
+    m = len(edges)
+
+    # Protect the edges of a spanning tree: a stack traversal from node 0
+    # that marks nodes when pushed and visits neighbours in edge order.
+    ends = np.concatenate([edges, edges[:, ::-1]])
+    edge_ids = np.tile(np.arange(m), 2)
+    order = np.lexsort((edge_ids, ends[:, 0]))
+    neighbours, via = ends[order, 1].tolist(), edge_ids[order].tolist()
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(ends[:, 0], minlength=n))]).tolist()
+    protected = np.zeros(m, dtype=bool)
+    seen = [False] * n
+    seen[0] = True
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for k in range(indptr[i], indptr[i + 1]):
+            j = neighbours[k]
+            if not seen[j]:
+                seen[j] = True
+                protected[via[k]] = True
+                stack.append(j)
+
+    deletable = np.flatnonzero(~protected)
+    keep = np.ones(m, dtype=bool)
+    keep[rng.choice(deletable, size=int(0.55 * deletable.size), replace=False)] = False
+    shortcuts = rng.integers(0, n, size=(30, 2))
+    coords = np.column_stack([ix, iy]).astype(np.float64)
+    return Graph.from_edge_list(n, np.concatenate([edges[keep], shortcuts]).tolist(),
+                                coords=coords)
+
+
 # ---------------------------------------------------------------------------
 # Graph file ingestion.
 # ---------------------------------------------------------------------------
@@ -230,68 +279,14 @@ def load_matrix_market_adjacency(path) -> Graph:
     return g
 
 
-def load_node_coordinates(path, n: int) -> np.ndarray:
-    """Read ``id,x,y`` rows (optional header) into an (n, 2) array; ids must
-    lie in 0..n-1."""
-    coords = np.full((n, 2), np.nan)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row or row[0].startswith("#"):
-                continue
-            try:
-                idx = int(row[0])
-            except ValueError:
-                continue  # header line
-            if not 0 <= idx < n:
-                raise ValueError(f"{path}:{reader.line_num}: node id {idx} outside 0..{n - 1}")
-            if len(row) < 3:
-                raise ValueError(f"{path}:{reader.line_num}: expected 'id,x,y', "
-                                 f"got {','.join(row)!r}")
-            try:
-                coords[idx] = (float(row[1]), float(row[2]))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
-    return coords
-
-
-def builtin_graph(name: str = "road2600") -> Graph:
-    """Load a packaged benchmark graph together with its node coordinates."""
-    from importlib import resources
-
-    base = resources.files("ratexpint").joinpath("data/graphs")
-    edge_res = base.joinpath(f"{name}.edges")
-    if not edge_res.is_file():
-        raise FileNotFoundError(f"no packaged graph {name!r}")
-    with resources.as_file(edge_res) as path:
-        g = load_edge_list(path)
-    coord_res = base.joinpath(f"{name}_coords.csv")
-    if coord_res.is_file():
-        with resources.as_file(coord_res) as path:
-            g.coords = load_node_coordinates(path, g.n)
-    return g
-
-
-def save_edge_list(g: Graph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# nodes={g.n} edges={g.num_edges} base=0\n")
-        for i, j, w in g.edges:
-            if w == 1.0:
-                fh.write(f"{i} {j}\n")
-            else:
-                fh.write(f"{i} {j} {w!r}\n")
-
-
 # ---------------------------------------------------------------------------
 # Reaction terms.
 # ---------------------------------------------------------------------------
 
-def reaction_allen_cahn(u: np.ndarray, eps: float, scaled: bool = False) -> np.ndarray:
-    """Cubic double-well reaction u - u^3; the scaled network form divides by eps."""
-    if eps <= 0:
-        raise ValueError("interface parameter must be positive")
-    g = u - u**3
-    return g / eps if scaled else g
+def reaction_allen_cahn(u: np.ndarray, eps: float = 1.0) -> np.ndarray:
+    """Cubic double-well reaction (u - u^3) / eps; the scaled network form
+    takes the interface parameter eps, the 2D form leaves it at 1."""
+    return (u - u**3) / eps
 
 
 def reaction_gierer_meinhardt(a, h, p, mu, pprime, nu, floor: float = GM_INHIBITOR_FLOOR):
@@ -346,20 +341,19 @@ def initial_condition(kind: str, *, nx: int = 0, length: float = 2.0, bc: str = 
 def allen_cahn_2d(nx: int, eps2: float = 0.1, length: float = 2.0,
                   bc: str = "neumann") -> Problem:
     """2D Allen-Cahn: u' = eps^2 Lap u + u - u^3 on the centered square."""
-    lap = fd_laplacian_2d(nx, length, bc)
-    a = lap.scaled(eps2)
-    h = length / nx
+    if not eps2 > 0:
+        raise ValueError(f"eps2 must be positive, got {eps2}")
+    a = fd_laplacian_2d(nx, length, bc).scaled(eps2)
     u0 = initial_condition("ac2d", nx=nx, length=length, bc=bc)
     x, y = fd_grid_2d(nx, length, bc, origin=-length / 2.0)
 
     def g(t, u):
-        return reaction_allen_cahn(u, eps=np.sqrt(eps2), scaled=False)
+        return reaction_allen_cahn(u)
 
     return Problem(
         name=f"ac2d-nx{nx}-{bc}",
         A=a, g=g, u0=u0,
         params={"eps2": eps2, "L": length, "nx": nx, "bc": bc},
-        lam_max=eps2 * 8.0 / h**2,
         coords=np.column_stack([x, y]),
     )
 
@@ -373,11 +367,12 @@ def gierer_meinhardt_2d(nx: int, D_a: float = 0.01, D_h: float = 1.0,
     The operator is block-diagonal diag(D_a L, D_h L) on the stacked state
     (a; h).
     """
+    if not (D_a >= 0 and D_h >= 0):
+        raise ValueError(f"D_a and D_h must be non-negative, got {D_a} and {D_h}")
     lap = fd_laplacian_2d(nx, length, bc).tocsr()
     a_op = SparseOperator(sp.block_diag([D_a * lap, D_h * lap], format="csr"))
     n = nx * nx
     u0 = initial_condition("gm2d", nx=nx, seed=seed)
-    hx = length / nx
 
     def g(t, u):
         act, inh = u[:n], u[n:]
@@ -390,7 +385,6 @@ def gierer_meinhardt_2d(nx: int, D_a: float = 0.01, D_h: float = 1.0,
         A=a_op, g=g, u0=u0,
         params={"D_a": D_a, "D_h": D_h, "p": p, "mu": mu, "pprime": pprime,
                 "nu": nu, "L": length, "nx": nx, "bc": bc, "seed": seed},
-        lam_max=max(D_a, D_h) * 8.0 / hx**2,
         coords=np.column_stack([np.tile(x, 2), np.tile(y, 2)]),
     )
 
@@ -398,17 +392,19 @@ def gierer_meinhardt_2d(nx: int, D_a: float = 0.01, D_h: float = 1.0,
 def allen_cahn_graph(g: Graph, eps: float = 0.05, diffusion: float = 1.0,
                      seed: int = 0) -> Problem:
     """Scaled graph Allen-Cahn: u' = -eps D L u + (u - u^3)/eps."""
-    lap = graph_laplacian(g)
-    a = lap.scaled(eps * diffusion)
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    if not diffusion >= 0:
+        raise ValueError(f"diffusion must be non-negative, got {diffusion}")
+    a = graph_laplacian(g).scaled(eps * diffusion)
 
     def reaction(t, u):
-        return reaction_allen_cahn(u, eps=eps, scaled=True)
+        return reaction_allen_cahn(u, eps=eps)
 
     u0 = initial_condition("ac_graph", n=g.n, seed=seed)
     return Problem(
         name=f"acgraph-n{g.n}",
         A=a, g=reaction, u0=u0,
         params={"eps": eps, "D": diffusion, "seed": seed},
-        lam_max=eps * diffusion * 2.0 * max(g.max_degree(), 1.0),
         coords=g.coords,
     )

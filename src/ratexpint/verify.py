@@ -326,7 +326,7 @@ def check_linear_exactness(seed: int = 505, tol: float = 1e-8) -> list[CheckResu
     def zero_g(t, u):
         return np.zeros_like(u)
 
-    problem = Problem(name="linear", A=op, g=zero_g, u0=u0, params={}, lam_max=30.0)
+    problem = Problem(name="linear", A=op, g=zero_g, u0=u0, params={})
     poles = builtin_pole_set("cf12")
     results = []
     for engine_name in ("rational", "polynomial"):

@@ -289,6 +289,22 @@ def test_poles_validate_missing_file(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--problem", "ac2d", "--eps2", "0"), "eps2 must be positive"),
+    (("--problem", "ac2d", "--eps2", "-0.1"), "eps2 must be positive"),
+    (("--problem", "ac-graph", "--eps", "0"), "eps must be positive"),
+    (("--problem", "ac-graph", "--diffusion", "-1"), "diffusion must be non-negative"),
+    (("--problem", "gm2d", "--D-a", "-0.01"), "D_a and D_h must be non-negative"),
+], ids=["ac2d-eps2-zero", "ac2d-eps2-negative", "graph-eps-zero", "graph-diffusion-negative",
+        "gm2d-D_a-negative"])
+def test_anti_diffusive_problem_parameters_are_config_errors(tmp_path, capsys, flags, message):
+    assert run_cli("run", *flags, "--nx", "8", "--h", "0.25", "--T", "0.25",
+                   "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_unknown_builtin_pole_set_is_a_config_error(tmp_path, capsys):
     assert run_cli("poles", "validate", "builtin:nope") == 2
     assert "available: cf12, cf16_shifted" in capsys.readouterr().err
@@ -328,3 +344,12 @@ def test_graph_info_builtin(capsys):
     code = run_cli("graph", "info", "builtin:road2600")
     assert code == 0
     assert "largest_component = 2652" in capsys.readouterr().out
+
+
+def test_unknown_builtin_graph_is_a_config_error(tmp_path, capsys):
+    assert run_cli("graph", "info", "builtin:nope") == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "available: road2600" in err
+    assert run_cli("run", "--problem", "ac-graph", "--graph-file", "builtin:nope",
+                   "--h", "0.25", "--T", "0.25", "--out", str(tmp_path)) == 2
+    assert "configuration error" in capsys.readouterr().err

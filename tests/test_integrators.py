@@ -22,7 +22,7 @@ def random_spd(rng, n, lam_max=20.0):
 
 def linear_problem(op, u0):
     return Problem(name="lin", A=op, g=lambda t, u: np.zeros_like(u),
-                   u0=u0, params={}, lam_max=op.norm_inf())
+                   u0=u0, params={})
 
 
 def rational_config(**kw):
@@ -197,7 +197,7 @@ def test_scalar_relaxation_against_closed_form():
     # u' = -u + 1, u(0) = 0 has solution 1 - e^{-t}
     op = SparseOperator.identity(1)
     prob = Problem(name="scalar", A=op, g=lambda t, u: np.ones(1),
-                   u0=np.zeros(1), params={}, lam_max=1.0)
+                   u0=np.zeros(1), params={})
     eng = Engine(prob, rational_config(tol=1e-12, m_hard=1))
     h = 0.1
     u1, _ = step(prob, tableau("etd3rk"), np.zeros(1), 0.0, h, eng)
@@ -210,7 +210,7 @@ def test_engine_equivalence_on_small_problem():
     op = random_spd(rng, n, lam_max=12.0)
     u0 = rng.standard_normal(n)
     prob = Problem(name="cubic", A=op, g=lambda t, u: u - u ** 3,
-                   u0=u0, params={}, lam_max=12.0)
+                   u0=u0, params={})
     tol = 1e-9
     tab = tableau("etd3rk")
     u_rat, _ = step(prob, tab, u0, 0.0, 0.3,
@@ -239,7 +239,7 @@ def test_lone_complex_pole_reports_discarded_imaginary_part():
     op = random_spd(rng, n, lam_max=20.0)
     u0 = rng.standard_normal(n)
     prob = Problem(name="cubic", A=op, g=lambda t, u: u - u ** 3,
-                   u0=u0, params={}, lam_max=20.0)
+                   u0=u0, params={})
     lone = PoleSet(poles=(complex(4.0, 3.0),))
     traj = integrate(prob, tableau("sw2"), 0.25, 0.5,
                      Engine(prob, rational_config(poles=lone, tol=1e-8, m_hard=n)))
@@ -260,7 +260,7 @@ def test_single_step_integrate_equals_step():
     op = random_spd(rng, n, lam_max=8.0)
     u0 = rng.standard_normal(n)
     prob = Problem(name="cubic", A=op, g=lambda t, u: u - u ** 3,
-                   u0=u0, params={}, lam_max=8.0)
+                   u0=u0, params={})
     tab = tableau("sw2")
     h = 0.25
     eng1 = Engine(prob, rational_config(tol=1e-10, m_hard=n))
@@ -345,7 +345,7 @@ def test_gierer_meinhardt_dynamics_stay_positive():
 def test_blowup_aborts_with_diagnostic():
     op = SparseOperator.identity(4)
     prob = Problem(name="explode", A=op, g=lambda t, u: np.full(4, np.nan),
-                   u0=np.zeros(4), params={}, lam_max=1.0)
+                   u0=np.zeros(4), params={})
     eng = Engine(prob, rational_config(tol=1e-8, m_hard=4))
     with pytest.raises(NumericalBlowup) as err:
         integrate(prob, tableau("sw2"), 0.1, 0.5, eng)

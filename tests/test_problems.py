@@ -11,10 +11,10 @@ from ratexpint.problems import (Graph, allen_cahn_2d, allen_cahn_graph, builtin_
                                 gierer_meinhardt_2d, graph_laplacian,
                                 initial_condition, largest_connected_component,
                                 load_edge_list, load_matrix_market_adjacency,
-                                load_node_coordinates, reaction_allen_cahn,
-                                reaction_gierer_meinhardt, save_edge_list)
+                                reaction_allen_cahn, reaction_gierer_meinhardt)
 
 BCS = ("dirichlet", "neumann", "periodic")
+PATH3 = Graph.from_edge_list(3, [(0, 1), (1, 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +202,13 @@ def test_lcc_empty_graph_rejected():
 
 def test_allen_cahn_reaction_fixed_points():
     u = np.array([0.0, 1.0, -1.0])
+    assert np.array_equal(reaction_allen_cahn(u), np.zeros(3))
     assert np.array_equal(reaction_allen_cahn(u, eps=0.1), np.zeros(3))
 
 
 def test_allen_cahn_scaled_value():
-    out = reaction_allen_cahn(np.array([0.5]), eps=0.05, scaled=True)
+    assert reaction_allen_cahn(np.array([0.5]))[0] == 0.375
+    out = reaction_allen_cahn(np.array([0.5]), eps=0.05)
     assert out[0] == pytest.approx(0.375 / 0.05)
     assert out[0] == pytest.approx(7.5)
 
@@ -306,8 +308,29 @@ def test_problem_spectrum_hint_bounds_dense_eigenvalues():
     for prob in (allen_cahn_2d(10), gierer_meinhardt_2d(7, seed=3)):
         assert prob.n <= 400
         eigs = np.linalg.eigvalsh(prob.A.todense())
-        assert eigs.max() <= prob.lam_max * (1 + 1e-12)
-        assert eigs.min() >= -1e-10 * max(prob.lam_max, 1.0)
+        bound = prob.A.norm_inf()
+        assert eigs.max() <= bound * (1 + 1e-12)
+        assert eigs.min() >= -1e-10 * max(bound, 1.0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: allen_cahn_2d(8, eps2=0.0), "eps2 must be positive, got 0.0"),
+    (lambda: allen_cahn_2d(8, eps2=-0.1), "eps2 must be positive, got -0.1"),
+    (lambda: allen_cahn_graph(PATH3, eps=0.0), "eps must be positive, got 0.0"),
+    (lambda: allen_cahn_graph(PATH3, diffusion=-1.0),
+     "diffusion must be non-negative, got -1.0"),
+    (lambda: gierer_meinhardt_2d(6, D_a=-0.01), "D_a and D_h must be non-negative"),
+    (lambda: gierer_meinhardt_2d(6, D_h=float("nan")), "D_a and D_h must be non-negative"),
+], ids=["ac2d-eps2-zero", "ac2d-eps2-negative", "graph-eps-zero", "graph-diffusion-negative",
+        "gm2d-D_a-negative", "gm2d-D_h-nan"])
+def test_problem_builders_reject_anti_diffusive_parameters(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_problem_builders_accept_zero_diffusion():
+    assert allen_cahn_graph(PATH3, diffusion=0.0).A.norm_inf() == 0.0
+    assert gierer_meinhardt_2d(4, D_a=0.0, D_h=0.0).A.norm_inf() == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +340,8 @@ def test_problem_spectrum_hint_bounds_dense_eigenvalues():
 def test_edge_list_round_trip(tmp_path):
     g = Graph.from_edge_list(4, [(0, 1, 1.5), (1, 2), (2, 3, 0.25)])
     path = tmp_path / "g.edges"
-    save_edge_list(g, path)
+    path.write_text(f"# nodes={g.n}\n"
+                    + "".join(f"{i} {j} {w!r}\n" for i, j, w in g.edges))
     back = load_edge_list(path)
     assert back.n == g.n
     assert back.edges == g.edges
@@ -360,32 +384,6 @@ def test_matrix_market_symmetric_and_general(tmp_path):
     assert (g3.adjacency != g3.adjacency.T).nnz == 0
 
 
-def test_node_coordinates_csv(tmp_path):
-    path = tmp_path / "coords.csv"
-    path.write_text("id,x,y\n0,0.0,1.0\n1,2.5,3.5\n")
-    coords = load_node_coordinates(path, 2)
-    assert np.allclose(coords, [[0.0, 1.0], [2.5, 3.5]])
-
-
-@pytest.mark.parametrize("bad_id", [-1, 2, 5])
-def test_node_coordinates_reject_ids_outside_range(tmp_path, bad_id):
-    path = tmp_path / "coords.csv"
-    path.write_text(f"id,x,y\n0,0.0,1.0\n{bad_id},2.5,3.5\n")
-    with pytest.raises(ValueError, match=f"coords.csv:3: node id {bad_id} outside 0..1"):
-        load_node_coordinates(path, 2)
-
-
-@pytest.mark.parametrize("row, message", [
-    ("0,1.0", "expected 'id,x,y', got '0,1.0'"),
-    ("0,abc,1", "could not convert string to float: 'abc'"),
-], ids=["short-row", "not-a-number"])
-def test_node_coordinates_reject_malformed_rows(tmp_path, row, message):
-    path = tmp_path / "coords.csv"
-    path.write_text(f"id,x,y\n{row}\n")
-    with pytest.raises(ValueError, match=f"coords.csv:2: {message}"):
-        load_node_coordinates(path, 1)
-
-
 def test_builtin_graph_loads():
     g = builtin_graph("road2600")
     assert 2400 <= g.n <= 2800
@@ -406,3 +404,8 @@ def test_builtin_graph_is_pinned():
     assert hashlib.sha256(ij.tobytes()).hexdigest()[:16] == "bf6582fa14daf607"
     ix, iy = np.divmod(np.arange(g.n), 51)
     assert np.array_equal(g.coords, np.column_stack([ix, iy]))
+
+
+def test_unknown_builtin_graph_names_the_available_one():
+    with pytest.raises(ValueError, match="no built-in graph 'nope'; available: road2600"):
+        builtin_graph("nope")
