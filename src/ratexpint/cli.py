@@ -244,7 +244,8 @@ def write_run_report(path: Path, args: argparse.Namespace, traj: Trajectory, che
 # ---------------------------------------------------------------------------
 
 #: What ``run`` reports as exit 2 and exit 3, and ``bench`` as a cell's error.
-#: ``ConfigError``, ``PoleFileError`` and ``TableauError`` subclass ``ValueError``.
+#: ``ConfigError`` and ``PoleFileError`` subclass ``ValueError``; an unknown
+#: integrator, pole set or graph name raises ``ValueError`` itself.
 CONFIG_ERRORS = (OSError, ValueError)
 NUMERIC_ERRORS = (NumericalBlowup, KrylovError, SolverError)
 

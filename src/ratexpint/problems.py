@@ -153,9 +153,6 @@ class Graph:
         upper = sp.triu(self.adjacency, k=1)
         return sorted(zip(upper.row.tolist(), upper.col.tolist(), upper.data.tolist()))
 
-    def max_degree(self) -> float:
-        return float(self.adjacency.sum(axis=1).max()) if self.adjacency.nnz else 0.0
-
 
 def graph_laplacian(g: Graph) -> SparseOperator:
     """Unnormalized graph Laplacian L = D - W."""
@@ -303,49 +300,19 @@ def reaction_gierer_meinhardt(a, h, p, mu, pprime, nu, floor: float = GM_INHIBIT
 
 
 # ---------------------------------------------------------------------------
-# Initial conditions. Random data comes from numpy's PCG64 generator so runs
-# are reproducible from the seed alone.
-# ---------------------------------------------------------------------------
-
-def initial_condition(kind: str, *, nx: int = 0, length: float = 2.0, bc: str = "neumann",
-                      n: int = 0, seed: Optional[int] = None) -> np.ndarray:
-    """Initial data for the benchmark problems.
-
-    Kinds: ``ac2d`` (cosine bump 0.1 + 0.1 cos(2 pi x) cos(2 pi y) on the
-    centered square), ``gm2d`` (activator uniform in [0.4, 0.6], inhibitor
-    constant 0.2; returns the stacked vector), ``ac_graph`` (uniform in
-    [-1, 1] per node).
-    """
-    if kind == "ac2d":
-        x, y = fd_grid_2d(nx, length, bc, origin=-length / 2.0)
-        return 0.1 + 0.1 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)
-    if kind == "gm2d":
-        if seed is None:
-            raise ValueError("gm2d initial data is random; a seed is required")
-        rng = np.random.Generator(np.random.PCG64(seed))
-        a0 = rng.uniform(0.4, 0.6, size=nx * nx)
-        h0 = np.full(nx * nx, 0.2)
-        return np.concatenate([a0, h0])
-    if kind == "ac_graph":
-        if seed is None:
-            raise ValueError("ac_graph initial data is random; a seed is required")
-        rng = np.random.Generator(np.random.PCG64(seed))
-        return rng.uniform(-1.0, 1.0, size=n)
-    raise ValueError(f"unknown initial-condition kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# Assembled benchmark problems.
+# Assembled benchmark problems. Random initial data comes from numpy's PCG64
+# generator so runs are reproducible from the seed alone.
 # ---------------------------------------------------------------------------
 
 def allen_cahn_2d(nx: int, eps2: float = 0.1, length: float = 2.0,
                   bc: str = "neumann") -> Problem:
-    """2D Allen-Cahn: u' = eps^2 Lap u + u - u^3 on the centered square."""
+    """2D Allen-Cahn: u' = eps^2 Lap u + u - u^3 on the centered square,
+    from the cosine bump u0 = 0.1 + 0.1 cos(2 pi x) cos(2 pi y)."""
     if not eps2 > 0:
         raise ValueError(f"eps2 must be positive, got {eps2}")
     a = fd_laplacian_2d(nx, length, bc).scaled(eps2)
-    u0 = initial_condition("ac2d", nx=nx, length=length, bc=bc)
     x, y = fd_grid_2d(nx, length, bc, origin=-length / 2.0)
+    u0 = 0.1 + 0.1 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)
 
     def g(t, u):
         return reaction_allen_cahn(u)
@@ -365,14 +332,15 @@ def gierer_meinhardt_2d(nx: int, D_a: float = 0.01, D_h: float = 1.0,
     """2D Gierer-Meinhardt activator/inhibitor system.
 
     The operator is block-diagonal diag(D_a L, D_h L) on the stacked state
-    (a; h).
+    (a; h). Initial data: activator uniform in [0.4, 0.6], inhibitor 0.2.
     """
     if not (D_a >= 0 and D_h >= 0):
         raise ValueError(f"D_a and D_h must be non-negative, got {D_a} and {D_h}")
     lap = fd_laplacian_2d(nx, length, bc).tocsr()
     a_op = SparseOperator(sp.block_diag([D_a * lap, D_h * lap], format="csr"))
     n = nx * nx
-    u0 = initial_condition("gm2d", nx=nx, seed=seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    u0 = np.concatenate([rng.uniform(0.4, 0.6, size=n), np.full(n, 0.2)])
 
     def g(t, u):
         act, inh = u[:n], u[n:]
@@ -391,7 +359,8 @@ def gierer_meinhardt_2d(nx: int, D_a: float = 0.01, D_h: float = 1.0,
 
 def allen_cahn_graph(g: Graph, eps: float = 0.05, diffusion: float = 1.0,
                      seed: int = 0) -> Problem:
-    """Scaled graph Allen-Cahn: u' = -eps D L u + (u - u^3)/eps."""
+    """Scaled graph Allen-Cahn: u' = -eps D L u + (u - u^3)/eps, from data
+    uniform in [-1, 1] per node."""
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if not diffusion >= 0:
@@ -401,7 +370,7 @@ def allen_cahn_graph(g: Graph, eps: float = 0.05, diffusion: float = 1.0,
     def reaction(t, u):
         return reaction_allen_cahn(u, eps=eps)
 
-    u0 = initial_condition("ac_graph", n=g.n, seed=seed)
+    u0 = np.random.Generator(np.random.PCG64(seed)).uniform(-1.0, 1.0, size=g.n)
     return Problem(
         name=f"acgraph-n{g.n}",
         A=a, g=reaction, u0=u0,

@@ -10,8 +10,7 @@ from ratexpint.linalg import SparseOperator, phi_dense_all
 from ratexpint.poles import PoleSet, builtin_pole_set
 from ratexpint.problems import Problem, allen_cahn_2d, gierer_meinhardt_2d
 from ratexpint.solvers import SolverConfig
-from ratexpint.tableaus import (TableauError, Tableau, available,
-                                exponential_euler, parse_registry, tableau)
+from ratexpint.tableaus import Tableau, available, tableau
 
 
 def random_spd(rng, n, lam_max=20.0):
@@ -32,7 +31,7 @@ def rational_config(**kw):
 
 
 # ---------------------------------------------------------------------------
-# Tableau registry.
+# Tableaus.
 # ---------------------------------------------------------------------------
 
 def test_available_methods():
@@ -40,7 +39,7 @@ def test_available_methods():
 
 
 def test_unknown_method_lists_names():
-    with pytest.raises(TableauError) as err:
+    with pytest.raises(ValueError) as err:
         tableau("etd3kr")
     msg = str(err.value)
     for name in ("sw2", "etd3rk", "krogstad4"):
@@ -62,6 +61,33 @@ def test_etd3rk_coefficients():
     assert phi1_row == [1.0, 0.0, 0.0]
 
 
+def test_sw2_coefficients():
+    tab = tableau("sw2")
+    assert tab.stages == 2
+    assert tab.c == (0.0, 0.5)
+    assert tab.stage_coeffs == {2: {1: {1: 0.5}}}
+    # b1 = phi1 - 2 phi2, b2 = 2 phi2
+    assert tab.update_coeffs == {1: {1: 1.0, 2: -2.0}, 2: {2: 2.0}}
+
+
+def test_krogstad4_coefficients():
+    tab = tableau("krogstad4")
+    assert tab.stages == 4
+    assert tab.c == (0.0, 0.5, 0.5, 1.0)
+    assert tab.stage_coeffs == {
+        2: {1: {1: 0.5}},
+        3: {1: {1: 0.5, 2: -1.0}, 2: {2: 1.0}},
+        4: {1: {1: 1.0, 2: -2.0}, 3: {2: 2.0}},
+    }
+    # b1 = phi1 - 3 phi2 + 4 phi3, b2 = b3 = 2 phi2 - 4 phi3, b4 = -phi2 + 4 phi3
+    assert tab.update_coeffs == {
+        1: {1: 1.0, 2: -3.0, 3: 4.0},
+        2: {2: 2.0, 3: -4.0},
+        3: {2: 2.0, 3: -4.0},
+        4: {2: -1.0, 3: 4.0},
+    }
+
+
 @pytest.mark.parametrize("name", ("sw2", "etd3rk", "krogstad4"))
 def test_update_weights_sum_to_one(name):
     # evaluating the update row at z = 0 must reproduce phi_1(0) = 1
@@ -73,23 +99,15 @@ def test_engine_calls_per_step(name, calls):
     assert tableau(name).expmv_calls_per_step() == calls
 
 
-def test_registry_rejects_upper_triangular_coupling():
-    bad = """
-method bad stages 2 stiff_order 1
-c 1 0
-c 2 1/2
-a 2 2 1 1
-b 1 1 1
-end
-"""
-    with pytest.raises(TableauError):
-        parse_registry(bad)
+def test_tableau_rejects_upper_triangular_coupling():
+    with pytest.raises(ValueError):
+        Tableau(name="bad", c=(0.0, 0.5), stage_coeffs={2: {2: {1: 1.0}}},
+                update_coeffs={1: {1: 1.0}})
 
 
-def test_registry_rejects_nonzero_first_node():
-    bad = "method bad stages 1 stiff_order 1\nc 1 1/2\nb 1 1 1\nend\n"
-    with pytest.raises(TableauError):
-        parse_registry(bad)
+def test_tableau_rejects_nonzero_first_node():
+    with pytest.raises(ValueError):
+        Tableau(name="bad", c=(0.5,), stage_coeffs={}, update_coeffs={1: {1: 1.0}})
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +115,8 @@ def test_registry_rejects_nonzero_first_node():
 # ---------------------------------------------------------------------------
 
 def test_exponential_euler_stage_payload():
-    tab = exponential_euler()
+    # u_{i+1} = e^{-hA} u + h phi_1(-hA) g(t, u)
+    tab = Tableau(name="euler1", c=(0.0,), stage_coeffs={}, update_coeffs={1: {1: 1.0}})
     rng = np.random.default_rng(0)
     u = rng.standard_normal(7)
     g = rng.standard_normal(7)
@@ -168,7 +187,7 @@ def test_zero_reaction_gives_p0_payloads():
 
 
 def test_zero_node_with_coefficients_rejected():
-    tab = Tableau(name="weird", stages=2, stiff_order=1, c=(0.0, 0.0),
+    tab = Tableau(name="weird", c=(0.0, 0.0),
                   stage_coeffs={2: {1: {1: 1.0}}}, update_coeffs={1: {1: 1.0}})
     with pytest.raises(ValueError):
         stage_to_expmv(tab, 2, 0.1, np.ones(3), [np.ones(3)])

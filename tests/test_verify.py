@@ -15,14 +15,11 @@ def test_run_all_green():
 
 
 def test_corrupted_tableau_names_the_failing_check(monkeypatch):
-    # poison the etd3rk stage-2 coefficient in the parsed registry
-    good = tableaus_mod._registry()
-    bad = dict(good)
-    etd = good["etd3rk"]
-    bad["etd3rk"] = Tableau(name="etd3rk", stages=etd.stages, stiff_order=etd.stiff_order,
-                            c=etd.c, stage_coeffs={**etd.stage_coeffs, 2: {1: {1: 0.75}}},
-                            update_coeffs=etd.update_coeffs)
-    monkeypatch.setattr(tableaus_mod, "_cache", bad)
+    # poison the etd3rk stage-2 coefficient
+    etd = tableaus_mod.METHODS["etd3rk"]
+    monkeypatch.setitem(tableaus_mod.METHODS, "etd3rk", Tableau(
+        name="etd3rk", c=etd.c, stage_coeffs={**etd.stage_coeffs, 2: {1: {1: 0.75}}},
+        update_coeffs=etd.update_coeffs))
     results = verify.check_tableau_consistency()
     failing = [r for r in results if not r.passed]
     assert failing
