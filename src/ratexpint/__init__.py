@@ -11,8 +11,7 @@ from .poles import PoleSet, builtin_pole_set, load_poles, repeated_real
 from .problems import (Graph, Problem, allen_cahn_2d, allen_cahn_graph, builtin_graph,
                        fd_laplacian_1d, fd_laplacian_2d, gierer_meinhardt_2d,
                        graph_laplacian, largest_connected_component)
-from .solvers import (Factorization, ShiftedSolver, ShiftedSystemKey, SolverCache,
-                      SolverConfig, solve_iterative)
+from .solvers import Factorization, ShiftedSolver, SolverCache, SolverConfig, solve_iterative
 from .tableaus import Tableau, tableau
 
 __version__ = "0.1.0"

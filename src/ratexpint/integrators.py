@@ -44,6 +44,14 @@ class EngineConfig:
     def __post_init__(self):
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}; expected one of {ENGINES}")
+        if not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
+        if self.check_cadence < 1:
+            raise ValueError(f"check_cadence must be at least 1, got {self.check_cadence}")
+        for name in ("m_min", "m_max", "m_hard"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         if self.engine == "rational" and self.poles is None:
             self.poles = builtin_pole_set(
                 "cf16_shifted" if self.solver.mode == "iterative" else "cf12")

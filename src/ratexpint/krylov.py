@@ -239,7 +239,7 @@ def rational_arnoldi_step(d: RationalDecomposition, pole: complex,
     x = solver.solve_block(d.aug, pole, b) if finite else b
 
     j = d.m
-    res = orthogonal_extend(d.V[:, :d.nv], x, reorth=1)
+    res = orthogonal_extend(d.V[:, :d.nv], x)
     d.H[:d.nv, j] = res.h
     if res.breakdown:
         d.happy = True
@@ -418,8 +418,10 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
         If the hard subspace cap is hit first; the partial result rides on
         the exception's ``report``.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
+    if check_cadence < 1:
+        raise ValueError("check_cadence must be at least 1")
     aug, c_tilde = assemble_augmented(op, alpha, c_vectors)
 
     finite_poles = list(pole_set) if pole_set is not None else []
@@ -466,8 +468,10 @@ def expmv_polynomial(op: SparseOperator, alpha: float, c_vectors: Sequence[np.nd
     same basis re-evaluated, since the Krylov space does not depend on
     theta; the accepted segments compose e^{A~} = prod e^{theta_i A~}.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
+    if check_cadence < 1:
+        raise ValueError("check_cadence must be at least 1")
     aug, c_tilde = assemble_augmented(op, alpha, c_vectors)
 
     history: list[tuple[int, float]] = []

@@ -10,7 +10,6 @@ inputs are supported everywhere.
 
 from __future__ import annotations
 
-import hashlib
 from typing import NamedTuple
 
 import numpy as np
@@ -31,7 +30,7 @@ class SparseOperator:
     Instances are immutable after construction and safe for concurrent reads.
     """
 
-    __slots__ = ("n", "_csr", "_symmetric", "_fingerprint")
+    __slots__ = ("n", "_csr", "_symmetric")
 
     def __init__(self, csr: sp.csr_matrix):
         csr = sp.csr_matrix(csr)
@@ -45,7 +44,6 @@ class SparseOperator:
         self.n = csr.shape[0]
         self._csr = csr
         self._symmetric = None
-        self._fingerprint = None
 
     @property
     def nnz(self) -> int:
@@ -74,18 +72,6 @@ class SparseOperator:
             scale = max(1.0, float(abs(self._csr).max()))
             self._symmetric = bool(abs(d).max() <= 1e-12 * scale) if d.nnz else True
         return self._symmetric
-
-    @property
-    def fingerprint(self) -> str:
-        """Stable content hash, used to key factorization caches."""
-        if self._fingerprint is None:
-            h = hashlib.sha1()
-            h.update(np.int64(self.n).tobytes())
-            h.update(self._csr.indptr.tobytes())
-            h.update(self._csr.indices.tobytes())
-            h.update(self._csr.data.tobytes())
-            self._fingerprint = h.hexdigest()
-        return self._fingerprint
 
     @classmethod
     def identity(cls, n: int) -> "SparseOperator":
@@ -165,19 +151,18 @@ class OrthResult(NamedTuple):
     breakdown: bool
 
 
-def orthogonal_extend(basis: np.ndarray, x: np.ndarray, reorth: int = 1) -> OrthResult:
-    """Orthogonalize x against the columns of `basis` (classical Gram-Schmidt).
+def orthogonal_extend(basis: np.ndarray, x: np.ndarray) -> OrthResult:
+    """Orthogonalize x against the columns of `basis` by two passes of
+    classical Gram-Schmidt, the usual "twice is enough" scheme.
 
-    With one reorthogonalization pass this is the usual "twice is enough"
-    scheme. On exit x = basis @ h + beta * v with v unit-norm and orthogonal
-    to the basis; beta below the breakdown threshold signals an invariant
-    subspace and returns v as None.
+    On exit x = basis @ h + beta * v with v unit-norm and orthogonal to the
+    basis; beta below the breakdown threshold signals an invariant subspace
+    and returns v as None.
 
     Parameters
     ----------
     basis : (n, m) array with orthonormal columns; m may be zero.
     x : length-n vector.
-    reorth : number of reorthogonalization passes after the first projection.
     """
     x = np.asarray(x)
     n = x.shape[0]
@@ -187,7 +172,7 @@ def orthogonal_extend(basis: np.ndarray, x: np.ndarray, reorth: int = 1) -> Orth
     norm0 = float(np.linalg.norm(x))
     w = x.astype(np.promote_types(basis.dtype, x.dtype), copy=True)
     h = np.zeros(m, dtype=w.dtype)
-    for _ in range(1 + max(0, reorth)):
+    for _ in range(2):
         if m == 0:
             break
         c = basis.conj().T @ w

@@ -2,17 +2,18 @@
 
 Every finite-pole rational Krylov step needs one solve with
 (xi I + alpha A) for a complex pole xi and a positive operator scale alpha.
-Poles and scales repeat across Krylov iterations and time steps, so direct
-factorizations (and iterative preconditioners) are cached per
-(pole, scale, operator) key. A and alpha are real, so
-(conj(xi) I + alpha A) = conj(xi I + alpha A): a pole with Im xi < 0 is served
-by the factorization or preconditioner of conj(xi) through conjugation, and a
-conjugate pair costs one setup. Each pole of the pair still makes its own
-solve. Every shifted matrix has the sparsity pattern of A, which is symmetric
-for the operators of this package, so its LU is ordered by minimum degree on
-the pattern of A^T + A (SuperLU's partial pivoting keeps it accurate when A
-is not symmetric). The block solve of the augmented operator back-substitutes
-its small Jordan tail first.
+Poles and scales repeat across Krylov iterations and time steps, so a
+``SolverCache`` bound to one operator keeps its direct factorizations (and
+iterative preconditioners) per (pole, scale):
+``SolverCache(op).factorization(pole, scale).solve(b)``. A and alpha are
+real, so (conj(xi) I + alpha A) = conj(xi I + alpha A): a pole with
+Im xi < 0 is served by the factorization or preconditioner of conj(xi)
+through conjugation, and a conjugate pair costs one setup. Each pole of the
+pair still makes its own solve. Every shifted matrix has the sparsity
+pattern of A, which is symmetric for the operators of this package, so its
+LU is ordered by minimum degree on the pattern of A^T + A (SuperLU's partial
+pivoting keeps it accurate when A is not symmetric). The block solve of the
+augmented operator back-substitutes its small Jordan tail first.
 
 Iterative solves use aggregation AMG (or no preconditioner) with CG iff the
 pole is real and the operator symmetric, BiCGStab otherwise.
@@ -46,19 +47,6 @@ class IterativeDivergence(SolverError):
         self.result = result
 
 
-@dataclass(frozen=True)
-class ShiftedSystemKey:
-    """Identity of one shifted system (xi I + alpha A)."""
-
-    pole: complex
-    scale: float
-    operator_id: str
-
-    @classmethod
-    def make(cls, op: SparseOperator, pole: complex, scale: float) -> "ShiftedSystemKey":
-        return cls(pole=complex(pole), scale=float(scale), operator_id=op.fingerprint)
-
-
 @dataclass
 class SolverConfig:
     mode: str = "direct"                 # "direct" | "iterative"
@@ -73,8 +61,11 @@ class SolverConfig:
     def __post_init__(self):
         if self.mode not in ("direct", "iterative"):
             raise ValueError(f"unknown solver mode {self.mode!r}")
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise ValueError("solver tolerance must be positive")
+        if self.max_iterations < 1:
+            raise ValueError(
+                f"solver max_iterations must be at least 1, got {self.max_iterations}")
         if self.preconditioner not in PRECONDITIONERS:
             raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
 
@@ -99,17 +90,16 @@ def shifted_matrix(op: SparseOperator, pole: complex, scale: float) -> sp.csr_ma
 class Factorization:
     """Sparse LU of one shifted system, reusable across right-hand sides."""
 
-    __slots__ = ("key", "_lu", "n", "dtype")
+    __slots__ = ("_lu", "n", "dtype")
 
-    def __init__(self, key: ShiftedSystemKey, matrix: sp.csr_matrix):
-        self.key = key
+    def __init__(self, matrix: sp.csr_matrix, pole: complex):
         self.n = matrix.shape[0]
         self.dtype = matrix.dtype
         try:
             self._lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise SolverError(
-                f"factorization of (xi I + alpha A) failed for pole {key.pole}: {exc}; "
+                f"factorization of (xi I + alpha A) failed for pole {pole}: {exc}; "
                 "the pole may coincide with a negated eigenvalue") from exc
 
     @property
@@ -129,21 +119,23 @@ class Factorization:
 
 
 class SolverCache:
-    """Per-process cache of everything the shifted systems of one run need.
+    """Per-process cache of everything the shifted systems of one operator
+    need.
 
-    One table holds LU factorizations (keyed by ``ShiftedSystemKey``),
-    preconditioners (keyed by ``(key, kind)``) and AMG aggregates (keyed by
-    ``("aggregates", fingerprint)``). Lookups are synchronized and
+    One table holds LU factorizations (keyed by ``(xi, alpha)``),
+    preconditioners (keyed by ``(xi, alpha, kind)``) and the operator's AMG
+    aggregates (keyed by ``"aggregates"``). Lookups are synchronized and
     single-flight: concurrent requests for the same key perform the numeric
     work exactly once. There is no eviction.
-    :meth:`ShiftedSolver.solve_shifted` asks only for keys with Im xi >= 0;
+    :meth:`ShiftedSolver.solve_shifted` asks only for poles with Im xi >= 0;
     the conjugate pole reuses that entry, so ``numeric_factorizations`` counts
     one per conjugate pair, and ``lu_nnz`` sums :attr:`Factorization.nnz`
     over the LUs built. ``hits`` counts reused factorizations and
     preconditioners, not aggregate lookups.
     """
 
-    def __init__(self):
+    def __init__(self, op: SparseOperator):
+        self.op = op
         self._lock = threading.Lock()
         self._entries: dict = {}
         self._building: dict = {}
@@ -170,62 +162,67 @@ class SolverCache:
                 self._building.pop(key, None)
             return entry
 
-    def factorization(self, op: SparseOperator, key: ShiftedSystemKey) -> Factorization:
+    def factorization(self, pole: complex, scale: float) -> Factorization:
         """LU of (xi I + alpha A), ordered by minimum degree on the pattern
         of A^T + A."""
+        pole, scale = complex(pole), float(scale)
+
         def build():
-            fact = Factorization(key, shifted_matrix(op, key.pole, key.scale))
+            fact = Factorization(shifted_matrix(self.op, pole, scale), pole)
             with self._lock:
                 self.numeric_factorizations += 1
                 self.lu_nnz += fact.nnz
             return fact
 
-        return self._single_flight(key, build)
+        return self._single_flight((pole, scale), build)
 
-    def preconditioner(self, op: SparseOperator, key: ShiftedSystemKey, kind: str) -> tuple:
+    def preconditioner(self, pole: complex, scale: float, kind: str) -> tuple:
         """``(matrix, M)``: the assembled (xi I + alpha A) and its AMG V-cycle
         as a ``LinearOperator`` (``None`` for ``kind`` "none").
 
         AMG aggregates are built once per operator and shared by all its
         shifted systems (see :func:`build_aggregates`).
         """
+        pole, scale = complex(pole), float(scale)
+
         def build():
-            matrix = shifted_matrix(op, key.pole, key.scale)
+            matrix = shifted_matrix(self.op, pole, scale)
             if kind == "none":
                 return matrix, None
-            aggregates = self._single_flight(("aggregates", op.fingerprint),
-                                             lambda: build_aggregates(op.tocsr()),
+            aggregates = self._single_flight("aggregates",
+                                             lambda: build_aggregates(self.op.tocsr()),
                                              count_hit=False)
             apply = AmgPreconditioner(matrix, aggregates).matvec
             return matrix, spla.LinearOperator(matrix.shape, matvec=apply, dtype=matrix.dtype)
 
-        return self._single_flight((key, kind), build)
+        return self._single_flight((pole, scale, kind), build)
 
 
-def solve_iterative(op: SparseOperator, key: ShiftedSystemKey, rhs: np.ndarray,
-                    cfg: SolverConfig, cache: Optional[SolverCache] = None) -> SolveInfo:
-    """Preconditioned Krylov solve of (xi I + alpha A) x = rhs.
+def solve_iterative(cache: SolverCache, pole: complex, scale: float, rhs: np.ndarray,
+                    cfg: SolverConfig) -> SolveInfo:
+    """Preconditioned Krylov solve of (xi I + alpha A) x = rhs, where A is
+    ``cache.op``.
 
-    CG iff the pole is real and ``op.symmetric`` (the system and its AMG
+    CG iff the pole is real and A is symmetric (the system and its AMG
     V-cycle are then symmetric positive definite), BiCGStab otherwise.
     Requires Re(xi) > 0; indefinite shifts belong on the direct path.
     Non-convergence returns the best iterate with ``converged=False``.
     """
-    if complex(key.pole).real <= 0:
+    pole = complex(pole)
+    if pole.real <= 0:
         raise SolverError(
-            f"iterative path requires Re(pole) > 0, got {key.pole}; use the direct solver")
+            f"iterative path requires Re(pole) > 0, got {pole}; use the direct solver")
     bnorm = float(np.linalg.norm(rhs))
     if bnorm == 0.0:
         return SolveInfo(np.zeros_like(rhs), 0, 0.0, True)
-    cache = cache if cache is not None else SolverCache()
-    matrix, precond = cache.preconditioner(op, key, cfg.preconditioner)
+    matrix, precond = cache.preconditioner(pole, scale, cfg.preconditioner)
     iterations = 0
 
     def count(_):
         nonlocal iterations
         iterations += 1
 
-    method = spla.cg if complex(key.pole).imag == 0 and op.symmetric else spla.bicgstab
+    method = spla.cg if pole.imag == 0 and cache.op.symmetric else spla.bicgstab
     x, info = method(matrix, rhs, rtol=cfg.tolerance, atol=0.0,
                      maxiter=cfg.max_iterations, M=precond, callback=count)
     residual = float(np.linalg.norm(rhs - matrix @ x)) / bnorm
@@ -235,14 +232,17 @@ def solve_iterative(op: SparseOperator, key: ShiftedSystemKey, rhs: np.ndarray,
 
 class ShiftedSolver:
     """Front end used by the Krylov engine: solves against one operator
-    under varying poles and scales, tracking per-solve residuals.
+    under varying poles and scales, tracking per-solve residuals. A shared
+    ``cache`` must belong to the same operator.
     """
 
     def __init__(self, op: SparseOperator, config: Optional[SolverConfig] = None,
                  cache: Optional[SolverCache] = None):
+        if cache is not None and cache.op is not op:
+            raise ValueError("the solver cache belongs to another operator")
         self.op = op
         self.config = config or SolverConfig()
-        self.cache = cache if cache is not None else SolverCache()
+        self.cache = cache if cache is not None else SolverCache(op)
         self.solve_log: list[SolveInfo] = []
 
     def solve_shifted(self, pole: complex, scale: float, rhs: np.ndarray) -> np.ndarray:
@@ -256,10 +256,10 @@ class ShiftedSolver:
         unchanged).
         """
         flip = pole.imag < 0
-        key = ShiftedSystemKey.make(self.op, pole.conjugate() if flip else pole, scale)
+        served = pole.conjugate() if flip else pole
         b = np.conj(rhs) if flip else rhs
         if self.config.mode == "direct":
-            x = self.cache.factorization(self.op, key).solve(b)
+            x = self.cache.factorization(served, scale).solve(b)
             if flip:
                 x = np.conj(x)
             bnorm = float(np.linalg.norm(rhs))
@@ -275,7 +275,7 @@ class ShiftedSolver:
                     f"{res:.3e} exceeds {10 * self.config.tolerance:.1e}")
             info = SolveInfo(x=x, iterations=0, residual=res, converged=True)
         else:
-            info = solve_iterative(self.op, key, b, self.config, self.cache)
+            info = solve_iterative(self.cache, served, scale, b, self.config)
             if flip:
                 info.x = np.conj(info.x)
             if not info.converged:

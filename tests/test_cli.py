@@ -127,6 +127,20 @@ def test_run_zero_repeated_count_is_a_config_error(tmp_path, capsys):
     assert "at least one pole" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ("--check-cadence", "0"),
+    ("--tol", "0"),
+    ("--solver", "iterative", "--solver-maxiter", "0"),
+], ids=["check-cadence-0", "tol-0", "solver-maxiter-0"])
+def test_engine_settings_that_cannot_converge_exit_two(tmp_path, capsys, flags):
+    # unchecked, these hang (cadence 0 at nx=64), crash with exit 1 (tol 0) or
+    # read as a numerical failure with exit 3 (maxiter 0)
+    code = run_cli("run", "--problem", "ac2d", "--nx", "16", *flags,
+                   "--h", "0.25", "--T", "0.25", "--out", str(tmp_path))
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_run_numeric_failure_exits_three(tmp_path, capsys):
     code = run_cli("run", "--problem", "ac2d", "--nx", "24", "--integrator", "sw2",
                    "--engine", "rational", "--solver", "iterative",

@@ -239,6 +239,15 @@ def test_engine_equivalence_on_small_problem():
     assert np.linalg.norm(u_rat - u_pol) <= 20 * tol * max(np.linalg.norm(u_pol), 1.0)
 
 
+@pytest.mark.parametrize("settings", [
+    {"check_cadence": 0}, {"check_cadence": -3}, {"tol": 0.0}, {"tol": float("nan")},
+    {"m_min": 0}, {"m_max": 0}, {"m_hard": 0}])
+def test_engine_config_rejects_settings_that_cannot_converge(settings):
+    # a cadence below 1 re-checks the same subspace forever
+    with pytest.raises(ValueError, match=next(iter(settings))):
+        EngineConfig(**settings)
+
+
 def test_default_pole_set_follows_solver_mode():
     assert EngineConfig().poles == builtin_pole_set("cf12")
     iterative = EngineConfig(solver=SolverConfig(mode="iterative"))

@@ -72,6 +72,16 @@ def test_assemble_rejects_empty_payload():
         assemble_augmented(op, 1.0, [])
 
 
+@pytest.mark.parametrize("engine", ["rational", "polynomial"])
+def test_expmv_rejects_check_cadence_below_one(engine):
+    op = SparseOperator.identity(3)
+    with pytest.raises(ValueError, match="check_cadence"):
+        if engine == "rational":
+            expmv_rational(op, 1.0, [np.ones(3)], None, None, check_cadence=0)
+        else:
+            expmv_polynomial(op, 1.0, [np.ones(3)], check_cadence=0)
+
+
 def test_assemble_rejects_mismatched_payload():
     op = SparseOperator.identity(3)
     with pytest.raises(ValueError):
@@ -501,7 +511,7 @@ def test_concurrent_expmv_calls_share_cache():
     op = random_spd(rng, n, lam_max=80.0)
     payloads = [rng.standard_normal(n) for _ in range(4)]
     poles = builtin_pole_set("cf12")
-    cache = SolverCache()
+    cache = SolverCache(op)
 
     def run(c0):
         solver = ShiftedSolver(op, SolverConfig(mode="direct"), cache=cache)

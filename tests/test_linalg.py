@@ -192,7 +192,7 @@ def test_orthogonality_after_one_reorthogonalization(seed):
     rng = np.random.default_rng(300 + seed)
     basis, _ = np.linalg.qr(rng.standard_normal((100, 10)))
     x = rng.standard_normal(100)
-    res = orthogonal_extend(basis, x, reorth=1)
+    res = orthogonal_extend(basis, x)
     assert np.max(np.abs(basis.conj().T @ res.v)) <= 1e-12
     # reconstruction: x = basis @ h + beta * v
     recon = basis @ res.h + res.beta * res.v

@@ -13,13 +13,9 @@ from ratexpint.poles import builtin_pole_set
 from ratexpint.problems import (allen_cahn_2d, builtin_graph, fd_laplacian_1d,
                                 fd_laplacian_2d, graph_laplacian,
                                 largest_connected_component)
-from ratexpint.solvers import (IterativeDivergence, ShiftedSolver,
-                               ShiftedSystemKey, SolverCache, SolverConfig,
-                               SolverError, shifted_matrix, solve_iterative)
-
-
-def key_for(op, pole, scale=1.0):
-    return ShiftedSystemKey.make(op, pole, scale)
+from ratexpint.solvers import (IterativeDivergence, ShiftedSolver, SolverCache,
+                               SolverConfig, SolverError, shifted_matrix,
+                               solve_iterative)
 
 
 def _upwind(n):
@@ -33,7 +29,7 @@ def _upwind(n):
 
 def test_zero_operator_solves_are_scalar_division():
     op = SparseOperator.zeros(6)
-    fact = SolverCache().factorization(op, key_for(op, 2.0))
+    fact = SolverCache(op).factorization(2.0, 1.0)
     rng = np.random.default_rng(0)
     b = rng.standard_normal(6)
     assert np.allclose(fact.solve(b), b / 2.0, rtol=1e-15)
@@ -42,7 +38,7 @@ def test_zero_operator_solves_are_scalar_division():
 def test_direct_complex_shift_residual():
     op = fd_laplacian_1d(100, 1.0, "dirichlet")
     pole = 1.0 + 1.0j
-    fact = SolverCache().factorization(op, key_for(op, pole))
+    fact = SolverCache(op).factorization(pole, 1.0)
     rng = np.random.default_rng(1)
     b = rng.standard_normal(100) + 1j * rng.standard_normal(100)
     x = fact.solve(b)
@@ -58,23 +54,22 @@ def test_direct_manufactured_solution_real_and_complex():
         x_true = rng.standard_normal(60) + (1j * rng.standard_normal(60)
                                             if complex(pole).imag else 0.0)
         b = matrix @ x_true
-        fact = SolverCache().factorization(op, key_for(op, pole, 0.7))
+        fact = SolverCache(op).factorization(pole, 0.7)
         x = fact.solve(b)
         assert np.linalg.norm(x - x_true) <= 1e-10 * np.linalg.norm(x_true)
 
 
 def test_direct_zero_rhs():
     op = fd_laplacian_1d(10, 1.0, "dirichlet")
-    fact = SolverCache().factorization(op, key_for(op, 1.0))
+    fact = SolverCache(op).factorization(1.0, 1.0)
     assert np.array_equal(fact.solve(np.zeros(10)), np.zeros(10))
 
 
 def test_factorization_cache_hit():
     op = fd_laplacian_1d(50, 1.0, "dirichlet")
-    cache = SolverCache()
-    key = key_for(op, 2.0 + 1.0j)
-    f1 = cache.factorization(op, key)
-    f2 = cache.factorization(op, key)
+    cache = SolverCache(op)
+    f1 = cache.factorization(2.0 + 1.0j, 1.0)
+    f2 = cache.factorization(2.0 + 1.0j, 1.0)
     assert f1 is f2
     assert cache.numeric_factorizations == 1
     assert cache.hits == 1
@@ -82,35 +77,51 @@ def test_factorization_cache_hit():
 
 def test_cache_single_flight_under_concurrency():
     op = fd_laplacian_2d(24, 1.0, "dirichlet")
-    cache = SolverCache()
-    keys = [key_for(op, 1.0 + k * 1.0j, 0.5) for k in range(4)]
+    cache = SolverCache(op)
+    poles = [1.0 + k * 1.0j for k in range(4)]
 
     def work(i):
-        return cache.factorization(op, keys[i % 4])
+        return cache.factorization(poles[i % 4], 0.5)
 
     with ThreadPoolExecutor(max_workers=8) as pool:
         list(pool.map(work, range(32)))
     assert cache.numeric_factorizations == 4
 
 
+@pytest.mark.parametrize("name, value", [
+    ("max_iterations", 0), ("tolerance", 0.0), ("tolerance", float("nan"))])
+def test_solver_config_rejects_settings_that_cannot_converge(name, value):
+    with pytest.raises(ValueError, match=name):
+        SolverConfig(mode="iterative", **{name: value})
+
+
+def test_solver_rejects_cache_of_another_operator():
+    # equal content is not enough: a cache serves the operator it was built for
+    op_a = fd_laplacian_1d(20, 1.0, "dirichlet")
+    op_b = fd_laplacian_1d(20, 1.0, "dirichlet")
+    with pytest.raises(ValueError, match="another operator"):
+        ShiftedSolver(op_b, SolverConfig(mode="direct"), cache=SolverCache(op_a))
+    cache = SolverCache(op_a)
+    assert ShiftedSolver(op_a, SolverConfig(mode="direct"), cache=cache).cache is cache
+
+
 def test_singular_shift_rejected():
     # pole exactly at a negated eigenvalue of alpha*A makes xi I + alpha A singular
     op = SparseOperator.from_dense(np.diag([1.0, 2.0, 3.0]))
     with pytest.raises(SolverError):
-        SolverCache().factorization(op, key_for(op, -2.0))
+        SolverCache(op).factorization(-2.0, 1.0)
 
 
 def test_lu_nnz_counts_each_built_lu_once():
     op = fd_laplacian_2d(24, 1.0, "neumann")
-    cache = SolverCache()
-    key = key_for(op, 2.0 + 1.0j, 0.5)
-    fact = cache.factorization(op, key)
-    reference = spla.splu(shifted_matrix(op, key.pole, key.scale).tocsc(),
+    cache = SolverCache(op)
+    fact = cache.factorization(2.0 + 1.0j, 0.5)
+    reference = spla.splu(shifted_matrix(op, 2.0 + 1.0j, 0.5).tocsc(),
                           permc_spec="MMD_AT_PLUS_A")
     assert cache.lu_nnz == fact.nnz == reference.nnz > 0
-    cache.factorization(op, key)
+    cache.factorization(2.0 + 1.0j, 0.5)
     assert cache.hits == 1 and cache.lu_nnz == fact.nnz
-    other = cache.factorization(op, key_for(op, 3.0, 0.5))
+    other = cache.factorization(3.0, 0.5)
     assert cache.lu_nnz == fact.nnz + other.nnz
 
 
@@ -118,8 +129,8 @@ def _cf12_lus(op):
     """The cache holding the LU of (xi I + 0.5 A) at the first cf12 pole with
     Im xi >= 0, that LU, and a COLAMD-ordered reference LU of the same matrix."""
     pole = next(xi for xi in builtin_pole_set("cf12") if xi.imag >= 0)
-    cache = SolverCache()
-    lu = cache.factorization(op, key_for(op, pole, 0.5))._lu
+    cache = SolverCache(op)
+    lu = cache.factorization(pole, 0.5)._lu
     reference = spla.splu(shifted_matrix(op, pole, 0.5).tocsc(), permc_spec="COLAMD")
     return cache, lu, reference
 
@@ -161,7 +172,7 @@ def test_direct_solve_accurate_on_nonsymmetric_operators(name):
     upper = [xi for xi in builtin_pole_set("cf12") if xi.imag > 0]
     for pole in (*upper, 3.0):
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        x = SolverCache().factorization(op, key_for(op, pole, 0.5)).solve(b)
+        x = SolverCache(op).factorization(pole, 0.5).solve(b)
         matrix = shifted_matrix(op, pole, 0.5)
         residual = np.linalg.norm(matrix @ x - b)
         # normwise backward error at every pole: at the leftmost cf12 pole the
@@ -182,7 +193,7 @@ def test_iterative_dominant_shift_converges_fast():
     cfg = SolverConfig(mode="iterative", tolerance=1e-10, preconditioner="none")
     rng = np.random.default_rng(3)
     b = rng.standard_normal(200)
-    info = solve_iterative(op, key_for(op, 1e9), b, cfg)
+    info = solve_iterative(SolverCache(op), 1e9, 1.0, b, cfg)
     assert info.converged
     assert info.iterations <= 3
     assert info.residual <= 1e-10
@@ -194,7 +205,7 @@ def test_iterative_fd2d_with_amg_meets_tolerance():
                        preconditioner="aggregation-amg")
     rng = np.random.default_rng(4)
     b = rng.standard_normal(64 * 64)
-    info = solve_iterative(op, key_for(op, 1.0), b, cfg)
+    info = solve_iterative(SolverCache(op), 1.0, 1.0, b, cfg)
     assert info.converged
     assert info.iterations <= 200
     assert info.residual <= 1e-7
@@ -206,7 +217,7 @@ def test_iterative_amg_complex_shift():
                        preconditioner="aggregation-amg")
     rng = np.random.default_rng(5)
     b = rng.standard_normal(48 * 48) + 1j * rng.standard_normal(48 * 48)
-    info = solve_iterative(op, key_for(op, 2.0 + 3.0j, 0.25), b, cfg)
+    info = solve_iterative(SolverCache(op), 2.0 + 3.0j, 0.25, b, cfg)
     assert info.converged
     assert info.residual <= 1e-8
 
@@ -236,7 +247,7 @@ def test_iterative_real_pole_on_nonsymmetric_operator_uses_bicgstab(monkeypatch)
     assert not op.symmetric
     cfg = SolverConfig(mode="iterative", tolerance=1e-8, preconditioner="aggregation-amg")
     b = np.random.default_rng(15).standard_normal(nx * nx)
-    info = solve_iterative(op, key_for(op, 2.0, 0.25), b, cfg)
+    info = solve_iterative(SolverCache(op), 2.0, 0.25, b, cfg)
     assert info.converged
     assert info.residual <= 1e-8
     assert ran == ["bicgstab"]
@@ -249,17 +260,17 @@ def test_iterative_real_pole_on_symmetric_operator_runs_cg(monkeypatch):
     op = SparseOperator(fd_laplacian_2d(32, 1.0, "dirichlet").tocsr())
     cfg = SolverConfig(mode="iterative", tolerance=1e-8, preconditioner="aggregation-amg")
     b = np.random.default_rng(16).standard_normal(32 * 32)
-    info = solve_iterative(op, key_for(op, 2.0, 0.25), b, cfg)
+    info = solve_iterative(SolverCache(op), 2.0, 0.25, b, cfg)
     assert info.converged
     assert ran == ["cg"]
-    solve_iterative(op, key_for(op, 2.0 + 1.0j, 0.25), b, cfg)
+    solve_iterative(SolverCache(op), 2.0 + 1.0j, 0.25, b, cfg)
     assert ran == ["cg", "bicgstab"]
 
 
 def test_iterative_zero_rhs_is_free():
     op = fd_laplacian_1d(30, 1.0, "dirichlet")
     cfg = SolverConfig(mode="iterative")
-    info = solve_iterative(op, key_for(op, 5.0), np.zeros(30), cfg)
+    info = solve_iterative(SolverCache(op), 5.0, 1.0, np.zeros(30), cfg)
     assert info.iterations == 0
     assert np.array_equal(info.x, np.zeros(30))
 
@@ -268,7 +279,7 @@ def test_iterative_rejects_nonpositive_real_part():
     op = fd_laplacian_1d(20, 1.0, "dirichlet")
     cfg = SolverConfig(mode="iterative")
     with pytest.raises(SolverError):
-        solve_iterative(op, key_for(op, -1.0 + 2.0j), np.ones(20), cfg)
+        solve_iterative(SolverCache(op), -1.0 + 2.0j, 1.0, np.ones(20), cfg)
 
 
 def test_direct_and_iterative_agree():
@@ -277,11 +288,11 @@ def test_direct_and_iterative_agree():
     pole, scale = 4.0 + 1.5j, 0.5
     rng = np.random.default_rng(6)
     b = rng.standard_normal(32 * 32)
-    fact = SolverCache().factorization(op, key_for(op, pole, scale))
+    fact = SolverCache(op).factorization(pole, scale)
     x_direct = fact.solve(b.astype(complex))
     cfg = SolverConfig(mode="iterative", tolerance=1e-9, preconditioner="aggregation-amg",
                        max_iterations=300)
-    info = solve_iterative(op, key_for(op, pole, scale), b.astype(complex), cfg)
+    info = solve_iterative(SolverCache(op), pole, scale, b.astype(complex), cfg)
     assert np.linalg.norm(x_direct - info.x) <= 10 * 1e-9 * np.linalg.norm(x_direct)
 
 
@@ -290,9 +301,9 @@ def test_conjugate_shift_symmetry():
     rng = np.random.default_rng(7)
     b = rng.standard_normal(40)
     pole = 2.0 + 1.0j
-    cache = SolverCache()
-    x = cache.factorization(op, key_for(op, pole)).solve(b.astype(complex))
-    x_bar = cache.factorization(op, key_for(op, pole.conjugate())).solve(b.astype(complex))
+    cache = SolverCache(op)
+    x = cache.factorization(pole, 1.0).solve(b.astype(complex))
+    x_bar = cache.factorization(pole.conjugate(), 1.0).solve(b.astype(complex))
     assert np.linalg.norm(x_bar - np.conj(x)) <= 1e-12 * np.linalg.norm(x)
 
 
@@ -317,7 +328,7 @@ def test_conjugate_pole_reuses_factorization():
 
 def test_conjugate_pole_reuses_amg_preconditioner():
     op = fd_laplacian_2d(48, 1.0, "neumann")
-    cache = SolverCache()
+    cache = SolverCache(op)
     solver = ShiftedSolver(op, SolverConfig(mode="iterative", tolerance=1e-8,
                                             preconditioner="aggregation-amg"), cache=cache)
     pole = next(xi for xi in builtin_pole_set("cf16_shifted") if xi.imag > 0)
@@ -327,8 +338,8 @@ def test_conjugate_pole_reuses_amg_preconditioner():
     x_bar = solver.solve_shifted(pole.conjugate(), alpha, b)
     x = solver.solve_shifted(pole, alpha, np.conj(b))
     assert np.array_equal(x_bar, np.conj(x))
-    built = [k for k in cache._entries if isinstance(k, tuple) and k[1] == "aggregation-amg"]
-    assert built == [(key_for(op, pole, alpha), "aggregation-amg")]
+    built = [k for k in cache._entries if isinstance(k, tuple) and k[-1] == "aggregation-amg"]
+    assert built == [(pole, alpha, "aggregation-amg")]
     assert all(info.converged for info in solver.solve_log)
 
 
@@ -371,7 +382,7 @@ def test_block_solve_p0_reduces_to_shifted_solve():
     rng = np.random.default_rng(8)
     rhs = rng.standard_normal(30)
     x_block = solver.solve_block(aug, 3.0, rhs)
-    fact = SolverCache().factorization(op, key_for(op, 3.0, 0.8))
+    fact = SolverCache(op).factorization(3.0, 0.8)
     x_ref = fact.solve(3.0 * rhs)
     assert np.allclose(x_block, x_ref, rtol=0, atol=1e-13 * np.linalg.norm(x_ref))
 
@@ -402,7 +413,7 @@ def test_block_solve_decouples_when_coupling_vanishes():
     solver = ShiftedSolver(op, SolverConfig(mode="direct"))
     rhs = rng.standard_normal(n + p)
     x = solver.solve_block(aug, 4.0, rhs)
-    fact = SolverCache().factorization(op, key_for(op, 4.0, 1.0))
+    fact = SolverCache(op).factorization(4.0, 1.0)
     top_ref = fact.solve(4.0 * rhs[:n])
     assert np.allclose(x[:n], top_ref, atol=1e-12)
 
