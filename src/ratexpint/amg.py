@@ -83,8 +83,9 @@ def _tentative(agg: np.ndarray, dtype) -> sp.csr_matrix:
                          shape=(n, int(agg.max()) + 1))
 
 
-def _aggregate_level(a: sp.csr_matrix) -> np.ndarray:
-    """Compose two pairwise matchings (aggregates of up to 4 nodes)."""
+def _aggregate_level(a: sp.csr_matrix) -> tuple[np.ndarray, sp.csr_matrix]:
+    """Compose two pairwise matchings (aggregates of up to 4 nodes); returns
+    the aggregation map and its tentative Galerkin product P^T a P."""
     agg = np.arange(a.shape[0], dtype=np.int64)
     current = a
     for _ in range(2):
@@ -94,7 +95,7 @@ def _aggregate_level(a: sp.csr_matrix) -> np.ndarray:
         current = (p.T @ a @ p).tocsr()
         if step.max() == 0:
             break
-    return agg
+    return agg, current
 
 
 def build_aggregates(matrix) -> list:
@@ -109,12 +110,11 @@ def build_aggregates(matrix) -> list:
     a = sp.csr_matrix(matrix)
     maps = []
     while len(maps) < MAX_LEVELS - 1 and a.shape[0] > COARSE_SIZE:
-        agg = _aggregate_level(a)
+        agg, coarse = _aggregate_level(a)
         if int(agg.max()) + 1 >= a.shape[0]:
             break
         maps.append(agg)
-        p = _tentative(agg, a.dtype)
-        a = (p.T @ a @ p).tocsr()
+        a = coarse
     return maps
 
 

@@ -180,8 +180,8 @@ def build_engine_config(args: argparse.Namespace) -> EngineConfig:
 
 def _setup(args: argparse.Namespace) -> tuple[Problem, Tableau, Engine]:
     """The problem, method and engine of one cell."""
-    if not (args.h > 0 and args.T > 0):
-        raise ConfigError("h and T must be positive")
+    if not (0 < args.h < np.inf and 0 < args.T < np.inf):
+        raise ConfigError("h and T must be positive and finite")
     problem = build_problem(args)
     return problem, tableau(args.integrator), Engine(problem, build_engine_config(args))
 

@@ -44,8 +44,8 @@ class EngineConfig:
     def __post_init__(self):
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}; expected one of {ENGINES}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.check_cadence < 1:
             raise ValueError(f"check_cadence must be at least 1, got {self.check_cadence}")
         for name in ("m_min", "m_max", "m_hard"):
@@ -219,8 +219,8 @@ def integrate(problem: Problem, tab: Tableau, h: float, T: float,
     ``snapshot_stride = k`` stores every k-th state (0: only initial and
     final). Aborts with a diagnostic snapshot on non-finite state.
     """
-    if T <= 0 or h <= 0:
-        raise ValueError("T and h must be positive")
+    if not (0 < T < np.inf and 0 < h < np.inf):
+        raise ValueError(f"T and h must be positive and finite, got T={T}, h={h}")
     u = np.asarray(problem.u0 if u0 is None else u0)
     if np.iscomplexobj(u):
         raise ValueError("initial state must be real")

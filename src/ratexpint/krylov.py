@@ -20,7 +20,7 @@ import scipy.linalg as sla
 
 from .linalg import SparseOperator, dense_expm, orthogonal_extend
 from .poles import INF_POLE, PoleSet, is_conjugate, is_infinite
-from .solvers import ShiftedSolver
+from .solvers import ShiftedSolver, SolverError
 
 #: Default tolerance and estimate-check cadence of both engines.
 DEFAULT_TOL = 1e-8
@@ -87,6 +87,30 @@ class AugmentedOperator:
         if p > 1:
             out[n:n + p - 1] = x[n + 1:]
         return out
+
+    def solve(self, pole: complex, rhs: np.ndarray, solver: ShiftedSolver) -> np.ndarray:
+        """Solve (xi I - A~) x = xi * rhs.
+
+        The tail system (xi I_p - J_p) x_tail = xi * rhs_tail is upper
+        bidiagonal (diagonal xi, superdiagonal -1) and is back-substituted
+        first; C x_tail then joins the right-hand side of one shifted solve
+        (xi I + alpha A) for the top block. For p = 0 this is one shifted
+        solve with right-hand side xi * rhs.
+        """
+        n, p = self.n, self.p
+        if rhs.shape[0] != n + p:
+            raise ValueError(f"expected right-hand side of length {n + p}, got {rhs.shape[0]}")
+        if p == 0:
+            return solver.solve_shifted(pole, self.alpha, pole * rhs)
+        if pole == 0:
+            raise SolverError("pole 0 is singular on the augmented system")
+        tail = rhs[n:]
+        x_tail = np.zeros(p, dtype=np.result_type(tail.dtype, np.asarray(pole).dtype, np.float64))
+        x_tail[p - 1] = tail[p - 1]
+        for i in range(p - 2, -1, -1):
+            x_tail[i] = tail[i] + x_tail[i + 1] / pole
+        x_top = solver.solve_shifted(pole, self.alpha, pole * rhs[:n] + self.C @ x_tail)
+        return np.concatenate([x_top, x_tail])
 
     def norm_bound(self) -> float:
         """Cheap upper bound on the 2-norm, for term-decay heuristics."""
@@ -236,7 +260,7 @@ def rational_arnoldi_step(d: RationalDecomposition, pole: complex,
     d._ensure_capacity(d.m + 1)
 
     b = d.aug.apply(d.V[:, d.nv - 1])
-    x = solver.solve_block(d.aug, pole, b) if finite else b
+    x = d.aug.solve(pole, b, solver) if finite else b
 
     j = d.m
     res = orthogonal_extend(d.V[:, :d.nv], x)
@@ -418,8 +442,8 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
         If the hard subspace cap is hit first; the partial result rides on
         the exception's ``report``.
     """
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if check_cadence < 1:
         raise ValueError("check_cadence must be at least 1")
     aug, c_tilde = assemble_augmented(op, alpha, c_vectors)
@@ -468,8 +492,8 @@ def expmv_polynomial(op: SparseOperator, alpha: float, c_vectors: Sequence[np.nd
     same basis re-evaluated, since the Krylov space does not depend on
     theta; the accepted segments compose e^{A~} = prod e^{theta_i A~}.
     """
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if check_cadence < 1:
         raise ValueError("check_cadence must be at least 1")
     aug, c_tilde = assemble_augmented(op, alpha, c_vectors)

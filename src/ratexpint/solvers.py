@@ -12,8 +12,9 @@ through conjugation, and a conjugate pair costs one setup. Each pole of the
 pair still makes its own solve. Every shifted matrix has the sparsity
 pattern of A, which is symmetric for the operators of this package, so its
 LU is ordered by minimum degree on the pattern of A^T + A (SuperLU's partial
-pivoting keeps it accurate when A is not symmetric). The block solve of the
-augmented operator back-substitutes its small Jordan tail first.
+pivoting keeps it accurate when A is not symmetric). One lock, held across
+each lookup and build, makes a cache safe to share between threads; the AMG
+aggregates of the operator sit beside its table.
 
 Iterative solves use aggregation AMG (or no preconditioner) with CG iff the
 pole is real and the operator symmetric, BiCGStab otherwise.
@@ -50,8 +51,8 @@ class IterativeDivergence(SolverError):
 @dataclass
 class SolverConfig:
     mode: str = "direct"                 # "direct" | "iterative"
-    # relative residual target of iterative solves; a solve of either mode
-    # whose residual exceeds 10x this raises
+    # relative residual target of iterative solves, in (0, 1); a solve of
+    # either mode whose residual exceeds 10x this raises
     tolerance: float = 1e-7
     max_iterations: int = 400
     # "none" | "aggregation-amg"; iterative solves use CG iff the pole is
@@ -61,8 +62,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.mode not in ("direct", "iterative"):
             raise ValueError(f"unknown solver mode {self.mode!r}")
-        if not self.tolerance > 0:
-            raise ValueError("solver tolerance must be positive")
+        if not 0 < self.tolerance < 1:
+            # a zero vector meets a relative residual of 1
+            raise ValueError(f"solver tolerance must lie in (0, 1), got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError(
                 f"solver max_iterations must be at least 1, got {self.max_iterations}")
@@ -122,44 +124,34 @@ class SolverCache:
     """Per-process cache of everything the shifted systems of one operator
     need.
 
-    One table holds LU factorizations (keyed by ``(xi, alpha)``),
-    preconditioners (keyed by ``(xi, alpha, kind)``) and the operator's AMG
-    aggregates (keyed by ``"aggregates"``). Lookups are synchronized and
-    single-flight: concurrent requests for the same key perform the numeric
-    work exactly once. There is no eviction.
+    One table holds LU factorizations (keyed by ``(xi, alpha)``) and
+    preconditioners (keyed by ``(xi, alpha, kind)``); the operator's AMG
+    aggregates sit beside it and are built on first use. One lock is held
+    across each lookup and build, so concurrent requests for the same key
+    perform the numeric work exactly once (and requests for other keys wait
+    meanwhile). There is no eviction.
     :meth:`ShiftedSolver.solve_shifted` asks only for poles with Im xi >= 0;
     the conjugate pole reuses that entry, so ``numeric_factorizations`` counts
     one per conjugate pair, and ``lu_nnz`` sums :attr:`Factorization.nnz`
-    over the LUs built. ``hits`` counts reused factorizations and
-    preconditioners, not aggregate lookups.
+    over the LUs built. ``hits`` counts reused table entries.
     """
 
     def __init__(self, op: SparseOperator):
         self.op = op
         self._lock = threading.Lock()
         self._entries: dict = {}
-        self._building: dict = {}
+        self._aggregates: Optional[list] = None
         self.numeric_factorizations = 0
         self.lu_nnz = 0
         self.hits = 0
 
-    def _single_flight(self, key, build, count_hit: bool = True):
+    def _lookup(self, key, build):
         with self._lock:
             entry = self._entries.get(key)
-            if entry is not None:
-                self.hits += count_hit
-                return entry
-            gate = self._building.setdefault(key, threading.Lock())
-        with gate:
-            with self._lock:
-                entry = self._entries.get(key)
-                if entry is not None:
-                    self.hits += count_hit
-                    return entry
-            entry = build()
-            with self._lock:
-                self._entries[key] = entry
-                self._building.pop(key, None)
+            if entry is None:
+                entry = self._entries[key] = build()
+            else:
+                self.hits += 1
             return entry
 
     def factorization(self, pole: complex, scale: float) -> Factorization:
@@ -169,12 +161,11 @@ class SolverCache:
 
         def build():
             fact = Factorization(shifted_matrix(self.op, pole, scale), pole)
-            with self._lock:
-                self.numeric_factorizations += 1
-                self.lu_nnz += fact.nnz
+            self.numeric_factorizations += 1
+            self.lu_nnz += fact.nnz
             return fact
 
-        return self._single_flight((pole, scale), build)
+        return self._lookup((pole, scale), build)
 
     def preconditioner(self, pole: complex, scale: float, kind: str) -> tuple:
         """``(matrix, M)``: the assembled (xi I + alpha A) and its AMG V-cycle
@@ -189,13 +180,12 @@ class SolverCache:
             matrix = shifted_matrix(self.op, pole, scale)
             if kind == "none":
                 return matrix, None
-            aggregates = self._single_flight("aggregates",
-                                             lambda: build_aggregates(self.op.tocsr()),
-                                             count_hit=False)
-            apply = AmgPreconditioner(matrix, aggregates).matvec
+            if self._aggregates is None:
+                self._aggregates = build_aggregates(self.op.tocsr())
+            apply = AmgPreconditioner(matrix, self._aggregates).matvec
             return matrix, spla.LinearOperator(matrix.shape, matvec=apply, dtype=matrix.dtype)
 
-        return self._single_flight((pole, scale, kind), build)
+        return self._lookup((pole, scale, kind), build)
 
 
 def solve_iterative(cache: SolverCache, pole: complex, scale: float, rhs: np.ndarray,
@@ -284,28 +274,3 @@ class ShiftedSolver:
                     f"after {info.iterations} iterations", info)
         self.solve_log.append(info)
         return info.x
-
-    def solve_block(self, aug, pole: complex, rhs: np.ndarray) -> np.ndarray:
-        """Solve (xi I - A~) x = xi * rhs for the augmented operator ``aug``.
-
-        ``aug`` carries the sparse top block -alpha A, the dense coupling
-        block C and an implicit Jordan tail of size p. The tail system
-        (xi I_p - J_p) x_tail = xi * rhs_tail is upper bidiagonal (diagonal
-        xi, superdiagonal -1) and is back-substituted first; C x_tail then
-        joins the right-hand side of one shifted solve for the top block.
-        For p = 0 this is one shifted solve with right-hand side xi * rhs.
-        """
-        n, p = aug.n, aug.p
-        if rhs.shape[0] != n + p:
-            raise ValueError(f"expected right-hand side of length {n + p}, got {rhs.shape[0]}")
-        if p == 0:
-            return self.solve_shifted(pole, aug.alpha, pole * rhs)
-        if pole == 0:
-            raise SolverError("pole 0 is singular on the augmented system")
-        tail = rhs[n:]
-        x_tail = np.zeros(p, dtype=np.result_type(tail.dtype, np.asarray(pole).dtype, np.float64))
-        x_tail[p - 1] = tail[p - 1]
-        for i in range(p - 2, -1, -1):
-            x_tail[i] = tail[i] + x_tail[i + 1] / pole
-        x_top = self.solve_shifted(pole, aug.alpha, pole * rhs[:n] + aug.C @ x_tail)
-        return np.concatenate([x_top, x_tail])

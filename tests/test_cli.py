@@ -131,14 +131,28 @@ def test_run_zero_repeated_count_is_a_config_error(tmp_path, capsys):
     ("--check-cadence", "0"),
     ("--tol", "0"),
     ("--solver", "iterative", "--solver-maxiter", "0"),
-], ids=["check-cadence-0", "tol-0", "solver-maxiter-0"])
+    ("--solver", "iterative", "--solver-tol", "1.5"),
+    ("--tol", "inf"),
+], ids=["check-cadence-0", "tol-0", "solver-maxiter-0", "solver-tol-1.5", "tol-inf"])
 def test_engine_settings_that_cannot_converge_exit_two(tmp_path, capsys, flags):
-    # unchecked, these hang (cadence 0 at nx=64), crash with exit 1 (tol 0) or
-    # read as a numerical failure with exit 3 (maxiter 0)
+    # unchecked, these hang (cadence 0 at nx=64), crash with exit 1 (tol 0),
+    # read as a numerical failure with exit 3 (maxiter 0) or accept any answer
+    # (a solver tolerance of 1 or more, an infinite tol)
     code = run_cli("run", "--problem", "ac2d", "--nx", "16", *flags,
                    "--h", "0.25", "--T", "0.25", "--out", str(tmp_path))
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [("--h", "0.25", "--T", "inf"), ("--h", "inf", "--T", "0.5")],
+                         ids=["T-inf", "h-inf"])
+def test_non_finite_step_or_horizon_exits_two(tmp_path, capsys, flags):
+    # unchecked, T = inf runs no step and reports the initial state as final,
+    # and h = inf runs one step of length T
+    code = run_cli("run", "--problem", "ac2d", "--nx", "16", *flags, "--out", str(tmp_path))
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_run_numeric_failure_exits_three(tmp_path, capsys):

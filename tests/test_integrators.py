@@ -241,7 +241,7 @@ def test_engine_equivalence_on_small_problem():
 
 @pytest.mark.parametrize("settings", [
     {"check_cadence": 0}, {"check_cadence": -3}, {"tol": 0.0}, {"tol": float("nan")},
-    {"m_min": 0}, {"m_max": 0}, {"m_hard": 0}])
+    {"tol": float("inf")}, {"m_min": 0}, {"m_max": 0}, {"m_hard": 0}])
 def test_engine_config_rejects_settings_that_cannot_converge(settings):
     # a cadence below 1 re-checks the same subspace forever
     with pytest.raises(ValueError, match=next(iter(settings))):
@@ -321,6 +321,19 @@ def test_remainder_within_rounding_is_a_full_step():
     assert len(traj.steps) == 20
     assert all(s.h == 0.05 for s in traj.steps)
     assert traj.times[-1] == 1.0
+
+
+@pytest.mark.parametrize("h, T", [(0.5, float("inf")), (float("inf"), 1.0),
+                                  (0.5, float("nan")), (0.0, 1.0)])
+def test_integrate_rejects_non_finite_or_non_positive_h_and_T(h, T):
+    # T = inf made the loop bound NaN, so no step ran and the initial state
+    # came back as the final one
+    rng = np.random.default_rng(6)
+    n = 10
+    prob = linear_problem(random_spd(rng, n, lam_max=4.0), rng.standard_normal(n))
+    eng = Engine(prob, rational_config(tol=1e-10, m_hard=n))
+    with pytest.raises(ValueError, match="positive and finite"):
+        integrate(prob, tableau("sw2"), h, T, eng)
 
 
 def test_complex_initial_state_rejected():

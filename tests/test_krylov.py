@@ -12,7 +12,8 @@ from ratexpint.krylov import (KrylovError, RationalDecomposition, ToleranceNotRe
                               rational_arnoldi_step)
 from ratexpint.linalg import SparseOperator, dense_expm, phi_dense_all
 from ratexpint.poles import INF_POLE, PoleSet, builtin_pole_set, repeated_real
-from ratexpint.solvers import ShiftedSolver, SolverConfig
+from ratexpint.problems import fd_laplacian_1d
+from ratexpint.solvers import ShiftedSolver, SolverCache, SolverConfig, SolverError
 
 
 def random_spd(rng, n, lam_max=20.0):
@@ -82,10 +83,89 @@ def test_expmv_rejects_check_cadence_below_one(engine):
             expmv_polynomial(op, 1.0, [np.ones(3)], check_cadence=0)
 
 
+@pytest.mark.parametrize("engine", ["rational", "polynomial"])
+def test_expmv_rejects_infinite_tolerance(engine):
+    # every estimate meets an infinite tolerance
+    op = SparseOperator.identity(3)
+    with pytest.raises(ValueError, match="tol"):
+        if engine == "rational":
+            expmv_rational(op, 1.0, [np.ones(3)], None, None, tol=float("inf"))
+        else:
+            expmv_polynomial(op, 1.0, [np.ones(3)], tol=float("inf"))
+
+
 def test_assemble_rejects_mismatched_payload():
     op = SparseOperator.identity(3)
     with pytest.raises(ValueError):
         assemble_augmented(op, 1.0, [np.ones(3), np.ones(4)])
+
+
+# ---------------------------------------------------------------------------
+# Block back-substitution.
+# ---------------------------------------------------------------------------
+
+def test_jordan_tail_solve():
+    # the tail of the block solve does not see the top block
+    op = SparseOperator.identity(4)
+    aug, _ = assemble_augmented(op, 1.0, [np.ones(4)] * 4)
+    solver = ShiftedSolver(op, SolverConfig(mode="direct"))
+    pole = 2.0 + 1.0j
+    rhs = np.array([1.0, -2.0, 0.5], dtype=complex)
+    x = aug.solve(pole, np.r_[np.zeros(4), rhs], solver)[4:]
+    p = 3
+    mat = pole * np.eye(p, dtype=complex) - np.diag(np.ones(p - 1), 1)
+    assert np.linalg.norm(mat @ x - pole * rhs) <= 1e-13 * np.linalg.norm(rhs)
+
+
+def test_block_solve_p0_reduces_to_shifted_solve():
+    op = fd_laplacian_1d(30, 1.0, "dirichlet")
+    aug, _ = assemble_augmented(op, 0.8, [np.ones(30)])
+    solver = ShiftedSolver(op, SolverConfig(mode="direct"))
+    rng = np.random.default_rng(8)
+    rhs = rng.standard_normal(30)
+    x_block = aug.solve(3.0, rhs, solver)
+    fact = SolverCache(op).factorization(3.0, 0.8)
+    x_ref = fact.solve(3.0 * rhs)
+    assert np.allclose(x_block, x_ref, rtol=0, atol=1e-13 * np.linalg.norm(x_ref))
+
+
+def test_block_solve_matches_dense_brute_force():
+    rng = np.random.default_rng(9)
+    n, p = 6, 2
+    spd = rng.standard_normal((n, n))
+    spd = spd @ spd.T + n * np.eye(n)
+    op = SparseOperator.from_dense(spd)
+    cs = [rng.standard_normal(n) for _ in range(p + 1)]
+    aug, _ = assemble_augmented(op, 1.3, cs)
+    solver = ShiftedSolver(op, SolverConfig(mode="direct"))
+    pole = 2.5 + 0.5j
+    rhs = rng.standard_normal(n + p) + 1j * rng.standard_normal(n + p)
+    x = aug.solve(pole, rhs, solver)
+    dense = pole * np.eye(n + p) - aug.dense()
+    x_ref = np.linalg.solve(dense, pole * rhs)
+    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+
+def test_block_solve_decouples_when_coupling_vanishes():
+    rng = np.random.default_rng(10)
+    n, p = 8, 2
+    op = SparseOperator.from_dense(np.diag(rng.uniform(1, 3, n)))
+    cs = [rng.standard_normal(n)] + [np.zeros(n)] * p
+    aug, _ = assemble_augmented(op, 1.0, cs)
+    solver = ShiftedSolver(op, SolverConfig(mode="direct"))
+    rhs = rng.standard_normal(n + p)
+    x = aug.solve(4.0, rhs, solver)
+    fact = SolverCache(op).factorization(4.0, 1.0)
+    top_ref = fact.solve(4.0 * rhs[:n])
+    assert np.allclose(x[:n], top_ref, atol=1e-12)
+
+
+def test_block_solve_zero_pole_rejected():
+    op = SparseOperator.identity(4)
+    aug, _ = assemble_augmented(op, 1.0, [np.ones(4), np.ones(4)])
+    solver = ShiftedSolver(op, SolverConfig(mode="direct"))
+    with pytest.raises(SolverError):
+        aug.solve(0.0, np.ones(5), solver)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +252,6 @@ def test_estimator_tracks_true_error_on_small_instances():
     production schedule would perform (m >= m_min, newest step polynomial),
     the estimate stays within a factor of 100 of the true error whenever the
     latter sits in [1e-12, 1e-1]."""
-    from ratexpint.problems import fd_laplacian_1d
     rng = np.random.default_rng(77)
     for n, lam_scale in ((120, 1.0), (150, 0.2), (90, 2.0)):
         op = SparseOperator(fd_laplacian_1d(n, float(n), "neumann").tocsr() * lam_scale)

@@ -1,5 +1,6 @@
-"""Shifted-system solvers: direct, iterative, block back-substitution, cache."""
+"""Shifted-system solvers: direct, iterative, cache."""
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ratexpint.krylov import assemble_augmented
+from ratexpint import solvers
+from ratexpint.amg import build_aggregates
 from ratexpint.linalg import SparseOperator
 from ratexpint.poles import builtin_pole_set
 from ratexpint.problems import (allen_cahn_2d, builtin_graph, fd_laplacian_1d,
@@ -88,8 +90,37 @@ def test_cache_single_flight_under_concurrency():
     assert cache.numeric_factorizations == 4
 
 
+def test_preconditioner_single_flight_under_concurrency(monkeypatch):
+    # the aggregates are built under the cache's lock too: once per operator
+    built = []
+
+    def counted(matrix):
+        built.append(matrix.shape)
+        return build_aggregates(matrix)
+
+    monkeypatch.setattr(solvers, "build_aggregates", counted)
+    op = fd_laplacian_2d(48, 1.0, "neumann")
+    cache = SolverCache(op)
+    poles = [1.0 + k * 1.0j for k in range(4)]
+
+    def work(i):
+        return cache.preconditioner(poles[i % 4], 0.5, "aggregation-amg")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            entries = list(pool.map(work, range(32), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len({id(entry) for entry in entries}) == len(cache._entries) == 4
+    assert cache.hits == 28
+    assert built == [(48 * 48, 48 * 48)]
+
+
 @pytest.mark.parametrize("name, value", [
-    ("max_iterations", 0), ("tolerance", 0.0), ("tolerance", float("nan"))])
+    ("max_iterations", 0), ("tolerance", 0.0), ("tolerance", float("nan")),
+    ("tolerance", 1.0), ("tolerance", 1.5), ("tolerance", float("inf"))])
 def test_solver_config_rejects_settings_that_cannot_converge(name, value):
     with pytest.raises(ValueError, match=name):
         SolverConfig(mode="iterative", **{name: value})
@@ -356,74 +387,6 @@ def test_cache_hits_count_only_shifted_system_reuse():
     solver.solve_shifted(5.0 - 1.0j, 0.25, b)
     assert solver.cache.hits == 1
     assert all(info.converged for info in solver.solve_log)
-
-
-# ---------------------------------------------------------------------------
-# Block back-substitution.
-# ---------------------------------------------------------------------------
-
-def test_jordan_tail_solve():
-    # the tail of the block solve does not see the top block
-    op = SparseOperator.identity(4)
-    aug, _ = assemble_augmented(op, 1.0, [np.ones(4)] * 4)
-    solver = ShiftedSolver(op, SolverConfig(mode="direct"))
-    pole = 2.0 + 1.0j
-    rhs = np.array([1.0, -2.0, 0.5], dtype=complex)
-    x = solver.solve_block(aug, pole, np.r_[np.zeros(4), rhs])[4:]
-    p = 3
-    mat = pole * np.eye(p, dtype=complex) - np.diag(np.ones(p - 1), 1)
-    assert np.linalg.norm(mat @ x - pole * rhs) <= 1e-13 * np.linalg.norm(rhs)
-
-
-def test_block_solve_p0_reduces_to_shifted_solve():
-    op = fd_laplacian_1d(30, 1.0, "dirichlet")
-    aug, _ = assemble_augmented(op, 0.8, [np.ones(30)])
-    solver = ShiftedSolver(op, SolverConfig(mode="direct"))
-    rng = np.random.default_rng(8)
-    rhs = rng.standard_normal(30)
-    x_block = solver.solve_block(aug, 3.0, rhs)
-    fact = SolverCache(op).factorization(3.0, 0.8)
-    x_ref = fact.solve(3.0 * rhs)
-    assert np.allclose(x_block, x_ref, rtol=0, atol=1e-13 * np.linalg.norm(x_ref))
-
-
-def test_block_solve_matches_dense_brute_force():
-    rng = np.random.default_rng(9)
-    n, p = 6, 2
-    spd = rng.standard_normal((n, n))
-    spd = spd @ spd.T + n * np.eye(n)
-    op = SparseOperator.from_dense(spd)
-    cs = [rng.standard_normal(n) for _ in range(p + 1)]
-    aug, _ = assemble_augmented(op, 1.3, cs)
-    solver = ShiftedSolver(op, SolverConfig(mode="direct"))
-    pole = 2.5 + 0.5j
-    rhs = rng.standard_normal(n + p) + 1j * rng.standard_normal(n + p)
-    x = solver.solve_block(aug, pole, rhs)
-    dense = pole * np.eye(n + p) - aug.dense()
-    x_ref = np.linalg.solve(dense, pole * rhs)
-    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
-
-
-def test_block_solve_decouples_when_coupling_vanishes():
-    rng = np.random.default_rng(10)
-    n, p = 8, 2
-    op = SparseOperator.from_dense(np.diag(rng.uniform(1, 3, n)))
-    cs = [rng.standard_normal(n)] + [np.zeros(n)] * p
-    aug, _ = assemble_augmented(op, 1.0, cs)
-    solver = ShiftedSolver(op, SolverConfig(mode="direct"))
-    rhs = rng.standard_normal(n + p)
-    x = solver.solve_block(aug, 4.0, rhs)
-    fact = SolverCache(op).factorization(4.0, 1.0)
-    top_ref = fact.solve(4.0 * rhs[:n])
-    assert np.allclose(x[:n], top_ref, atol=1e-12)
-
-
-def test_block_solve_zero_pole_rejected():
-    op = SparseOperator.identity(4)
-    aug, _ = assemble_augmented(op, 1.0, [np.ones(4), np.ones(4)])
-    solver = ShiftedSolver(op, SolverConfig(mode="direct"))
-    with pytest.raises(SolverError):
-        solver.solve_block(aug, 0.0, np.ones(5))
 
 
 # ---------------------------------------------------------------------------
