@@ -20,7 +20,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from .integrators import (ENGINES, Engine, EngineConfig, NumericalBlowup, Trajectory,
-                          integrate)
+                          check_time_grid, integrate)
 from .krylov import KrylovError
 from .poles import PoleSet, builtin_pole_set, load_poles, repeated_real, validate
 from .problems import (Graph, Problem, allen_cahn_2d, allen_cahn_graph, builtin_graph,
@@ -113,7 +113,7 @@ def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--T", type=float, default=1.0, help="final time")
     p.add_argument("--tol", type=float, help="expmv tolerance")
     p.add_argument("--m-min", type=int)
-    p.add_argument("--m-max", type=int)
+    p.add_argument("--m-hard", type=int, help="largest subspace of one decomposition")
     p.add_argument("--check-cadence", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", type=Path, default=Path("."), help="output directory")
@@ -175,13 +175,12 @@ def build_engine_config(args: argparse.Namespace) -> EngineConfig:
                                         tolerance="solver_tol",
                                         max_iterations="solver_maxiter"))
     return EngineConfig(solver=solver_cfg, poles=build_pole_set(args), **_kwargs(
-        args, "engine", "tol", "m_min", "m_max", "check_cadence"))
+        args, "engine", "tol", "m_min", "m_hard", "check_cadence"))
 
 
 def _setup(args: argparse.Namespace) -> tuple[Problem, Tableau, Engine]:
     """The problem, method and engine of one cell."""
-    if not (0 < args.h < np.inf and 0 < args.T < np.inf):
-        raise ConfigError("h and T must be positive and finite")
+    check_time_grid(args.h, args.T, args.snapshots)
     problem = build_problem(args)
     return problem, tableau(args.integrator), Engine(problem, build_engine_config(args))
 

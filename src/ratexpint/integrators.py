@@ -15,11 +15,11 @@ from typing import Optional
 
 import numpy as np
 
-from .krylov import (DEFAULT_CHECK_CADENCE, DEFAULT_TOL, ExpmvReport, expmv_polynomial,
-                     expmv_rational)
+from .krylov import (DEFAULT_CHECK_CADENCE, DEFAULT_TOL, ExpmvReport, check_settings,
+                     expmv_polynomial, expmv_rational)
 from .poles import PoleSet, builtin_pole_set
 from .problems import Problem
-from .solvers import ShiftedSolver, SolverConfig
+from .solvers import ShiftedSolver, SolverConfig, check_iterative_pole
 from .tableaus import Tableau
 
 ENGINES = ("rational", "polynomial")
@@ -27,15 +27,14 @@ ENGINES = ("rational", "polynomial")
 
 @dataclass
 class EngineConfig:
-    """Which expmv engine to use and how to drive it; ``m_min``/``m_max`` of
-    ``None`` keep the engine's own defaults. A rational engine given no poles
-    uses ``cf16_shifted`` with the iterative solver (every real part
-    positive) and ``cf12`` with the direct one."""
+    """Which expmv engine to use and how to drive it; ``m_min``/``m_hard`` of
+    ``None`` keep the engine's own defaults, and ``m_hard`` caps either engine.
+    A rational engine given no poles uses ``cf16_shifted`` with the iterative
+    solver (every real part positive) and ``cf12`` with the direct one."""
 
     engine: str = "rational"
     tol: float = DEFAULT_TOL
     m_min: Optional[int] = None
-    m_max: Optional[int] = None
     check_cadence: int = DEFAULT_CHECK_CADENCE
     poles: Optional[PoleSet] = None
     solver: SolverConfig = field(default_factory=SolverConfig)
@@ -44,17 +43,13 @@ class EngineConfig:
     def __post_init__(self):
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}; expected one of {ENGINES}")
-        if not 0 < self.tol < np.inf:
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if self.check_cadence < 1:
-            raise ValueError(f"check_cadence must be at least 1, got {self.check_cadence}")
-        for name in ("m_min", "m_max", "m_hard"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
+        check_settings(self.tol, self.check_cadence, self.m_min, self.m_hard)
         if self.engine == "rational" and self.poles is None:
             self.poles = builtin_pole_set(
                 "cf16_shifted" if self.solver.mode == "iterative" else "cf12")
+        if self.engine == "rational" and self.solver.mode == "iterative":
+            for pole in self.poles:
+                check_iterative_pole(pole, ValueError)
 
 
 class Engine:
@@ -71,13 +66,12 @@ class Engine:
 
     def expmv(self, alpha: float, c_vectors: list) -> ExpmvReport:
         cfg = self.config
-        sizes = {k: v for k, v in (("m_min", cfg.m_min), ("m_max", cfg.m_max)) if v is not None}
+        settings = {name: getattr(cfg, name) for name in ("tol", "check_cadence", "m_min", "m_hard")
+                    if getattr(cfg, name) is not None}
         if cfg.engine == "rational":
             return expmv_rational(self.problem.A, alpha, c_vectors, cfg.poles, self.solver,
-                                  tol=cfg.tol, check_cadence=cfg.check_cadence,
-                                  m_hard=cfg.m_hard, **sizes)
-        return expmv_polynomial(self.problem.A, alpha, c_vectors, tol=cfg.tol,
-                                check_cadence=cfg.check_cadence, **sizes)
+                                  **settings)
+        return expmv_polynomial(self.problem.A, alpha, c_vectors, **settings)
 
 
 def stage_to_expmv(tab: Tableau, stage: int, h: float, u: np.ndarray,
@@ -209,6 +203,14 @@ class NumericalBlowup(RuntimeError):
         self.state = state
 
 
+def check_time_grid(h: float, T: float, snapshot_stride: int = 0) -> None:
+    """Reject a time grid that :func:`integrate` cannot run as asked."""
+    if not (0 < T < np.inf and 0 < h < np.inf):
+        raise ValueError(f"T and h must each be positive and finite, got T={T}, h={h}")
+    if snapshot_stride < 0:
+        raise ValueError(f"snapshot_stride must be at least 0, got {snapshot_stride}")
+
+
 def integrate(problem: Problem, tab: Tableau, h: float, T: float,
               engine: Engine, u0: Optional[np.ndarray] = None,
               snapshot_stride: int = 0) -> Trajectory:
@@ -219,8 +221,7 @@ def integrate(problem: Problem, tab: Tableau, h: float, T: float,
     ``snapshot_stride = k`` stores every k-th state (0: only initial and
     final). Aborts with a diagnostic snapshot on non-finite state.
     """
-    if not (0 < T < np.inf and 0 < h < np.inf):
-        raise ValueError(f"T and h must be positive and finite, got T={T}, h={h}")
+    check_time_grid(h, T, snapshot_stride)
     u = np.asarray(problem.u0 if u0 is None else u0)
     if np.iscomplexobj(u):
         raise ValueError("initial state must be real")

@@ -346,6 +346,16 @@ def _approximant_and_estimate(d: RationalDecomposition, h: float, terms: int = 1
 # Adaptive expmv engines.
 # ---------------------------------------------------------------------------
 
+def check_settings(tol: float, check_cadence: int, m_min: Optional[int] = None,
+                   m_hard: Optional[int] = None) -> None:
+    """Reject loop settings that cannot converge or accept any answer."""
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    for name, value in (("check_cadence", check_cadence), ("m_min", m_min), ("m_hard", m_hard)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 @dataclass
 class ExpmvReport:
     """Result and diagnostics of one exponential-action evaluation."""
@@ -421,20 +431,20 @@ def _adaptive_krylov(d: RationalDecomposition, poles: Sequence[complex],
 
 def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndarray],
                    pole_set: Optional[PoleSet], solver: Optional[ShiftedSolver],
-                   tol: float = DEFAULT_TOL, m_min: int = 5, m_max: Optional[int] = None,
+                   tol: float = DEFAULT_TOL, m_min: int = 5,
                    check_cadence: int = DEFAULT_CHECK_CADENCE,
                    m_hard: Optional[int] = None) -> ExpmvReport:
     """Adaptive rational Krylov evaluation of sum_k phi_k(-alpha A) c_k.
 
     This is the top block of e^{A~(alpha)} c~, so every shifted solve is
     (xi I + alpha A), the scaling the pole sets are fitted for. Finite poles
-    are consumed in order (truncated at ``m_max``, by default all of them);
-    after exhaustion the subspace keeps growing with polynomial steps until
-    the error estimate meets ``tol``. The estimate is only evaluated every
-    ``check_cadence`` iterations past ``m_min``, and a polynomial step is
-    inserted before each check when the newest step used a finite pole
-    (completing a conjugate pair first so that conjugate-closed sets keep
-    real data real).
+    are consumed in order; after exhaustion the subspace keeps growing with
+    polynomial steps until the error estimate meets ``tol``. The estimate is
+    only evaluated every ``check_cadence`` iterations past ``m_min``, and a
+    polynomial step is inserted before each check when the newest step used a
+    finite pole (completing a conjugate pair first so that conjugate-closed
+    sets keep real data real), which may carry the subspace up to two steps
+    past the cap ``m_hard``, by default max(len(poles) + 128, 64).
 
     Raises
     ------
@@ -442,23 +452,17 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
         If the hard subspace cap is hit first; the partial result rides on
         the exception's ``report``.
     """
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    if check_cadence < 1:
-        raise ValueError("check_cadence must be at least 1")
+    check_settings(tol, check_cadence, m_min, m_hard)
     aug, c_tilde = assemble_augmented(op, alpha, c_vectors)
 
     finite_poles = list(pole_set) if pole_set is not None else []
-    if m_max is None:
-        m_max = len(finite_poles)
-    finite_poles = finite_poles[:m_max]
     if m_hard is None:
-        m_hard = max(m_max + 128, 64)
+        m_hard = max(len(finite_poles) + 128, 64)
 
     complex_data = np.iscomplexobj(c_tilde) or any(p.imag != 0 for p in finite_poles)
     dtype = np.complex128 if complex_data else np.float64
-    d = RationalDecomposition(aug, c_tilde, capacity=min(max(2 * m_min, m_max + 8, 40), m_hard),
-                              dtype=dtype)
+    d = RationalDecomposition(aug, c_tilde, dtype=dtype,
+                              capacity=min(max(2 * m_min, len(finite_poles) + 8, 40), m_hard))
 
     log_start = len(solver.solve_log) if solver is not None else 0
     history: list[tuple[int, float]] = []
@@ -476,26 +480,23 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
     if not converged:
         raise ToleranceNotReached(
             f"error estimate {estimate:.3e} above tolerance {tol:.3e} "
-            f"at the hard subspace cap m={d.m}", report)
+            f"at the subspace cap m_hard={m_hard} (m={d.m})", report)
     return report
 
 
 def expmv_polynomial(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndarray],
-                     tol: float = DEFAULT_TOL, m_min: int = 10, m_max: int = 128,
+                     tol: float = DEFAULT_TOL, m_min: int = 10, m_hard: int = 128,
                      check_cadence: int = DEFAULT_CHECK_CADENCE) -> ExpmvReport:
     """Polynomial Krylov evaluation of sum_k phi_k(-alpha A) c_k with time
     sub-stepping.
 
     Runs the adaptive loop with no finite poles (all poles at infinity),
     checking the estimate against the proportional budget tol * theta. If
-    the subspace cap is reached first, the sub-step theta is halved and the
-    same basis re-evaluated, since the Krylov space does not depend on
-    theta; the accepted segments compose e^{A~} = prod e^{theta_i A~}.
+    the subspace cap ``m_hard`` is reached first, the sub-step theta is halved
+    and the same basis re-evaluated, since the Krylov space does not depend
+    on theta; the accepted segments compose e^{A~} = prod e^{theta_i A~}.
     """
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    if check_cadence < 1:
-        raise ValueError("check_cadence must be at least 1")
+    check_settings(tol, check_cadence, m_min, m_hard)
     aug, c_tilde = assemble_augmented(op, alpha, c_vectors)
 
     history: list[tuple[int, float]] = []
@@ -507,9 +508,9 @@ def expmv_polynomial(op: SparseOperator, alpha: float, c_vectors: Sequence[np.nd
 
     while done < 1.0 - 1e-15:
         theta = min(theta, 1.0 - done)
-        d = RationalDecomposition(aug, w, capacity=m_max)
+        d = RationalDecomposition(aug, w, capacity=m_hard)
         w, estimate, converged = _adaptive_krylov(
-            d, [], None, theta, tol * theta, m_min, m_max, check_cadence, history)
+            d, [], None, theta, tol * theta, m_min, m_hard, check_cadence, history)
         while not converged:
             theta /= 2.0
             if theta < SUBSTEP_UNDERFLOW:

@@ -14,6 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
 from .linalg import SparseOperator
@@ -51,6 +52,17 @@ class Problem:
 # Finite-difference Laplacians.
 # ---------------------------------------------------------------------------
 
+def _fd_laplacian(shape: tuple[int, ...], length: float, bc: str) -> SparseOperator:
+    _check_bc(bc)
+    if shape[0] < 3:
+        raise ValueError("need at least 3 grid points")
+    if length <= 0:
+        raise ValueError("domain length must be positive")
+    h = length / shape[0]
+    lap = spla.LaplacianNd(shape, boundary_conditions=bc, dtype=np.float64)
+    return SparseOperator(-lap.tosparse() / h**2)
+
+
 def fd_laplacian_1d(nx: int, length: float, bc: str) -> SparseOperator:
     """1D second-difference operator (1/h^2) tridiag(-1, 2, -1) with boundary rows
     adjusted for the requested closure. h = length / nx.
@@ -58,31 +70,12 @@ def fd_laplacian_1d(nx: int, length: float, bc: str) -> SparseOperator:
     Neumann uses the mirror closure with first row (1, -1)/h^2, periodic wraps
     the corners; both leave the constant vector in the kernel.
     """
-    _check_bc(bc)
-    if nx < 3:
-        raise ValueError("need at least 3 grid points")
-    if length <= 0:
-        raise ValueError("domain length must be positive")
-    h = length / nx
-    main = np.full(nx, 2.0)
-    off = np.full(nx - 1, -1.0)
-    mat = sp.diags([off, main, off], [-1, 0, 1], format="lil")
-    if bc == "neumann":
-        mat[0, 0] = 1.0
-        mat[nx - 1, nx - 1] = 1.0
-    elif bc == "periodic":
-        mat[0, nx - 1] = -1.0
-        mat[nx - 1, 0] = -1.0
-    op = SparseOperator(sp.csr_matrix(mat) / h**2)
-    return op
+    return _fd_laplacian((nx,), length, bc)
 
 
 def fd_laplacian_2d(nx: int, length: float, bc: str) -> SparseOperator:
     """2D Laplacian as the Kronecker sum T (x) I + I (x) T of the 1D operator."""
-    t = fd_laplacian_1d(nx, length, bc).tocsr()
-    eye = sp.identity(nx, format="csr")
-    a = sp.kron(t, eye, format="csr") + sp.kron(eye, t, format="csr")
-    return SparseOperator(a)
+    return _fd_laplacian((nx, nx), length, bc)
 
 
 def fd_grid_1d(nx: int, length: float, bc: str, origin: float = 0.0) -> np.ndarray:

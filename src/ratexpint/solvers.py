@@ -188,6 +188,13 @@ class SolverCache:
         return self._lookup((pole, scale, kind), build)
 
 
+def check_iterative_pole(pole: complex, error: type = SolverError) -> None:
+    """Raise ``error`` unless Re(xi) > 0: indefinite shifts belong on the direct path."""
+    if complex(pole).real <= 0:
+        raise error(
+            f"iterative path requires Re(pole) > 0, got {pole}; use the direct solver")
+
+
 def solve_iterative(cache: SolverCache, pole: complex, scale: float, rhs: np.ndarray,
                     cfg: SolverConfig) -> SolveInfo:
     """Preconditioned Krylov solve of (xi I + alpha A) x = rhs, where A is
@@ -199,9 +206,7 @@ def solve_iterative(cache: SolverCache, pole: complex, scale: float, rhs: np.nda
     Non-convergence returns the best iterate with ``converged=False``.
     """
     pole = complex(pole)
-    if pole.real <= 0:
-        raise SolverError(
-            f"iterative path requires Re(pole) > 0, got {pole}; use the direct solver")
+    check_iterative_pole(pole)
     bnorm = float(np.linalg.norm(rhs))
     if bnorm == 0.0:
         return SolveInfo(np.zeros_like(rhs), 0, 0.0, True)

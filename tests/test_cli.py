@@ -133,22 +133,28 @@ def test_run_zero_repeated_count_is_a_config_error(tmp_path, capsys):
     ("--solver", "iterative", "--solver-maxiter", "0"),
     ("--solver", "iterative", "--solver-tol", "1.5"),
     ("--tol", "inf"),
-], ids=["check-cadence-0", "tol-0", "solver-maxiter-0", "solver-tol-1.5", "tol-inf"])
+    ("--solver", "iterative", "--poles", "builtin:cf12"),
+    ("--solver", "iterative", "--poles", "builtin:cf12", "--nx", "64"),
+], ids=["check-cadence-0", "tol-0", "solver-maxiter-0", "solver-tol-1.5", "tol-inf",
+        "iterative-cf12", "iterative-cf12-nx64"])
 def test_engine_settings_that_cannot_converge_exit_two(tmp_path, capsys, flags):
     # unchecked, these hang (cadence 0 at nx=64), crash with exit 1 (tol 0),
-    # read as a numerical failure with exit 3 (maxiter 0) or accept any answer
-    # (a solver tolerance of 1 or more, an infinite tol)
+    # read as a numerical failure with exit 3 (maxiter 0 and, once the
+    # adaptive loop reaches a pole with a negative real part, iterative cf12)
+    # or accept any answer (a solver tolerance of 1 or more, an infinite tol)
     code = run_cli("run", "--problem", "ac2d", "--nx", "16", *flags,
                    "--h", "0.25", "--T", "0.25", "--out", str(tmp_path))
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags", [("--h", "0.25", "--T", "inf"), ("--h", "inf", "--T", "0.5")],
-                         ids=["T-inf", "h-inf"])
+@pytest.mark.parametrize("flags", [("--h", "0.25", "--T", "inf"), ("--h", "inf", "--T", "0.5"),
+                                   ("--snapshots", "-1")],
+                         ids=["T-inf", "h-inf", "snapshots-negative"])
 def test_non_finite_step_or_horizon_exits_two(tmp_path, capsys, flags):
     # unchecked, T = inf runs no step and reports the initial state as final,
-    # and h = inf runs one step of length T
+    # h = inf runs one step of length T, and a negative snapshot stride
+    # stores every step
     code = run_cli("run", "--problem", "ac2d", "--nx", "16", *flags, "--out", str(tmp_path))
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
@@ -163,6 +169,14 @@ def test_run_numeric_failure_exits_three(tmp_path, capsys):
                    "--out", str(tmp_path))
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_m_hard_caps_the_rational_subspace(tmp_path, capsys):
+    code = run_cli("run", "--problem", "ac2d", "--nx", "64", "--m-hard", "4",
+                   "--out", str(tmp_path))
+    assert code == 3
+    # the step that settles the last conjugate pair passes the cap by one
+    assert "subspace cap m_hard=4 (m=5)" in capsys.readouterr().err
 
 
 def test_run_config_file_with_flag_override(tmp_path, capsys):
@@ -182,7 +196,8 @@ def test_run_config_file_with_flag_override(tmp_path, capsys):
     ("sizes = 8", "--sizes"),             # a bench-only key
     ("solver_t = 1e-3", "--solver-t"),    # an abbreviation of --solver-tol
     ("nx = abc", "--nx"),                 # typed like the flag
-], ids=["unknown", "bench-only", "abbreviated", "bad-int"])
+    ("m_max = 20", "--m-max"),            # removed; --m-hard caps both engines
+], ids=["unknown", "bench-only", "abbreviated", "bad-int", "m-max"])
 def test_bad_config_line_exits_two_and_names_the_key(tmp_path, capsys, line, flag):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"problem = ac2d\n{line}\n")
@@ -280,6 +295,18 @@ def test_bench_records_cell_failures(tmp_path):
         rows = list(csv.reader(fh))
     assert len(rows) == 2
     assert rows[1][-1] != ""  # error column populated
+
+
+def test_bench_iterative_cf12_fails_only_the_rational_cell(tmp_path):
+    code = run_cli("bench", "--problem", "ac2d", "--sizes", "8",
+                   "--engines", "rational,polynomial", "--h", "0.25", "--T", "0.25",
+                   "--solver", "iterative", "--poles", "builtin:cf12", "--out", str(tmp_path))
+    assert code == 0
+    with open(tmp_path / "bench.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["engine"] for row in rows] == ["rational", "polynomial"]
+    assert "Re(pole) > 0" in rows[0]["error"]
+    assert rows[1]["error"] == ""
 
 
 def test_bench_propagates_programming_errors(tmp_path, monkeypatch):

@@ -241,11 +241,24 @@ def test_engine_equivalence_on_small_problem():
 
 @pytest.mark.parametrize("settings", [
     {"check_cadence": 0}, {"check_cadence": -3}, {"tol": 0.0}, {"tol": float("nan")},
-    {"tol": float("inf")}, {"m_min": 0}, {"m_max": 0}, {"m_hard": 0}])
+    {"tol": float("inf")}, {"m_min": 0}, {"m_hard": 0},
+    {"solver": SolverConfig(mode="iterative"), "poles": builtin_pole_set("cf12")}])
 def test_engine_config_rejects_settings_that_cannot_converge(settings):
-    # a cadence below 1 re-checks the same subspace forever
+    # a cadence below 1 re-checks the same subspace forever; the iterative
+    # solver cannot take the cf12 poles with negative real parts, and without
+    # this check fails only once the adaptive loop reaches one of them
     with pytest.raises(ValueError, match=next(iter(settings))):
         EngineConfig(**settings)
+
+
+def test_polynomial_engine_caps_every_decomposition_at_m_hard():
+    # at the cap the polynomial engine halves its sub-step; uncapped, this
+    # payload grows one decomposition to m=50
+    prob = allen_cahn_2d(32)
+    eng = Engine(prob, EngineConfig(engine="polynomial", m_hard=12))
+    rep = eng.expmv(0.5, [np.random.default_rng(0).standard_normal(prob.n)])
+    assert rep.substeps > 1
+    assert max(m for m, _ in rep.estimate_history) <= 12
 
 
 def test_default_pole_set_follows_solver_mode():
@@ -334,6 +347,16 @@ def test_integrate_rejects_non_finite_or_non_positive_h_and_T(h, T):
     eng = Engine(prob, rational_config(tol=1e-10, m_hard=n))
     with pytest.raises(ValueError, match="positive and finite"):
         integrate(prob, tableau("sw2"), h, T, eng)
+
+
+def test_integrate_rejects_negative_snapshot_stride():
+    # unchecked, idx % -1 == 0 stores every step
+    rng = np.random.default_rng(6)
+    n = 10
+    prob = linear_problem(random_spd(rng, n, lam_max=4.0), rng.standard_normal(n))
+    eng = Engine(prob, rational_config(tol=1e-10, m_hard=n))
+    with pytest.raises(ValueError, match="snapshot_stride"):
+        integrate(prob, tableau("sw2"), 0.5, 1.0, eng, snapshot_stride=-1)
 
 
 def test_complex_initial_state_rejected():

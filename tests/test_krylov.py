@@ -83,6 +83,17 @@ def test_expmv_rejects_check_cadence_below_one(engine):
             expmv_polynomial(op, 1.0, [np.ones(3)], check_cadence=0)
 
 
+@pytest.mark.parametrize("size", ["m_min", "m_hard"])
+@pytest.mark.parametrize("engine", ["rational", "polynomial"])
+def test_expmv_rejects_sizes_below_one(engine, size):
+    op = SparseOperator.identity(3)
+    with pytest.raises(ValueError, match=size):
+        if engine == "rational":
+            expmv_rational(op, 1.0, [np.ones(3)], None, None, **{size: 0})
+        else:
+            expmv_polynomial(op, 1.0, [np.ones(3)], **{size: 0})
+
+
 @pytest.mark.parametrize("engine", ["rational", "polynomial"])
 def test_expmv_rejects_infinite_tolerance(engine):
     # every estimate meets an infinite tolerance
@@ -315,7 +326,7 @@ def test_all_infinite_poles_match_polynomial_engine():
     h = 0.9
     rep_rat = expmv_rational(op, h, [c0], None, solver,
                              tol=1e-10, m_min=6, check_cadence=1, m_hard=n)
-    rep_poly = expmv_polynomial(op, h, [c0], tol=1e-10, m_min=6, m_max=n,
+    rep_poly = expmv_polynomial(op, h, [c0], tol=1e-10, m_min=6, m_hard=n,
                                 check_cadence=1)
     assert np.linalg.norm(rep_rat.vector - rep_poly.vector) \
         <= 1e-12 * np.linalg.norm(rep_poly.vector)
@@ -537,7 +548,7 @@ def test_polynomial_expmv_matches_dense_oracle():
     cs = [rng.standard_normal(n) for _ in range(p + 1)]
     h = 0.6
     payload = [cs[0], h * cs[1], h * h * cs[2]]
-    rep = expmv_polynomial(op, h, payload, tol=1e-8, m_min=10, m_max=64)
+    rep = expmv_polynomial(op, h, payload, tol=1e-8, m_min=10, m_hard=64)
     aug, ct = assemble_augmented(op, h, payload)
     oracle = dense_expm(aug.dense()) @ ct
     err = np.linalg.norm(rep.vector - oracle) / np.linalg.norm(oracle)
@@ -550,12 +561,12 @@ def test_polynomial_substepping_triggers_and_composes():
     n = 60
     op = random_spd(rng, n, lam_max=400.0)
     c0 = rng.standard_normal(n)
-    rep = expmv_polynomial(op, 1.0, [c0], tol=1e-8, m_min=4, m_max=12)
+    rep = expmv_polynomial(op, 1.0, [c0], tol=1e-8, m_min=4, m_hard=12)
     assert rep.substeps > 1
     assert rep.arnoldi_steps <= rep.substeps * 12
     # a failed sub-step re-evaluates its basis at theta/2 instead of rebuilding
-    # it, so with m_min = m_max every accepted sub-step costs exactly m_max steps
-    full = expmv_polynomial(op, 1.0, [c0], tol=1e-8, m_min=12, m_max=12)
+    # it, so with m_min = m_hard every accepted sub-step costs exactly m_hard steps
+    full = expmv_polynomial(op, 1.0, [c0], tol=1e-8, m_min=12, m_hard=12)
     assert full.substeps > 1
     assert full.arnoldi_steps == full.substeps * 12
     exact = dense_expm(-op.todense()) @ c0
@@ -575,7 +586,7 @@ def test_polynomial_substep_underflow_raises():
     op = random_spd(rng, 40, lam_max=1e9)
     with pytest.raises(KrylovError):
         expmv_polynomial(op, 1.0, [rng.standard_normal(40)],
-                         tol=1e-12, m_min=2, m_max=3)
+                         tol=1e-12, m_min=2, m_hard=3)
 
 
 def test_concurrent_expmv_calls_share_cache():

@@ -169,7 +169,7 @@ def test_builtin_set_certified_on_wide_spectra(name, spectrum_max):
         assert min(xi.real for xi in ps) > 0
     solver = ShiftedSolver(op, SolverConfig(mode="direct"))
     rep = expmv_rational(op, 1.0, [c0], ps, solver,
-                         tol=1e-8, m_min=4, m_max=len(ps), check_cadence=2)
+                         tol=1e-8, m_min=4, check_cadence=2)
     err = np.linalg.norm(rep.phi_combination - exact) / np.linalg.norm(exact)
     assert err <= 1e-8
 
