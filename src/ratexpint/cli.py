@@ -170,7 +170,17 @@ def load_pole_spec(spec) -> PoleSet:
     return load_poles(path)
 
 
+#: Flags that only the rational engine reads.
+RATIONAL_ONLY_FLAGS = ("poles", "repeated_pole", "solver", "solver_tol", "solver_maxiter",
+                       "preconditioner")
+
+
 def build_engine_config(args: argparse.Namespace) -> EngineConfig:
+    if args.engine == "polynomial":
+        given = ["--" + flag.replace("_", "-") for flag in RATIONAL_ONLY_FLAGS
+                 if getattr(args, flag) is not None]
+        if given:
+            raise ConfigError(f"the polynomial engine takes no {', '.join(given)}")
     solver_cfg = SolverConfig(**_kwargs(args, "preconditioner", mode="solver",
                                         tolerance="solver_tol",
                                         max_iterations="solver_maxiter"))
@@ -234,6 +244,9 @@ def write_run_report(path: Path, args: argparse.Namespace, traj: Trajectory, che
         fh.write(f"numeric_factorizations = {cache.numeric_factorizations}\n")
         fh.write(f"lu_nnz = {cache.lu_nnz}\n")
         fh.write(f"cache_hits = {cache.hits}\n")
+        threads = "unchanged (no OpenBLAS found)" if traj.blas_threads is None \
+            else traj.blas_threads
+        fh.write(f"blas_threads = {threads}\n")
         fh.write(f"wall_time_s = {traj.wall_time:.4f}\n")
         fh.write(f"final_checksum = {checksum}\n")
 
@@ -290,6 +303,9 @@ def cmd_bench(args) -> int:
     for nx in args.sizes:
         for engine_name in args.engines:
             cell = argparse.Namespace(**{**vars(args), "nx": nx, "engine": engine_name})
+            if engine_name == "polynomial":
+                for flag in RATIONAL_ONLY_FLAGS:
+                    setattr(cell, flag, None)
             n = ""
             try:
                 problem, tab, engine = _setup(cell)

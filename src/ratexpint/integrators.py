@@ -17,6 +17,7 @@ import numpy as np
 
 from .krylov import (DEFAULT_CHECK_CADENCE, DEFAULT_TOL, ExpmvReport, check_settings,
                      expmv_polynomial, expmv_rational)
+from .linalg import single_blas_thread
 from .poles import PoleSet, builtin_pole_set
 from .problems import Problem
 from .solvers import ShiftedSolver, SolverConfig, check_iterative_pole
@@ -30,7 +31,8 @@ class EngineConfig:
     """Which expmv engine to use and how to drive it; ``m_min``/``m_hard`` of
     ``None`` keep the engine's own defaults, and ``m_hard`` caps either engine.
     A rational engine given no poles uses ``cf16_shifted`` with the iterative
-    solver (every real part positive) and ``cf12`` with the direct one."""
+    solver (every real part positive) and ``cf12`` with the direct one. The
+    polynomial engine takes no poles and no solver settings."""
 
     engine: str = "rational"
     tol: float = DEFAULT_TOL
@@ -44,6 +46,9 @@ class EngineConfig:
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}; expected one of {ENGINES}")
         check_settings(self.tol, self.check_cadence, self.m_min, self.m_hard)
+        if self.engine == "polynomial" and (self.poles is not None
+                                            or self.solver != SolverConfig()):
+            raise ValueError("the polynomial engine takes no poles or solver settings")
         if self.engine == "rational" and self.poles is None:
             self.poles = builtin_pole_set(
                 "cf16_shifted" if self.solver.mode == "iterative" else "cf12")
@@ -65,6 +70,11 @@ class Engine:
         self.solver = ShiftedSolver(problem.A, config.solver)
 
     def expmv(self, alpha: float, c_vectors: list) -> ExpmvReport:
+        """sum_k phi_k(-alpha A) c_k for ``c_vectors = [c_0, ..., c_p]``.
+
+        Runs at the caller's BLAS thread count; only :func:`integrate` caps
+        it at one thread (see :func:`~ratexpint.linalg.single_blas_thread`).
+        """
         cfg = self.config
         settings = {name: getattr(cfg, name) for name in ("tol", "check_cadence", "m_min", "m_hard")
                     if getattr(cfg, name) is not None}
@@ -121,6 +131,9 @@ def step(problem: Problem, tab: Tableau, u: np.ndarray, t: float, h: float,
     conjugate-closed pole sets the exact results are real and only a
     rounding-level imaginary residue is discarded; :func:`integrate` records
     its size per step.
+
+    Runs at the caller's BLAS thread count; only :func:`integrate` caps it
+    at one thread.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
@@ -171,6 +184,8 @@ class Trajectory:
     snapshot_times: list = field(default_factory=list)
     steps: list = field(default_factory=list)
     wall_time: float = 0.0
+    #: OpenBLAS threads held during the run; ``None`` when no OpenBLAS was found
+    blas_threads: Optional[int] = None
 
     @property
     def final_state(self) -> np.ndarray:
@@ -220,6 +235,11 @@ def integrate(problem: Problem, tab: Tableau, h: float, T: float,
 
     ``snapshot_stride = k`` stores every k-th state (0: only initial and
     final). Aborts with a diagnostic snapshot on non-finite state.
+
+    The whole call runs the bundled OpenBLAS on one thread and restores the
+    caller's thread counts on return or raise
+    (:func:`~ratexpint.linalg.single_blas_thread`); ``blas_threads`` of the
+    result records the count held.
     """
     check_time_grid(h, T, snapshot_stride)
     u = np.asarray(problem.u0 if u0 is None else u0)
@@ -234,30 +254,31 @@ def integrate(problem: Problem, tab: Tableau, h: float, T: float,
     idx = 0
     t_start = time.perf_counter()
     slack = 1e-12 * T
-    while t < T - slack:
-        h_step = min(h, T - t)
-        if h - h_step <= slack:
-            h_step = h
-        u_next, reports = step(problem, tab, u, t, h_step, engine)
-        if not np.all(np.isfinite(u_next)):
-            raise NumericalBlowup(
-                f"non-finite state after step at t={t + h_step:.6g}", t + h_step, u_next)
-        t = T if T - (t + h_step) <= slack else t + h_step
-        idx += 1
-        u = u_next
-        traj.times.append(t)
-        traj.steps.append(StepSummary(
-            t=t, h=h_step, expmv_calls=len(reports),
-            arnoldi_steps=sum(r.arnoldi_steps for r in reports),
-            solver_iterations=sum(r.solver_iterations for r in reports),
-            max_estimate=max((r.estimate for r in reports), default=0.0),
-            max_residual=max((r.solver_residual_max for r in reports), default=0.0),
-            substeps=sum(r.substeps for r in reports),
-            max_imag_discarded=max((float(np.linalg.norm(r.phi_combination.imag))
-                                    for r in reports), default=0.0)))
-        if snapshot_stride and idx % snapshot_stride == 0 and t < T - slack:
-            traj.snapshots.append(u.copy())
-            traj.snapshot_times.append(t)
+    with single_blas_thread() as traj.blas_threads:
+        while t < T - slack:
+            h_step = min(h, T - t)
+            if h - h_step <= slack:
+                h_step = h
+            u_next, reports = step(problem, tab, u, t, h_step, engine)
+            if not np.all(np.isfinite(u_next)):
+                raise NumericalBlowup(
+                    f"non-finite state after step at t={t + h_step:.6g}", t + h_step, u_next)
+            t = T if T - (t + h_step) <= slack else t + h_step
+            idx += 1
+            u = u_next
+            traj.times.append(t)
+            traj.steps.append(StepSummary(
+                t=t, h=h_step, expmv_calls=len(reports),
+                arnoldi_steps=sum(r.arnoldi_steps for r in reports),
+                solver_iterations=sum(r.solver_iterations for r in reports),
+                max_estimate=max((r.estimate for r in reports), default=0.0),
+                max_residual=max((r.solver_residual_max for r in reports), default=0.0),
+                substeps=sum(r.substeps for r in reports),
+                max_imag_discarded=max((float(np.linalg.norm(r.phi_combination.imag))
+                                        for r in reports), default=0.0)))
+            if snapshot_stride and idx % snapshot_stride == 0 and t < T - slack:
+                traj.snapshots.append(u.copy())
+                traj.snapshot_times.append(t)
     traj.snapshots.append(u.copy())
     traj.snapshot_times.append(t)
     traj.wall_time = time.perf_counter() - t_start

@@ -2,7 +2,8 @@
 
 This module is the computational substrate for the rest of the package:
 CSR operators, the dense matrix exponential, phi-functions
-of small matrices, and Gram-Schmidt orthogonalization.
+of small matrices, Gram-Schmidt orthogonalization, and the cap that runs
+the bundled OpenBLAS on one thread.
 
 Dense matrices and vectors are plain numpy arrays throughout; complex
 inputs are supported everywhere.
@@ -10,9 +11,15 @@ inputs are supported everywhere.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import threading
+from contextlib import contextmanager
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import scipy
 import scipy.linalg as sla
 import scipy.sparse as sp
 
@@ -182,3 +189,66 @@ def orthogonal_extend(basis: np.ndarray, x: np.ndarray) -> OrthResult:
     if beta <= BREAKDOWN_RTOL * max(norm0, 1e-300):
         return OrthResult(None, h, beta, True)
     return OrthResult(w / beta, h, beta, False)
+
+
+# ---------------------------------------------------------------------------
+# OpenBLAS thread count.
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _openblas_controls() -> tuple:
+    """``(get_num_threads, set_num_threads)`` of each bundled OpenBLAS found:
+    numpy's 64-bit-integer copy in ``numpy.libs`` and scipy's copy in
+    ``scipy.libs``. Empty when neither is there, as with a numpy or scipy
+    that links another BLAS. Looked up on first use, not at import."""
+    controls = []
+    for package, pattern, suffix in ((np, "libscipy_openblas64_*.so", "64_"),
+                                     (scipy, "libscipy_openblas-*.so", "")):
+        libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+        for path in sorted(libs.glob(pattern)):
+            try:
+                lib = ctypes.CDLL(str(path))
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+                put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            controls.append((get, put))
+    return tuple(controls)
+
+
+# OpenBLAS keeps one thread count per process, so the cap is process-wide:
+# the first holder saves the counts and sets 1, the last one restores them.
+_cap_lock = threading.Lock()
+_cap_depth = 0
+_cap_saved: list = []   # (set_num_threads, the count to restore) per library
+
+
+@contextmanager
+def single_blas_thread():
+    """Run the bundled OpenBLAS copies on one thread inside the block.
+
+    The small dense kernels of a Krylov step (a projected ``expm``, a
+    ``lu_solve`` of a few dozen unknowns) cost less than waking a second
+    BLAS thread. Yields the count held, 1, or ``None`` when no OpenBLAS was
+    found, in which case nothing changes. The caller's counts come back when
+    the last of any nested or concurrent holders leaves, exceptions included.
+    """
+    global _cap_depth
+    with _cap_lock:
+        controls = _openblas_controls()
+        if _cap_depth == 0:
+            _cap_saved[:] = [(put, get()) for get, put in controls]
+            for put, _ in _cap_saved:
+                put(1)
+        _cap_depth += 1
+    try:
+        yield 1 if controls else None
+    finally:
+        with _cap_lock:
+            _cap_depth -= 1
+            if _cap_depth == 0:
+                for put, count in _cap_saved:
+                    put(count)
+                _cap_saved.clear()

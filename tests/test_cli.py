@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from ratexpint import linalg
 from ratexpint.cli import BENCH_HEADER, main, read_config_file
 from ratexpint.solvers import ShiftedSolver
 
@@ -50,6 +51,8 @@ def test_run_writes_outputs_and_exits_zero(tmp_path, capsys, monkeypatch):
     # one factorization per conjugate pair of (pole, scale)
     assert consumed and int(fields["numeric_factorizations"]) * 2 == len(consumed)
     assert int(fields["lu_nnz"]) > 0
+    assert fields["blas_threads"] == ("1" if linalg._openblas_controls()
+                                      else "unchanged (no OpenBLAS found)")
 
 
 def test_run_report_counts_no_lu_on_iterative_path(tmp_path):
@@ -146,6 +149,19 @@ def test_engine_settings_that_cannot_converge_exit_two(tmp_path, capsys, flags):
                    "--h", "0.25", "--T", "0.25", "--out", str(tmp_path))
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ("--poles", "builtin:cf12"), ("--repeated-pole", "40.0"), ("--solver", "direct"),
+    ("--solver-tol", "1e-6"), ("--solver-maxiter", "50"), ("--preconditioner", "none")],
+    ids=["poles", "repeated-pole", "solver", "solver-tol", "solver-maxiter", "preconditioner"])
+def test_rational_only_settings_on_the_polynomial_engine_exit_two(tmp_path, capsys, flags):
+    # the polynomial engine reads none of these; taken silently, the run
+    # report would list settings that had no effect
+    code = run_cli("run", "--problem", "ac2d", "--nx", "8", "--engine", "polynomial", *flags,
+                   "--h", "0.25", "--T", "0.25", "--out", str(tmp_path))
+    assert code == 2
+    assert f"polynomial engine takes no {flags[0]}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [("--h", "0.25", "--T", "inf"), ("--h", "inf", "--T", "0.5"),

@@ -1,8 +1,14 @@
 """Exponential Runge-Kutta stepping: tableaus, stage assembly, time loop."""
 
+import ctypes
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy
 
+from ratexpint import linalg
 from ratexpint.integrators import (Engine, EngineConfig, NumericalBlowup,
                                    integrate, stage_to_expmv, step)
 from ratexpint.krylov import assemble_augmented, dense_expm
@@ -261,6 +267,16 @@ def test_polynomial_engine_caps_every_decomposition_at_m_hard():
     assert max(m for m, _ in rep.estimate_history) <= 12
 
 
+@pytest.mark.parametrize("settings", [
+    {"poles": builtin_pole_set("cf12")}, {"solver": SolverConfig(mode="iterative")}],
+    ids=["poles", "solver"])
+def test_polynomial_engine_rejects_rational_settings(settings):
+    # the polynomial engine reads neither, so taking them would report
+    # settings that had no effect
+    with pytest.raises(ValueError, match="polynomial engine takes no poles or solver"):
+        EngineConfig(engine="polynomial", **settings)
+
+
 def test_default_pole_set_follows_solver_mode():
     assert EngineConfig().poles == builtin_pole_set("cf12")
     iterative = EngineConfig(solver=SolverConfig(mode="iterative"))
@@ -427,3 +443,136 @@ def test_snapshot_stride():
     # initial, t=0.3, 0.6, 0.9, final
     assert len(traj.snapshots) == 5
     assert traj.snapshot_times == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# OpenBLAS thread cap.
+# ---------------------------------------------------------------------------
+
+def openblas_thread_functions():
+    """(get, set) thread-count functions of each bundled OpenBLAS, looked up
+    here by ctypes rather than through the library under test."""
+    found = []
+    for package, pattern, suffix in ((np, "libscipy_openblas64_*.so", "64_"),
+                                     (scipy, "libscipy_openblas-*.so", "")):
+        libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+        for path in libs.glob(pattern):
+            lib = ctypes.CDLL(str(path))
+            found.append((getattr(lib, "scipy_openblas_get_num_threads" + suffix),
+                          getattr(lib, "scipy_openblas_set_num_threads" + suffix)))
+    return found
+
+
+@pytest.fixture
+def blas_counts():
+    """Sets every bundled OpenBLAS to 2 threads, yields a function that
+    reads the counts, and restores the counts found."""
+    functions = openblas_thread_functions()
+    if not functions:
+        pytest.skip("no bundled OpenBLAS")
+    saved = [get() for get, _ in functions]
+    for _, put in functions:
+        put(2)
+    yield lambda: [get() for get, _ in functions]
+    for (_, put), count in zip(functions, saved):
+        put(count)
+
+
+def integrate_blas_problem(g):
+    rng = np.random.default_rng(12)
+    prob = Problem(name="blas", A=random_spd(rng, 8, lam_max=5.0), g=g,
+                   u0=rng.standard_normal(8), params={})
+    return integrate(prob, tableau("sw2"), 0.25, 0.5,
+                     Engine(prob, rational_config(tol=1e-8, m_hard=8)))
+
+
+def test_integrate_holds_one_blas_thread_and_restores_the_callers(blas_counts):
+    seen = []
+
+    def g(t, u):
+        seen.append(blas_counts())
+        return np.zeros_like(u)
+
+    traj = integrate_blas_problem(g)
+    assert seen and all(counts == [1] * len(counts) for counts in seen)
+    assert traj.blas_threads == 1
+    assert blas_counts() == [2] * len(seen[0])
+
+
+def test_blas_threads_restored_after_blowup(blas_counts):
+    seen = []
+
+    def g(t, u):
+        seen.append(blas_counts())
+        return np.full_like(u, np.nan)
+
+    with pytest.raises(NumericalBlowup):
+        integrate_blas_problem(g)
+    assert seen and all(counts == [1] * len(counts) for counts in seen)
+    assert blas_counts() == [2] * len(seen[0])
+
+
+def test_nested_integrate_keeps_the_cap_until_the_outer_call_returns(blas_counts):
+    after_inner = []
+
+    def outer_g(t, u):
+        if not after_inner:
+            integrate_blas_problem(lambda t, u: np.zeros_like(u))
+            after_inner.append(blas_counts())
+        return np.zeros_like(u)
+
+    integrate_blas_problem(outer_g)
+    assert after_inner[0] == [1] * len(after_inner[0])
+    assert blas_counts() == [2] * len(after_inner[0])
+
+
+def test_concurrent_integrate_calls_restore_the_callers_count(blas_counts):
+    # first in, first out: a call that saved and restored counts on its own
+    # would have the second call save the first one's 1 and restore it last
+    a_inside, b_inside, a_done = threading.Event(), threading.Event(), threading.Event()
+    seen, errors = {}, []
+
+    def run(name, g, after=None):
+        try:
+            integrate_blas_problem(g)
+            seen[name] = blas_counts()
+            if after is not None:
+                after.set()
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    def a_g(t, u):
+        a_inside.set()
+        b_inside.wait(10)
+        return np.zeros_like(u)
+
+    def b_g(t, u):
+        b_inside.set()
+        a_done.wait(10)
+        return np.zeros_like(u)
+
+    a = threading.Thread(target=run, args=("a", a_g, a_done))
+    b = threading.Thread(target=run, args=("b", b_g))
+    a.start()
+    assert a_inside.wait(10)
+    b.start()
+    a.join(30)
+    b.join(30)
+    assert not a.is_alive() and not b.is_alive() and not errors
+    ones = [1] * len(blas_counts())
+    assert seen["a"] == ones  # b still holds the cap
+    assert blas_counts() == [2] * len(ones)
+
+
+def test_integrate_without_openblas_changes_nothing(blas_counts, monkeypatch):
+    monkeypatch.setattr(linalg, "_openblas_controls", lambda: ())
+    seen = []
+
+    def g(t, u):
+        seen.append(blas_counts())
+        return np.zeros_like(u)
+
+    traj = integrate_blas_problem(g)
+    assert traj.blas_threads is None
+    assert all(counts == [2] * len(counts) for counts in seen)
+    assert np.all(np.isfinite(traj.final_state))
