@@ -26,7 +26,7 @@ from .poles import PoleSet, builtin_pole_set, load_poles, repeated_real, validat
 from .problems import (Graph, Problem, allen_cahn_2d, allen_cahn_graph, builtin_graph,
                        gierer_meinhardt_2d, largest_connected_component,
                        load_edge_list, load_matrix_market_adjacency)
-from .solvers import PRECONDITIONERS, SolverCache, SolverConfig, SolverError
+from .solvers import PRECONDITIONERS, SolverConfig, SolverError
 from .tableaus import Tableau, available, tableau
 
 PROBLEMS = ("ac2d", "gm2d", "ac-graph")
@@ -225,11 +225,16 @@ def write_trajectory_csv(path: Path, traj: Trajectory, max_columns: int = 10000)
 
 
 def write_run_report(path: Path, args: argparse.Namespace, traj: Trajectory, checksum: str,
-                     cache: SolverCache):
-    """Every setting that has a value, defaults included, then the run's
+                     engine: Engine):
+    """Every setting that has a value, defaults included, with the engine,
+    pole set and solver mode the engine resolved; then the run's
     statistics."""
+    config, cache = engine.config, engine.solver.cache
     settings = {key: value for key, value in vars(args).items()
                 if value is not None and key not in ("command", "func")}
+    settings["engine"] = config.engine
+    settings["poles"] = "none" if config.poles is None else config.poles.name
+    settings["solver"] = config.solver.mode if config.engine == "rational" else "none"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# run report\n")
         for key in sorted(settings):
@@ -244,6 +249,7 @@ def write_run_report(path: Path, args: argparse.Namespace, traj: Trajectory, che
         fh.write(f"numeric_factorizations = {cache.numeric_factorizations}\n")
         fh.write(f"lu_nnz = {cache.lu_nnz}\n")
         fh.write(f"cache_hits = {cache.hits}\n")
+        fh.write(f"cache_drops = {cache.drops}\n")
         threads = "unchanged (no OpenBLAS found)" if traj.blas_threads is None \
             else traj.blas_threads
         fh.write(f"blas_threads = {threads}\n")
@@ -278,7 +284,7 @@ def cmd_run(args) -> int:
     traj_path = args.out / f"{problem.name}-{tab.name}-trajectory.csv"
     report_path = args.out / f"{problem.name}-{tab.name}-report.txt"
     write_trajectory_csv(traj_path, traj)
-    write_run_report(report_path, args, traj, checksum, engine.solver.cache)
+    write_run_report(report_path, args, traj, checksum, engine)
     print(f"wrote {traj_path}")
     print(f"wrote {report_path}")
     print(f"final_checksum = {checksum}")

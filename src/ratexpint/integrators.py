@@ -1,10 +1,12 @@
 """Exponential Runge-Kutta time stepping.
 
 Each stage and the final update are a linear combination of phi-function
-actions; :func:`stage_to_expmv` maps each onto one operator scale
-alpha = c_j h and a payload [c_0, ..., c_p] whose engine value is
-sum_k phi_k(-alpha A) c_k, so one step of an s-stage method costs at most s
-engine calls (stages with zero nodes are free).
+actions; :func:`stage_to_expmv` maps each onto the step's operator scale
+alpha = h, the stage's time theta = c_j and a payload [c_0, ..., c_p] whose
+engine value is sum_k theta^k phi_k(-theta alpha A) c_k, so one step of an
+s-stage method costs at most s engine calls (stages with zero nodes are
+free), and every shifted system of a step is (xi I + h A): the stages of a
+step share their factorizations.
 """
 
 from __future__ import annotations
@@ -69,8 +71,9 @@ class Engine:
         self.config = config
         self.solver = ShiftedSolver(problem.A, config.solver)
 
-    def expmv(self, alpha: float, c_vectors: list) -> ExpmvReport:
-        """sum_k phi_k(-alpha A) c_k for ``c_vectors = [c_0, ..., c_p]``.
+    def expmv(self, alpha: float, theta: float, c_vectors: list) -> ExpmvReport:
+        """sum_k theta^k phi_k(-theta alpha A) c_k for
+        ``c_vectors = [c_0, ..., c_p]``.
 
         Runs at the caller's BLAS thread count; only :func:`integrate` caps
         it at one thread (see :func:`~ratexpint.linalg.single_blas_thread`).
@@ -80,20 +83,20 @@ class Engine:
                     if getattr(cfg, name) is not None}
         if cfg.engine == "rational":
             return expmv_rational(self.problem.A, alpha, c_vectors, cfg.poles, self.solver,
-                                  **settings)
-        return expmv_polynomial(self.problem.A, alpha, c_vectors, **settings)
+                                  theta=theta, **settings)
+        return expmv_polynomial(self.problem.A, alpha, c_vectors, theta=theta, **settings)
 
 
 def stage_to_expmv(tab: Tableau, stage: int, h: float, u: np.ndarray,
-                   g_values: list) -> tuple[float, list]:
-    """Operator scale and payload ``(alpha, [c_0, ..., c_p])`` of one stage
-    (or the update).
+                   g_values: list) -> tuple[float, float, list]:
+    """Operator scale, time and payload ``(alpha, theta, [c_0, ..., c_p])``
+    of one stage (or the update).
 
     Stage j reads U_j = e^{-c_j h A} u + h sum_k a_{jk}(-h A) G_k with
     a_{jk} = sum_l beta_{jkl} phi_l(-c_j h A). That is the engine value
-    sum_l phi_l(-alpha A) c_l with alpha = c_j h, c_0 = u and
-    c_l = h sum_k beta_{jkl} G_k. ``stage = 0`` assembles the final update
-    (alpha = h).
+    sum_l theta^l phi_l(-theta alpha A) c_l with alpha = h, theta = c_j,
+    c_0 = u and c_l = h sum_k beta_{jkl} G_k / theta^l. ``stage = 0``
+    assembles the final update (theta = 1).
     """
     if stage == 0:
         node = 1.0
@@ -117,10 +120,10 @@ def stage_to_expmv(tab: Tableau, stage: int, h: float, u: np.ndarray,
             combos[l] = combos.get(l, 0.0) + contrib
     c_vectors = [u]
     for l in range(1, max_l + 1):
-        c_vectors.append(h * combos[l] if l in combos else np.zeros_like(u))
+        c_vectors.append(h * combos[l] / node ** l if l in combos else np.zeros_like(u))
     while len(c_vectors) > 1 and not np.any(c_vectors[-1]):
         c_vectors.pop()
-    return node * h, c_vectors
+    return h, node, c_vectors
 
 
 def step(problem: Problem, tab: Tableau, u: np.ndarray, t: float, h: float,

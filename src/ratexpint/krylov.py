@@ -6,8 +6,11 @@ one go, a rational Arnoldi decomposition extended one pole at a time, the
 a-posteriori error estimate that drives subspace adaptivity, and the two
 ``expmv`` engines (rational with pole sets, polynomial with sub-stepping)
 used by the exponential integrators. Both engines take one operator scale
-alpha and a ready payload [c_0, ..., c_p] and return
-sum_k phi_k(-alpha A) c_k, the top block of e^{A~(alpha)} c~.
+alpha, a time theta and a ready payload [c_0, ..., c_p] and return
+sum_k theta^k phi_k(-theta alpha A) c_k, the top block of
+e^{theta A~(alpha)} c~. The integrators pass alpha = h and theta = c_j, so
+all stages of a step build one rational Krylov space family with the same
+shifted systems (xi I + h A) and read it at their own time points.
 """
 
 from __future__ import annotations
@@ -175,8 +178,10 @@ class RationalDecomposition:
     pole is complex: by default ``dtype`` follows the start vector and the
     payload, and complex poles need ``dtype=np.complex128`` (``expmv_rational``
     picks it). A real decomposition takes real poles only, which keeps the
-    basis, the shifted solves and the result real. The decomposition mutates
-    in place; it is confined to one expmv call and never shared.
+    basis, the shifted solves and the result real. V is column-major, so each
+    basis vector is contiguous and Gram-Schmidt reads the basis in place. The
+    decomposition mutates in place; it is confined to one expmv call and
+    never shared.
     """
 
     def __init__(self, aug: AugmentedOperator, c_tilde: np.ndarray,
@@ -191,7 +196,7 @@ class RationalDecomposition:
         if dtype.kind != "c" and data_dtype.kind == "c":
             raise ValueError(f"complex data needs a complex decomposition, got {dtype}")
         capacity = max(4, capacity)
-        self.V = np.zeros((aug.dim, capacity + 1), dtype=dtype)
+        self.V = np.zeros((aug.dim, capacity + 1), dtype=dtype, order="F")
         self.V[:, 0] = c_tilde / norm
         self.H = np.zeros((capacity + 1, capacity), dtype=dtype)
         self.m = 0
@@ -223,7 +228,7 @@ class RationalDecomposition:
         if m_new <= cap:
             return
         new_cap = max(2 * cap, m_new)
-        V = np.zeros((self.dim, new_cap + 1), dtype=self.V.dtype)
+        V = np.zeros((self.dim, new_cap + 1), dtype=self.V.dtype, order="F")
         V[:, :self.V.shape[1]] = self.V
         H = np.zeros((new_cap + 1, new_cap), dtype=self.H.dtype)
         H[:self.H.shape[0], :self.H.shape[1]] = self.H
@@ -433,11 +438,15 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
                    pole_set: Optional[PoleSet], solver: Optional[ShiftedSolver],
                    tol: float = DEFAULT_TOL, m_min: int = 5,
                    check_cadence: int = DEFAULT_CHECK_CADENCE,
-                   m_hard: Optional[int] = None) -> ExpmvReport:
-    """Adaptive rational Krylov evaluation of sum_k phi_k(-alpha A) c_k.
+                   m_hard: Optional[int] = None, theta: float = 1.0) -> ExpmvReport:
+    """Adaptive rational Krylov evaluation of
+    sum_k theta^k phi_k(-theta alpha A) c_k.
 
-    This is the top block of e^{A~(alpha)} c~, so every shifted solve is
-    (xi I + alpha A), the scaling the pole sets are fitted for. Finite poles
+    This is the top block of e^{theta A~(alpha)} c~, so every shifted solve
+    is (xi I + alpha A) whatever theta is: calls that share alpha share
+    their factorizations. The estimate is that of the time point theta
+    (Goeckler & Grimm, SIMAX 35 (2014), for a fixed rational Krylov space
+    read at several times). Finite poles
     are consumed in order; after exhaustion the subspace keeps growing with
     polynomial steps until the error estimate meets ``tol``. The estimate is
     only evaluated every ``check_cadence`` iterations past ``m_min``, and a
@@ -467,7 +476,7 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
     log_start = len(solver.solve_log) if solver is not None else 0
     history: list[tuple[int, float]] = []
     result, estimate, converged = _adaptive_krylov(
-        d, finite_poles, solver, 1.0, tol, m_min, m_hard, check_cadence, history)
+        d, finite_poles, solver, theta, tol, m_min, m_hard, check_cadence, history)
     solves = solver.solve_log[log_start:] if solver is not None else []
 
     report = ExpmvReport(
@@ -486,40 +495,45 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
 
 def expmv_polynomial(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndarray],
                      tol: float = DEFAULT_TOL, m_min: int = 10, m_hard: int = 128,
-                     check_cadence: int = DEFAULT_CHECK_CADENCE) -> ExpmvReport:
-    """Polynomial Krylov evaluation of sum_k phi_k(-alpha A) c_k with time
-    sub-stepping.
+                     check_cadence: int = DEFAULT_CHECK_CADENCE,
+                     theta: float = 1.0) -> ExpmvReport:
+    """Polynomial Krylov evaluation of sum_k theta^k phi_k(-theta alpha A) c_k
+    with time sub-stepping.
 
-    Runs the adaptive loop with no finite poles (all poles at infinity),
-    checking the estimate against the proportional budget tol * theta. If
-    the subspace cap ``m_hard`` is reached first, the sub-step theta is halved
-    and the same basis re-evaluated, since the Krylov space does not depend
-    on theta; the accepted segments compose e^{A~} = prod e^{theta_i A~}.
+    The time is folded into the data first (alpha -> theta alpha,
+    c_k -> theta^k c_k; exact for the nodes 1/2 and 1), since the engine
+    has no shifted systems to share. It then runs the adaptive loop with no
+    finite poles (all poles at infinity), checking the estimate against the
+    proportional budget tol * tau of its sub-step tau. If the subspace cap
+    ``m_hard`` is reached first, tau is halved and the same basis
+    re-evaluated, since the Krylov space does not depend on tau; the
+    accepted segments compose e^{A~} = prod e^{tau_i A~}.
     """
     check_settings(tol, check_cadence, m_min, m_hard)
-    aug, c_tilde = assemble_augmented(op, alpha, c_vectors)
+    aug, c_tilde = assemble_augmented(
+        op, theta * alpha, [theta ** k * c for k, c in enumerate(c_vectors)])
 
     history: list[tuple[int, float]] = []
     w = c_tilde
     done = 0.0
-    theta = 1.0
+    tau = 1.0
     substeps = 0
     total_steps = 0
 
     while done < 1.0 - 1e-15:
-        theta = min(theta, 1.0 - done)
+        tau = min(tau, 1.0 - done)
         d = RationalDecomposition(aug, w, capacity=m_hard)
         w, estimate, converged = _adaptive_krylov(
-            d, [], None, theta, tol * theta, m_min, m_hard, check_cadence, history)
+            d, [], None, tau, tol * tau, m_min, m_hard, check_cadence, history)
         while not converged:
-            theta /= 2.0
-            if theta < SUBSTEP_UNDERFLOW:
-                raise KrylovError(f"sub-step underflow: theta={theta:.3e}")
-            w, estimate = _approximant_and_estimate(d, theta)
+            tau /= 2.0
+            if tau < SUBSTEP_UNDERFLOW:
+                raise KrylovError(f"sub-step underflow: tau={tau:.3e}")
+            w, estimate = _approximant_and_estimate(d, tau)
             history.append((d.m, estimate))
-            converged = estimate <= tol * theta
+            converged = estimate <= tol * tau
         total_steps += d.m
-        done += theta
+        done += tau
         substeps += 1
 
     return ExpmvReport(

@@ -168,7 +168,9 @@ def orthogonal_extend(basis: np.ndarray, x: np.ndarray) -> OrthResult:
 
     Parameters
     ----------
-    basis : (n, m) array with orthonormal columns; m may be zero.
+    basis : (n, m) array with orthonormal columns; m may be zero. Both
+        passes read it as it lies, with no transposed copy, which suits a
+        column-major basis best.
     x : length-n vector.
     """
     x = np.asarray(x)
@@ -182,7 +184,7 @@ def orthogonal_extend(basis: np.ndarray, x: np.ndarray) -> OrthResult:
     for _ in range(2):
         if m == 0:
             break
-        c = basis.conj().T @ w
+        c = (w.conj() @ basis).conj()
         w -= basis @ c
         h += c
     beta = float(np.linalg.norm(w))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -38,10 +38,12 @@ class PoleSet:
     """Ordered list of finite, nonzero poles in the positive-real convention.
 
     Sets meant for real data are conjugate-closed with pairs adjacent (see
-    :attr:`conjugate_closed`).
+    :attr:`conjugate_closed`). ``name`` says where the set came from, for
+    reports; it takes no part in comparisons.
     """
 
     poles: tuple
+    name: str = field(default="", compare=False)
 
     def __post_init__(self):
         for xi in self.poles:
@@ -74,7 +76,8 @@ def repeated_real(value: float, count: int) -> PoleSet:
         raise ValueError("the repeated pole must be nonzero")
     if count < 1:
         raise ValueError("need at least one pole")
-    return PoleSet(poles=tuple(complex(value, 0.0) for _ in range(count)))
+    return PoleSet(poles=tuple(complex(value, 0.0) for _ in range(count)),
+                   name=f"repeated_real({value}, {count})")
 
 
 def check_conjugate_closure(poles: Sequence[complex], tol: float = CONJUGATE_MATCH_TOL) -> bool:
@@ -134,7 +137,7 @@ def load_poles(path) -> PoleSet:
     if not check_conjugate_closure(poles):
         raise PoleFileError(f"{path}: pole list is not conjugate-closed with adjacent pairs")
     try:
-        return PoleSet(poles=tuple(poles))
+        return PoleSet(poles=tuple(poles), name=str(path))
     except ValueError as exc:
         raise PoleFileError(f"{path}: {exc}") from exc
 
@@ -187,7 +190,7 @@ def builtin_pole_set(name: str) -> PoleSet:
     if name.endswith("_shifted"):
         sigma = float(math.ceil(1.0 - min(p.real for p in poles)))
         poles = tuple(p + sigma for p in poles)
-    return PoleSet(poles=poles)
+    return PoleSet(poles=poles, name=f"builtin:{name}")
 
 
 def validate(ps: PoleSet, lam_max: float, scale: float = 1.0) -> list[str]:

@@ -287,8 +287,9 @@ def check_tableau_consistency() -> list[CheckResult]:
     u = rng.standard_normal(n)
     g1 = rng.standard_normal(n)
     tab = tableau("etd3rk")
-    aug, ct = assemble_augmented(op, *stage_to_expmv(tab, 2, h, u, [g1]))
-    value = (dense_expm(aug.dense()) @ ct)[:n]
+    alpha, theta, cs = stage_to_expmv(tab, 2, h, u, [g1])
+    aug, ct = assemble_augmented(op, alpha, cs)
+    value = (dense_expm(theta * aug.dense()) @ ct)[:n]
     phis = phi_dense_all(-(h / 2) * op.todense(), 1)
     expected = phis[0] @ u + (h / 2) * (phis[1] @ g1)
     err = float(np.linalg.norm(value - expected) / np.linalg.norm(expected))

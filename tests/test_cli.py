@@ -53,6 +53,10 @@ def test_run_writes_outputs_and_exits_zero(tmp_path, capsys, monkeypatch):
     assert int(fields["lu_nnz"]) > 0
     assert fields["blas_threads"] == ("1" if linalg._openblas_controls()
                                       else "unchanged (no OpenBLAS found)")
+    # what the engine resolved, and two equal steps keep one scale
+    assert (fields["engine"], fields["poles"], fields["solver"]) == (
+        "rational", "builtin:cf12", "direct")
+    assert fields["cache_drops"] == "0"
 
 
 def test_run_report_counts_no_lu_on_iterative_path(tmp_path):
@@ -61,6 +65,32 @@ def test_run_report_counts_no_lu_on_iterative_path(tmp_path):
     assert code == 0
     report = next(tmp_path.glob("*-report.txt")).read_text()
     assert "\nnumeric_factorizations = 0\nlu_nnz = 0\n" in report
+
+
+@pytest.mark.parametrize("flags, resolved", [
+    ((), ("rational", "builtin:cf12", "direct")),
+    (("--solver", "iterative"), ("rational", "builtin:cf16_shifted", "iterative")),
+    (("--engine", "polynomial"), ("polynomial", "none", "none")),
+    (("--repeated-pole", "10"), ("rational", "repeated_real(10.0, 72)", "direct"))],
+    ids=["default", "iterative", "polynomial", "repeated"])
+def test_run_report_names_the_resolved_engine_poles_and_solver(tmp_path, flags, resolved):
+    code = run_cli("run", "--problem", "ac2d", "--nx", "16", "--h", "0.5", "--T", "0.5",
+                   *flags, "--out", str(tmp_path))
+    assert code == 0
+    report = next(tmp_path.glob("*-report.txt")).read_text()
+    lines = report.splitlines()[1:]
+    fields = dict(line.split(" = ", 1) for line in lines)
+    assert len(fields) == len(lines)  # no setting is listed twice
+    assert (fields["engine"], fields["poles"], fields["solver"]) == resolved
+
+
+def test_run_report_counts_cache_drops(tmp_path):
+    # the last step of 0.1 brings a new operator scale
+    code = run_cli("run", "--problem", "ac2d", "--nx", "16", "--h", "0.3", "--T", "1",
+                   "--out", str(tmp_path))
+    assert code == 0
+    report = next(tmp_path.glob("*-report.txt")).read_text()
+    assert "\ncache_drops = 1\n" in report
 
 
 def test_run_spec_shape_repeated_pole(tmp_path):

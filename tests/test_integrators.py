@@ -15,7 +15,7 @@ from ratexpint.krylov import assemble_augmented, dense_expm
 from ratexpint.linalg import SparseOperator, phi_dense_all
 from ratexpint.poles import PoleSet, builtin_pole_set
 from ratexpint.problems import Problem, allen_cahn_2d, gierer_meinhardt_2d
-from ratexpint.solvers import SolverConfig
+from ratexpint.solvers import SolverCache, SolverConfig
 from ratexpint.tableaus import Tableau, available, tableau
 
 
@@ -126,11 +126,17 @@ def test_exponential_euler_stage_payload():
     rng = np.random.default_rng(0)
     u = rng.standard_normal(7)
     g = rng.standard_normal(7)
-    alpha, cs = stage_to_expmv(tab, 0, 0.1, u, [g])
-    assert alpha == pytest.approx(0.1)
+    alpha, theta, cs = stage_to_expmv(tab, 0, 0.1, u, [g])
+    assert alpha == pytest.approx(0.1) and theta == 1.0
     assert len(cs) - 1 == 1
     assert np.array_equal(cs[0], u)
     assert np.allclose(cs[1], 0.1 * g)
+
+
+def phi_oracle(op, alpha, theta, cs):
+    """sum_k theta^k phi_k(-theta alpha A) c_k from the dense phi-functions."""
+    phis = phi_dense_all(-theta * alpha * op.todense(), len(cs) - 1)
+    return sum(theta ** k * (phis[k] @ c) for k, c in enumerate(cs))
 
 
 def test_etd3rk_stage2_matches_phi_oracle():
@@ -142,15 +148,18 @@ def test_etd3rk_stage2_matches_phi_oracle():
     u = rng.standard_normal(n)
     g1 = rng.standard_normal(n)
     tab = tableau("etd3rk")
-    alpha, cs = stage_to_expmv(tab, 2, h, u, [g1])
-    assert alpha == pytest.approx(h / 2)
-    assert np.allclose(cs[1], (h / 2) * g1)  # h times the (1/2) phi_1 coefficient
+    alpha, theta, cs = stage_to_expmv(tab, 2, h, u, [g1])
+    assert alpha == h and theta == 0.5
+    # h times the (1/2) phi_1 coefficient, over theta
+    assert np.allclose(cs[1], (h / 2) * g1 / theta)
     # evaluate the payload through the dense oracle
     aug, ct = assemble_augmented(op, alpha, cs)
-    value = (dense_expm(aug.dense()) @ ct)[:n]
+    value = (dense_expm(theta * aug.dense()) @ ct)[:n]
     phis = phi_dense_all(-(h / 2) * op.todense(), 1)
     expected = phis[0] @ u + (h / 2) * (phis[1] @ g1)
     assert np.linalg.norm(value - expected) <= 1e-11 * np.linalg.norm(expected)
+    oracle = phi_oracle(op, alpha, theta, cs)
+    assert np.linalg.norm(oracle - expected) <= 1e-11 * np.linalg.norm(expected)
 
 
 @pytest.mark.parametrize("name,stage", [(name, stage) for name in ("sw2", "etd3rk", "krogstad4")
@@ -169,16 +178,19 @@ def test_stage_payloads_match_phi_oracle(name, stage):
     else:
         node, row = tab.c[stage - 1], tab.stage_coeffs.get(stage, {})
         g_values = g_values[:stage - 1]
-    alpha, cs = stage_to_expmv(tab, stage, h, u, g_values)
-    assert alpha == node * h
+    alpha, theta, cs = stage_to_expmv(tab, stage, h, u, g_values)
+    # one operator scale per step; the stage reads it at its node
+    assert alpha == h and theta == node
     aug, ct = assemble_augmented(op, alpha, cs)
-    value = (dense_expm(aug.dense()) @ ct)[:n]
+    value = (dense_expm(theta * aug.dense()) @ ct)[:n]
     phis = phi_dense_all(-node * h * op.todense(), 3)
     expected = phis[0] @ u
     for k, terms in row.items():
         for l, beta in terms.items():
             expected = expected + h * beta * (phis[l] @ g_values[k - 1])
     assert np.linalg.norm(value - expected) <= 1e-11 * np.linalg.norm(expected)
+    oracle = phi_oracle(op, alpha, theta, cs)
+    assert np.linalg.norm(oracle - expected) <= 1e-11 * np.linalg.norm(expected)
 
 
 def test_zero_reaction_gives_p0_payloads():
@@ -187,7 +199,8 @@ def test_zero_reaction_gives_p0_payloads():
     u = rng.standard_normal(9)
     zeros = [np.zeros(9)] * 3
     for stage in (2, 3, 4):
-        alpha, cs = stage_to_expmv(tab, stage, 0.2, u, zeros[:stage - 1])
+        alpha, theta, cs = stage_to_expmv(tab, stage, 0.2, u, zeros[:stage - 1])
+        assert alpha == 0.2 and theta == tab.c[stage - 1]
         assert len(cs) - 1 == 0
         assert np.array_equal(cs[0], u)
 
@@ -262,9 +275,41 @@ def test_polynomial_engine_caps_every_decomposition_at_m_hard():
     # payload grows one decomposition to m=50
     prob = allen_cahn_2d(32)
     eng = Engine(prob, EngineConfig(engine="polynomial", m_hard=12))
-    rep = eng.expmv(0.5, [np.random.default_rng(0).standard_normal(prob.n)])
+    rep = eng.expmv(0.5, 1.0, [np.random.default_rng(0).standard_normal(prob.n)])
     assert rep.substeps > 1
     assert max(m for m, _ in rep.estimate_history) <= 12
+
+
+def test_stages_of_a_step_share_their_factorizations():
+    # sw2's stage at node 1/2 and its update solve at the one scale h: six
+    # cf12 conjugate pairs serve both steps, where a scale per stage
+    # factors nine
+    prob = allen_cahn_2d(32)
+    eng = Engine(prob, rational_config())
+    traj = integrate(prob, tableau("sw2"), 0.5, 1.0, eng)
+    assert len(traj.steps) == 2
+    assert eng.solver.cache.numeric_factorizations == 6
+    assert eng.solver.cache.drops == 0
+
+
+def test_solver_cache_holds_the_current_step_size_only(monkeypatch):
+    # h = 0.3 up to T = 1 ends with a step of 0.1: its new scale drops the
+    # six LUs of the scale 0.3 instead of holding both sets
+    held = []
+    lookup = SolverCache._lookup
+
+    def recording(self, key, build):
+        entry = lookup(self, key, build)
+        held.append(len(self._entries))
+        return entry
+
+    monkeypatch.setattr(SolverCache, "_lookup", recording)
+    prob = allen_cahn_2d(32)
+    eng = Engine(prob, rational_config())
+    integrate(prob, tableau("sw2"), 0.3, 1.0, eng)
+    cache = eng.solver.cache
+    assert cache.drops == 1
+    assert max(held) == 6 < cache.numeric_factorizations
 
 
 @pytest.mark.parametrize("settings", [

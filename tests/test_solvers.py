@@ -118,6 +118,29 @@ def test_preconditioner_single_flight_under_concurrency(monkeypatch):
     assert built == [(48 * 48, 48 * 48)]
 
 
+def test_cache_holds_one_scale(monkeypatch):
+    # a new scale drops every entry of the old one; the AMG aggregates
+    # depend on A alone and stay
+    built = []
+
+    def counted(matrix):
+        built.append(matrix.shape)
+        return build_aggregates(matrix)
+
+    monkeypatch.setattr(solvers, "build_aggregates", counted)
+    cache = SolverCache(fd_laplacian_2d(24, 1.0, "neumann"))
+    first = cache.factorization(2.0 + 1.0j, 0.5)
+    cache.factorization(3.0, 0.5)
+    cache.preconditioner(4.0, 0.5, "aggregation-amg")
+    assert cache.drops == 0 and len(cache._entries) == 3
+    cache.factorization(2.0 + 1.0j, 0.25)
+    assert cache.drops == 1 and list(cache._entries) == [(2.0 + 1.0j, 0.25)]
+    cache.preconditioner(4.0, 0.25, "aggregation-amg")
+    assert built == [(24 * 24, 24 * 24)]
+    assert cache.factorization(2.0 + 1.0j, 0.5) is not first
+    assert cache.drops == 2 and cache.numeric_factorizations == 4 and cache.hits == 0
+
+
 @pytest.mark.parametrize("name, value", [
     ("max_iterations", 0), ("tolerance", 0.0), ("tolerance", float("nan")),
     ("tolerance", 1.0), ("tolerance", 1.5), ("tolerance", float("inf"))])
@@ -148,7 +171,7 @@ def test_lu_nnz_counts_each_built_lu_once():
     cache = SolverCache(op)
     fact = cache.factorization(2.0 + 1.0j, 0.5)
     reference = spla.splu(shifted_matrix(op, 2.0 + 1.0j, 0.5).tocsc(),
-                          permc_spec="MMD_AT_PLUS_A")
+                          permc_spec="MMD_AT_PLUS_A", relax=1)
     assert cache.lu_nnz == fact.nnz == reference.nnz > 0
     cache.factorization(2.0 + 1.0j, 0.5)
     assert cache.hits == 1 and cache.lu_nnz == fact.nnz
@@ -181,9 +204,18 @@ def test_shifted_lu_fill_below_colamd(name, bound):
 
 
 def test_lu_nnz_on_fd2d_below_colamd():
-    # SuperLU's stored entries, relaxed-supernode zeros included, shrink too
+    # SuperLU's stored entries shrink too, against a reference padded by
+    # SuperLU's default relaxed supernodes
     cache, _, reference = _cf12_lus(allen_cahn_2d(64).A)
     assert cache.lu_nnz <= 0.6 * reference.nnz
+
+
+def test_graph_lu_stores_no_relaxed_supernode_padding():
+    # default relaxation pads this LU to 90,686 stored entries for a fill of
+    # 32,642; unrelaxed supernodes store the fill and nothing more
+    op = graph_laplacian(largest_connected_component(builtin_graph("road2600")))
+    cache, lu, _ = _cf12_lus(op)
+    assert cache.lu_nnz == lu.nnz <= 1.1 * _fill(lu)
 
 
 @pytest.mark.parametrize("name", ["diffusion+upwind", "upwind"])
