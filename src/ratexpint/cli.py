@@ -21,7 +21,8 @@ import numpy as np
 from . import verify as verify_mod
 from .integrators import (ENGINES, Engine, EngineConfig, NumericalBlowup, Trajectory,
                           check_time_grid, integrate)
-from .krylov import KrylovError
+from .krylov import (DEFAULT_CHECK_CADENCE, DEFAULT_M_MIN, DEFAULT_STEPS_PAST_POLES,
+                     DEFAULT_TOL, KrylovError)
 from .poles import PoleSet, builtin_pole_set, load_poles, repeated_real, validate
 from .problems import (Graph, Problem, allen_cahn_2d, allen_cahn_graph, builtin_graph,
                        gierer_meinhardt_2d, largest_connected_component,
@@ -111,10 +112,13 @@ def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--preconditioner", choices=PRECONDITIONERS)
     p.add_argument("--h", type=float, default=0.5, help="time step size")
     p.add_argument("--T", type=float, default=1.0, help="final time")
-    p.add_argument("--tol", type=float, help="expmv tolerance")
-    p.add_argument("--m-min", type=int)
-    p.add_argument("--m-hard", type=int, help="largest subspace of one decomposition")
-    p.add_argument("--check-cadence", type=int)
+    p.add_argument("--tol", type=float, help=f"expmv tolerance (default {DEFAULT_TOL:g})")
+    p.add_argument("--m-min", type=int,
+                   help=f"subspace size of the first estimate check (default {DEFAULT_M_MIN})")
+    p.add_argument("--m-hard", type=int, help="largest subspace of one decomposition (default "
+                   f"{DEFAULT_STEPS_PAST_POLES} steps past the finite poles)")
+    p.add_argument("--check-cadence", type=int,
+                   help=f"steps between estimate checks (default {DEFAULT_CHECK_CADENCE})")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", type=Path, default=Path("."), help="output directory")
     p.add_argument("--snapshots", type=int, default=0,
@@ -243,6 +247,8 @@ def write_run_report(path: Path, args: argparse.Namespace, traj: Trajectory, che
         fh.write(f"expmv_calls = {traj.total_expmv_calls()}\n")
         fh.write(f"arnoldi_steps = {traj.total_arnoldi_steps()}\n")
         fh.write(f"avg_krylov_iterations = {traj.average_krylov_iterations():.4f}\n")
+        fh.write(f"substeps = {sum(s.substeps for s in traj.steps)}\n")
+        fh.write(f"max_estimate = {max((s.max_estimate for s in traj.steps), default=0.0):.6e}\n")
         fh.write(f"solver_iterations = {traj.total_solver_iterations()}\n")
         fh.write(f"max_solver_residual = {traj.max_residual():.6e}\n")
         fh.write(f"max_imag_discarded = {traj.max_imag_discarded():.6e}\n")

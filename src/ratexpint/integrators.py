@@ -17,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .krylov import (DEFAULT_CHECK_CADENCE, DEFAULT_TOL, ExpmvReport, check_settings,
-                     expmv_polynomial, expmv_rational)
+from .krylov import (DEFAULT_CHECK_CADENCE, DEFAULT_M_MIN, DEFAULT_TOL, ExpmvReport,
+                     check_settings, expmv_polynomial, expmv_rational)
 from .linalg import single_blas_thread
 from .poles import PoleSet, builtin_pole_set
 from .problems import Problem
@@ -30,24 +30,24 @@ ENGINES = ("rational", "polynomial")
 
 @dataclass
 class EngineConfig:
-    """Which expmv engine to use and how to drive it; ``m_min``/``m_hard`` of
-    ``None`` keep the engine's own defaults, and ``m_hard`` caps either engine.
-    A rational engine given no poles uses ``cf16_shifted`` with the iterative
-    solver (every real part positive) and ``cf12`` with the direct one. The
-    polynomial engine takes no poles and no solver settings."""
+    """Which expmv engine to use and how to drive it; both engines read the
+    same settings with the same defaults. A rational engine given no poles
+    uses ``cf16_shifted`` with the iterative solver (every real part
+    positive) and ``cf12`` with the direct one. The polynomial engine takes
+    no poles and no solver settings."""
 
     engine: str = "rational"
     tol: float = DEFAULT_TOL
-    m_min: Optional[int] = None
+    m_min: int = DEFAULT_M_MIN
     check_cadence: int = DEFAULT_CHECK_CADENCE
+    m_hard: Optional[int] = None
     poles: Optional[PoleSet] = None
     solver: SolverConfig = field(default_factory=SolverConfig)
-    m_hard: Optional[int] = None
 
     def __post_init__(self):
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}; expected one of {ENGINES}")
-        check_settings(self.tol, self.check_cadence, self.m_min, self.m_hard)
+        check_settings(self.tol, self.m_min, self.check_cadence, self.m_hard)
         if self.engine == "polynomial" and (self.poles is not None
                                             or self.solver != SolverConfig()):
             raise ValueError("the polynomial engine takes no poles or solver settings")
@@ -79,12 +79,12 @@ class Engine:
         it at one thread (see :func:`~ratexpint.linalg.single_blas_thread`).
         """
         cfg = self.config
-        settings = {name: getattr(cfg, name) for name in ("tol", "check_cadence", "m_min", "m_hard")
-                    if getattr(cfg, name) is not None}
+        settings = dict(tol=cfg.tol, m_min=cfg.m_min, check_cadence=cfg.check_cadence,
+                        m_hard=cfg.m_hard, theta=theta)
         if cfg.engine == "rational":
             return expmv_rational(self.problem.A, alpha, c_vectors, cfg.poles, self.solver,
-                                  theta=theta, **settings)
-        return expmv_polynomial(self.problem.A, alpha, c_vectors, theta=theta, **settings)
+                                  **settings)
+        return expmv_polynomial(self.problem.A, alpha, c_vectors, **settings)
 
 
 def stage_to_expmv(tab: Tableau, stage: int, h: float, u: np.ndarray,

@@ -25,9 +25,11 @@ from .linalg import SparseOperator, dense_expm, orthogonal_extend
 from .poles import INF_POLE, PoleSet, is_conjugate, is_infinite
 from .solvers import ShiftedSolver, SolverError
 
-#: Default tolerance and estimate-check cadence of both engines.
+#: Defaults of both engines; the cap m_hard is len(poles) + DEFAULT_STEPS_PAST_POLES.
 DEFAULT_TOL = 1e-8
+DEFAULT_M_MIN = 5
 DEFAULT_CHECK_CADENCE = 5
+DEFAULT_STEPS_PAST_POLES = 128
 
 #: Sub-step sizes below this fraction of the requested step abort the
 #: polynomial engine.
@@ -116,7 +118,7 @@ class AugmentedOperator:
         return np.concatenate([x_top, x_tail])
 
     def norm_bound(self) -> float:
-        """Cheap upper bound on the 2-norm, for term-decay heuristics."""
+        """Cheap upper bound on the 2-norm; scales :func:`arnoldi_relation_residual`."""
         bound = abs(self.alpha) * self.op.norm_inf()
         if self.p:
             bound += float(np.abs(self.C).max(initial=0.0)) * self.p + 1.0
@@ -351,12 +353,11 @@ def _approximant_and_estimate(d: RationalDecomposition, h: float, terms: int = 1
 # Adaptive expmv engines.
 # ---------------------------------------------------------------------------
 
-def check_settings(tol: float, check_cadence: int, m_min: Optional[int] = None,
-                   m_hard: Optional[int] = None) -> None:
+def check_settings(tol: float, m_min: int, check_cadence: int, m_hard: Optional[int]) -> None:
     """Reject loop settings that cannot converge or accept any answer."""
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    for name, value in (("check_cadence", check_cadence), ("m_min", m_min), ("m_hard", m_hard)):
+    for name, value in (("m_min", m_min), ("check_cadence", check_cadence), ("m_hard", m_hard)):
         if value is not None and value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
 
@@ -435,8 +436,8 @@ def _adaptive_krylov(d: RationalDecomposition, poles: Sequence[complex],
 
 
 def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndarray],
-                   pole_set: Optional[PoleSet], solver: Optional[ShiftedSolver],
-                   tol: float = DEFAULT_TOL, m_min: int = 5,
+                   pole_set: Optional[PoleSet], solver: Optional[ShiftedSolver], *,
+                   tol: float = DEFAULT_TOL, m_min: int = DEFAULT_M_MIN,
                    check_cadence: int = DEFAULT_CHECK_CADENCE,
                    m_hard: Optional[int] = None, theta: float = 1.0) -> ExpmvReport:
     """Adaptive rational Krylov evaluation of
@@ -453,7 +454,7 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
     polynomial step is inserted before each check when the newest step used a
     finite pole (completing a conjugate pair first so that conjugate-closed
     sets keep real data real), which may carry the subspace up to two steps
-    past the cap ``m_hard``, by default max(len(poles) + 128, 64).
+    past the cap ``m_hard``, by default len(poles) + 128.
 
     Raises
     ------
@@ -461,12 +462,11 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
         If the hard subspace cap is hit first; the partial result rides on
         the exception's ``report``.
     """
-    check_settings(tol, check_cadence, m_min, m_hard)
+    check_settings(tol, m_min, check_cadence, m_hard)
     aug, c_tilde = assemble_augmented(op, alpha, c_vectors)
 
     finite_poles = list(pole_set) if pole_set is not None else []
-    if m_hard is None:
-        m_hard = max(len(finite_poles) + 128, 64)
+    m_hard = len(finite_poles) + DEFAULT_STEPS_PAST_POLES if m_hard is None else m_hard
 
     complex_data = np.iscomplexobj(c_tilde) or any(p.imag != 0 for p in finite_poles)
     dtype = np.complex128 if complex_data else np.float64
@@ -493,51 +493,46 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
     return report
 
 
-def expmv_polynomial(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndarray],
-                     tol: float = DEFAULT_TOL, m_min: int = 10, m_hard: int = 128,
+def expmv_polynomial(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndarray], *,
+                     tol: float = DEFAULT_TOL, m_min: int = DEFAULT_M_MIN,
                      check_cadence: int = DEFAULT_CHECK_CADENCE,
-                     theta: float = 1.0) -> ExpmvReport:
+                     m_hard: Optional[int] = None, theta: float = 1.0) -> ExpmvReport:
     """Polynomial Krylov evaluation of sum_k theta^k phi_k(-theta alpha A) c_k
     with time sub-stepping.
 
-    The time is folded into the data first (alpha -> theta alpha,
-    c_k -> theta^k c_k; exact for the nodes 1/2 and 1), since the engine
-    has no shifted systems to share. It then runs the adaptive loop with no
-    finite poles (all poles at infinity), checking the estimate against the
-    proportional budget tol * tau of its sub-step tau. If the subspace cap
-    ``m_hard`` is reached first, tau is halved and the same basis
-    re-evaluated, since the Krylov space does not depend on tau; the
-    accepted segments compose e^{A~} = prod e^{tau_i A~}.
+    Like :func:`expmv_rational`, it reads e^{theta A~(alpha)} c~, here with
+    the adaptive loop and no finite poles (all poles at infinity). Its
+    sub-step clock tau runs over fractions of theta: each segment reads its
+    basis at time tau * theta and checks the estimate against the
+    proportional budget tol * tau. If the subspace cap ``m_hard`` (by default
+    128) is reached first, tau is halved and the same basis re-evaluated,
+    since the Krylov space does not depend on tau; the accepted segments
+    compose e^{theta A~} = prod e^{tau_i theta A~}.
     """
-    check_settings(tol, check_cadence, m_min, m_hard)
-    aug, c_tilde = assemble_augmented(
-        op, theta * alpha, [theta ** k * c for k, c in enumerate(c_vectors)])
+    check_settings(tol, m_min, check_cadence, m_hard)
+    m_hard = DEFAULT_STEPS_PAST_POLES if m_hard is None else m_hard
+    aug, c_tilde = assemble_augmented(op, alpha, c_vectors)
 
     history: list[tuple[int, float]] = []
     w = c_tilde
     done = 0.0
     tau = 1.0
-    substeps = 0
-    total_steps = 0
+    sizes: list[int] = []  # subspace size of each accepted sub-step
 
     while done < 1.0 - 1e-15:
         tau = min(tau, 1.0 - done)
         d = RationalDecomposition(aug, w, capacity=m_hard)
         w, estimate, converged = _adaptive_krylov(
-            d, [], None, tau, tol * tau, m_min, m_hard, check_cadence, history)
+            d, [], None, tau * theta, tol * tau, m_min, m_hard, check_cadence, history)
         while not converged:
             tau /= 2.0
             if tau < SUBSTEP_UNDERFLOW:
                 raise KrylovError(f"sub-step underflow: tau={tau:.3e}")
-            w, estimate = _approximant_and_estimate(d, tau)
+            w, estimate = _approximant_and_estimate(d, tau * theta)
             history.append((d.m, estimate))
             converged = estimate <= tol * tau
-        total_steps += d.m
+        sizes.append(d.m)
         done += tau
-        substeps += 1
 
-    return ExpmvReport(
-        vector=w, n=op.n, estimate=estimate,
-        converged=True, estimate_history=history,
-        poles_consumed=[], substeps=substeps, arnoldi_steps=total_steps,
-    )
+    return ExpmvReport(vector=w, n=op.n, estimate=estimate, converged=True,
+                       estimate_history=history, substeps=len(sizes), arnoldi_steps=sum(sizes))

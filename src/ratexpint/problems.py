@@ -117,17 +117,18 @@ class Graph:
     def from_edge_list(cls, n: int, raw_edges: Sequence[tuple], coords=None) -> "Graph":
         """Edges ``(i, j)`` (weight 1) or ``(i, j, w)``; self-loops and zero
         weights are dropped and duplicate edges summed. Node ids past
-        ``n - 1`` grow the graph."""
+        ``n - 1`` grow the graph. An edge without non-negative integer ids
+        and a finite non-negative weight raises ``ValueError``."""
         ijw = np.array([(e[0], e[1], e[2] if len(e) == 3 else 1.0) for e in raw_edges],
                        dtype=np.float64).reshape(-1, 3)
+        valid = (np.isfinite(ijw) & (ijw >= 0)).all(axis=1) \
+            & (ijw[:, :2] == np.round(ijw[:, :2])).all(axis=1)
+        if not valid.all():
+            raise ValueError("edge ({:g}, {:g}, {:g}) needs non-negative integer node ids "
+                             "and a finite non-negative weight".format(*ijw[np.argmin(valid)]))
         i, j, w = ijw[:, 0].astype(np.int64), ijw[:, 1].astype(np.int64), ijw[:, 2]
-        if np.any(w < 0):
-            k = int(np.argmax(w < 0))
-            raise ValueError(f"negative edge weight {w[k]} on edge ({i[k]}, {j[k]})")
         keep = (i != j) & (w != 0.0)
         lo, hi, w = np.minimum(i, j)[keep], np.maximum(i, j)[keep], w[keep]
-        if lo.size and lo.min() < 0:
-            raise ValueError(f"negative node index {lo.min()}")
         n = max(n, int(hi.max()) + 1 if hi.size else 0)
         upper = sp.csr_matrix((w, (lo, hi)), shape=(n, n))
         return cls(adjacency=(upper + upper.T).tocsr(), coords=coords)

@@ -57,6 +57,8 @@ def test_run_writes_outputs_and_exits_zero(tmp_path, capsys, monkeypatch):
     assert (fields["engine"], fields["poles"], fields["solver"]) == (
         "rational", "builtin:cf12", "direct")
     assert fields["cache_drops"] == "0"
+    # the rational engine makes one sub-step per call
+    assert fields["substeps"] == fields["expmv_calls"]
 
 
 def test_run_report_counts_no_lu_on_iterative_path(tmp_path):
@@ -91,6 +93,17 @@ def test_run_report_counts_cache_drops(tmp_path):
     assert code == 0
     report = next(tmp_path.glob("*-report.txt")).read_text()
     assert "\ncache_drops = 1\n" in report
+
+
+def test_run_report_counts_substeps_and_the_largest_estimate(tmp_path):
+    # a cap of 6 makes the polynomial engine sub-step
+    code = run_cli("run", "--problem", "ac2d", "--nx", "16", "--engine", "polynomial",
+                   "--m-hard", "6", "--h", "0.5", "--T", "0.5", "--out", str(tmp_path))
+    assert code == 0
+    report = next(tmp_path.glob("*-report.txt")).read_text()
+    fields = dict(line.split(" = ", 1) for line in report.splitlines()[1:])
+    assert int(fields["substeps"]) > int(fields["expmv_calls"]) == 2
+    assert 0.0 < float(fields["max_estimate"]) <= 1e-8
 
 
 def test_run_spec_shape_repeated_pole(tmp_path):

@@ -318,16 +318,18 @@ def test_exactness_on_invariant_subspace():
 
 
 def test_all_infinite_poles_match_polynomial_engine():
+    # under the shared defaults both engines grow the same polynomial space
+    # and check it at the same sizes
     rng = np.random.default_rng(8)
     n = 25
     op = random_spd(rng, n, lam_max=2.0)
     c0 = rng.standard_normal(n)
     solver = direct_solver(op)
     h = 0.9
-    rep_rat = expmv_rational(op, h, [c0], None, solver,
-                             tol=1e-10, m_min=6, check_cadence=1, m_hard=n)
-    rep_poly = expmv_polynomial(op, h, [c0], tol=1e-10, m_min=6, m_hard=n,
-                                check_cadence=1)
+    rep_rat = expmv_rational(op, h, [c0], None, solver, tol=1e-10)
+    rep_poly = expmv_polynomial(op, h, [c0], tol=1e-10)
+    assert [m for m, _ in rep_rat.estimate_history] \
+        == [m for m, _ in rep_poly.estimate_history]
     assert np.linalg.norm(rep_rat.vector - rep_poly.vector) \
         <= 1e-12 * np.linalg.norm(rep_poly.vector)
 
@@ -564,7 +566,7 @@ def test_polynomial_substepping_triggers_and_composes():
     rep = expmv_polynomial(op, 1.0, [c0], tol=1e-8, m_min=4, m_hard=12)
     assert rep.substeps > 1
     assert rep.arnoldi_steps <= rep.substeps * 12
-    # a failed sub-step re-evaluates its basis at theta/2 instead of rebuilding
+    # a failed sub-step re-evaluates its basis at tau/2 instead of rebuilding
     # it, so with m_min = m_hard every accepted sub-step costs exactly m_hard steps
     full = expmv_polynomial(op, 1.0, [c0], tol=1e-8, m_min=12, m_hard=12)
     assert full.substeps > 1
@@ -587,6 +589,48 @@ def test_polynomial_substep_underflow_raises():
     with pytest.raises(KrylovError):
         expmv_polynomial(op, 1.0, [rng.standard_normal(40)],
                          tol=1e-12, m_min=2, m_hard=3)
+
+
+# ---------------------------------------------------------------------------
+# One contract for both engines.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+@pytest.mark.parametrize("theta", [0.5, 0.3, 1.0])
+@pytest.mark.parametrize("engine", ["rational", "polynomial"])
+def test_engines_read_the_phi_combination_at_theta(engine, theta, p):
+    """Both engines return sum_k theta^k phi_k(-theta alpha A) c_k; the
+    polynomial engine's cap is small enough to force sub-steps."""
+    rng = np.random.default_rng(40)
+    n, alpha = 40, 1.3
+    op = random_spd(rng, n, lam_max=300.0)
+    cs = [rng.standard_normal(n) for _ in range(p + 1)]
+    if engine == "rational":
+        rep = expmv_rational(op, alpha, cs, builtin_pole_set("cf12"), direct_solver(op),
+                             tol=1e-10, theta=theta)
+    else:
+        rep = expmv_polynomial(op, alpha, cs, tol=1e-10, m_hard=12, theta=theta)
+        assert rep.substeps > 1
+    phis = phi_dense_all(-theta * alpha * op.todense(), p)
+    expected = sum(theta ** k * (phis[k] @ c) for k, c in enumerate(cs))
+    assert np.linalg.norm(rep.phi_combination - expected) <= 1e-8 * np.linalg.norm(expected)
+
+
+def test_engines_share_their_default_check_schedule():
+    rng = np.random.default_rng(41)
+    n = 60
+    op = random_spd(rng, n, lam_max=50.0)
+    c0 = rng.standard_normal(n)
+    rat = expmv_rational(op, 1.0, [c0], None, direct_solver(op))
+    poly = expmv_polynomial(op, 1.0, [c0])
+    assert rat.estimate_history[0][0] == poly.estimate_history[0][0] == 5
+
+
+def test_polynomial_engine_takes_the_default_cap_as_none():
+    rng = np.random.default_rng(42)
+    op = random_spd(rng, 30, lam_max=5.0)
+    rep = expmv_polynomial(op, 1.0, [rng.standard_normal(30)], m_hard=None)
+    assert rep.converged
 
 
 def test_concurrent_expmv_calls_share_cache():

@@ -1,6 +1,7 @@
 """Problem construction: operators, reactions, initial data, file ingestion."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -134,6 +135,20 @@ def test_graph_canonicalization_merges_duplicates_and_drops_loops():
 def test_negative_weight_rejected():
     with pytest.raises(ValueError):
         Graph.from_edge_list(2, [(0, 1, -1.0)])
+
+
+@pytest.mark.parametrize("edges, named", [
+    ([(0.5, 1), (1, 2.9)], "(0.5, 1, 1)"),
+    ([(0, 1), (1, 2.9)], "(1, 2.9, 1)"),
+    ([(0, float("nan"))], "(0, nan, 1)"),
+    ([(-1, 2)], "(-1, 2, 1)"),
+    ([(0, 1), (0, 1, float("inf"))], "(0, 1, inf)"),
+    ([(1, 2, float("nan"))], "(1, 2, nan)"),
+], ids=["fractional-source", "fractional-target", "nan-id", "negative-id", "inf-weight",
+        "nan-weight"])
+def test_edge_list_rejects_invalid_ids_and_weights_and_names_the_edge(edges, named):
+    with pytest.raises(ValueError, match=re.escape(f"edge {named} needs")):
+        Graph.from_edge_list(3, edges)
 
 
 # ---------------------------------------------------------------------------
