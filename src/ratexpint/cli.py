@@ -81,6 +81,13 @@ def config_flags(path: Path) -> list[str]:
 #: Gierer-Meinhardt model parameters, passed to ``gierer_meinhardt_2d`` by name.
 GM_PARAMETERS = ("D_a", "D_h", "p", "mu", "pprime", "nu")
 
+#: The settings each problem reads; the run report lists no other problem's.
+PROBLEM_SETTINGS = {
+    "ac2d": ("nx", "bc", "eps2"),
+    "gm2d": ("nx", "bc", "seed", *GM_PARAMETERS),
+    "ac-graph": ("graph_file", "graph_one_based", "eps", "diffusion", "seed"),
+}
+
 
 def _add_run_flags(p: argparse.ArgumentParser):
     """The settings of one cell. Flags with a ``None`` default are passed on
@@ -230,12 +237,17 @@ def write_trajectory_csv(path: Path, traj: Trajectory, max_columns: int = 10000)
 
 def write_run_report(path: Path, args: argparse.Namespace, traj: Trajectory, checksum: str,
                      engine: Engine):
-    """Every setting that has a value, defaults included, with the engine,
-    pole set and solver mode the engine resolved; then the run's
-    statistics."""
+    """Every setting the run read that has a value, defaults included, with
+    the engine, pole set and solver mode the engine resolved; then the run's
+    statistics. Another problem's settings are left out, and so is
+    ``repeated_count`` without ``repeated_pole``."""
     config, cache = engine.config, engine.solver.cache
+    unread = {"command", "func"}.union(*PROBLEM_SETTINGS.values())
+    unread -= set(PROBLEM_SETTINGS[args.problem])
+    if args.repeated_pole is None:
+        unread.add("repeated_count")
     settings = {key: value for key, value in vars(args).items()
-                if value is not None and key not in ("command", "func")}
+                if value is not None and key not in unread}
     settings["engine"] = config.engine
     settings["poles"] = "none" if config.poles is None else config.poles.name
     settings["solver"] = config.solver.mode if config.engine == "rational" else "none"
@@ -249,6 +261,7 @@ def write_run_report(path: Path, args: argparse.Namespace, traj: Trajectory, che
         fh.write(f"avg_krylov_iterations = {traj.average_krylov_iterations():.4f}\n")
         fh.write(f"substeps = {sum(s.substeps for s in traj.steps)}\n")
         fh.write(f"max_estimate = {max((s.max_estimate for s in traj.steps), default=0.0):.6e}\n")
+        fh.write(f"shifted_solves = {traj.total_shifted_solves()}\n")
         fh.write(f"solver_iterations = {traj.total_solver_iterations()}\n")
         fh.write(f"max_solver_residual = {traj.max_residual():.6e}\n")
         fh.write(f"max_imag_discarded = {traj.max_imag_discarded():.6e}\n")

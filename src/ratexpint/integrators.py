@@ -130,10 +130,11 @@ def step(problem: Problem, tab: Tableau, u: np.ndarray, t: float, h: float,
          engine: Engine) -> tuple[np.ndarray, list]:
     """One full exponential Runge-Kutta step from t to t + h.
 
-    For real problem data the stage values are kept real: with
-    conjugate-closed pole sets the exact results are real and only a
-    rounding-level imaginary residue is discarded; :func:`integrate` records
-    its size per step.
+    For real problem data the stage values are kept real. With
+    conjugate-closed pole sets the exact results are real: the direct path
+    computes them in real arithmetic, and the iterative path leaves a
+    rounding-level imaginary residue, which is discarded; :func:`integrate`
+    records its size per step.
 
     Runs at the caller's BLAS thread count; only :func:`integrate` caps it
     at one thread.
@@ -170,6 +171,8 @@ class StepSummary:
     h: float
     expmv_calls: int
     arnoldi_steps: int
+    #: shifted solves made; the direct path makes one per conjugate pair
+    shifted_solves: int
     solver_iterations: int
     max_estimate: float
     max_residual: float
@@ -199,6 +202,9 @@ class Trajectory:
 
     def total_arnoldi_steps(self) -> int:
         return sum(s.arnoldi_steps for s in self.steps)
+
+    def total_shifted_solves(self) -> int:
+        return sum(s.shifted_solves for s in self.steps)
 
     def total_solver_iterations(self) -> int:
         return sum(s.solver_iterations for s in self.steps)
@@ -273,6 +279,7 @@ def integrate(problem: Problem, tab: Tableau, h: float, T: float,
             traj.steps.append(StepSummary(
                 t=t, h=h_step, expmv_calls=len(reports),
                 arnoldi_steps=sum(r.arnoldi_steps for r in reports),
+                shifted_solves=sum(r.solves for r in reports),
                 solver_iterations=sum(r.solver_iterations for r in reports),
                 max_estimate=max((r.estimate for r in reports), default=0.0),
                 max_residual=max((r.solver_residual_max for r in reports), default=0.0),

@@ -2,11 +2,12 @@
 
 The central objects: an implicitly stored augmented operator whose
 exponential action evaluates a whole linear combination of phi-functions in
-one go, a rational Arnoldi decomposition extended one pole at a time, the
-a-posteriori error estimate that drives subspace adaptivity, and the two
-``expmv`` engines (rational with pole sets, polynomial with sub-stepping)
-used by the exponential integrators. Both engines take one operator scale
-alpha, a time theta and a ready payload [c_0, ..., c_p] and return
+one go, a rational Arnoldi decomposition extended one pole or one
+conjugate pair at a time, the a-posteriori error estimate that drives
+subspace adaptivity, and the two ``expmv`` engines (rational with pole
+sets, polynomial with sub-stepping) used by the exponential integrators.
+Both engines take one operator scale alpha, a time theta and a ready
+payload [c_0, ..., c_p] and return
 sum_k theta^k phi_k(-theta alpha A) c_k, the top block of
 e^{theta A~(alpha)} c~. The integrators pass alpha = h and theta = c_j, so
 all stages of a step build one rational Krylov space family with the same
@@ -172,17 +173,19 @@ class RationalDecomposition:
     """Growing rational Arnoldi decomposition A~ V K = V H.
 
     After m steps the basis has m+1 orthonormal columns (m on happy
-    breakdown), H is (m+1) x m upper Hessenberg, and the consumed poles are
-    recorded per step. Only V, H and the poles are stored: K is derived from
-    them as K_m = I + H_m diag(1/xi_j), with 1/inf = 0 (:meth:`kmat`).
+    breakdown), H and K are (m+1) x m upper Hessenberg, and the consumed
+    poles are recorded per column. Each step writes its own columns of H and
+    K: a single pole xi gives K[:, j] = e_j + H[:, j] / xi, with 1/inf = 0
+    (:meth:`kmat` is a slice).
 
-    The arithmetic is fixed here, once, and is complex iff the payload or a
-    pole is complex: by default ``dtype`` follows the start vector and the
-    payload, and complex poles need ``dtype=np.complex128`` (``expmv_rational``
-    picks it). A real decomposition takes real poles only, which keeps the
-    basis, the shifted solves and the result real. V is column-major, so each
-    basis vector is contiguous and Gram-Schmidt reads the basis in place. The
-    decomposition mutates in place; it is confined to one expmv call and
+    The arithmetic is fixed here, once: by default ``dtype`` follows the
+    start vector and the payload. A complex decomposition takes any pole and
+    makes one solve per pole. A real decomposition takes real poles one at a
+    time and a complex pole xi as the conjugate pair (xi, conj(xi)): one
+    solve x for xi adds the columns Re x and Im x (Ruhe's real variant), so
+    the basis, H, K and the result stay real. V is column-major, so each
+    basis vector is contiguous and Gram-Schmidt reads the basis in place.
+    The decomposition mutates in place; it is confined to one expmv call and
     never shared.
     """
 
@@ -201,6 +204,7 @@ class RationalDecomposition:
         self.V = np.zeros((aug.dim, capacity + 1), dtype=dtype, order="F")
         self.V[:, 0] = c_tilde / norm
         self.H = np.zeros((capacity + 1, capacity), dtype=dtype)
+        self.K = np.zeros((capacity + 1, capacity), dtype=dtype)
         self.m = 0
         self.nv = 1
         self.poles_used: list[complex] = []
@@ -209,6 +213,11 @@ class RationalDecomposition:
     @property
     def dim(self) -> int:
         return self.aug.dim
+
+    @property
+    def real(self) -> bool:
+        """True iff the arithmetic is real, so a complex pole is a pair step."""
+        return not np.iscomplexobj(self.V)
 
     @property
     def beta_last(self) -> float:
@@ -221,9 +230,8 @@ class RationalDecomposition:
         return self.H[:self.m + 1, :self.m]
 
     def kmat(self) -> np.ndarray:
-        """K_m = I + H_m diag(1/xi_j), (m+1) x m, with 1/inf = 0."""
-        inv = [0.0 if is_infinite(xi) else 1.0 / xi for xi in self.poles_used]
-        return self.hess() * np.asarray(inv, dtype=self.H.dtype) + np.eye(self.m + 1, self.m)
+        """K_m, (m+1) x m."""
+        return self.K[:self.m + 1, :self.m]
 
     def _ensure_capacity(self, m_new: int):
         cap = self.H.shape[1]
@@ -232,23 +240,36 @@ class RationalDecomposition:
         new_cap = max(2 * cap, m_new)
         V = np.zeros((self.dim, new_cap + 1), dtype=self.V.dtype, order="F")
         V[:, :self.V.shape[1]] = self.V
-        H = np.zeros((new_cap + 1, new_cap), dtype=self.H.dtype)
-        H[:self.H.shape[0], :self.H.shape[1]] = self.H
-        self.V, self.H = V, H
+        self.V = V
+        self.H, self.K = (self._grown(M, new_cap) for M in (self.H, self.K))
+
+    @staticmethod
+    def _grown(M: np.ndarray, cap: int) -> np.ndarray:
+        out = np.zeros((cap + 1, cap), dtype=M.dtype)
+        out[:M.shape[0], :M.shape[1]] = M
+        return out
 
 
 def rational_arnoldi_step(d: RationalDecomposition, pole: complex,
                           solver: Optional[ShiftedSolver] = None) -> RationalDecomposition:
-    """Extend the decomposition by one step with the given pole.
+    """Extend the decomposition by one step with the given pole, or by a
+    pair step on a real decomposition given a complex pole.
 
     An infinite pole is a polynomial step (one operator application); a
     finite pole additionally solves the shifted block system. A pole with
     zero imaginary part is passed on as a float, so that on real data its
-    solve stays real; a complex pole needs a complex decomposition. Only the
-    column j of H is written: column j of K follows from it and the pole
-    (see :meth:`RationalDecomposition.kmat`). The continuation vector is the
-    newest basis vector. On happy breakdown the decomposition is flagged and
-    must not be extended further.
+    solve stays real. The continuation vector is the newest basis vector.
+
+    On a real decomposition a complex pole xi stands for the pair
+    (xi, conj(xi)), both recorded in ``poles_used``: the one solve x for xi
+    adds Re x, then Im x, and with h^ = H[:, j] + i H[:, j+1] the two
+    columns of K are e_j + Re(h^/xi) and Im(h^/xi). The same space in
+    complex arithmetic takes two solves (Ruhe, SISC 19 (1998); Berljafa &
+    Guttel, SIMAX 36 (2015)). If both halves break down, only the Re column
+    is kept, so that K_m stays square.
+
+    On happy breakdown the decomposition is flagged and must not be
+    extended further.
     """
     if d.happy:
         raise KrylovError("decomposition reached an invariant subspace; cannot extend")
@@ -257,19 +278,46 @@ def rational_arnoldi_step(d: RationalDecomposition, pole: complex,
         pole = complex(pole)
         if pole.imag == 0:
             pole = pole.real
-        elif not np.iscomplexobj(d.V):
-            raise ValueError(f"complex pole {pole} given to a real decomposition; "
-                             "construct it with dtype=np.complex128")
         if solver is None:
             raise ValueError("finite poles require a shifted-system solver")
     else:
         pole = INF_POLE
-    d._ensure_capacity(d.m + 1)
+    pair = finite and pole.imag != 0 and d.real
+    d._ensure_capacity(d.m + 1 + pair)
 
     b = d.aug.apply(d.V[:, d.nv - 1])
     x = d.aug.solve(pole, b, solver) if finite else b
 
     j = d.m
+    if pair:
+        nv = d.nv
+        _extend(d, x.real, j)
+        _extend(d, x.imag, j + 1)
+        hx = (d.H[:, j] + 1j * d.H[:, j + 1]) / pole
+        d.K[:, j] = hx.real
+        d.K[j, j] += 1.0
+        if d.nv > nv:
+            d.K[:, j + 1] = hx.imag
+            d.poles_used += [pole, pole.conjugate()]
+            d.m += 2
+        else:  # both halves broke down: keep the Re column, so K_m stays square
+            d.H[:, j + 1] = 0.0
+            d.poles_used.append(pole)
+            d.m += 1
+        return d
+
+    _extend(d, x, j)
+    if finite:
+        d.K[:, j] = d.H[:, j] * (1.0 / pole)
+    d.K[j, j] += 1.0
+    d.m += 1
+    d.poles_used.append(pole)
+    return d
+
+
+def _extend(d: RationalDecomposition, x: np.ndarray, j: int) -> None:
+    """Orthogonalize ``x`` against the basis into column j of H; append the
+    new basis vector, or flag a happy breakdown."""
     res = orthogonal_extend(d.V[:, :d.nv], x)
     d.H[:d.nv, j] = res.h
     if res.breakdown:
@@ -278,9 +326,6 @@ def rational_arnoldi_step(d: RationalDecomposition, pole: complex,
         d.H[d.nv, j] = res.beta
         d.V[:, d.nv] = res.v
         d.nv += 1
-    d.m += 1
-    d.poles_used.append(pole)
-    return d
 
 
 def arnoldi_relation_residual(d: RationalDecomposition) -> float:
@@ -374,6 +419,8 @@ class ExpmvReport:
     poles_consumed: list = field(default_factory=list)
     substeps: int = 1
     arnoldi_steps: int = 0
+    #: shifted solves made; on a real decomposition one per conjugate pair
+    solves: int = 0
     solver_iterations: int = 0
     solver_residual_max: float = 0.0
 
@@ -388,12 +435,14 @@ def _adaptive_krylov(d: RationalDecomposition, poles: Sequence[complex],
                      m_min: int, cap: int, check_cadence: int, history: list):
     """Grow ``d`` until the estimate of e^{theta A~} c~ meets ``tol``.
 
-    Finite poles are consumed in order, then polynomial steps follow. The
-    estimate is checked at ``m_min`` and every ``check_cadence`` steps after
-    it, each time after a polynomial step settles the newest pole (finishing
-    a conjugate pair first, so that conjugate-closed sets keep real data
-    real). A singular projection is retried after one more polynomial step.
-    Every check is appended to ``history`` as (m, estimate).
+    Finite poles are consumed in order, then polynomial steps follow; on a
+    real ``d`` a complex pole and its conjugate partner, next in ``poles``,
+    are one pair step. The estimate is checked at ``m_min`` and every
+    ``check_cadence`` steps after it, each time after a polynomial step
+    settles the newest pole (on a complex ``d``, finishing a conjugate pair
+    first, so that conjugate-closed sets keep real data real). A singular
+    projection is retried after one more polynomial step. Every check is
+    appended to ``history`` as (m, estimate).
 
     Returns (value, estimate, converged); not converged means the subspace
     reached ``cap`` first.
@@ -405,8 +454,9 @@ def _adaptive_krylov(d: RationalDecomposition, poles: Sequence[complex],
     def grow():
         nonlocal ptr
         if ptr < len(poles):
-            ptr += 1
-            rational_arnoldi_step(d, poles[ptr - 1], solver)
+            pole = poles[ptr]
+            ptr += 2 if pole.imag != 0 and d.real else 1
+            rational_arnoldi_step(d, pole, solver)
         else:
             rational_arnoldi_step(d, INF_POLE)
 
@@ -415,7 +465,8 @@ def _adaptive_krylov(d: RationalDecomposition, poles: Sequence[complex],
             grow()
         last = d.poles_used[-1]
         if not d.happy and not is_infinite(last):
-            if last.imag != 0 and ptr < len(poles) and is_conjugate(poles[ptr], last):
+            if (not d.real and last.imag != 0 and ptr < len(poles)
+                    and is_conjugate(poles[ptr], last)):
                 grow()
             if not d.happy:
                 rational_arnoldi_step(d, INF_POLE)
@@ -456,6 +507,13 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
     sets keep real data real), which may carry the subspace up to two steps
     past the cap ``m_hard``, by default len(poles) + 128.
 
+    The decomposition is real iff the payload is real, the pole set is
+    conjugate-closed and the solver is direct: each conjugate pair is then
+    one pair step with one solve (see :func:`rational_arnoldi_step`).
+    Otherwise it is complex as soon as a pole is, and each pole makes its
+    own solve; an inexact iterative solve split into Re and Im parts loses
+    about ten times more accuracy than two solves do.
+
     Raises
     ------
     ToleranceNotReached
@@ -468,7 +526,10 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
     finite_poles = list(pole_set) if pole_set is not None else []
     m_hard = len(finite_poles) + DEFAULT_STEPS_PAST_POLES if m_hard is None else m_hard
 
-    complex_data = np.iscomplexobj(c_tilde) or any(p.imag != 0 for p in finite_poles)
+    pair_steps = (pole_set is not None and pole_set.conjugate_closed
+                  and solver is not None and solver.config.mode == "direct")
+    complex_data = np.iscomplexobj(c_tilde) or (
+        not pair_steps and any(p.imag != 0 for p in finite_poles))
     dtype = np.complex128 if complex_data else np.float64
     d = RationalDecomposition(aug, c_tilde, dtype=dtype,
                               capacity=min(max(2 * m_min, len(finite_poles) + 8, 40), m_hard))
@@ -483,7 +544,7 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
         vector=result, n=op.n, estimate=estimate,
         converged=converged, estimate_history=history,
         poles_consumed=list(d.poles_used), substeps=1, arnoldi_steps=d.m,
-        solver_iterations=sum(s.iterations for s in solves),
+        solves=len(solves), solver_iterations=sum(s.iterations for s in solves),
         solver_residual_max=max((s.residual for s in solves), default=0.0),
     )
     if not converged:

@@ -10,8 +10,9 @@ a ``SolverCache`` bound to one operator keeps its direct factorizations
 them all. A and alpha are
 real, so (conj(xi) I + alpha A) = conj(xi I + alpha A): a pole with
 Im xi < 0 is served by the factorization or preconditioner of conj(xi)
-through conjugation, and a conjugate pair costs one setup. Each pole of the
-pair still makes its own solve. Every shifted matrix has the sparsity
+through conjugation, and a conjugate pair costs one setup. On real data
+the Krylov engine's direct path makes one solve per pair, and its
+iterative path one solve per pole. Every shifted matrix has the sparsity
 pattern of A, which is symmetric for the operators of this package, so its
 LU is ordered by minimum degree on the pattern of A^T + A (SuperLU's partial
 pivoting keeps it accurate when A is not symmetric), without relaxed
@@ -262,10 +263,9 @@ class ShiftedSolver:
 
         A pole with Im xi < 0 is served by the factorization or
         preconditioner of conj(xi): x = conj(solve_conj(xi)(conj(rhs))), exact
-        because A and alpha are real. Only the setup is shared; each pole
-        still makes its own solve. The logged residual is that of the pole
-        actually asked for (for iterative solves, conjugation leaves it
-        unchanged).
+        because A and alpha are real. Only the setup is shared. The logged
+        residual is that of the pole actually asked for (for iterative
+        solves, conjugation leaves it unchanged).
         """
         flip = pole.imag < 0
         served = pole.conjugate() if flip else pole

@@ -224,19 +224,81 @@ def test_nilpotent_operator_breaks_down_at_index():
     cs = [rng.standard_normal(4), rng.standard_normal(4), rng.standard_normal(4)]
     aug, ct = assemble_augmented(op, 1.0, cs)
     solver = direct_solver(op)
-    with pytest.raises(ValueError):
-        rational_arnoldi_step(RationalDecomposition(aug, ct), 2.0 + 0.5j, solver)
-    d = RationalDecomposition(aug, ct, dtype=np.complex128)
-    steps = 0
-    for _ in range(6):
-        if d.happy:
-            break
-        rational_arnoldi_step(d, 2.0 + 0.5j, solver)
-        steps += 1
-    assert d.happy
-    assert steps <= 3
-    with pytest.raises(KrylovError):
+    exact = dense_expm(0.7 * aug.dense()) @ ct
+    sizes = []
+    for dtype in (np.complex128, None):
+        d = RationalDecomposition(aug, ct, dtype=dtype)
+        steps = 0
+        for _ in range(6):
+            if d.happy:
+                break
+            rational_arnoldi_step(d, 2.0 + 0.5j, solver)
+            steps += 1
+        assert d.happy
+        assert d.m == d.nv == 3
+        assert len(d.poles_used) == d.m
+        sizes.append(steps)
+        value, estimate = _approximant_and_estimate(d, 0.7)
+        assert np.linalg.norm(value - exact) <= 1e-12 * np.linalg.norm(exact)
+        assert estimate == 0.0
+        with pytest.raises(KrylovError):
+            rational_arnoldi_step(d, INF_POLE)
+    # complex: one step per pole; real: a full pair step, then a pair step
+    # whose halves both break down and keep only the Re column
+    assert sizes == [3, 2]
+    assert d.poles_used == [2 + 0.5j, 2 - 0.5j, 2 + 0.5j]
+    assert d.kmat().dtype == np.float64
+
+
+def test_pair_step_matches_complex_decomposition():
+    """On real data, a real decomposition with one solve per conjugate pair
+    spans the space of the complex one with one solve per pole."""
+    rng = np.random.default_rng(41)
+    n, p = 60, 2
+    op = random_spd(rng, n, lam_max=80.0)
+    cs = [rng.standard_normal(n) for _ in range(p + 1)]
+    aug, ct = assemble_augmented(op, 0.5, cs)
+    poles = list(builtin_pole_set("cf12"))
+    real_solver, complex_solver = direct_solver(op), direct_solver(op)
+    d_real = RationalDecomposition(aug, ct)
+    for xi in poles[::2]:
+        rational_arnoldi_step(d_real, xi, real_solver)
+    d_complex = RationalDecomposition(aug, ct, dtype=np.complex128)
+    for xi in poles:
+        rational_arnoldi_step(d_complex, xi, complex_solver)
+    for d in (d_real, d_complex):
         rational_arnoldi_step(d, INF_POLE)
+    assert d_real.m == d_complex.m == 13
+    assert d_real.poles_used == d_complex.poles_used
+    assert len(real_solver.solve_log) == 6 and len(complex_solver.solve_log) == 12
+    for M in (d_real.V, d_real.H, d_real.K):
+        assert M.dtype == np.float64
+    assert arnoldi_relation_residual(d_real) <= 1e-10
+    v = d_real.basis()
+    assert np.linalg.norm(v.T @ v - np.eye(v.shape[1]), 2) <= 1e-13
+    for theta in (0.3, 1.0):
+        (y_real, est_real), (y_complex, est_complex) = (
+            _approximant_and_estimate(d, theta) for d in (d_real, d_complex))
+        assert np.linalg.norm(y_real - y_complex) <= 1e-12 * np.linalg.norm(y_complex)
+        assert est_real == pytest.approx(est_complex, rel=1e-4)
+
+
+def test_expmv_pair_steps_match_complex_arithmetic():
+    rng = np.random.default_rng(42)
+    n = 70
+    op = random_spd(rng, n, lam_max=60.0)
+    c0 = rng.standard_normal(n)
+    poles = builtin_pole_set("cf12")
+    kwargs = dict(tol=1e-10, m_min=5, check_cadence=3, theta=0.6)
+    real = expmv_rational(op, 0.5, [c0], poles, direct_solver(op), **kwargs)
+    cplx = expmv_rational(op, 0.5, [c0.astype(np.complex128)], poles, direct_solver(op),
+                          **kwargs)
+    assert real.vector.dtype == np.float64
+    assert real.arnoldi_steps == cplx.arnoldi_steps
+    assert real.poles_consumed == cplx.poles_consumed
+    assert [m for m, _ in real.estimate_history] == [m for m, _ in cplx.estimate_history]
+    assert 2 * real.solves == cplx.solves
+    assert np.linalg.norm(real.vector - cplx.vector) <= 1e-12 * np.linalg.norm(cplx.vector)
 
 
 def test_orthonormality_up_to_m128():
@@ -340,12 +402,12 @@ def test_singular_projection_detected():
     op = random_spd(rng, 12, lam_max=5.0)
     aug, ct = assemble_augmented(op, 1.0, [rng.standard_normal(12)])
     solver = direct_solver(op)
-    d = RationalDecomposition(aug, ct, dtype=np.complex128)
+    d = RationalDecomposition(aug, ct)
     for xi in (4.0, complex(2, 1), INF_POLE):
         rational_arnoldi_step(d, xi, solver)
-    # K_m = I + H_m diag(1/xi_j): zero its first column through H
-    d.H[:, 0] = 0.0
-    d.H[0, 0] = -d.poles_used[0]
+    assert d.m == 4  # the complex pole is a pair step
+    _approximant_and_estimate(d, 0.5)
+    d.K[:, 1] = 0.0  # the Re column of the pair
     with pytest.raises(SingularProjection):
         _approximant_and_estimate(d, 0.5)
 
@@ -662,14 +724,33 @@ def test_concurrent_expmv_calls_share_cache():
 
 
 def test_conjugate_pairs_share_factorizations():
-    # cf12 is six conjugate pairs: consuming all twelve poles makes twelve
-    # solves but only six factorizations
+    # cf12 is six conjugate pairs: on real data the direct path consumes all
+    # twelve poles with six solves, one per pair, and six factorizations
     rng = np.random.default_rng(29)
     n = 50
     op = random_spd(rng, n, lam_max=80.0)
     poles = builtin_pole_set("cf12")
     solver = ShiftedSolver(op, SolverConfig(mode="direct"))
-    expmv_rational(op, 0.5, [rng.standard_normal(n)], poles, solver,
-                   tol=1e-12, m_min=len(poles))
-    assert len(solver.solve_log) == len(poles) == 12
+    rep = expmv_rational(op, 0.5, [rng.standard_normal(n)], poles, solver,
+                         tol=1e-12, m_min=len(poles))
+    assert rep.poles_consumed[:12] == list(poles)
+    assert len(solver.solve_log) == rep.solves == 6
+    assert all(np.iscomplexobj(s.x) for s in solver.solve_log)
     assert solver.cache.numeric_factorizations == 6
+
+
+def test_iterative_path_keeps_one_solve_per_pole():
+    # an inexact solve split into Re and Im parts loses accuracy, so the
+    # iterative path stays complex even for a conjugate-closed set
+    from ratexpint.problems import fd_laplacian_2d
+    op = fd_laplacian_2d(10, 1.0, "neumann")
+    poles = builtin_pole_set("cf16_shifted")
+    assert poles.conjugate_closed
+    solver = ShiftedSolver(op, SolverConfig(mode="iterative", tolerance=1e-10))
+    c0 = np.random.default_rng(43).standard_normal(op.n)
+    rep = expmv_rational(op, 0.5, [c0], poles, solver, tol=1e-9, m_min=len(poles))
+    assert np.iscomplexobj(rep.vector)
+    assert rep.poles_consumed[:16] == list(poles)
+    assert rep.solves == len(solver.solve_log) == 16
+    exact = dense_expm(-0.5 * op.todense()) @ c0
+    assert np.linalg.norm(rep.vector - exact) <= 1e-8 * np.linalg.norm(exact)
