@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .linalg import SparseOperator, dense_expm, orthogonal_extend
-from .poles import INF_POLE, PoleSet, is_conjugate, is_infinite
+from .poles import INF_POLE, PoleSet, is_infinite
 from .solvers import ShiftedSolver, SolverError
 
 #: Defaults of both engines; the cap m_hard is len(poles) + DEFAULT_STEPS_PAST_POLES.
@@ -200,7 +200,7 @@ class RationalDecomposition:
         dtype = data_dtype if dtype is None else np.dtype(dtype)
         if dtype.kind != "c" and data_dtype.kind == "c":
             raise ValueError(f"complex data needs a complex decomposition, got {dtype}")
-        capacity = max(4, capacity)
+        capacity = max(4, min(capacity, aug.dim))
         self.V = np.zeros((aug.dim, capacity + 1), dtype=dtype, order="F")
         self.V[:, 0] = c_tilde / norm
         self.H = np.zeros((capacity + 1, capacity), dtype=dtype)
@@ -266,7 +266,9 @@ def rational_arnoldi_step(d: RationalDecomposition, pole: complex,
     columns of K are e_j + Re(h^/xi) and Im(h^/xi). The same space in
     complex arithmetic takes two solves (Ruhe, SISC 19 (1998); Berljafa &
     Guttel, SIMAX 36 (2015)). If both halves break down, only the Re column
-    is kept, so that K_m stays square.
+    is kept, so that K_m stays square. The adaptive loop passes a pair step
+    of :attr:`~ratexpint.poles.PoleSet.steps` here as its first pole on a
+    real decomposition, and pole by pole on a complex one.
 
     On happy breakdown the decomposition is flagged and must not be
     extended further.
@@ -430,46 +432,38 @@ class ExpmvReport:
         return self.vector[:self.n]
 
 
-def _adaptive_krylov(d: RationalDecomposition, poles: Sequence[complex],
+def _adaptive_krylov(d: RationalDecomposition, steps: Sequence[tuple],
                      solver: Optional[ShiftedSolver], theta: float, tol: float,
                      m_min: int, cap: int, check_cadence: int, history: list):
     """Grow ``d`` until the estimate of e^{theta A~} c~ meets ``tol``.
 
-    Finite poles are consumed in order, then polynomial steps follow; on a
-    real ``d`` a complex pole and its conjugate partner, next in ``poles``,
-    are one pair step. The estimate is checked at ``m_min`` and every
-    ``check_cadence`` steps after it, each time after a polynomial step
-    settles the newest pole (on a complex ``d``, finishing a conjugate pair
-    first, so that conjugate-closed sets keep real data real). A singular
-    projection is retried after one more polynomial step. Every check is
-    appended to ``history`` as (m, estimate).
+    The pole steps (see :attr:`~ratexpint.poles.PoleSet.steps`) are consumed
+    in order, each one whole, then polynomial steps follow. A conjugate pair
+    is one pair step on a real ``d`` and two single steps on a complex one,
+    the second skipped after a happy breakdown. The estimate is checked at
+    ``m_min`` and every ``check_cadence`` steps after it, so only between
+    pole steps, and each time after a polynomial step settles a finite
+    newest pole. A singular projection is retried after one more polynomial
+    step. Every check is appended to ``history`` as (m, estimate).
 
     Returns (value, estimate, converged); not converged means the subspace
     reached ``cap`` first.
     """
     cap = min(cap, d.dim)
     target = max(1, min(m_min, cap))
-    ptr = 0
+    pending = iter(steps)
 
     def grow():
-        nonlocal ptr
-        if ptr < len(poles):
-            pole = poles[ptr]
-            ptr += 2 if pole.imag != 0 and d.real else 1
-            rational_arnoldi_step(d, pole, solver)
-        else:
-            rational_arnoldi_step(d, INF_POLE)
+        step = next(pending, (INF_POLE,))
+        for pole in step[:1] if d.real else step:
+            if not d.happy:
+                rational_arnoldi_step(d, pole, solver)
 
     while True:
         while d.m < target and not d.happy:
             grow()
-        last = d.poles_used[-1]
-        if not d.happy and not is_infinite(last):
-            if (not d.real and last.imag != 0 and ptr < len(poles)
-                    and is_conjugate(poles[ptr], last)):
-                grow()
-            if not d.happy:
-                rational_arnoldi_step(d, INF_POLE)
+        if not d.happy and not is_infinite(d.poles_used[-1]):
+            rational_arnoldi_step(d, INF_POLE)
         while True:
             try:
                 value, estimate = _approximant_and_estimate(d, theta)
@@ -498,14 +492,14 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
     is (xi I + alpha A) whatever theta is: calls that share alpha share
     their factorizations. The estimate is that of the time point theta
     (Goeckler & Grimm, SIMAX 35 (2014), for a fixed rational Krylov space
-    read at several times). Finite poles
-    are consumed in order; after exhaustion the subspace keeps growing with
-    polynomial steps until the error estimate meets ``tol``. The estimate is
-    only evaluated every ``check_cadence`` iterations past ``m_min``, and a
-    polynomial step is inserted before each check when the newest step used a
-    finite pole (completing a conjugate pair first so that conjugate-closed
-    sets keep real data real), which may carry the subspace up to two steps
-    past the cap ``m_hard``, by default len(poles) + 128.
+    read at several times). The steps of ``pole_set`` are consumed in
+    order, a conjugate pair always whole; after them the subspace keeps
+    growing with polynomial steps until the error estimate meets ``tol``.
+    The estimate is only evaluated every ``check_cadence`` iterations past
+    ``m_min``, between steps, and a polynomial step is inserted before each
+    check when the newest step used a finite pole. A pair and that
+    polynomial step may carry the subspace up to two steps past the cap
+    ``m_hard``, by default len(poles) + 128.
 
     The decomposition is real iff the payload is real, the pole set is
     conjugate-closed and the solver is direct: each conjugate pair is then
@@ -523,21 +517,21 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
     check_settings(tol, m_min, check_cadence, m_hard)
     aug, c_tilde = assemble_augmented(op, alpha, c_vectors)
 
-    finite_poles = list(pole_set) if pole_set is not None else []
-    m_hard = len(finite_poles) + DEFAULT_STEPS_PAST_POLES if m_hard is None else m_hard
+    poles = pole_set if pole_set is not None else PoleSet(())
+    m_hard = len(poles) + DEFAULT_STEPS_PAST_POLES if m_hard is None else m_hard
 
-    pair_steps = (pole_set is not None and pole_set.conjugate_closed
-                  and solver is not None and solver.config.mode == "direct")
+    pair_steps = (poles.conjugate_closed and solver is not None
+                  and solver.config.mode == "direct")
     complex_data = np.iscomplexobj(c_tilde) or (
-        not pair_steps and any(p.imag != 0 for p in finite_poles))
+        not pair_steps and any(p.imag != 0 for p in poles))
     dtype = np.complex128 if complex_data else np.float64
     d = RationalDecomposition(aug, c_tilde, dtype=dtype,
-                              capacity=min(max(2 * m_min, len(finite_poles) + 8, 40), m_hard))
+                              capacity=min(max(2 * m_min, len(poles) + 8, 40), m_hard))
 
     log_start = len(solver.solve_log) if solver is not None else 0
     history: list[tuple[int, float]] = []
     result, estimate, converged = _adaptive_krylov(
-        d, finite_poles, solver, theta, tol, m_min, m_hard, check_cadence, history)
+        d, poles.steps, solver, theta, tol, m_min, m_hard, check_cadence, history)
     solves = solver.solve_log[log_start:] if solver is not None else []
 
     report = ExpmvReport(
@@ -584,7 +578,7 @@ def expmv_polynomial(op: SparseOperator, alpha: float, c_vectors: Sequence[np.nd
         tau = min(tau, 1.0 - done)
         d = RationalDecomposition(aug, w, capacity=m_hard)
         w, estimate, converged = _adaptive_krylov(
-            d, [], None, tau * theta, tol * tau, m_min, m_hard, check_cadence, history)
+            d, (), None, tau * theta, tol * tau, m_min, m_hard, check_cadence, history)
         while not converged:
             tau /= 2.0
             if tau < SUBSTEP_UNDERFLOW:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -21,7 +20,7 @@ INF_POLE = complex(math.inf, 0.0)
 
 _CONVENTIONS = ("positive-real", "negative-real")
 
-#: Matching tolerance when verifying conjugate closure of a loaded set.
+#: Matching tolerance when pairing a complex pole with its conjugate.
 CONJUGATE_MATCH_TOL = 1e-12
 
 
@@ -37,6 +36,7 @@ def is_infinite(xi: complex) -> bool:
 class PoleSet:
     """Ordered list of finite, nonzero poles in the positive-real convention.
 
+    :attr:`steps` groups the poles as the adaptive loop consumes them.
     Sets meant for real data are conjugate-closed with pairs adjacent (see
     :attr:`conjugate_closed`). ``name`` says where the set came from, for
     reports; it takes no part in comparisons.
@@ -52,9 +52,25 @@ class PoleSet:
             if is_infinite(xi):
                 raise ValueError("infinite poles are implicit; do not list them")
 
+    @functools.cached_property
+    def steps(self) -> tuple:
+        """The poles in order, grouped into steps: a complex pole and its
+        conjugate next to it, in either order, form one pair step
+        (xi, conj(xi)); every other pole is a step (xi,) of its own."""
+        steps, i = [], 0
+        while i < len(self.poles):
+            xi = self.poles[i]
+            size = 2 if (xi.imag != 0 and i + 1 < len(self.poles)
+                         and is_conjugate(xi, self.poles[i + 1])) else 1
+            steps.append(self.poles[i:i + size])
+            i += size
+        return tuple(steps)
+
     @property
     def conjugate_closed(self) -> bool:
-        return check_conjugate_closure(self.poles)
+        """True iff every complex pole has its conjugate next to it, that is,
+        no step is a lone complex pole."""
+        return all(len(step) == 2 or step[0].imag == 0 for step in self.steps)
 
     def __len__(self):
         return len(self.poles)
@@ -78,22 +94,6 @@ def repeated_real(value: float, count: int) -> PoleSet:
         raise ValueError("need at least one pole")
     return PoleSet(poles=tuple(complex(value, 0.0) for _ in range(count)),
                    name=f"repeated_real({value}, {count})")
-
-
-def check_conjugate_closure(poles: Sequence[complex], tol: float = CONJUGATE_MATCH_TOL) -> bool:
-    """True iff every strictly complex pole has an adjacent conjugate partner."""
-    i = 0
-    poles = list(poles)
-    while i < len(poles):
-        xi = poles[i]
-        if xi.imag == 0:
-            i += 1
-            continue
-        if i + 1 < len(poles) and is_conjugate(xi, poles[i + 1]):
-            i += 2
-            continue
-        return False
-    return True
 
 
 def load_poles(path) -> PoleSet:
@@ -134,12 +134,13 @@ def load_poles(path) -> PoleSet:
         raise PoleFileError(f"{path}: unknown convention {convention!r}")
     if convention == "negative-real":
         poles = [-xi for xi in poles]
-    if not check_conjugate_closure(poles):
-        raise PoleFileError(f"{path}: pole list is not conjugate-closed with adjacent pairs")
     try:
-        return PoleSet(poles=tuple(poles), name=str(path))
+        ps = PoleSet(poles=tuple(poles), name=str(path))
     except ValueError as exc:
         raise PoleFileError(f"{path}: {exc}") from exc
+    if not ps.conjugate_closed:
+        raise PoleFileError(f"{path}: pole list is not conjugate-closed with adjacent pairs")
+    return ps
 
 
 def cf_poles(n: int) -> tuple[tuple[complex, ...], float]:

@@ -243,6 +243,13 @@ def test_m_hard_caps_the_rational_subspace(tmp_path, capsys):
     assert "subspace cap m_hard=4 (m=5)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sizes", [("--engine", "polynomial", "--m-hard", "100000000"),
+                                   ("--m-min", "100000000", "--m-hard", "100000000")])
+def test_sizes_far_past_the_space_dimension_run(tmp_path, sizes):
+    # the basis is sized by the space dimension (64 + 2), not by m_min or m_hard
+    assert run_cli("run", "--nx", "8", *sizes, "--T", "0.5", "--out", str(tmp_path)) == 0
+
+
 def test_run_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("problem = ac2d\nnx = 12\nintegrator = sw2\nh = 0.25\nT = 0.25\n")

@@ -695,6 +695,15 @@ def test_polynomial_engine_takes_the_default_cap_as_none():
     assert rep.converged
 
 
+def test_initial_capacity_is_capped_at_the_space_dimension():
+    rng = np.random.default_rng(44)
+    aug, ct = assemble_augmented(random_spd(rng, 10), 1.0,
+                                 [rng.standard_normal(10), rng.standard_normal(10)])
+    d = RationalDecomposition(aug, ct, capacity=10 ** 8)
+    assert d.V.shape == (11, 12)
+    assert d.H.shape == d.K.shape == (12, 11)
+
+
 def test_concurrent_expmv_calls_share_cache():
     """Distinct expmv calls may run concurrently when each owns a solver
     front end; the factorization cache does the numeric work once."""
@@ -754,3 +763,24 @@ def test_iterative_path_keeps_one_solve_per_pole():
     assert rep.solves == len(solver.solve_log) == 16
     exact = dense_expm(-0.5 * op.todense()) @ c0
     assert np.linalg.norm(rep.vector - exact) <= 1e-8 * np.linalg.norm(exact)
+
+
+@pytest.mark.parametrize("mode, dtype", [("iterative", np.float64), ("direct", np.complex128)])
+def test_complex_decompositions_check_repeated_pairs_whole(mode, dtype):
+    # a complex decomposition consumes a conjugate pair whole, as a real one
+    # does, so no estimate is taken on a half pair such as (xi, conj(xi), xi, inf)
+    op = fd_laplacian_1d(40, 1.0, "neumann")
+    poles = PoleSet((4 + 2j, 4 - 2j) * 3)
+    c0 = np.random.default_rng(47).standard_normal(op.n)
+
+    def run(config, payload):
+        return expmv_rational(op, 0.5, [payload], poles, ShiftedSolver(op, config),
+                              m_min=2, check_cadence=2)
+
+    real = run(SolverConfig(mode="direct"), c0)
+    rep = run(SolverConfig(mode=mode, tolerance=1e-10), c0.astype(dtype))
+    assert np.isrealobj(real.vector) and np.iscomplexobj(rep.vector)
+    sizes = [m for m, _ in rep.estimate_history]
+    assert sizes == [m for m, _ in real.estimate_history]
+    assert sizes[:3] == [3, 6, 9]
+    assert rep.poles_consumed[:6] == [4 + 2j, 4 - 2j, INF_POLE, 4 + 2j, 4 - 2j, INF_POLE]

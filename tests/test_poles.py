@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from ratexpint.krylov import expmv_rational
 from ratexpint.linalg import SparseOperator
 from ratexpint.poles import (PoleFileError, PoleSet, builtin_pole_set, cf_poles,
-                             check_conjugate_closure, load_poles, repeated_real,
-                             validate)
+                             is_conjugate, load_poles, repeated_real, validate)
 from ratexpint.problems import fd_laplacian_1d
 from ratexpint.solvers import ShiftedSolver, SolverConfig
 
@@ -43,12 +42,47 @@ def test_zero_pole_rejected_everywhere():
 
 
 def test_conjugate_closure_check():
-    assert check_conjugate_closure([1 + 2j, 1 - 2j, 3 + 0j])
-    assert not check_conjugate_closure([1 + 2j, 3 + 0j])
-    assert not check_conjugate_closure([1 + 2j, 2 - 2j])
+    assert PoleSet((1 + 2j, 1 - 2j, 3 + 0j)).conjugate_closed
+    assert not PoleSet((1 + 2j, 3 + 0j)).conjugate_closed
+    assert not PoleSet((1 + 2j, 2 - 2j)).conjugate_closed
     # a PoleSet derives the flag from its poles
     assert PoleSet(poles=(4 + 3j,)).conjugate_closed is False
     assert PoleSet(poles=(4 + 3j, 4 - 3j)).conjugate_closed is True
+
+
+def test_steps_group_adjacent_conjugate_pairs():
+    assert PoleSet((4 + 2j, 4 - 2j) * 2).steps == ((4 + 2j, 4 - 2j), (4 + 2j, 4 - 2j))
+    # either order is a pair; a real pole repeated is not
+    assert PoleSet((4 - 2j, 4 + 2j, 3, 3)).steps == ((4 - 2j, 4 + 2j), (3,), (3,))
+    # a pair lost to an earlier partner leaves a lone complex step
+    assert PoleSet((4 + 2j, 4 - 2j, 4 - 2j)).steps == ((4 + 2j, 4 - 2j), (4 - 2j,))
+
+
+_REAL_POLE = st.sampled_from([-2.0, 1.0, 4.0]).map(complex)
+_COMPLEX_POLE = st.builds(complex, st.sampled_from([-2.0, 1.0, 4.0]),
+                          st.sampled_from([-2.0, 1.0, 2.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(
+    _REAL_POLE.map(lambda xi: (xi,)),
+    _COMPLEX_POLE.map(lambda xi: (xi, xi.conjugate())),
+    _COMPLEX_POLE.map(lambda xi: (xi,))), max_size=8))
+def test_steps_property(chunks):
+    # chunks of real poles, conjugate pairs in either order and lone complex poles
+    poles = tuple(xi for chunk in chunks for xi in chunk)
+    ps = PoleSet(poles)
+    assert tuple(xi for step in ps.steps for xi in step) == poles
+    assert all(len(step) in (1, 2) for step in ps.steps)
+    for step in ps.steps:
+        if len(step) == 2:
+            assert step[0].imag != 0 and is_conjugate(step[0], step[1])
+    lone = any(len(step) == 1 and step[0].imag != 0 for step in ps.steps)
+    assert ps.conjugate_closed is not lone
+    if all(len(chunk) == 2 or chunk[0].imag == 0 for chunk in chunks):
+        # built from whole pairs and real poles only: the walk finds the same grouping
+        assert ps.steps == tuple(chunks)
+        assert ps.conjugate_closed
 
 
 def test_load_rejects_open_set(tmp_path):
@@ -118,7 +152,7 @@ def test_builtin_cf12_properties():
     ps = builtin_pole_set("cf12")
     assert len(ps) == 12
     assert ps.conjugate_closed
-    assert check_conjugate_closure(ps.poles)
+    assert all(len(step) == 2 for step in ps.steps)  # six conjugate pairs
     # rational best-approximation sets straddle the imaginary axis
     assert any(xi.real < 0 for xi in ps)
     assert any(xi.real > 0 for xi in ps)
@@ -144,7 +178,7 @@ def test_cf_error_level_decays_at_the_cf_rate(n):
     """sigma_n ~ 9.28903^-n, so two degrees buy a factor of about 86.3."""
     poles, level = cf_poles(n)
     assert len(poles) == n
-    assert check_conjugate_closure(poles)
+    assert PoleSet(poles).conjugate_closed
     assert 80.0 <= level / cf_poles(n + 2)[1] <= 92.0
 
 
