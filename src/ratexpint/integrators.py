@@ -130,11 +130,12 @@ def step(problem: Problem, tab: Tableau, u: np.ndarray, t: float, h: float,
          engine: Engine) -> tuple[np.ndarray, list]:
     """One full exponential Runge-Kutta step from t to t + h.
 
-    For real problem data the stage values are kept real. With
-    conjugate-closed pole sets the exact results are real: the direct path
-    computes them in real arithmetic, and the iterative path leaves a
-    rounding-level imaginary residue, which is discarded; :func:`integrate`
-    records its size per step.
+    For real problem data the stage values are kept real. With a
+    conjugate-closed pole set the engine computes them in real arithmetic on
+    either solver path, so nothing is discarded. A set with a lone complex
+    pole gives complex results, whose imaginary part is discarded. That
+    part is an approximation error of the size of the engine and solver
+    tolerances, not rounding; :func:`integrate` records its size per step.
 
     Runs at the caller's BLAS thread count; only :func:`integrate` caps it
     at one thread.
@@ -171,7 +172,8 @@ class StepSummary:
     h: float
     expmv_calls: int
     arnoldi_steps: int
-    #: shifted solves made; the direct path makes one per conjugate pair
+    #: shifted solves made; real data makes one per conjugate pair of a
+    #: conjugate-closed set, on either solver path
     shifted_solves: int
     solver_iterations: int
     max_estimate: float

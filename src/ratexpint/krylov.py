@@ -94,20 +94,22 @@ class AugmentedOperator:
             out[n:n + p - 1] = x[n + 1:]
         return out
 
-    def solve(self, pole: complex, rhs: np.ndarray, solver: ShiftedSolver) -> np.ndarray:
+    def solve(self, pole: complex, rhs: np.ndarray, solver: ShiftedSolver,
+              split: bool = False) -> np.ndarray:
         """Solve (xi I - A~) x = xi * rhs.
 
         The tail system (xi I_p - J_p) x_tail = xi * rhs_tail is upper
         bidiagonal (diagonal xi, superdiagonal -1) and is back-substituted
         first; C x_tail then joins the right-hand side of one shifted solve
         (xi I + alpha A) for the top block. For p = 0 this is one shifted
-        solve with right-hand side xi * rhs.
+        solve with right-hand side xi * rhs. ``split`` is passed on to
+        :meth:`~ratexpint.solvers.ShiftedSolver.solve_shifted`.
         """
         n, p = self.n, self.p
         if rhs.shape[0] != n + p:
             raise ValueError(f"expected right-hand side of length {n + p}, got {rhs.shape[0]}")
         if p == 0:
-            return solver.solve_shifted(pole, self.alpha, pole * rhs)
+            return solver.solve_shifted(pole, self.alpha, pole * rhs, split=split)
         if pole == 0:
             raise SolverError("pole 0 is singular on the augmented system")
         tail = rhs[n:]
@@ -115,7 +117,8 @@ class AugmentedOperator:
         x_tail[p - 1] = tail[p - 1]
         for i in range(p - 2, -1, -1):
             x_tail[i] = tail[i] + x_tail[i + 1] / pole
-        x_top = solver.solve_shifted(pole, self.alpha, pole * rhs[:n] + self.C @ x_tail)
+        x_top = solver.solve_shifted(pole, self.alpha, pole * rhs[:n] + self.C @ x_tail,
+                                     split=split)
         return np.concatenate([x_top, x_tail])
 
     def norm_bound(self) -> float:
@@ -265,8 +268,10 @@ def rational_arnoldi_step(d: RationalDecomposition, pole: complex,
     adds Re x, then Im x, and with h^ = H[:, j] + i H[:, j+1] the two
     columns of K are e_j + Re(h^/xi) and Im(h^/xi). The same space in
     complex arithmetic takes two solves (Ruhe, SISC 19 (1998); Berljafa &
-    Guttel, SIMAX 36 (2015)). If both halves break down, only the Re column
-    is kept, so that K_m stays square. The adaptive loop passes a pair step
+    Guttel, SIMAX 36 (2015)). The solve is made with ``split=True``, so an
+    iterative one meets the tighter target of
+    :func:`~ratexpint.solvers.split_tolerance`. If both halves break down,
+    only the Re column is kept, so that K_m stays square. The adaptive loop passes a pair step
     of :attr:`~ratexpint.poles.PoleSet.steps` here as its first pole on a
     real decomposition, and pole by pole on a complex one.
 
@@ -288,7 +293,7 @@ def rational_arnoldi_step(d: RationalDecomposition, pole: complex,
     d._ensure_capacity(d.m + 1 + pair)
 
     b = d.aug.apply(d.V[:, d.nv - 1])
-    x = d.aug.solve(pole, b, solver) if finite else b
+    x = d.aug.solve(pole, b, solver, split=pair) if finite else b
 
     j = d.m
     if pair:
@@ -501,12 +506,13 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
     polynomial step may carry the subspace up to two steps past the cap
     ``m_hard``, by default len(poles) + 128.
 
-    The decomposition is real iff the payload is real, the pole set is
-    conjugate-closed and the solver is direct: each conjugate pair is then
-    one pair step with one solve (see :func:`rational_arnoldi_step`).
-    Otherwise it is complex as soon as a pole is, and each pole makes its
-    own solve; an inexact iterative solve split into Re and Im parts loses
-    about ten times more accuracy than two solves do.
+    The decomposition is real iff the payload is real and the pole set is
+    conjugate-closed, on either solver path: each conjugate pair is then
+    one pair step with one solve (see :func:`rational_arnoldi_step`), which
+    an iterative solver makes to the pair's tighter target
+    (:func:`~ratexpint.solvers.split_tolerance`). Otherwise the
+    decomposition is complex as soon as a pole is, and each pole makes its
+    own solve.
 
     Raises
     ------
@@ -520,10 +526,8 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
     poles = pole_set if pole_set is not None else PoleSet(())
     m_hard = len(poles) + DEFAULT_STEPS_PAST_POLES if m_hard is None else m_hard
 
-    pair_steps = (poles.conjugate_closed and solver is not None
-                  and solver.config.mode == "direct")
-    complex_data = np.iscomplexobj(c_tilde) or (
-        not pair_steps and any(p.imag != 0 for p in poles))
+    # an open set holds a lone complex pole; a closed one is taken pair by pair
+    complex_data = np.iscomplexobj(c_tilde) or not poles.conjugate_closed
     dtype = np.complex128 if complex_data else np.float64
     d = RationalDecomposition(aug, c_tilde, dtype=dtype,
                               capacity=min(max(2 * m_min, len(poles) + 8, 40), m_hard))

@@ -11,11 +11,13 @@ them all. A and alpha are
 real, so (conj(xi) I + alpha A) = conj(xi I + alpha A): a pole with
 Im xi < 0 is served by the factorization or preconditioner of conj(xi)
 through conjugation, and a conjugate pair costs one setup. On real data
-the Krylov engine's direct path makes one solve per pair, and its
-iterative path one solve per pole. Every shifted matrix has the sparsity
-pattern of A, which is symmetric for the operators of this package, so its
-LU is ordered by minimum degree on the pattern of A^T + A (SuperLU's partial
-pivoting keeps it accurate when A is not symmetric), without relaxed
+the Krylov engine makes one solve per pair on either path: a pair solve
+is split into its real and imaginary parts, so on the iterative path it
+stops at the tighter target of :func:`split_tolerance`. Every shifted
+matrix has the sparsity pattern of A, which is symmetric for the
+operators of this package, so its LU is ordered by minimum degree on the
+pattern of A^T + A (SuperLU's partial pivoting keeps it accurate when A
+is not symmetric), without relaxed
 supernodes: on a sparse graph Laplacian SuperLU's default relaxation pads
 the factors with explicit zeros to about 2.8 times their fill, while on a
 5-point grid it saves only a few percent. One lock, held across
@@ -41,6 +43,10 @@ from .linalg import SparseOperator
 
 PRECONDITIONERS = ("none", "aggregation-amg")
 
+#: Lowest relative residual target of a split solve: below it the iterated
+#: residual is rounding (BiCGStab stalls near 1e-15 on a near-real pair).
+SPLIT_TOLERANCE_FLOOR = 1e-14
+
 
 class SolverError(RuntimeError):
     pass
@@ -57,8 +63,11 @@ class IterativeDivergence(SolverError):
 @dataclass
 class SolverConfig:
     mode: str = "direct"                 # "direct" | "iterative"
-    # relative residual target of iterative solves, in (0, 1); a solve of
-    # either mode whose residual exceeds 10x this raises
+    # relative residual target of iterative solves, in (0, 1); an iterative
+    # pair solve (split into Re and Im parts) targets
+    # tolerance * rho^2 instead, rho = min(|Re xi|, |Im xi|) / |xi|
+    # (see split_tolerance); a solve whose residual exceeds 10x its
+    # target raises
     tolerance: float = 1e-7
     max_iterations: int = 400
     # "none" | "aggregation-amg"; iterative solves use CG iff the pole is
@@ -213,10 +222,31 @@ def check_iterative_pole(pole: complex, error: type = SolverError) -> None:
             f"iterative path requires Re(pole) > 0, got {pole}; use the direct solver")
 
 
+def split_tolerance(pole: complex, tolerance: float) -> float:
+    """Relative residual target of an iterative solve whose solution is
+    split into its real and imaginary parts (a conjugate pair step).
+
+    The target is tolerance * rho^2, rho = min(|Re xi|, |Im xi|) / |xi|,
+    but at least ``SPLIT_TOLERANCE_FLOOR``: the nearer xi lies to either
+    axis, the more the split amplifies the solve's error in one of the two
+    parts. The exponent is calibrated, not derived: on ac2d at nx=64 with
+    ``cf16_shifted`` (rho from 0.061 to 0.63), rho^2 kept the pair path at
+    least as accurate as one solve per pole at ``tolerance``, with and
+    without AMG, where rho alone did not (Simoncini & Szyld, SISC 25
+    (2003), set each inexact solve's tolerance by what the outer Krylov
+    method needs from it).
+    """
+    pole = complex(pole)
+    rho = min(abs(pole.real), abs(pole.imag)) / abs(pole)
+    return max(tolerance * rho ** 2, SPLIT_TOLERANCE_FLOOR)
+
+
 def solve_iterative(cache: SolverCache, pole: complex, scale: float, rhs: np.ndarray,
-                    cfg: SolverConfig) -> SolveInfo:
+                    cfg: SolverConfig, tolerance: Optional[float] = None) -> SolveInfo:
     """Preconditioned Krylov solve of (xi I + alpha A) x = rhs, where A is
-    ``cache.op``.
+    ``cache.op``, to the relative residual ``tolerance`` (by default
+    ``cfg.tolerance``); it counts as converged iff its residual is at most
+    ten times that target.
 
     CG iff the pole is real and A is symmetric (the system and its AMG
     V-cycle are then symmetric positive definite), BiCGStab otherwise.
@@ -236,10 +266,11 @@ def solve_iterative(cache: SolverCache, pole: complex, scale: float, rhs: np.nda
         iterations += 1
 
     method = spla.cg if pole.imag == 0 and cache.op.symmetric else spla.bicgstab
-    x, info = method(matrix, rhs, rtol=cfg.tolerance, atol=0.0,
+    tolerance = cfg.tolerance if tolerance is None else tolerance
+    x, info = method(matrix, rhs, rtol=tolerance, atol=0.0,
                      maxiter=cfg.max_iterations, M=precond, callback=count)
     residual = float(np.linalg.norm(rhs - matrix @ x)) / bnorm
-    converged = info == 0 and residual <= cfg.tolerance * 10
+    converged = info == 0 and residual <= tolerance * 10
     return SolveInfo(x=x, iterations=iterations, residual=residual, converged=converged)
 
 
@@ -258,7 +289,8 @@ class ShiftedSolver:
         self.cache = cache if cache is not None else SolverCache(op)
         self.solve_log: list[SolveInfo] = []
 
-    def solve_shifted(self, pole: complex, scale: float, rhs: np.ndarray) -> np.ndarray:
+    def solve_shifted(self, pole: complex, scale: float, rhs: np.ndarray,
+                      split: bool = False) -> np.ndarray:
         """Solve (xi I + alpha A) x = rhs and log the residual.
 
         A pole with Im xi < 0 is served by the factorization or
@@ -266,6 +298,11 @@ class ShiftedSolver:
         because A and alpha are real. Only the setup is shared. The logged
         residual is that of the pole actually asked for (for iterative
         solves, conjugation leaves it unchanged).
+
+        ``split`` says that the caller splits x into Re x and Im x (one
+        solve for a conjugate pair); an iterative solve then stops at
+        :func:`split_tolerance` instead of the configured tolerance. A
+        direct solve is the same either way.
         """
         flip = pole.imag < 0
         served = pole.conjugate() if flip else pole
@@ -287,7 +324,8 @@ class ShiftedSolver:
                     f"{res:.3e} exceeds {10 * self.config.tolerance:.1e}")
             info = SolveInfo(x=x, iterations=0, residual=res, converged=True)
         else:
-            info = solve_iterative(self.cache, served, scale, b, self.config)
+            tolerance = split_tolerance(pole, self.config.tolerance) if split else None
+            info = solve_iterative(self.cache, served, scale, b, self.config, tolerance)
             if flip:
                 info.x = np.conj(info.x)
             if not info.converged:

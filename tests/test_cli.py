@@ -24,11 +24,11 @@ def test_run_writes_outputs_and_exits_zero(tmp_path, capsys, monkeypatch):
     calls = 0
     solve_shifted = ShiftedSolver.solve_shifted
 
-    def recording(self, pole, scale, rhs):
+    def recording(self, pole, scale, rhs, split=False):
         nonlocal calls
         calls += 1
         consumed.add((complex(pole), float(scale)))
-        return solve_shifted(self, pole, scale, rhs)
+        return solve_shifted(self, pole, scale, rhs, split)
 
     monkeypatch.setattr(ShiftedSolver, "solve_shifted", recording)
     code = run_cli("run", "--problem", "ac2d", "--nx", "16", "--integrator", "sw2",

@@ -457,6 +457,26 @@ def test_allen_cahn_dynamics_stay_bounded():
         assert np.max(np.abs(snap)) <= 1.5
 
 
+def test_iterative_pair_steps_discard_nothing_and_match_the_direct_path():
+    # cf16_shifted is conjugate-closed, so the iterative path runs in real
+    # arithmetic with one solve per pair at the pair target; its final state
+    # stays within the engine tol of the direct path, with AMG and without
+    prob = allen_cahn_2d(64, eps2=0.1, length=2.0, bc="neumann")
+    poles = builtin_pole_set("cf16_shifted")
+    tol = 1e-8
+
+    def run(solver):
+        cfg = EngineConfig(engine="rational", tol=tol, poles=poles, solver=solver)
+        return integrate(prob, tableau("sw2"), 0.5, 1.0, Engine(prob, cfg))
+
+    direct = run(SolverConfig(mode="direct")).final_state
+    for preconditioner in ("aggregation-amg", "none"):
+        traj = run(SolverConfig(mode="iterative", tolerance=1e-7,
+                                preconditioner=preconditioner))
+        assert traj.max_imag_discarded() == 0.0
+        assert np.abs(traj.final_state - direct).max() <= tol
+
+
 def test_gierer_meinhardt_dynamics_stay_positive():
     prob = gierer_meinhardt_2d(12, D_a=0.005, D_h=0.5, p=16.0, mu=16.0,
                                pprime=16.0, nu=16.0, seed=4)

@@ -748,27 +748,39 @@ def test_conjugate_pairs_share_factorizations():
     assert solver.cache.numeric_factorizations == 6
 
 
-def test_iterative_path_keeps_one_solve_per_pole():
-    # an inexact solve split into Re and Im parts loses accuracy, so the
-    # iterative path stays complex even for a conjugate-closed set
+def test_iterative_path_takes_one_solve_per_pair():
+    # on real data the iterative path runs Ruhe's pair step as the direct
+    # path does: one preconditioned solve per conjugate pair, made to the
+    # pair's tighter target, and a result that agrees with one solve per pole
     from ratexpint.problems import fd_laplacian_2d
-    op = fd_laplacian_2d(10, 1.0, "neumann")
+    op = fd_laplacian_2d(30, 1.0, "neumann")  # n = 900: AMG has a coarse level
     poles = builtin_pole_set("cf16_shifted")
     assert poles.conjugate_closed
-    solver = ShiftedSolver(op, SolverConfig(mode="iterative", tolerance=1e-10))
     c0 = np.random.default_rng(43).standard_normal(op.n)
-    rep = expmv_rational(op, 0.5, [c0], poles, solver, tol=1e-9, m_min=len(poles))
-    assert np.iscomplexobj(rep.vector)
-    assert rep.poles_consumed[:16] == list(poles)
-    assert rep.solves == len(solver.solve_log) == 16
+
+    def run(payload):
+        solver = ShiftedSolver(op, SolverConfig(mode="iterative", tolerance=1e-10))
+        rep = expmv_rational(op, 0.5, [payload], poles, solver, tol=1e-9, m_min=len(poles))
+        assert rep.solves == len(solver.solve_log)
+        return rep
+
+    real, cplx = run(c0), run(c0.astype(np.complex128))
+    assert np.isrealobj(real.vector) and np.iscomplexobj(cplx.vector)
+    assert real.poles_consumed[:16] == cplx.poles_consumed[:16] == list(poles)
+    assert real.solves == 8 and cplx.solves == 16
+    assert real.solver_iterations < cplx.solver_iterations
     exact = dense_expm(-0.5 * op.todense()) @ c0
-    assert np.linalg.norm(rep.vector - exact) <= 1e-8 * np.linalg.norm(exact)
+    scale = np.linalg.norm(exact)
+    assert np.linalg.norm(real.vector - cplx.vector) <= 1e-8 * scale
+    assert np.linalg.norm(real.vector - exact) <= 1e-8 * scale
 
 
-@pytest.mark.parametrize("mode, dtype", [("iterative", np.float64), ("direct", np.complex128)])
+@pytest.mark.parametrize("mode, dtype", [("iterative", np.float64), ("iterative", np.complex128),
+                                         ("direct", np.complex128)])
 def test_complex_decompositions_check_repeated_pairs_whole(mode, dtype):
     # a complex decomposition consumes a conjugate pair whole, as a real one
-    # does, so no estimate is taken on a half pair such as (xi, conj(xi), xi, inf)
+    # does, so no estimate is taken on a half pair such as (xi, conj(xi), xi, inf);
+    # real data on the iterative path takes the real path's pair steps
     op = fd_laplacian_1d(40, 1.0, "neumann")
     poles = PoleSet((4 + 2j, 4 - 2j) * 3)
     c0 = np.random.default_rng(47).standard_normal(op.n)
@@ -779,7 +791,9 @@ def test_complex_decompositions_check_repeated_pairs_whole(mode, dtype):
 
     real = run(SolverConfig(mode="direct"), c0)
     rep = run(SolverConfig(mode=mode, tolerance=1e-10), c0.astype(dtype))
-    assert np.isrealobj(real.vector) and np.iscomplexobj(rep.vector)
+    assert np.isrealobj(real.vector)
+    assert np.iscomplexobj(rep.vector) == (dtype is np.complex128)
+    assert rep.solves == (3 if dtype is np.float64 else 6)
     sizes = [m for m, _ in rep.estimate_history]
     assert sizes == [m for m, _ in real.estimate_history]
     assert sizes[:3] == [3, 6, 9]

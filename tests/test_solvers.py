@@ -458,3 +458,50 @@ def test_shifted_solver_iterative_divergence_carries_result():
         solver.solve_shifted(1.0, 1.0, np.ones(32 * 32))
     assert err.value.result.x.shape == (32 * 32,)
     assert err.value.result.residual > 0
+
+
+# ---------------------------------------------------------------------------
+# Pair solves (split into Re x and Im x).
+# ---------------------------------------------------------------------------
+
+def test_split_iterative_solve_meets_the_pair_target():
+    # an iterative pair solve stops at tolerance * rho^2,
+    # rho = min(|Re xi|, |Im xi|) / |xi|, and counts as converged within 10x it
+    from ratexpint.amg import COARSE_SIZE
+    op = fd_laplacian_2d(40, 1.0, "neumann")
+    assert op.n > COARSE_SIZE
+    pole = builtin_pole_set("cf16_shifted").poles[0]
+    rho = min(abs(pole.real), abs(pole.imag)) / abs(pole)
+    assert 0 < rho < 1
+    cfg = SolverConfig(mode="iterative", tolerance=1e-7, preconditioner="aggregation-amg")
+    solver = ShiftedSolver(op, cfg)
+    rhs = np.random.default_rng(21).standard_normal(op.n)
+    solver.solve_shifted(pole, 0.5, rhs)
+    solver.solve_shifted(pole, 0.5, rhs, split=True)
+    whole, split = solver.solve_log
+    assert split.converged and split.residual <= 10 * cfg.tolerance * rho ** 2
+    assert split.iterations > whole.iterations
+    assert solvers.split_tolerance(pole, cfg.tolerance) == pytest.approx(cfg.tolerance * rho ** 2)
+
+
+def test_split_leaves_a_direct_solve_unchanged():
+    op = fd_laplacian_2d(40, 1.0, "neumann")
+    pole = builtin_pole_set("cf16_shifted").poles[0]
+    solver = ShiftedSolver(op, SolverConfig(mode="direct"))
+    rhs = np.random.default_rng(22).standard_normal(op.n)
+    whole = solver.solve_shifted(pole, 0.5, rhs)
+    split = solver.solve_shifted(pole, 0.5, rhs, split=True)
+    assert np.array_equal(whole, split)
+    assert solver.solve_log[0].residual == solver.solve_log[1].residual
+
+
+def test_split_target_of_a_near_real_pair_stops_at_rounding():
+    # 4 +- 1e-6j has rho = 2.5e-7, so tolerance * rho^2 = 6e-21 lies below
+    # what the iterated residual can reach: the target is floored
+    op = fd_laplacian_2d(30, 1.0, "neumann")
+    pole = 4.0 + 1e-6j
+    cfg = SolverConfig(mode="iterative", tolerance=1e-7)
+    assert solvers.split_tolerance(pole, cfg.tolerance) == solvers.SPLIT_TOLERANCE_FLOOR
+    solver = ShiftedSolver(op, cfg)
+    solver.solve_shifted(pole, 0.5, np.random.default_rng(23).standard_normal(op.n), split=True)
+    assert solver.solve_log[0].residual <= 10 * solvers.SPLIT_TOLERANCE_FLOOR
