@@ -1,10 +1,19 @@
 """Aggregation-based algebraic multigrid preconditioner.
 
 A deliberately small stand-in for production AMG packages: double pairwise
-aggregation with piecewise-constant transfer operators, damped-Jacobi
-smoothing, and a V-cycle. It handles the complex-shifted M-matrices
-(xi I + alpha A) arising from the rational Krylov solves; thanks to the
-positive-real shift these systems are well inside its comfort zone.
+aggregation, smoothed-aggregation prolongators, damped-Jacobi smoothing and
+a V-cycle, for the shifted systems (xi I + alpha A) of the rational Krylov
+solves; with Re xi > 0 these systems are well inside its comfort zone.
+
+Everything but the shift is built once per operator (:class:`AmgHierarchy`):
+the aggregates, the real prolongators P_k, their transposes R_k, and the
+real Galerkin pair M_{k+1} = R_k M_k P_k, A_{k+1} = R_k A_k P_k with
+M_0 = I. A pole then only forms xi M_k + alpha A_k on each level, by
+linearity the Galerkin product R (xi M + alpha A) P of the level above
+(Notay, ETNA 37 (2010), on shift-independent multigrid hierarchies), its
+Jacobi diagonals and the coarsest LU (:class:`AmgPreconditioner`). With
+R_k = P_k^T, a complex symmetric level-0 matrix gives a complex symmetric
+V-cycle, which the COCG solves of :mod:`ratexpint.solvers` rely on.
 """
 
 from __future__ import annotations
@@ -118,39 +127,69 @@ def build_aggregates(matrix) -> list:
     return maps
 
 
-class AmgPreconditioner:
-    """V-cycle preconditioner for one sparse matrix (real or complex, with a
-    nonzero diagonal) over the aggregation maps of :func:`build_aggregates`.
+class AmgHierarchy:
+    """The shift-independent part of the V-cycle of one real operator A,
+    over the aggregation maps of :func:`build_aggregates`.
 
-    Each level smooths its tentative prolongator with one damped-Jacobi
-    sweep, which costs some coarse-operator fill and buys near-size-independent
-    convergence on Laplacian-like systems; one pre- and one post-smoothing
-    Jacobi sweep with damping ``OMEGA`` surround the coarse correction, and
-    the coarsest level is solved by sparse LU.
+    Level k keeps the real smoothed prolongator
+    P_k = (I - 2/3 D_k^{-1} A_k) T_k, T_k the tentative prolongator of its
+    aggregates and D_k the diagonal of A_k (a row with a zero diagonal stays
+    unsmoothed), and R_k = P_k^T as CSR, in real and complex copies: a real
+    CSR applied to a complex vector casts its data on every call. Each level
+    also keeps its real pair (M_k, A_k); the last pair belongs to the
+    coarsest level.
     """
 
     def __init__(self, matrix, aggregates: list):
-        a = sp.csr_matrix(matrix)
-        self.dtype = a.dtype
-        self.levels = []  # (matrix, smoothed prolongator, inverse diagonal)
+        a = sp.csr_matrix(matrix, dtype=np.float64)
+        m = sp.identity(a.shape[0], dtype=np.float64, format="csr")
+        self.pairs = [(m, a)]
+        self.transfers = []  # (P, R) real
         for agg in aggregates:
             diag = a.diagonal()
+            dinv = np.divide(1.0, diag, out=np.zeros_like(diag), where=diag != 0)
+            t = _tentative(agg, np.float64)
+            p = (t - (2.0 / 3.0) * (sp.diags(dinv) @ (a @ t))).tocsr()
+            r = p.T.tocsr()
+            m, a = (r @ m @ p).tocsr(), (r @ a @ p).tocsr()
+            self.transfers.append((p, r))
+            self.pairs.append((m, a))
+        self.complex_transfers = [(p.astype(np.complex128), r.astype(np.complex128))
+                                  for p, r in self.transfers]
+
+
+class AmgPreconditioner:
+    """V-cycle preconditioner for (xi I + alpha A) over an :class:`AmgHierarchy`
+    of A; :attr:`matrix` is that shifted matrix, level 0 of the cycle.
+
+    Level k smooths with the matrix xi M_k + alpha A_k: one pre- and one
+    post-smoothing Jacobi sweep with damping ``OMEGA`` surround the coarse
+    correction R_k / P_k, and the coarsest level is solved by sparse LU.
+    The arithmetic is complex iff the pole is.
+    """
+
+    def __init__(self, hierarchy: AmgHierarchy, pole: complex, scale: float):
+        pole = complex(pole)
+        shift = pole if pole.imag != 0 else pole.real
+        matrices = [(scale * a + shift * m).tocsr() for m, a in hierarchy.pairs]
+        self.matrix = matrices[0]
+        self.dtype = self.matrix.dtype
+        transfers = hierarchy.complex_transfers if self.dtype.kind == "c" \
+            else hierarchy.transfers
+        self.levels = []  # (matrix, inverse diagonal, P, R)
+        for s, (p, r) in zip(matrices, transfers):
+            diag = s.diagonal()
             if np.any(diag == 0):
                 raise ValueError("AMG smoother requires a nonzero diagonal")
-            p = _tentative(agg, a.dtype)
-            dinv_a = sp.diags(1.0 / diag) @ a
-            p = (p - (2.0 / 3.0) * (dinv_a @ p)).tocsr()
-            self.levels.append((a, p, 1.0 / diag))
-            a = (p.T @ a @ p).tocsr()
-        self._coarse_lu = spla.splu(a.tocsc())
+            self.levels.append((s, 1.0 / diag, p, r))
+        self._coarse_lu = spla.splu(matrices[-1].tocsc())
 
     def _cycle(self, level: int, b: np.ndarray) -> np.ndarray:
         if level == len(self.levels):
             return self._coarse_lu.solve(b)
-        a, p, dinv = self.levels[level]
+        a, dinv, p, r = self.levels[level]
         x = OMEGA * dinv * b
-        r = b - a @ x
-        xc = self._cycle(level + 1, p.T @ r)
+        xc = self._cycle(level + 1, r @ (b - a @ x))
         x = x + p @ xc
         x += OMEGA * dinv * (b - a @ x)
         return x

@@ -21,11 +21,15 @@ is not symmetric), without relaxed
 supernodes: on a sparse graph Laplacian SuperLU's default relaxation pads
 the factors with explicit zeros to about 2.8 times their fill, while on a
 5-point grid it saves only a few percent. One lock, held across
-each lookup and build, makes a cache safe to share between threads; the AMG
-aggregates of the operator sit beside its table.
+each lookup and build, makes a cache safe to share between threads; the
+operator's AMG hierarchy (:class:`~ratexpint.amg.AmgHierarchy`, everything
+but the shift) sits beside its table.
 
-Iterative solves use aggregation AMG (or no preconditioner) with CG iff the
-pole is real and the operator symmetric, BiCGStab otherwise.
+Iterative solves use aggregation AMG (or no preconditioner). On a symmetric
+operator they run preconditioned COCG (van der Vorst & Melissen, IEEE
+Trans. Magn. 26 (1990)) for any pole: (xi I + alpha A) and its V-cycle are
+then complex symmetric, and one iteration costs one operator apply and one
+V-cycle, half of a BiCGStab iteration. Other operators run BiCGStab.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .amg import AmgPreconditioner, build_aggregates
+from .amg import AmgHierarchy, AmgPreconditioner, build_aggregates
 from .linalg import SparseOperator
 
 PRECONDITIONERS = ("none", "aggregation-amg")
@@ -69,9 +73,10 @@ class SolverConfig:
     # (see split_tolerance); a solve whose residual exceeds 10x its
     # target raises
     tolerance: float = 1e-7
+    # cap on the iterations of one solve: COCG iterations on a symmetric
+    # operator (one V-cycle each), BiCGStab iterations (two) otherwise
     max_iterations: int = 400
-    # "none" | "aggregation-amg"; iterative solves use CG iff the pole is
-    # real and the operator symmetric, BiCGStab otherwise
+    # "none" | "aggregation-amg"
     preconditioner: str = "aggregation-amg"
 
     def __post_init__(self):
@@ -144,10 +149,12 @@ class SolverCache:
     preconditioners (keyed by ``(xi, alpha, kind)``) of one scale alpha: a
     lookup at another scale first drops every entry, because the
     integrators change scale only with the step size. The operator's AMG
-    aggregates depend on A alone; they sit beside the table, are built on
-    first use and survive the drops. One lock is held across each lookup
-    and build, so concurrent requests for the same key perform the numeric
-    work exactly once (and requests for other keys wait meanwhile).
+    hierarchy (aggregates, prolongators and the real Galerkin pairs) depends
+    on A alone; it sits beside the table, is built on first use and
+    survives the drops, so a preconditioner build only shifts its levels.
+    One lock is held across each lookup and build, so concurrent requests
+    for the same key perform the numeric work exactly once (and requests
+    for other keys wait meanwhile).
     :meth:`ShiftedSolver.solve_shifted` asks only for poles with Im xi >= 0;
     the conjugate pole reuses that entry, so ``numeric_factorizations`` counts
     one per conjugate pair, and ``lu_nnz`` sums :attr:`Factorization.nnz`
@@ -160,7 +167,7 @@ class SolverCache:
         self._lock = threading.Lock()
         self._entries: dict = {}
         self._scale: Optional[float] = None
-        self._aggregates: Optional[list] = None
+        self._hierarchy: Optional[AmgHierarchy] = None
         self.numeric_factorizations = 0
         self.lu_nnz = 0
         self.hits = 0
@@ -198,19 +205,21 @@ class SolverCache:
         """``(matrix, M)``: the assembled (xi I + alpha A) and its AMG V-cycle
         as a ``LinearOperator`` (``None`` for ``kind`` "none").
 
-        AMG aggregates are built once per operator and shared by all its
-        shifted systems (see :func:`build_aggregates`).
+        The AMG hierarchy is built once per operator and shared by all its
+        shifted systems (see :class:`~ratexpint.amg.AmgHierarchy`).
         """
         pole, scale = complex(pole), float(scale)
 
         def build():
-            matrix = shifted_matrix(self.op, pole, scale)
             if kind == "none":
-                return matrix, None
-            if self._aggregates is None:
-                self._aggregates = build_aggregates(self.op.tocsr())
-            apply = AmgPreconditioner(matrix, self._aggregates).matvec
-            return matrix, spla.LinearOperator(matrix.shape, matvec=apply, dtype=matrix.dtype)
+                return shifted_matrix(self.op, pole, scale), None
+            if self._hierarchy is None:
+                a = self.op.tocsr()
+                self._hierarchy = AmgHierarchy(a, build_aggregates(a))
+            amg = AmgPreconditioner(self._hierarchy, pole, scale)
+            matrix = amg.matrix
+            return matrix, spla.LinearOperator(matrix.shape, matvec=amg.matvec,
+                                               dtype=matrix.dtype)
 
         return self._lookup((pole, scale, kind), build)
 
@@ -241,17 +250,50 @@ def split_tolerance(pole: complex, tolerance: float) -> float:
     return max(tolerance * rho ** 2, SPLIT_TOLERANCE_FLOOR)
 
 
+def cocg(matrix, rhs: np.ndarray, tolerance: float, max_iterations: int,
+         precond=None) -> tuple:
+    """Preconditioned conjugate orthogonal CG for a complex symmetric
+    ``matrix`` and preconditioner (van der Vorst & Melissen, IEEE Trans.
+    Magn. 26 (1990)): CG with the unconjugated form r^T z, so on real
+    data it is CG. Returns ``(x, iterations, converged)``; it stops when
+    the updated residual is at most ``tolerance * |rhs|``, and a breakdown
+    (p^T A p = 0 or r^T z = 0) returns ``converged=False``.
+    """
+    apply = (lambda v: v) if precond is None else precond.matvec
+    threshold = tolerance * np.linalg.norm(rhs)
+    x = np.zeros_like(rhs, dtype=np.result_type(matrix.dtype, rhs.dtype))
+    r = rhs.astype(x.dtype)
+    z = apply(r)
+    rho = r @ z
+    p = z
+    for iteration in range(1, max_iterations + 1):
+        q = matrix @ p
+        pq = p @ q
+        if rho == 0 or pq == 0:
+            return x, iteration - 1, False
+        step = rho / pq
+        x += step * p
+        r = r - step * q
+        if np.linalg.norm(r) <= threshold:
+            return x, iteration, True
+        z = apply(r)
+        rho, rho_old = r @ z, rho
+        p = z + (rho / rho_old) * p
+    return x, max_iterations, False
+
+
 def solve_iterative(cache: SolverCache, pole: complex, scale: float, rhs: np.ndarray,
                     cfg: SolverConfig, tolerance: Optional[float] = None) -> SolveInfo:
     """Preconditioned Krylov solve of (xi I + alpha A) x = rhs, where A is
     ``cache.op``, to the relative residual ``tolerance`` (by default
-    ``cfg.tolerance``); it counts as converged iff its residual is at most
-    ten times that target.
+    ``cfg.tolerance``); it counts as converged iff its true residual is at
+    most ten times that target.
 
-    CG iff the pole is real and A is symmetric (the system and its AMG
-    V-cycle are then symmetric positive definite), BiCGStab otherwise.
-    Requires Re(xi) > 0; indefinite shifts belong on the direct path.
-    Non-convergence returns the best iterate with ``converged=False``.
+    :func:`cocg` iff A is symmetric, for any pole: the system and its AMG
+    V-cycle are then complex symmetric (real symmetric for a real pole).
+    BiCGStab otherwise. Requires Re(xi) > 0; indefinite shifts belong on
+    the direct path. Non-convergence returns the last iterate with
+    ``converged=False``.
     """
     pole = complex(pole)
     check_iterative_pole(pole)
@@ -259,18 +301,21 @@ def solve_iterative(cache: SolverCache, pole: complex, scale: float, rhs: np.nda
     if bnorm == 0.0:
         return SolveInfo(np.zeros_like(rhs), 0, 0.0, True)
     matrix, precond = cache.preconditioner(pole, scale, cfg.preconditioner)
-    iterations = 0
-
-    def count(_):
-        nonlocal iterations
-        iterations += 1
-
-    method = spla.cg if pole.imag == 0 and cache.op.symmetric else spla.bicgstab
     tolerance = cfg.tolerance if tolerance is None else tolerance
-    x, info = method(matrix, rhs, rtol=tolerance, atol=0.0,
-                     maxiter=cfg.max_iterations, M=precond, callback=count)
+    if cache.op.symmetric:
+        x, iterations, done = cocg(matrix, rhs, tolerance, cfg.max_iterations, precond)
+    else:
+        iterations = 0
+
+        def count(_):
+            nonlocal iterations
+            iterations += 1
+
+        x, info = spla.bicgstab(matrix, rhs, rtol=tolerance, atol=0.0,
+                                maxiter=cfg.max_iterations, M=precond, callback=count)
+        done = info == 0
     residual = float(np.linalg.norm(rhs - matrix @ x)) / bnorm
-    converged = info == 0 and residual <= tolerance * 10
+    converged = done and residual <= tolerance * 10
     return SolveInfo(x=x, iterations=iterations, residual=residual, converged=converged)
 
 

@@ -16,7 +16,7 @@ from ratexpint.problems import (allen_cahn_2d, builtin_graph, fd_laplacian_1d,
                                 fd_laplacian_2d, graph_laplacian,
                                 largest_connected_component)
 from ratexpint.solvers import (IterativeDivergence, ShiftedSolver, SolverCache,
-                               SolverConfig, SolverError, shifted_matrix,
+                               SolverConfig, SolverError, cocg, shifted_matrix,
                                solve_iterative)
 
 
@@ -119,8 +119,8 @@ def test_preconditioner_single_flight_under_concurrency(monkeypatch):
 
 
 def test_cache_holds_one_scale(monkeypatch):
-    # a new scale drops every entry of the old one; the AMG aggregates
-    # depend on A alone and stay
+    # a new scale drops every entry of the old one; the AMG hierarchy
+    # (aggregates, prolongators, real Galerkin pairs) depends on A alone and stays
     built = []
 
     def counted(matrix):
@@ -132,11 +132,13 @@ def test_cache_holds_one_scale(monkeypatch):
     first = cache.factorization(2.0 + 1.0j, 0.5)
     cache.factorization(3.0, 0.5)
     cache.preconditioner(4.0, 0.5, "aggregation-amg")
+    hierarchy = cache._hierarchy
     assert cache.drops == 0 and len(cache._entries) == 3
     cache.factorization(2.0 + 1.0j, 0.25)
     assert cache.drops == 1 and list(cache._entries) == [(2.0 + 1.0j, 0.25)]
     cache.preconditioner(4.0, 0.25, "aggregation-amg")
     assert built == [(24 * 24, 24 * 24)]
+    assert cache._hierarchy is hierarchy is not None
     assert cache.factorization(2.0 + 1.0j, 0.5) is not first
     assert cache.drops == 2 and cache.numeric_factorizations == 4 and cache.hits == 0
 
@@ -286,16 +288,16 @@ def test_iterative_amg_complex_shift():
 
 
 def _record_krylov_methods(monkeypatch) -> list:
-    """Names of the scipy Krylov methods that ``solve_iterative`` calls."""
+    """Names of the Krylov methods that ``solve_iterative`` calls."""
     ran = []
-    for name in ("cg", "bicgstab"):
-        method = getattr(spla, name)
+    for owner, name in ((solvers, "cocg"), (spla, "bicgstab")):
+        method = getattr(owner, name)
 
         def recorded(*args, _name=name, _method=method, **kwargs):
             ran.append(_name)
             return _method(*args, **kwargs)
 
-        monkeypatch.setattr(spla, name, recorded)
+        monkeypatch.setattr(owner, name, recorded)
     return ran
 
 
@@ -316,18 +318,47 @@ def test_iterative_real_pole_on_nonsymmetric_operator_uses_bicgstab(monkeypatch)
     assert ran == ["bicgstab"]
 
 
-def test_iterative_real_pole_on_symmetric_operator_runs_cg(monkeypatch):
+def test_iterative_symmetric_operator_runs_cocg_for_any_pole(monkeypatch):
     # the operator measures its own symmetry: an operator built from a bare
-    # matrix, with no tag, selects CG for a real pole
+    # matrix, with no tag, selects COCG for a real and for a complex pole
     ran = _record_krylov_methods(monkeypatch)
     op = SparseOperator(fd_laplacian_2d(32, 1.0, "dirichlet").tocsr())
     cfg = SolverConfig(mode="iterative", tolerance=1e-8, preconditioner="aggregation-amg")
     b = np.random.default_rng(16).standard_normal(32 * 32)
-    info = solve_iterative(SolverCache(op), 2.0, 0.25, b, cfg)
-    assert info.converged
-    assert ran == ["cg"]
-    solve_iterative(SolverCache(op), 2.0 + 1.0j, 0.25, b, cfg)
-    assert ran == ["cg", "bicgstab"]
+    for pole in (2.0, 2.0 + 1.0j):
+        info = solve_iterative(SolverCache(op), pole, 0.25, b, cfg)
+        assert info.converged and info.residual <= 1e-8
+    assert ran == ["cocg", "cocg"]
+
+
+def test_cocg_on_real_spd_data_is_cg():
+    # scipy's cg is an independent oracle on real data, where the
+    # unconjugated form of COCG is the inner product of CG
+    op = fd_laplacian_2d(24, 1.0, "dirichlet")
+    matrix = shifted_matrix(op, 3.0, 0.5)
+    b = np.random.default_rng(18).standard_normal(op.n)
+    cg_iterations = []
+    expected, info = spla.cg(matrix, b, rtol=1e-10, atol=0.0, maxiter=500,
+                             callback=lambda _: cg_iterations.append(1))
+    x, iterations, converged = cocg(matrix, b, 1e-10, 500)
+    assert info == 0 and converged
+    assert x.dtype == np.float64
+    assert iterations == len(cg_iterations) > 10
+    assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_cocg_breakdown_is_not_converged():
+    # S = diag(1, -1) and b = (1, 1) give p^T S p = 0 at the first step
+    op = SparseOperator.from_dense(np.diag([0.0, -2.0]))
+    assert op.symmetric
+    b = np.ones(2)
+    x, iterations, converged = cocg(shifted_matrix(op, 1.0, 1.0), b, 1e-8, 50)
+    assert not converged and iterations == 0
+    assert np.all(np.isfinite(x))
+    solver = ShiftedSolver(op, SolverConfig(mode="iterative", preconditioner="none"))
+    with pytest.raises(IterativeDivergence) as err:
+        solver.solve_shifted(1.0, 1.0, b)
+    assert not err.value.result.converged
 
 
 def test_iterative_zero_rhs_is_free():
