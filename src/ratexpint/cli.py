@@ -3,7 +3,8 @@
 Subcommands: ``run`` (one simulation, trajectory CSV + run report),
 ``bench`` (size x engine sweeps as CSV), ``verify`` (built-in oracle
 suite), ``poles validate`` and ``graph info``. Exit codes: 0 success,
-1 verification failure, 2 configuration error, 3 numerical failure.
+1 verification failure, 2 configuration error, 3 numerical failure;
+:func:`main` alone maps failures to codes 2 and 3.
 """
 
 from __future__ import annotations
@@ -19,15 +20,13 @@ from typing import Optional
 import numpy as np
 
 from . import verify as verify_mod
-from .integrators import (ENGINES, Engine, EngineConfig, NumericalBlowup, Trajectory,
-                          check_time_grid, integrate)
-from .krylov import (DEFAULT_CHECK_CADENCE, DEFAULT_M_MIN, DEFAULT_STEPS_PAST_POLES,
-                     DEFAULT_TOL, KrylovError)
+from .integrators import ENGINES, Engine, EngineConfig, Trajectory, check_time_grid, integrate
+from .krylov import DEFAULT_CHECK_CADENCE, DEFAULT_M_MIN, DEFAULT_STEPS_PAST_POLES, DEFAULT_TOL
 from .poles import PoleSet, builtin_pole_set, load_poles, repeated_real, validate
 from .problems import (Graph, Problem, allen_cahn_2d, allen_cahn_graph, builtin_graph,
                        gierer_meinhardt_2d, largest_connected_component,
                        load_edge_list, load_matrix_market_adjacency)
-from .solvers import PRECONDITIONERS, SolverConfig, SolverError
+from .solvers import PRECONDITIONERS, SolverConfig
 from .tableaus import Tableau, available, tableau
 
 PROBLEMS = ("ac2d", "gm2d", "ac-graph")
@@ -280,25 +279,17 @@ def write_run_report(path: Path, args: argparse.Namespace, traj: Trajectory, che
 # Subcommands.
 # ---------------------------------------------------------------------------
 
-#: What ``run`` reports as exit 2 and exit 3, and ``bench`` as a cell's error.
-#: ``ConfigError`` and ``PoleFileError`` subclass ``ValueError``; an unknown
-#: integrator, pole set or graph name raises ``ValueError`` itself.
+#: What :func:`main` reports as exit 2; an ``ArithmeticError``, the root of
+#: every numerical failure, is exit 3, and ``bench`` records either as a
+#: cell's error. ``ConfigError`` and ``PoleFileError`` subclass ``ValueError``;
+#: an unknown integrator, pole set or graph name raises ``ValueError`` itself.
 CONFIG_ERRORS = (OSError, ValueError)
-NUMERIC_ERRORS = (NumericalBlowup, KrylovError, SolverError)
 
 
 def cmd_run(args) -> int:
-    try:
-        problem, tab, engine = _setup(args)
-        args.out.mkdir(parents=True, exist_ok=True)
-    except CONFIG_ERRORS as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        traj = integrate(problem, tab, args.h, args.T, engine, snapshot_stride=args.snapshots)
-    except NUMERIC_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    problem, tab, engine = _setup(args)  # before mkdir: a bad setting writes nothing
+    args.out.mkdir(parents=True, exist_ok=True)
+    traj = integrate(problem, tab, args.h, args.T, engine, snapshot_stride=args.snapshots)
     checksum = state_checksum(traj.final_state)
     traj_path = args.out / f"{problem.name}-{tab.name}-trajectory.csv"
     report_path = args.out / f"{problem.name}-{tab.name}-report.txt"
@@ -317,13 +308,8 @@ BENCH_HEADER = ["problem", "nx", "n", "engine", "integrator", "h",
 
 def cmd_bench(args) -> int:
     out_path = args.out / "bench.csv"
-    try:
-        tableau(args.integrator)  # a bad name fails the sweep, not each cell
-        args.out.mkdir(parents=True, exist_ok=True)
-    except CONFIG_ERRORS as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
+    tableau(args.integrator)  # a bad name fails the sweep, not each cell
+    args.out.mkdir(parents=True, exist_ok=True)
     rows = []
     for nx in args.sizes:
         for engine_name in args.engines:
@@ -343,7 +329,7 @@ def cmd_bench(args) -> int:
                     f"{traj.average_krylov_iterations():.4f}", traj.total_expmv_calls(),
                     f"{wall:.4f}", traj.total_solver_iterations(),
                     f"{traj.max_residual():.3e}", state_checksum(traj.final_state), ""])
-            except CONFIG_ERRORS + NUMERIC_ERRORS as exc:  # recorded; the sweep goes on
+            except (ArithmeticError, *CONFIG_ERRORS) as exc:  # recorded; the sweep goes on
                 rows.append([cell.problem, nx, n, engine_name, cell.integrator, cell.h,
                              "", "", "", "", "", "", str(exc)])
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -364,11 +350,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_poles_validate(args) -> int:
-    try:
-        ps = load_pole_spec(args.poles)
-    except CONFIG_ERRORS as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    ps = load_pole_spec(args.poles)
     print(f"poles: {len(ps)} (conjugate_closed={ps.conjugate_closed})")
     for i, xi in enumerate(ps):
         print(f"  {i:3d}: {xi.real:+.6e} {xi.imag:+.6e}i")
@@ -381,12 +363,8 @@ def cmd_poles_validate(args) -> int:
 
 
 def cmd_graph_info(args) -> int:
-    try:
-        g = load_graph_spec(args.graph_file, args.graph_one_based)
-        lcc = largest_connected_component(g)
-    except CONFIG_ERRORS as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    g = load_graph_spec(args.graph_file, args.graph_one_based)
+    lcc = largest_connected_component(g)
     degrees = np.asarray(g.adjacency.sum(axis=1)).ravel()
     print(f"nodes = {g.n}")
     print(f"edges = {g.num_edges}")
@@ -446,16 +424,18 @@ def main(argv=None) -> int:
 
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    if getattr(args, "config", None) is not None:
-        try:
-            file_flags = config_flags(args.config)
-        except CONFIG_ERRORS as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        # File flags go right after the subcommand, so command-line flags win.
-        i = argv.index(args.command) + 1
-        args = parser.parse_args(argv[:i] + file_flags + argv[i:])
-    return args.func(args)
+    try:
+        if getattr(args, "config", None) is not None:
+            # File flags go right after the subcommand, so command-line flags win.
+            i = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:i] + config_flags(args.config) + argv[i:])
+        return args.func(args)
+    except CONFIG_ERRORS as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ArithmeticError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

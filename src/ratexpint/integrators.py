@@ -222,7 +222,11 @@ class Trajectory:
         return max((s.max_imag_discarded for s in self.steps), default=0.0)
 
 
-class NumericalBlowup(RuntimeError):
+class NumericalBlowup(ArithmeticError):
+    """A non-finite reaction value or state; ``t`` and ``state`` hold the
+    time and the state it was found at. Like every numerical failure of
+    this package it is an ``ArithmeticError``."""
+
     def __init__(self, message, t, state):
         super().__init__(message)
         self.t = t

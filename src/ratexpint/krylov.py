@@ -37,8 +37,10 @@ DEFAULT_STEPS_PAST_POLES = 128
 SUBSTEP_UNDERFLOW = 1e-12
 
 
-class KrylovError(RuntimeError):
-    pass
+class KrylovError(ArithmeticError):
+    """The Krylov engine failed: a singular projection, an estimate stuck at
+    the subspace cap or a sub-step underflow. Like every numerical failure
+    of this package it is an ``ArithmeticError``."""
 
 
 class SingularProjection(KrylovError):
@@ -512,7 +514,8 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
     an iterative solver makes to the pair's tighter target
     (:func:`~ratexpint.solvers.split_tolerance`). Otherwise the
     decomposition is complex as soon as a pole is, and each pole makes its
-    own solve.
+    own solve. A zero payload gives the zero vector with estimate 0, no
+    Arnoldi step and no solve.
 
     Raises
     ------
@@ -522,6 +525,8 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
     """
     check_settings(tol, m_min, check_cadence, m_hard)
     aug, c_tilde = assemble_augmented(op, alpha, c_vectors)
+    if not np.any(c_tilde):  # the action on zero is zero: no step, no solve
+        return ExpmvReport(vector=np.zeros_like(c_tilde), n=op.n, estimate=0.0, converged=True)
 
     poles = pole_set if pole_set is not None else PoleSet(())
     m_hard = len(poles) + DEFAULT_STEPS_PAST_POLES if m_hard is None else m_hard
@@ -571,6 +576,8 @@ def expmv_polynomial(op: SparseOperator, alpha: float, c_vectors: Sequence[np.nd
     check_settings(tol, m_min, check_cadence, m_hard)
     m_hard = DEFAULT_STEPS_PAST_POLES if m_hard is None else m_hard
     aug, c_tilde = assemble_augmented(op, alpha, c_vectors)
+    if not np.any(c_tilde):  # the action on zero is zero: no step, no solve
+        return ExpmvReport(vector=np.zeros_like(c_tilde), n=op.n, estimate=0.0, converged=True)
 
     history: list[tuple[int, float]] = []
     w = c_tilde

@@ -106,7 +106,10 @@ def dense_expm(z: np.ndarray) -> np.ndarray:
     Raises
     ------
     ValueError
-        If the input contains non-finite entries or the result overflows.
+        If the input is not a square matrix.
+    FloatingPointError
+        If the input contains non-finite entries or the result overflows;
+        like every numerical failure of this package, an ``ArithmeticError``.
     """
     z = np.asarray(z)
     if z.ndim != 2 or z.shape[0] != z.shape[1]:
@@ -114,11 +117,11 @@ def dense_expm(z: np.ndarray) -> np.ndarray:
     if z.shape[0] == 0:
         return np.zeros((0, 0), dtype=z.dtype)
     if not np.all(np.isfinite(z)):
-        raise ValueError("matrix exponential of non-finite input")
+        raise FloatingPointError("matrix exponential of non-finite input")
     dtype = np.complex128 if np.iscomplexobj(z) else np.float64
     r = sla.expm(z.astype(dtype))
     if not np.all(np.isfinite(r)):
-        raise ValueError("overflow in the matrix exponential")
+        raise FloatingPointError("overflow in the matrix exponential")
     return r
 
 

@@ -52,8 +52,11 @@ PRECONDITIONERS = ("none", "aggregation-amg")
 SPLIT_TOLERANCE_FLOOR = 1e-14
 
 
-class SolverError(RuntimeError):
-    pass
+class SolverError(ArithmeticError):
+    """A shifted system was not solved: a failed or inaccurate
+    factorization, an unconverged iterative solve, or a pole the path
+    cannot take. Like every numerical failure of this package it is an
+    ``ArithmeticError``."""
 
 
 class IterativeDivergence(SolverError):
@@ -363,7 +366,7 @@ class ShiftedSolver:
                 # counts see only Krylov steps
                 ax = self.op.tocsr() @ x
                 res = float(np.linalg.norm(rhs - (pole * x + scale * ax))) / bnorm
-            if res > 10 * self.config.tolerance:
+            if not res <= 10 * self.config.tolerance:  # NaN fails too
                 raise SolverError(
                     f"direct solve for pole {pole} is inaccurate: relative residual "
                     f"{res:.3e} exceeds {10 * self.config.tolerance:.1e}")

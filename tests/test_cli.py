@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from ratexpint import linalg
-from ratexpint.cli import BENCH_HEADER, main, read_config_file
-from ratexpint.solvers import ShiftedSolver
+from ratexpint.cli import BENCH_HEADER, CONFIG_ERRORS, main, read_config_file
+from ratexpint.integrators import NumericalBlowup
+from ratexpint.krylov import KrylovError, SingularProjection, ToleranceNotReached
+from ratexpint.solvers import IterativeDivergence, ShiftedSolver, SolverError
 
 
 def run_cli(*argv):
@@ -357,6 +359,34 @@ def test_empty_config_value_counts_as_unset(tmp_path, capsys):
     assert "steps = 1" in report  # the default h = 0.5
 
 
+@pytest.mark.parametrize("cls", [SolverError, IterativeDivergence, KrylovError,
+                                 SingularProjection, ToleranceNotReached, NumericalBlowup])
+def test_numerical_failures_share_one_root(cls):
+    assert issubclass(cls, ArithmeticError) and not issubclass(cls, CONFIG_ERRORS)
+
+
+@pytest.mark.parametrize("flags", [
+    ("--nx", "64", "--eps2", "1e5", "--solver", "iterative"),
+    ("--nx", "16", "--eps2", "1e40", "--engine", "polynomial")],
+    ids=["iterative-nx64-eps2-1e5", "polynomial-nx16-eps2-1e40"])
+def test_overflow_in_the_projected_exponential_exits_three(tmp_path, capsys, flags):
+    # dense_expm raises FloatingPointError, an ArithmeticError like every
+    # numerical failure of the package, so main maps it to exit 3
+    code = run_cli("run", "--problem", "ac2d", *flags, "--T", "0.5", "--out", str(tmp_path))
+    assert code == 3
+    assert "numerical failure: overflow in the matrix exponential" in capsys.readouterr().err
+
+
+def test_output_write_failure_exits_two(tmp_path, capsys, monkeypatch):
+    def disk_full(*args):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr("ratexpint.cli.write_trajectory_csv", disk_full)
+    code = run_cli("run", "--nx", "8", "--h", "0.25", "--T", "0.25", "--out", str(tmp_path))
+    assert code == 2
+    assert "configuration error: no space left on device" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------
@@ -400,6 +430,19 @@ def test_bench_iterative_cf12_fails_only_the_rational_cell(tmp_path):
     assert [row["engine"] for row in rows] == ["rational", "polynomial"]
     assert "Re(pole) > 0" in rows[0]["error"]
     assert rows[1]["error"] == ""
+
+
+def test_bench_records_any_arithmetic_error(tmp_path, monkeypatch):
+    def overflow(*args, **kwargs):
+        raise FloatingPointError("overflow in the matrix exponential")
+
+    monkeypatch.setattr("ratexpint.cli.integrate", overflow)
+    code = run_cli("bench", "--sizes", "8", "--engines", "rational",
+                   "--h", "0.25", "--T", "0.25", "--out", str(tmp_path))
+    assert code == 0
+    with open(tmp_path / "bench.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["error"] for row in rows] == ["overflow in the matrix exponential"]
 
 
 def test_bench_propagates_programming_errors(tmp_path, monkeypatch):

@@ -498,6 +498,18 @@ def test_blowup_aborts_with_diagnostic():
     assert err.value.state.shape == (4,)
 
 
+@pytest.mark.parametrize("config", [
+    EngineConfig(), EngineConfig(solver=SolverConfig(mode="iterative")),
+    EngineConfig(engine="polynomial")], ids=["direct", "iterative", "polynomial"])
+def test_zero_state_is_a_steady_state(config):
+    # g(0) = 0 for Allen-Cahn, so every payload is zero: the engines return
+    # zero with no Arnoldi step and no solve
+    prob = allen_cahn_2d(16)
+    traj = integrate(prob, tableau("sw2"), 0.5, 1.0, Engine(prob, config), u0=np.zeros(256))
+    assert not np.any(traj.final_state)
+    assert traj.total_arnoldi_steps() == 0 and traj.total_shifted_solves() == 0
+
+
 def test_snapshot_stride():
     rng = np.random.default_rng(8)
     n = 8

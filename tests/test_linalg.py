@@ -121,8 +121,13 @@ def test_expm_complex_input():
 def test_expm_rejects_nan():
     z = np.zeros((3, 3))
     z[0, 0] = np.nan
-    with pytest.raises(ValueError):
+    with pytest.raises(FloatingPointError):
         dense_expm(z)
+
+
+def test_expm_overflow_is_an_arithmetic_error():
+    with pytest.raises(FloatingPointError, match="overflow"):
+        dense_expm(np.array([[1000.0]]))
 
 
 def test_expm_large_norm_uses_squaring():

@@ -481,6 +481,17 @@ def test_inaccurate_direct_solve_raises():
     assert solver.solve_log == []
 
 
+def test_direct_solve_returning_nan_raises(monkeypatch):
+    # a NaN residual fails the bound as well, so no NaN enters a Krylov basis
+    monkeypatch.setattr(solvers.Factorization, "solve",
+                        lambda self, rhs: np.full(rhs.shape, np.nan))
+    op = fd_laplacian_2d(8, 1.0, "dirichlet")
+    solver = ShiftedSolver(op, SolverConfig(mode="direct"))
+    with pytest.raises(SolverError, match="inaccurate"):
+        solver.solve_shifted(2.0, 1.0, np.ones(64))
+    assert solver.solve_log == []
+
+
 def test_shifted_solver_iterative_divergence_carries_result():
     op = fd_laplacian_2d(32, 1.0, "dirichlet")
     solver = ShiftedSolver(op, SolverConfig(mode="iterative", tolerance=1e-12,
