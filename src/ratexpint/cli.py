@@ -263,7 +263,6 @@ def write_run_report(path: Path, args: argparse.Namespace, traj: Trajectory, che
         fh.write(f"shifted_solves = {traj.total_shifted_solves()}\n")
         fh.write(f"solver_iterations = {traj.total_solver_iterations()}\n")
         fh.write(f"max_solver_residual = {traj.max_residual():.6e}\n")
-        fh.write(f"max_imag_discarded = {traj.max_imag_discarded():.6e}\n")
         fh.write(f"numeric_factorizations = {cache.numeric_factorizations}\n")
         fh.write(f"lu_nnz = {cache.lu_nnz}\n")
         fh.write(f"cache_hits = {cache.hits}\n")

@@ -33,8 +33,9 @@ class EngineConfig:
     """Which expmv engine to use and how to drive it; both engines read the
     same settings with the same defaults. A rational engine given no poles
     uses ``cf16_shifted`` with the iterative solver (every real part
-    positive) and ``cf12`` with the direct one. The polynomial engine takes
-    no poles and no solver settings."""
+    positive) and ``cf12`` with the direct one. Its pole set must be
+    conjugate-closed, so that real problems run in real arithmetic. The
+    polynomial engine takes no poles and no solver settings."""
 
     engine: str = "rational"
     tol: float = DEFAULT_TOL
@@ -54,6 +55,9 @@ class EngineConfig:
         if self.engine == "rational" and self.poles is None:
             self.poles = builtin_pole_set(
                 "cf16_shifted" if self.solver.mode == "iterative" else "cf12")
+        if self.engine == "rational" and not self.poles.conjugate_closed:
+            raise ValueError(f"pole set {self.poles.name or list(self.poles)} is not "
+                             "conjugate-closed with adjacent pairs")
         if self.engine == "rational" and self.solver.mode == "iterative":
             for pole in self.poles:
                 check_iterative_pole(pole, ValueError)
@@ -130,26 +134,23 @@ def step(problem: Problem, tab: Tableau, u: np.ndarray, t: float, h: float,
          engine: Engine) -> tuple[np.ndarray, list]:
     """One full exponential Runge-Kutta step from t to t + h.
 
-    For real problem data the stage values are kept real. With a
-    conjugate-closed pole set the engine computes them in real arithmetic on
-    either solver path, so nothing is discarded. A set with a lone complex
-    pole gives complex results, whose imaginary part is discarded. That
-    part is an approximation error of the size of the engine and solver
-    tolerances, not rounding; :func:`integrate` records its size per step.
+    The engine's pole set is conjugate-closed (see :class:`EngineConfig`),
+    so on real data it computes every stage and the update in real
+    arithmetic on either solver path, and ``step`` returns them as they
+    are. A reaction value that is complex or not finite raises.
 
     Runs at the caller's BLAS thread count; only :func:`integrate` caps it
     at one thread.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
-    real_data = not np.iscomplexobj(u)
     reports: list[ExpmvReport] = []
     g_values: list[np.ndarray] = []
 
     def value(stage: int) -> np.ndarray:
         rep = engine.expmv(*stage_to_expmv(tab, stage, h, u, g_values))
         reports.append(rep)
-        return rep.phi_combination.real if real_data else rep.phi_combination
+        return rep.phi_combination
 
     for j in range(1, tab.stages + 1):
         node = tab.c[j - 1]
@@ -158,6 +159,8 @@ def step(problem: Problem, tab: Tableau, u: np.ndarray, t: float, h: float,
         else:
             u_stage = value(j)
         g_val = problem.g(t + node * h, u_stage)
+        if np.iscomplexobj(g_val):
+            raise ValueError(f"complex reaction value at stage {j}, t={t + node * h:.6g}")
         if not np.all(np.isfinite(g_val)):
             raise NumericalBlowup(
                 f"non-finite reaction value at stage {j}, t={t + node * h:.6g}",
@@ -172,15 +175,12 @@ class StepSummary:
     h: float
     expmv_calls: int
     arnoldi_steps: int
-    #: shifted solves made; real data makes one per conjugate pair of a
-    #: conjugate-closed set, on either solver path
+    #: shifted solves made: one per conjugate pair, on either solver path
     shifted_solves: int
     solver_iterations: int
     max_estimate: float
     max_residual: float
     substeps: int
-    #: largest 2-norm of an imaginary part dropped from a stage or update value
-    max_imag_discarded: float
 
 
 @dataclass
@@ -217,9 +217,6 @@ class Trajectory:
 
     def max_residual(self) -> float:
         return max((s.max_residual for s in self.steps), default=0.0)
-
-    def max_imag_discarded(self) -> float:
-        return max((s.max_imag_discarded for s in self.steps), default=0.0)
 
 
 class NumericalBlowup(ArithmeticError):
@@ -289,9 +286,7 @@ def integrate(problem: Problem, tab: Tableau, h: float, T: float,
                 solver_iterations=sum(r.solver_iterations for r in reports),
                 max_estimate=max((r.estimate for r in reports), default=0.0),
                 max_residual=max((r.solver_residual_max for r in reports), default=0.0),
-                substeps=sum(r.substeps for r in reports),
-                max_imag_discarded=max((float(np.linalg.norm(r.phi_combination.imag))
-                                        for r in reports), default=0.0)))
+                substeps=sum(r.substeps for r in reports)))
             if snapshot_stride and idx % snapshot_stride == 0 and t < T - slack:
                 traj.snapshots.append(u.copy())
                 traj.snapshot_times.append(t)

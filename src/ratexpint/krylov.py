@@ -508,33 +508,34 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
     polynomial step may carry the subspace up to two steps past the cap
     ``m_hard``, by default len(poles) + 128.
 
-    The decomposition is real iff the payload is real and the pole set is
-    conjugate-closed, on either solver path: each conjugate pair is then
-    one pair step with one solve (see :func:`rational_arnoldi_step`), which
-    an iterative solver makes to the pair's tighter target
-    (:func:`~ratexpint.solvers.split_tolerance`). Otherwise the
-    decomposition is complex as soon as a pole is, and each pole makes its
-    own solve. A zero payload gives the zero vector with estimate 0, no
-    Arnoldi step and no solve.
+    The decomposition takes the payload's arithmetic, on either solver
+    path. A real payload needs a conjugate-closed pole set: each conjugate
+    pair is then one pair step with one solve (see
+    :func:`rational_arnoldi_step`), which an iterative solver makes to the
+    pair's tighter target (:func:`~ratexpint.solvers.split_tolerance`). A
+    complex payload takes any pole set, a lone complex pole included, and
+    each pole makes its own solve. A zero payload gives the zero vector
+    with estimate 0, no Arnoldi step and no solve.
 
     Raises
     ------
+    ValueError
+        If the payload is real and the pole set is not conjugate-closed.
     ToleranceNotReached
         If the hard subspace cap is hit first; the partial result rides on
         the exception's ``report``.
     """
     check_settings(tol, m_min, check_cadence, m_hard)
+    poles = pole_set if pole_set is not None else PoleSet(())
     aug, c_tilde = assemble_augmented(op, alpha, c_vectors)
+    if not (np.iscomplexobj(c_tilde) or poles.conjugate_closed):
+        raise ValueError("a real payload takes only a conjugate-closed pole set; "
+                         "give a lone complex pole a complex payload")
     if not np.any(c_tilde):  # the action on zero is zero: no step, no solve
         return ExpmvReport(vector=np.zeros_like(c_tilde), n=op.n, estimate=0.0, converged=True)
 
-    poles = pole_set if pole_set is not None else PoleSet(())
     m_hard = len(poles) + DEFAULT_STEPS_PAST_POLES if m_hard is None else m_hard
-
-    # an open set holds a lone complex pole; a closed one is taken pair by pair
-    complex_data = np.iscomplexobj(c_tilde) or not poles.conjugate_closed
-    dtype = np.complex128 if complex_data else np.float64
-    d = RationalDecomposition(aug, c_tilde, dtype=dtype,
+    d = RationalDecomposition(aug, c_tilde,
                               capacity=min(max(2 * m_min, len(poles) + 8, 40), m_hard))
 
     log_start = len(solver.solve_log) if solver is not None else 0

@@ -25,11 +25,12 @@ each lookup and build, makes a cache safe to share between threads; the
 operator's AMG hierarchy (:class:`~ratexpint.amg.AmgHierarchy`, everything
 but the shift) sits beside its table.
 
-Iterative solves use aggregation AMG (or no preconditioner). On a symmetric
-operator they run preconditioned COCG (van der Vorst & Melissen, IEEE
-Trans. Magn. 26 (1990)) for any pole: (xi I + alpha A) and its V-cycle are
-then complex symmetric, and one iteration costs one operator apply and one
-V-cycle, half of a BiCGStab iteration. Other operators run BiCGStab.
+Iterative solves take symmetric operators only, as every problem builder
+makes; a nonsymmetric one belongs on the direct path. They run
+preconditioned COCG (van der Vorst & Melissen, IEEE Trans. Magn. 26
+(1990)) under aggregation AMG (or no preconditioner) for any pole:
+(xi I + alpha A) and its V-cycle are complex symmetric, and one iteration
+costs one operator apply and one V-cycle.
 """
 
 from __future__ import annotations
@@ -47,8 +48,10 @@ from .linalg import SparseOperator
 
 PRECONDITIONERS = ("none", "aggregation-amg")
 
-#: Lowest relative residual target of a split solve: below it the iterated
-#: residual is rounding (BiCGStab stalls near 1e-15 on a near-real pair).
+#: Lowest relative residual target of a split solve. A near-real pair such
+#: as 4 +- 1e-6j asks for tolerance * rho^2 ~ 6e-21, below what an iterated
+#: residual can reach; at this floor its solve still converges, with a true
+#: residual within 10x of it.
 SPLIT_TOLERANCE_FLOOR = 1e-14
 
 
@@ -76,8 +79,7 @@ class SolverConfig:
     # (see split_tolerance); a solve whose residual exceeds 10x its
     # target raises
     tolerance: float = 1e-7
-    # cap on the iterations of one solve: COCG iterations on a symmetric
-    # operator (one V-cycle each), BiCGStab iterations (two) otherwise
+    # cap on the COCG iterations of one solve (one V-cycle each)
     max_iterations: int = 400
     # "none" | "aggregation-amg"
     preconditioner: str = "aggregation-amg"
@@ -292,11 +294,11 @@ def solve_iterative(cache: SolverCache, pole: complex, scale: float, rhs: np.nda
     ``cfg.tolerance``); it counts as converged iff its true residual is at
     most ten times that target.
 
-    :func:`cocg` iff A is symmetric, for any pole: the system and its AMG
-    V-cycle are then complex symmetric (real symmetric for a real pole).
-    BiCGStab otherwise. Requires Re(xi) > 0; indefinite shifts belong on
-    the direct path. Non-convergence returns the last iterate with
-    ``converged=False``.
+    It runs :func:`cocg`, for any pole: A is symmetric (see
+    :class:`ShiftedSolver`), so the system and its AMG V-cycle are complex
+    symmetric (real symmetric for a real pole). Requires Re(xi) > 0;
+    indefinite shifts belong on the direct path. Non-convergence returns
+    the last iterate with ``converged=False``.
     """
     pole = complex(pole)
     check_iterative_pole(pole)
@@ -305,18 +307,7 @@ def solve_iterative(cache: SolverCache, pole: complex, scale: float, rhs: np.nda
         return SolveInfo(np.zeros_like(rhs), 0, 0.0, True)
     matrix, precond = cache.preconditioner(pole, scale, cfg.preconditioner)
     tolerance = cfg.tolerance if tolerance is None else tolerance
-    if cache.op.symmetric:
-        x, iterations, done = cocg(matrix, rhs, tolerance, cfg.max_iterations, precond)
-    else:
-        iterations = 0
-
-        def count(_):
-            nonlocal iterations
-            iterations += 1
-
-        x, info = spla.bicgstab(matrix, rhs, rtol=tolerance, atol=0.0,
-                                maxiter=cfg.max_iterations, M=precond, callback=count)
-        done = info == 0
+    x, iterations, done = cocg(matrix, rhs, tolerance, cfg.max_iterations, precond)
     residual = float(np.linalg.norm(rhs - matrix @ x)) / bnorm
     converged = done and residual <= tolerance * 10
     return SolveInfo(x=x, iterations=iterations, residual=residual, converged=converged)
@@ -325,7 +316,8 @@ def solve_iterative(cache: SolverCache, pole: complex, scale: float, rhs: np.nda
 class ShiftedSolver:
     """Front end used by the Krylov engine: solves against one operator
     under varying poles and scales, tracking per-solve residuals. A shared
-    ``cache`` must belong to the same operator.
+    ``cache`` must belong to the same operator. The iterative mode takes
+    only a symmetric operator; the direct mode takes any.
     """
 
     def __init__(self, op: SparseOperator, config: Optional[SolverConfig] = None,
@@ -334,6 +326,9 @@ class ShiftedSolver:
             raise ValueError("the solver cache belongs to another operator")
         self.op = op
         self.config = config or SolverConfig()
+        if self.config.mode == "iterative" and not op.symmetric:
+            raise ValueError("the iterative solver takes only symmetric operators; "
+                             "use the direct solver")
         self.cache = cache if cache is not None else SolverCache(op)
         self.solve_log: list[SolveInfo] = []
 

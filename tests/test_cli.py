@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from ratexpint import linalg
+from ratexpint import cli, linalg
 from ratexpint.cli import BENCH_HEADER, CONFIG_ERRORS, main, read_config_file
 from ratexpint.integrators import NumericalBlowup
 from ratexpint.krylov import KrylovError, SingularProjection, ToleranceNotReached
@@ -33,6 +33,14 @@ def test_run_writes_outputs_and_exits_zero(tmp_path, capsys, monkeypatch):
         return solve_shifted(self, pole, scale, rhs, split)
 
     monkeypatch.setattr(ShiftedSolver, "solve_shifted", recording)
+    trajectories = []
+    integrate = cli.integrate
+
+    def recording_integrate(*args, **kwargs):
+        trajectories.append(integrate(*args, **kwargs))
+        return trajectories[-1]
+
+    monkeypatch.setattr(cli, "integrate", recording_integrate)
     code = run_cli("run", "--problem", "ac2d", "--nx", "16", "--integrator", "sw2",
                    "--engine", "rational", "--h", "0.25", "--T", "0.5",
                    "--out", str(tmp_path))
@@ -53,7 +61,7 @@ def test_run_writes_outputs_and_exits_zero(tmp_path, capsys, monkeypatch):
     assert int(fields["cache_hits"]) > 0
     # cf12 is conjugate-closed: the direct path solves only the upper pole
     # of each pair, once per pair, and runs in real arithmetic
-    assert float(fields["max_imag_discarded"]) == 0.0
+    assert [traj.final_state.dtype for traj in trajectories] == [np.float64]
     assert consumed and all(pole.imag > 0 for pole, _ in consumed)
     assert int(fields["numeric_factorizations"]) == len(consumed)
     assert int(fields["shifted_solves"]) == calls

@@ -1,12 +1,14 @@
 """Exponential Runge-Kutta stepping: tableaus, stage assembly, time loop."""
 
 import ctypes
+import dataclasses
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
+import scipy.sparse as sp
 
 from ratexpint import linalg
 from ratexpint.integrators import (Engine, EngineConfig, NumericalBlowup,
@@ -14,7 +16,8 @@ from ratexpint.integrators import (Engine, EngineConfig, NumericalBlowup,
 from ratexpint.krylov import assemble_augmented, dense_expm
 from ratexpint.linalg import SparseOperator, phi_dense_all
 from ratexpint.poles import PoleSet, builtin_pole_set
-from ratexpint.problems import Problem, allen_cahn_2d, gierer_meinhardt_2d
+from ratexpint.problems import (Problem, allen_cahn_2d, fd_laplacian_2d, gierer_meinhardt_2d,
+                                reaction_allen_cahn)
 from ratexpint.solvers import SolverCache, SolverConfig
 from ratexpint.tableaus import Tableau, available, tableau
 
@@ -333,27 +336,52 @@ def test_default_pole_set_follows_solver_mode():
 # Time loop.
 # ---------------------------------------------------------------------------
 
-def test_lone_complex_pole_reports_discarded_imaginary_part():
-    # without its conjugate partner the pole leaves an imaginary part in the
-    # value of every stage; integrate drops it and reports its size
-    rng = np.random.default_rng(7)
-    n = 30
-    op = random_spd(rng, n, lam_max=20.0)
-    u0 = rng.standard_normal(n)
-    prob = Problem(name="cubic", A=op, g=lambda t, u: u - u ** 3,
-                   u0=u0, params={})
-    lone = PoleSet(poles=(complex(4.0, 3.0),))
-    traj = integrate(prob, tableau("sw2"), 0.25, 0.5,
-                     Engine(prob, rational_config(poles=lone, tol=1e-8, m_hard=n)))
-    assert not np.iscomplexobj(traj.final_state)
-    assert all(s.max_imag_discarded > 0.0 for s in traj.steps)
-    assert traj.max_imag_discarded() > 1e-12 * np.linalg.norm(traj.final_state)
+def test_open_pole_set_is_a_configuration_error():
+    # a lone complex pole, or a pair split by another pole, would make the
+    # stage values of a real problem complex
+    for poles in ((4 + 3j,), (4 + 3j, 2.0, 4 - 3j)):
+        for mode in ("direct", "iterative"):
+            with pytest.raises(ValueError, match="not conjugate-closed"):
+                EngineConfig(engine="rational", poles=PoleSet(poles),
+                             solver=SolverConfig(mode=mode))
 
 
-def test_conjugate_closed_poles_discard_only_rounding():
+def test_real_problems_run_in_float64_on_every_engine_path():
     prob = allen_cahn_2d(16)
-    traj = integrate(prob, tableau("sw2"), 0.5, 1.0, Engine(prob, rational_config()))
-    assert traj.max_imag_discarded() <= 1e-12 * np.linalg.norm(traj.final_state)
+    for cfg in (rational_config(), EngineConfig(solver=SolverConfig(mode="iterative")),
+                EngineConfig(engine="polynomial")):
+        traj = integrate(prob, tableau("sw2"), 0.5, 1.0, Engine(prob, cfg))
+        assert traj.final_state.dtype == np.float64
+
+
+def test_complex_reaction_value_names_stage_and_time():
+    # real arithmetic leaves the reaction as the one source of complex data;
+    # from t = 0.25 on this one returns a complex value
+    prob = allen_cahn_2d(8)
+    prob = dataclasses.replace(prob, g=lambda t, u, g=prob.g: g(t, u) * (1j if t >= 0.25 else 1))
+    with pytest.raises(ValueError, match="complex reaction value at stage 1, t=0.25"):
+        integrate(prob, tableau("sw2"), 0.25, 0.5, Engine(prob, rational_config()))
+
+
+def test_nonsymmetric_operator_on_the_direct_path_matches_the_polynomial_engine():
+    # diffusion plus a strong upwind term: the direct path takes operators
+    # that are not symmetric, in real arithmetic
+    nx, tol = 16, 1e-8
+    upwind = sp.diags([np.full(nx, 1.0), np.full(nx - 1, -1.0)], [0, -1]) * nx
+    op = SparseOperator((fd_laplacian_2d(nx, 1.0, "dirichlet").tocsr()
+                         + 40.0 * sp.kron(sp.identity(nx), upwind)).tocsr())
+    assert not op.symmetric
+    u0 = np.random.default_rng(3).uniform(-1.0, 1.0, op.n)
+    prob = Problem(name="advected", A=op, g=lambda t, u: reaction_allen_cahn(u),
+                   u0=u0, params={})
+
+    def run(cfg):
+        return integrate(prob, tableau("sw2"), 0.005, 0.02, Engine(prob, cfg)).final_state
+
+    direct = run(rational_config(tol=tol))
+    polynomial = run(EngineConfig(engine="polynomial", tol=tol))
+    assert direct.dtype == np.float64
+    assert np.linalg.norm(direct - polynomial) <= 10 * tol * np.linalg.norm(polynomial)
 
 
 def test_single_step_integrate_equals_step():
@@ -473,7 +501,7 @@ def test_iterative_pair_steps_discard_nothing_and_match_the_direct_path():
     for preconditioner in ("aggregation-amg", "none"):
         traj = run(SolverConfig(mode="iterative", tolerance=1e-7,
                                 preconditioner=preconditioner))
-        assert traj.max_imag_discarded() == 0.0
+        assert traj.final_state.dtype == np.float64
         assert np.abs(traj.final_state - direct).max() <= tol
 
 

@@ -601,6 +601,24 @@ def test_expmv_conjugate_pairs_keep_real_results_real():
     assert np.max(np.abs(rep.vector.imag)) <= 1e-9 * np.linalg.norm(rep.vector)
 
 
+def test_lone_complex_pole_takes_only_a_complex_payload():
+    # on a real payload a lone complex pole has no real pair step; on a
+    # complex one it runs in complex arithmetic and matches the oracle
+    rng = np.random.default_rng(19)
+    n = 40
+    op = random_spd(rng, n, lam_max=30.0)
+    lone = PoleSet((4 + 3j,))
+    c0 = rng.standard_normal(n)
+    for real_payload in (c0, np.zeros(n)):
+        with pytest.raises(ValueError, match="conjugate-closed"):
+            expmv_rational(op, 0.5, [real_payload], lone, direct_solver(op))
+    payload = c0 + 1j * rng.standard_normal(n)
+    rep = expmv_rational(op, 0.5, [payload], lone, direct_solver(op), tol=1e-9)
+    oracle = dense_expm(-0.5 * op.todense()) @ payload
+    assert rep.poles_consumed[0] == 4 + 3j
+    assert np.linalg.norm(rep.vector - oracle) <= 1e-8 * np.linalg.norm(oracle)
+
+
 # ---------------------------------------------------------------------------
 # Polynomial expmv.
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ import scipy.sparse.linalg as spla
 
 from ratexpint import solvers
 from ratexpint.amg import build_aggregates
+from ratexpint.integrators import Engine, EngineConfig
 from ratexpint.linalg import SparseOperator
 from ratexpint.poles import builtin_pole_set
-from ratexpint.problems import (allen_cahn_2d, builtin_graph, fd_laplacian_1d,
+from ratexpint.problems import (Problem, allen_cahn_2d, builtin_graph, fd_laplacian_1d,
                                 fd_laplacian_2d, graph_laplacian,
                                 largest_connected_component)
 from ratexpint.solvers import (IterativeDivergence, ShiftedSolver, SolverCache,
@@ -290,32 +291,36 @@ def test_iterative_amg_complex_shift():
 def _record_krylov_methods(monkeypatch) -> list:
     """Names of the Krylov methods that ``solve_iterative`` calls."""
     ran = []
-    for owner, name in ((solvers, "cocg"), (spla, "bicgstab")):
-        method = getattr(owner, name)
+    cocg_method = solvers.cocg
 
-        def recorded(*args, _name=name, _method=method, **kwargs):
-            ran.append(_name)
-            return _method(*args, **kwargs)
+    def recorded(*args, **kwargs):
+        ran.append("cocg")
+        return cocg_method(*args, **kwargs)
 
-        monkeypatch.setattr(owner, name, recorded)
+    monkeypatch.setattr(solvers, "cocg", recorded)
     return ran
 
 
-def test_iterative_real_pole_on_nonsymmetric_operator_uses_bicgstab(monkeypatch):
-    # diffusion plus a strong upwind term: real but nonsymmetric, so CG would
-    # stall; a real pole alone must not select it
-    ran = _record_krylov_methods(monkeypatch)
+def test_iterative_mode_rejects_a_nonsymmetric_operator():
+    # diffusion plus a strong upwind term: real but nonsymmetric, so COCG
+    # does not apply; the iterative path refuses it up front and the direct
+    # path takes it
     nx = 48
     advection = sp.kron(sp.identity(nx), _upwind(nx))
     op = SparseOperator((fd_laplacian_2d(nx, 1.0, "dirichlet").tocsr()
                          + 40.0 * advection).tocsr())
     assert not op.symmetric
     cfg = SolverConfig(mode="iterative", tolerance=1e-8, preconditioner="aggregation-amg")
+    with pytest.raises(ValueError, match="use the direct solver"):
+        ShiftedSolver(op, cfg)
+    prob = Problem(name="advected", A=op, g=lambda t, u: np.zeros_like(u),
+                   u0=np.ones(op.n), params={})
+    with pytest.raises(ValueError, match="use the direct solver"):
+        Engine(prob, EngineConfig(solver=cfg))
     b = np.random.default_rng(15).standard_normal(nx * nx)
-    info = solve_iterative(SolverCache(op), 2.0, 0.25, b, cfg)
-    assert info.converged
-    assert info.residual <= 1e-8
-    assert ran == ["bicgstab"]
+    direct = ShiftedSolver(op, SolverConfig(mode="direct"))
+    direct.solve_shifted(2.0, 0.25, b)
+    assert direct.solve_log[0].residual <= 1e-12
 
 
 def test_iterative_symmetric_operator_runs_cocg_for_any_pole(monkeypatch):
