@@ -36,7 +36,7 @@ costs one operator apply and one V-cycle.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -99,6 +99,15 @@ class SolverConfig:
 
 @dataclass
 class SolveInfo:
+    """One shifted solve: its solution ``x``, the iterations it took (0 on
+    the direct path), its relative residual and whether it converged.
+
+    What :func:`solve_iterative` returns, and the ``result`` of an
+    :class:`IterativeDivergence`, hold the full solution. An entry of
+    :attr:`ShiftedSolver.solve_log` holds an empty ``x`` of the solution's
+    dtype instead, so the log costs no solution vector per solve.
+    """
+
     x: np.ndarray
     iterations: int
     residual: float
@@ -318,6 +327,11 @@ class ShiftedSolver:
     under varying poles and scales, tracking per-solve residuals. A shared
     ``cache`` must belong to the same operator. The iterative mode takes
     only a symmetric operator; the direct mode takes any.
+
+    ``solve_log`` gets one :class:`SolveInfo` per successful solve, with
+    its iterations, residual and convergence flag; its ``x`` is empty and
+    keeps only the solution's dtype. So a long run holds no solution
+    vectors, and its memory stays flat over the steps it has taken.
     """
 
     def __init__(self, op: SparseOperator, config: Optional[SolverConfig] = None,
@@ -334,7 +348,8 @@ class ShiftedSolver:
 
     def solve_shifted(self, pole: complex, scale: float, rhs: np.ndarray,
                       split: bool = False) -> np.ndarray:
-        """Solve (xi I + alpha A) x = rhs and log the residual.
+        """Solve (xi I + alpha A) x = rhs, log the solve's diagnostics
+        (not x, see :class:`ShiftedSolver`) and return x.
 
         A pole with Im xi < 0 is served by the factorization or
         preconditioner of conj(xi): x = conj(solve_conj(xi)(conj(rhs))), exact
@@ -375,5 +390,5 @@ class ShiftedSolver:
                 raise IterativeDivergence(
                     f"iterative solve for pole {pole} stalled at residual {info.residual:.3e} "
                     f"after {info.iterations} iterations", info)
-        self.solve_log.append(info)
+        self.solve_log.append(replace(info, x=np.empty(0, info.x.dtype)))
         return info.x

@@ -2,7 +2,9 @@
 
 import ctypes
 import dataclasses
+import gc
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -548,6 +550,34 @@ def test_snapshot_stride():
     # initial, t=0.3, 0.6, 0.9, final
     assert len(traj.snapshots) == 5
     assert traj.snapshot_times == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0])
+
+
+def test_memory_held_by_an_engine_stays_flat_over_long_runs():
+    # the engine outlives its runs and reuses its LUs: after a 60-step run
+    # it may hold a few bytes of diagnostics per solve, but no solution
+    # vector (n * 16 bytes for the complex solve of a conjugate pair)
+    prob = allen_cahn_2d(32, eps2=0.1, bc="neumann")
+    eng = Engine(prob, rational_config())
+    h = 0.05
+
+    def held_after(steps):
+        traj = integrate(prob, tableau("sw2"), h, steps * h, eng)
+        solves = traj.total_shifted_solves()
+        del traj
+        gc.collect()
+        return solves, tracemalloc.get_traced_memory()[0]
+
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        _, held_10 = held_after(10)
+        solves_60, held_60 = held_after(60)
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert solves_60 >= 60
+    assert held_60 - held_10 < 0.1 * solves_60 * prob.A.n * 16
 
 
 # ---------------------------------------------------------------------------

@@ -497,6 +497,35 @@ def test_direct_solve_returning_nan_raises(monkeypatch):
     assert solver.solve_log == []
 
 
+@pytest.mark.parametrize("mode", ["direct", "iterative"])
+def test_solve_log_keeps_diagnostics_but_no_solution(mode):
+    # solve_shifted returns the full solution; its log entry keeps the
+    # iterations, residual, convergence flag and dtype, with an empty x
+    op = fd_laplacian_2d(30, 1.0, "neumann")
+    cfg = SolverConfig(mode=mode)
+    solver = ShiftedSolver(op, cfg)
+    rhs = np.random.default_rng(24).standard_normal(op.n)
+    pole = builtin_pole_set("cf16_shifted").poles[0]
+    for xi in (pole, pole.conjugate(), 2.0):
+        x = solver.solve_shifted(xi, 0.5, rhs)
+        entry = solver.solve_log[-1]
+        flip = xi.imag < 0
+        served, b = (xi.conjugate(), np.conj(rhs)) if flip else (xi, rhs)
+        if mode == "direct":
+            solution = solver.cache.factorization(served, 0.5).solve(b)
+            residual = np.linalg.norm(rhs - (xi * x + 0.5 * (op.tocsr() @ x)))
+            expected = (0, float(residual) / np.linalg.norm(rhs), True)
+        else:
+            ref = solve_iterative(solver.cache, served, 0.5, b, cfg)
+            solution, expected = ref.x, (ref.iterations, ref.residual, ref.converged)
+            assert ref.iterations > 0
+        assert np.array_equal(x, np.conj(solution) if flip else solution)
+        assert x.shape == (op.n,) and x.dtype == (np.float64 if xi.imag == 0 else np.complex128)
+        assert entry.x.nbytes == 0 and entry.x.dtype == x.dtype
+        assert (entry.iterations, entry.residual, entry.converged) == expected
+    assert len(solver.solve_log) == 3
+
+
 def test_shifted_solver_iterative_divergence_carries_result():
     op = fd_laplacian_2d(32, 1.0, "dirichlet")
     solver = ShiftedSolver(op, SolverConfig(mode="iterative", tolerance=1e-12,
