@@ -3,10 +3,10 @@
 Each stage and the final update are a linear combination of phi-function
 actions; :func:`stage_to_expmv` maps each onto the step's operator scale
 alpha = h, the stage's time theta = c_j and a payload [c_0, ..., c_p] whose
-engine value is sum_k theta^k phi_k(-theta alpha A) c_k, so one step of an
-s-stage method costs at most s engine calls (stages with zero nodes are
-free), and every shifted system of a step is (xi I + h A): the stages of a
-step share their factorizations.
+engine value is sum_k theta^k phi_k(-theta alpha A) c_k. A stage at node 0
+has no coefficients, so its value is the step's start state: a step makes
+one engine call per nonzero node plus one for the update. Every shifted
+system of a step is (xi I + h A): the stages of a step share their LUs.
 """
 
 from __future__ import annotations
@@ -108,8 +108,6 @@ def stage_to_expmv(tab: Tableau, stage: int, h: float, u: np.ndarray,
     else:
         node = tab.c[stage - 1]
         row = tab.stage_coeffs.get(stage, {})
-        if row and node == 0.0:
-            raise ValueError(f"stage {stage} has zero node but nonzero coefficients")
     max_l = 0
     for terms in row.values():
         if terms:
@@ -154,10 +152,7 @@ def step(problem: Problem, tab: Tableau, u: np.ndarray, t: float, h: float,
 
     for j in range(1, tab.stages + 1):
         node = tab.c[j - 1]
-        if j == 1 or (node == 0.0 and not tab.stage_coeffs.get(j)):
-            u_stage = u
-        else:
-            u_stage = value(j)
+        u_stage = value(j) if node != 0.0 else u
         g_val = problem.g(t + node * h, u_stage)
         if np.iscomplexobj(g_val):
             raise ValueError(f"complex reaction value at stage {j}, t={t + node * h:.6g}")
@@ -185,9 +180,8 @@ class StepSummary:
 
 @dataclass
 class Trajectory:
-    """Time points, snapshots at a configurable stride, per-step summaries."""
+    """Snapshots at a configurable stride and per-step summaries (end times ``steps[i].t``)."""
 
-    times: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)
     snapshot_times: list = field(default_factory=list)
     steps: list = field(default_factory=list)
@@ -259,11 +253,9 @@ def integrate(problem: Problem, tab: Tableau, h: float, T: float,
         raise ValueError("initial state must be real")
     u = np.array(u, dtype=np.float64, copy=True)
     traj = Trajectory()
-    traj.times.append(0.0)
     traj.snapshots.append(u.copy())
     traj.snapshot_times.append(0.0)
     t = 0.0
-    idx = 0
     t_start = time.perf_counter()
     slack = 1e-12 * T
     with single_blas_thread() as traj.blas_threads:
@@ -276,9 +268,7 @@ def integrate(problem: Problem, tab: Tableau, h: float, T: float,
                 raise NumericalBlowup(
                     f"non-finite state after step at t={t + h_step:.6g}", t + h_step, u_next)
             t = T if T - (t + h_step) <= slack else t + h_step
-            idx += 1
             u = u_next
-            traj.times.append(t)
             traj.steps.append(StepSummary(
                 t=t, h=h_step, expmv_calls=len(reports),
                 arnoldi_steps=sum(r.arnoldi_steps for r in reports),
@@ -287,7 +277,7 @@ def integrate(problem: Problem, tab: Tableau, h: float, T: float,
                 max_estimate=max((r.estimate for r in reports), default=0.0),
                 max_residual=max((r.solver_residual_max for r in reports), default=0.0),
                 substeps=sum(r.substeps for r in reports)))
-            if snapshot_stride and idx % snapshot_stride == 0 and t < T - slack:
+            if snapshot_stride and len(traj.steps) % snapshot_stride == 0 and t < T - slack:
                 traj.snapshots.append(u.copy())
                 traj.snapshot_times.append(t)
     traj.snapshots.append(u.copy())

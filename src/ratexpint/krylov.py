@@ -96,29 +96,27 @@ class AugmentedOperator:
             out[n:n + p - 1] = x[n + 1:]
         return out
 
-    def solve(self, pole: complex, rhs: np.ndarray, solver: ShiftedSolver,
-              split: bool = False) -> np.ndarray:
-        """Solve (xi I - A~) x = xi * rhs.
+    def solve(self, pole: complex, rhs: np.ndarray, solver: ShiftedSolver) -> np.ndarray:
+        """Solve (xi I - A~) x = xi * rhs, for any payload length p.
 
         The tail system (xi I_p - J_p) x_tail = xi * rhs_tail is upper
         bidiagonal (diagonal xi, superdiagonal -1) and is back-substituted
-        first; C x_tail then joins the right-hand side of one shifted solve
-        (xi I + alpha A) for the top block. For p = 0 this is one shifted
-        solve with right-hand side xi * rhs. ``split`` is passed on to
-        :meth:`~ratexpint.solvers.ShiftedSolver.solve_shifted`.
+        first (empty for p = 0); C x_tail then joins the right-hand side of
+        one shifted solve (xi I + alpha A) for the top block. A complex pole
+        on a real ``rhs`` is a pair step, split into Re x and Im x, so that
+        solve is made with ``split=True``. Pole 0 raises :class:`SolverError`.
         """
         n, p = self.n, self.p
         if rhs.shape[0] != n + p:
             raise ValueError(f"expected right-hand side of length {n + p}, got {rhs.shape[0]}")
-        if p == 0:
-            return solver.solve_shifted(pole, self.alpha, pole * rhs, split=split)
         if pole == 0:
             raise SolverError("pole 0 is singular on the augmented system")
         tail = rhs[n:]
         x_tail = np.zeros(p, dtype=np.result_type(tail.dtype, np.asarray(pole).dtype, np.float64))
-        x_tail[p - 1] = tail[p - 1]
-        for i in range(p - 2, -1, -1):
-            x_tail[i] = tail[i] + x_tail[i + 1] / pole
+        carry = 0.0
+        for i in range(p - 1, -1, -1):
+            x_tail[i] = carry = tail[i] + carry / pole
+        split = complex(pole).imag != 0 and not np.iscomplexobj(rhs)
         x_top = solver.solve_shifted(pole, self.alpha, pole * rhs[:n] + self.C @ x_tail,
                                      split=split)
         return np.concatenate([x_top, x_tail])
@@ -270,9 +268,9 @@ def rational_arnoldi_step(d: RationalDecomposition, pole: complex,
     adds Re x, then Im x, and with h^ = H[:, j] + i H[:, j+1] the two
     columns of K are e_j + Re(h^/xi) and Im(h^/xi). The same space in
     complex arithmetic takes two solves (Ruhe, SISC 19 (1998); Berljafa &
-    Guttel, SIMAX 36 (2015)). The solve is made with ``split=True``, so an
-    iterative one meets the tighter target of
-    :func:`~ratexpint.solvers.split_tolerance`. If both halves break down,
+    Guttel, SIMAX 36 (2015)). Its right-hand side is real, so it is a split
+    solve (:meth:`AugmentedOperator.solve`): an iterative one meets the
+    tighter target of :func:`~ratexpint.solvers.split_tolerance`. If both halves break down,
     only the Re column is kept, so that K_m stays square. The adaptive loop passes a pair step
     of :attr:`~ratexpint.poles.PoleSet.steps` here as its first pole on a
     real decomposition, and pole by pole on a complex one.
@@ -295,7 +293,7 @@ def rational_arnoldi_step(d: RationalDecomposition, pole: complex,
     d._ensure_capacity(d.m + 1 + pair)
 
     b = d.aug.apply(d.V[:, d.nv - 1])
-    x = d.aug.solve(pole, b, solver, split=pair) if finite else b
+    x = d.aug.solve(pole, b, solver) if finite else b
 
     j = d.m
     if pair:

@@ -216,8 +216,9 @@ class SolverCache:
         return self._lookup((pole, scale), build)
 
     def preconditioner(self, pole: complex, scale: float, kind: str) -> tuple:
-        """``(matrix, M)``: the assembled (xi I + alpha A) and its AMG V-cycle
-        as a ``LinearOperator`` (``None`` for ``kind`` "none").
+        """``(matrix, M)``: the assembled (xi I + alpha A) and its
+        :class:`~ratexpint.amg.AmgPreconditioner`, whose ``matvec`` (one
+        V-cycle) :func:`cocg` calls; ``M`` is ``None`` for ``kind`` "none".
 
         The AMG hierarchy is built once per operator and shared by all its
         shifted systems (see :class:`~ratexpint.amg.AmgHierarchy`).
@@ -231,9 +232,7 @@ class SolverCache:
                 a = self.op.tocsr()
                 self._hierarchy = AmgHierarchy(a, build_aggregates(a))
             amg = AmgPreconditioner(self._hierarchy, pole, scale)
-            matrix = amg.matrix
-            return matrix, spla.LinearOperator(matrix.shape, matvec=amg.matvec,
-                                               dtype=matrix.dtype)
+            return amg.matrix, amg
 
         return self._lookup((pole, scale, kind), build)
 

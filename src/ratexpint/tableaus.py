@@ -36,6 +36,8 @@ class Tableau:
         for j, row in self.stage_coeffs.items():
             if not 2 <= j <= self.stages:
                 raise ValueError(f"stage index {j} out of range")
+            if row and self.c[j - 1] == 0.0:
+                raise ValueError(f"stage {j} has zero node but nonzero coefficients")
             for k in row:
                 if k >= j:
                     raise ValueError(
@@ -57,9 +59,9 @@ class Tableau:
         return total
 
     def expmv_calls_per_step(self) -> int:
-        """Stages with nonzero coupling plus the final update."""
-        return sum(1 for j in range(2, self.stages + 1)
-                   if self.stage_coeffs.get(j)) + 1
+        """Engine calls of one step: one per nonzero node, plus the update
+        (a stage at node 0 has no coefficients and is the step's start state)."""
+        return sum(1 for node in self.c if node != 0.0) + 1
 
 
 METHODS: dict[str, Tableau] = {

@@ -211,15 +211,31 @@ def test_zero_reaction_gives_p0_payloads():
 
 
 def test_zero_node_with_coefficients_rejected():
-    tab = Tableau(name="weird", c=(0.0, 0.0),
-                  stage_coeffs={2: {1: {1: 1.0}}}, update_coeffs={1: {1: 1.0}})
-    with pytest.raises(ValueError):
-        stage_to_expmv(tab, 2, 0.1, np.ones(3), [np.ones(3)])
+    # a stage at node 0 is the step's start state; coefficients there would
+    # never be read, so the tableau rejects them when it is built
+    with pytest.raises(ValueError, match="zero node"):
+        Tableau(name="weird", c=(0.0, 0.0),
+                stage_coeffs={2: {1: {1: 1.0}}}, update_coeffs={1: {1: 1.0}})
 
 
 # ---------------------------------------------------------------------------
 # Stepping.
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("c, stage_coeffs", [
+    ((0.0, 0.5), {}),                       # no coupling, nonzero node: one call
+    ((0.0, 0.0, 1.0), {3: {2: {1: 1.0}}}),  # zero node j >= 2: no call
+])
+def test_step_calls_the_engine_once_per_nonzero_node_plus_the_update(c, stage_coeffs):
+    tab = Tableau("t", c=c, stage_coeffs=stage_coeffs, update_coeffs={1: {1: 1.0}})
+    rng = np.random.default_rng(5)
+    n = 12
+    op = random_spd(rng, n, lam_max=6.0)
+    prob = linear_problem(op, rng.standard_normal(n))
+    eng = Engine(prob, rational_config(tol=1e-10, m_hard=n))
+    _, reports = step(prob, tab, prob.u0, 0.0, 0.5, eng)
+    assert len(reports) == tab.expmv_calls_per_step() == 2
+
 
 @pytest.mark.parametrize("name", ("sw2", "etd3rk", "krogstad4"))
 def test_homogeneous_step_is_exact_propagation(name):
@@ -412,7 +428,7 @@ def test_last_step_shortened():
     traj = integrate(prob, tableau("sw2"), 0.4, 1.0, eng)
     assert len(traj.steps) == 3
     assert traj.steps[-1].h == pytest.approx(0.2)
-    assert traj.times[-1] == pytest.approx(1.0)
+    assert traj.steps[-1].t == pytest.approx(1.0)
 
 
 def test_remainder_within_rounding_is_a_full_step():
@@ -424,7 +440,7 @@ def test_remainder_within_rounding_is_a_full_step():
     traj = integrate(prob, tableau("sw2"), 0.05, 1.0, eng)
     assert len(traj.steps) == 20
     assert all(s.h == 0.05 for s in traj.steps)
-    assert traj.times[-1] == 1.0
+    assert traj.steps[-1].t == 1.0
 
 
 @pytest.mark.parametrize("h, T", [(0.5, float("inf")), (float("inf"), 1.0),

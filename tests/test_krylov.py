@@ -129,15 +129,42 @@ def test_jordan_tail_solve():
 
 
 def test_block_solve_p0_reduces_to_shifted_solve():
+    # p = 0 runs the same back-substitution (of an empty tail) as any p,
+    # and gives the shifted solve bit for bit
     op = fd_laplacian_1d(30, 1.0, "dirichlet")
     aug, _ = assemble_augmented(op, 0.8, [np.ones(30)])
-    solver = ShiftedSolver(op, SolverConfig(mode="direct"))
     rng = np.random.default_rng(8)
     rhs = rng.standard_normal(30)
-    x_block = aug.solve(3.0, rhs, solver)
-    fact = SolverCache(op).factorization(3.0, 0.8)
-    x_ref = fact.solve(3.0 * rhs)
-    assert np.allclose(x_block, x_ref, rtol=0, atol=1e-13 * np.linalg.norm(x_ref))
+    for pole in (3.0, 2.0 + 1.0j, 2.0 - 1.0j):
+        x_block = aug.solve(pole, rhs, direct_solver(op))
+        x_ref = direct_solver(op).solve_shifted(pole, 0.8, pole * rhs)
+        assert np.array_equal(x_block, x_ref)
+
+
+def test_block_solve_reads_the_pair_split_from_its_right_hand_side():
+    # a complex pole on a real right-hand side is a pair step: the iterative
+    # solve meets the split target; on complex data, or for a real pole, it
+    # meets the configured one
+    from ratexpint.problems import fd_laplacian_2d
+    op = fd_laplacian_2d(30, 1.0, "neumann")  # n = 900: AMG has a coarse level
+    cfg = SolverConfig(mode="iterative", tolerance=1e-7)
+    aug, _ = assemble_augmented(op, 0.5, [np.ones(op.n)])
+    rng = np.random.default_rng(24)
+    real_rhs = rng.standard_normal(op.n)
+    complex_rhs = real_rhs + 1j * rng.standard_normal(op.n)
+    pair = builtin_pole_set("cf16_shifted").poles[0]
+    assert pair.imag != 0
+    for pole, rhs, split in ((pair, real_rhs, True), (pair, complex_rhs, False),
+                             (4.0, real_rhs, False)):
+        block = ShiftedSolver(op, cfg)
+        aug.solve(pole, rhs, block)
+        iterations = {}
+        for flag in (True, False):
+            ref = ShiftedSolver(op, cfg)
+            ref.solve_shifted(pole, 0.5, pole * rhs, split=flag)
+            iterations[flag] = ref.solve_log[0].iterations
+        assert iterations[True] != iterations[False]
+        assert block.solve_log[0].iterations == iterations[split]
 
 
 def test_block_solve_matches_dense_brute_force():
@@ -172,11 +199,13 @@ def test_block_solve_decouples_when_coupling_vanishes():
 
 
 def test_block_solve_zero_pole_rejected():
+    # for every payload length, p = 0 included
     op = SparseOperator.identity(4)
-    aug, _ = assemble_augmented(op, 1.0, [np.ones(4), np.ones(4)])
     solver = ShiftedSolver(op, SolverConfig(mode="direct"))
-    with pytest.raises(SolverError):
-        aug.solve(0.0, np.ones(5), solver)
+    for p in (1, 0):
+        aug, _ = assemble_augmented(op, 1.0, [np.ones(4)] * (p + 1))
+        with pytest.raises(SolverError):
+            aug.solve(0.0, np.ones(4 + p), solver)
 
 
 # ---------------------------------------------------------------------------
