@@ -124,7 +124,8 @@ def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--m-hard", type=int, help="largest subspace of one decomposition (default "
                    f"{DEFAULT_STEPS_PAST_POLES} steps past the finite poles)")
     p.add_argument("--check-cadence", type=int,
-                   help=f"steps between estimate checks (default {DEFAULT_CHECK_CADENCE})")
+                   help="polynomial steps between estimate checks, which also follow "
+                   f"every pole step (default {DEFAULT_CHECK_CADENCE})")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", type=Path, default=Path("."), help="output directory")
     p.add_argument("--snapshots", type=int, default=0,

@@ -35,7 +35,11 @@ class EngineConfig:
     uses ``cf16_shifted`` with the iterative solver (every real part
     positive) and ``cf12`` with the direct one. Its pole set must be
     conjugate-closed, so that real problems run in real arithmetic. The
-    polynomial engine takes no poles and no solver settings."""
+    polynomial engine takes no poles and no solver settings.
+
+    The error estimate is checked at ``m_min``, after every pole step while
+    pole steps remain, then every ``check_cadence`` polynomial steps (see
+    :func:`~ratexpint.krylov.expmv_rational`)."""
 
     engine: str = "rational"
     tol: float = DEFAULT_TOL

@@ -16,6 +16,7 @@ shifted systems (xi I + h A) and read it at their own time points.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -27,6 +28,8 @@ from .poles import INF_POLE, PoleSet, is_infinite
 from .solvers import ShiftedSolver, SolverError
 
 #: Defaults of both engines; the cap m_hard is len(poles) + DEFAULT_STEPS_PAST_POLES.
+#: The check cadence spaces only the estimate checks that follow polynomial
+#: steps: while pole steps remain, the estimate is checked after each one.
 DEFAULT_TOL = 1e-8
 DEFAULT_M_MIN = 5
 DEFAULT_CHECK_CADENCE = 5
@@ -446,20 +449,22 @@ def _adaptive_krylov(d: RationalDecomposition, steps: Sequence[tuple],
     in order, each one whole, then polynomial steps follow. A conjugate pair
     is one pair step on a real ``d`` and two single steps on a complex one,
     the second skipped after a happy breakdown. The estimate is checked at
-    ``m_min`` and every ``check_cadence`` steps after it, so only between
-    pole steps, and each time after a polynomial step settles a finite
-    newest pole. A singular projection is retried after one more polynomial
-    step. Every check is appended to ``history`` as (m, estimate).
+    ``m_min``, then after every pole step while pole steps remain (a
+    conjugate pair is one step), then every ``check_cadence`` polynomial
+    steps. Checks fall only between pole steps, each after a polynomial
+    step that settles a finite newest pole. A singular projection is
+    retried after one more polynomial step. Every check is appended to
+    ``history`` as (m, estimate).
 
     Returns (value, estimate, converged); not converged means the subspace
     reached ``cap`` first.
     """
     cap = min(cap, d.dim)
     target = max(1, min(m_min, cap))
-    pending = iter(steps)
+    pending = deque(steps)
 
     def grow():
-        step = next(pending, (INF_POLE,))
+        step = pending.popleft() if pending else (INF_POLE,)
         for pole in step[:1] if d.real else step:
             if not d.happy:
                 rational_arnoldi_step(d, pole, solver)
@@ -482,7 +487,7 @@ def _adaptive_krylov(d: RationalDecomposition, steps: Sequence[tuple],
             return value, estimate, True
         if d.m >= cap:
             return value, estimate, False
-        target = min(d.m + check_cadence, cap)
+        target = min(d.m + (1 if pending else check_cadence), cap)
 
 
 def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndarray],
@@ -500,9 +505,12 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
     read at several times). The steps of ``pole_set`` are consumed in
     order, a conjugate pair always whole; after them the subspace keeps
     growing with polynomial steps until the error estimate meets ``tol``.
-    The estimate is only evaluated every ``check_cadence`` iterations past
-    ``m_min``, between steps, and a polynomial step is inserted before each
-    check when the newest step used a finite pole. A pair and that
+    The estimate is first evaluated at ``m_min``, then after every pole
+    step, so a pole set that meets ``tol`` early stops before its last,
+    costly shifted systems are set up, and every ``check_cadence`` steps
+    once the poles are consumed. Checks fall between steps, and a
+    polynomial step is inserted before each check when the newest step
+    used a finite pole. A pair and that
     polynomial step may carry the subspace up to two steps past the cap
     ``m_hard``, by default len(poles) + 128.
 
@@ -570,7 +578,8 @@ def expmv_polynomial(op: SparseOperator, alpha: float, c_vectors: Sequence[np.nd
     proportional budget tol * tau. If the subspace cap ``m_hard`` (by default
     128) is reached first, tau is halved and the same basis re-evaluated,
     since the Krylov space does not depend on tau; the accepted segments
-    compose e^{theta A~} = prod e^{tau_i theta A~}.
+    compose e^{theta A~} = prod e^{tau_i theta A~}. With no pole steps, the
+    estimate is checked at ``m_min`` and then every ``check_cadence`` steps.
     """
     check_settings(tol, m_min, check_cadence, m_hard)
     m_hard = DEFAULT_STEPS_PAST_POLES if m_hard is None else m_hard

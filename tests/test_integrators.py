@@ -302,20 +302,20 @@ def test_polynomial_engine_caps_every_decomposition_at_m_hard():
 
 
 def test_stages_of_a_step_share_their_factorizations():
-    # sw2's stage at node 1/2 and its update solve at the one scale h: six
-    # cf12 conjugate pairs serve both steps, where a scale per stage
-    # factors nine
+    # sw2's stage at node 1/2 and its update solve at the one scale h, and
+    # the estimate, checked after every pole step, stops by the fourth cf12
+    # conjugate pair: four LUs serve both steps, with no drop
     prob = allen_cahn_2d(32)
     eng = Engine(prob, rational_config())
     traj = integrate(prob, tableau("sw2"), 0.5, 1.0, eng)
     assert len(traj.steps) == 2
-    assert eng.solver.cache.numeric_factorizations == 6
+    assert eng.solver.cache.numeric_factorizations == 4
     assert eng.solver.cache.drops == 0
 
 
 def test_solver_cache_holds_the_current_step_size_only(monkeypatch):
     # h = 0.3 up to T = 1 ends with a step of 0.1: its new scale drops the
-    # six LUs of the scale 0.3 instead of holding both sets
+    # four LUs of the scale 0.3 instead of holding both sets
     held = []
     lookup = SolverCache._lookup
 
@@ -330,7 +330,7 @@ def test_solver_cache_holds_the_current_step_size_only(monkeypatch):
     integrate(prob, tableau("sw2"), 0.3, 1.0, eng)
     cache = eng.solver.cache
     assert cache.drops == 1
-    assert max(held) == 6 < cache.numeric_factorizations
+    assert max(held) == 4 < cache.numeric_factorizations
 
 
 @pytest.mark.parametrize("settings", [

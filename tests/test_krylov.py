@@ -141,7 +141,7 @@ def test_block_solve_p0_reduces_to_shifted_solve():
         assert np.array_equal(x_block, x_ref)
 
 
-def test_block_solve_reads_the_pair_split_from_its_right_hand_side():
+def test_block_solve_reads_the_pair_split_from_its_right_hand_side(monkeypatch):
     # a complex pole on a real right-hand side is a pair step: the iterative
     # solve meets the split target; on complex data, or for a real pole, it
     # meets the configured one
@@ -157,13 +157,22 @@ def test_block_solve_reads_the_pair_split_from_its_right_hand_side():
     for pole, rhs, split in ((pair, real_rhs, True), (pair, complex_rhs, False),
                              (4.0, real_rhs, False)):
         block = ShiftedSolver(op, cfg)
+        flags = []
+
+        def recording(*args, split=False, solve=block.solve_shifted):
+            flags.append(split)
+            return solve(*args, split=split)
+        monkeypatch.setattr(block, "solve_shifted", recording)
         aug.solve(pole, rhs, block)
+        assert flags == [split]
         iterations = {}
         for flag in (True, False):
             ref = ShiftedSolver(op, cfg)
             ref.solve_shifted(pole, 0.5, pole * rhs, split=flag)
             iterations[flag] = ref.solve_log[0].iterations
-        assert iterations[True] != iterations[False]
+        # a real pole's split keeps the configured target (split_tolerance),
+        # so only the recorded flag tells its two solves apart
+        assert (iterations[True] != iterations[False]) == (complex(pole).imag != 0)
         assert block.solve_log[0].iterations == iterations[split]
 
 
@@ -548,6 +557,20 @@ def test_expmv_matches_dense_oracle():
     assert err <= 1e-7
 
 
+def test_schedule_checks_after_every_pole_step():
+    # cf12 on real data is six pair steps of two columns each. At a tol that
+    # needs every pole, the estimate is checked after each pair step and the
+    # polynomial step that settles it, then every check_cadence (5)
+    # polynomial steps
+    rng = np.random.default_rng(31)
+    n = 60
+    op = random_spd(rng, n, lam_max=200.0)
+    c = rng.standard_normal(n)
+    rep = expmv_rational(op, 1.0, [c], builtin_pole_set("cf12"), direct_solver(op), tol=1e-14)
+    assert rep.converged and rep.solves == 6
+    assert [m for m, _ in rep.estimate_history] == [7, 10, 13, 16, 21, 26]
+
+
 def test_expmv_estimate_history_and_poles_recorded():
     rng = np.random.default_rng(14)
     n = 30
@@ -597,11 +620,14 @@ def test_expmv_repeated_real_poles():
     op = random_spd(rng, n, lam_max=60.0)
     c0 = rng.standard_normal(n)
     solver = direct_solver(op)
+    tol = 1e-8
     rep = expmv_rational(op, 1.0, [c0], repeated_real(8.0, 40), solver,
-                         tol=1e-8, m_min=5, check_cadence=5, m_hard=n)
+                         tol=tol, m_min=5, check_cadence=5, m_hard=n)
     exact = dense_expm(-1.0 * op.todense()) @ c0
     assert rep.converged
-    assert np.linalg.norm(rep.phi_combination - exact) <= 1e-7 * np.linalg.norm(exact)
+    # the estimate bounds the absolute error, and meets tol
+    err = np.linalg.norm(rep.phi_combination - exact)
+    assert err <= rep.estimate <= tol
 
 
 def test_expmv_repeated_real_poles_stay_real():

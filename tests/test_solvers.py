@@ -182,6 +182,20 @@ def test_lu_nnz_counts_each_built_lu_once():
     assert cache.lu_nnz == fact.nnz + other.nnz
 
 
+def test_panel_size_leaves_the_fill_alone():
+    # the six cf12 LUs of one ac2d step at nx=32 store as many entries as
+    # with SuperLU's default panel size
+    op = allen_cahn_2d(32).A
+    cache = SolverCache(op)
+    upper = [xi for xi in builtin_pole_set("cf12") if xi.imag >= 0]
+    for pole in upper:
+        cache.factorization(pole, 0.5)
+    assert cache.numeric_factorizations == len(upper) == 6
+    assert cache.lu_nnz == 138_096 == sum(
+        spla.splu(shifted_matrix(op, pole, 0.5).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                  relax=1).nnz for pole in upper)
+
+
 def _cf12_lus(op):
     """The cache holding the LU of (xi I + 0.5 A) at the first cf12 pole with
     Im xi >= 0, that LU, and a COLAMD-ordered reference LU of the same matrix."""
@@ -569,6 +583,19 @@ def test_split_leaves_a_direct_solve_unchanged():
     split = solver.solve_shifted(pole, 0.5, rhs, split=True)
     assert np.array_equal(whole, split)
     assert solver.solve_log[0].residual == solver.solve_log[1].residual
+
+
+def test_split_of_a_real_pole_keeps_the_configured_target():
+    # a real pole's solution of real data is real: splitting it amplifies
+    # nothing, so the split solve stops where the plain one does
+    op = fd_laplacian_2d(30, 1.0, "dirichlet")
+    rhs = np.random.default_rng(0).standard_normal(op.n)
+    cfg = SolverConfig(mode="iterative")
+    assert solvers.split_tolerance(4.0, cfg.tolerance) == cfg.tolerance
+    split, whole = ShiftedSolver(op, cfg), ShiftedSolver(op, cfg)
+    split.solve_shifted(4.0, 0.5, rhs, split=True)
+    whole.solve_shifted(4.0, 0.5, rhs)
+    assert split.solve_log[0].iterations == whole.solve_log[0].iterations
 
 
 def test_split_target_of_a_near_real_pair_stops_at_rounding():
