@@ -30,6 +30,13 @@ COARSE_SIZE = 600
 OMEGA = 0.7
 
 
+def shifted_pencil(m, a, pole: complex, scale: float) -> sp.csr_matrix:
+    """xi M + alpha A for real sparse M and A, in the arithmetic of xi: real
+    for a pole with zero imaginary part, complex otherwise."""
+    shift = pole if pole.imag != 0 else pole.real
+    return (scale * a + shift * m).tocsr()
+
+
 def _pairwise_aggregates(a: sp.csr_matrix) -> np.ndarray:
     """Strength-based pairwise matching, fully vectorized.
 
@@ -162,16 +169,15 @@ class AmgPreconditioner:
     """V-cycle preconditioner for (xi I + alpha A) over an :class:`AmgHierarchy`
     of A; :attr:`matrix` is that shifted matrix, level 0 of the cycle.
 
-    Level k smooths with the matrix xi M_k + alpha A_k: one pre- and one
+    Level k smooths with the matrix xi M_k + alpha A_k
+    (:func:`shifted_pencil`): one pre- and one
     post-smoothing Jacobi sweep with damping ``OMEGA`` surround the coarse
     correction R_k / P_k, and the coarsest level is solved by sparse LU.
     The arithmetic is complex iff the pole is.
     """
 
     def __init__(self, hierarchy: AmgHierarchy, pole: complex, scale: float):
-        pole = complex(pole)
-        shift = pole if pole.imag != 0 else pole.real
-        matrices = [(scale * a + shift * m).tocsr() for m, a in hierarchy.pairs]
+        matrices = [shifted_pencil(m, a, pole, scale) for m, a in hierarchy.pairs]
         self.matrix = matrices[0]
         self.dtype = self.matrix.dtype
         transfers = hierarchy.complex_transfers if self.dtype.kind == "c" \

@@ -103,7 +103,8 @@ def stage_to_expmv(tab: Tableau, stage: int, h: float, u: np.ndarray,
     Stage j reads U_j = e^{-c_j h A} u + h sum_k a_{jk}(-h A) G_k with
     a_{jk} = sum_l beta_{jkl} phi_l(-c_j h A). That is the engine value
     sum_l theta^l phi_l(-theta alpha A) c_l with alpha = h, theta = c_j,
-    c_0 = u and c_l = h sum_k beta_{jkl} G_k / theta^l. ``stage = 0``
+    c_0 = u and c_l = h sum_k beta_{jkl} G_k / theta^l, summed over the
+    nonzero beta_{jkl}; trailing all-zero c_l are dropped. ``stage = 0``
     assembles the final update (theta = 1).
     """
     if stage == 0:
@@ -112,21 +113,13 @@ def stage_to_expmv(tab: Tableau, stage: int, h: float, u: np.ndarray,
     else:
         node = tab.c[stage - 1]
         row = tab.stage_coeffs.get(stage, {})
-    max_l = 0
-    for terms in row.values():
-        if terms:
-            max_l = max(max_l, max(terms))
     combos = {}
     for k, terms in row.items():
-        g = g_values[k - 1]
         for l, coeff in terms.items():
-            if coeff == 0.0:
-                continue
-            contrib = coeff * g
-            combos[l] = combos.get(l, 0.0) + contrib
-    c_vectors = [u]
-    for l in range(1, max_l + 1):
-        c_vectors.append(h * combos[l] / node ** l if l in combos else np.zeros_like(u))
+            if coeff != 0.0:
+                combos[l] = combos.get(l, 0.0) + coeff * g_values[k - 1]
+    c_vectors = [u] + [h * combos[l] / node ** l if l in combos else np.zeros_like(u)
+                       for l in range(1, max(combos, default=0) + 1)]
     while len(c_vectors) > 1 and not np.any(c_vectors[-1]):
         c_vectors.pop()
     return h, node, c_vectors

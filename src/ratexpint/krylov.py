@@ -184,8 +184,8 @@ class RationalDecomposition:
     K: a single pole xi gives K[:, j] = e_j + H[:, j] / xi, with 1/inf = 0
     (:meth:`kmat` is a slice).
 
-    The arithmetic is fixed here, once: by default ``dtype`` follows the
-    start vector and the payload. A complex decomposition takes any pole and
+    The arithmetic is fixed here, once, by the data: it is complex iff the
+    start vector or the payload is. A complex decomposition takes any pole and
     makes one solve per pole. A real decomposition takes real poles one at a
     time and a complex pole xi as the conjugate pair (xi, conj(xi)): one
     solve x for xi adds the columns Re x and Im x (Ruhe's real variant), so
@@ -195,17 +195,13 @@ class RationalDecomposition:
     never shared.
     """
 
-    def __init__(self, aug: AugmentedOperator, c_tilde: np.ndarray,
-                 capacity: int = 40, dtype=None):
+    def __init__(self, aug: AugmentedOperator, c_tilde: np.ndarray, capacity: int = 40):
         self.aug = aug
         norm = float(np.linalg.norm(c_tilde))
         if norm == 0:
             raise ValueError("start vector is zero")
         self.start_norm = norm
-        data_dtype = np.result_type(c_tilde.dtype, aug.C.dtype, np.float64)
-        dtype = data_dtype if dtype is None else np.dtype(dtype)
-        if dtype.kind != "c" and data_dtype.kind == "c":
-            raise ValueError(f"complex data needs a complex decomposition, got {dtype}")
+        dtype = np.result_type(c_tilde.dtype, aug.C.dtype, np.float64)
         capacity = max(4, min(capacity, aug.dim))
         self.V = np.zeros((aug.dim, capacity + 1), dtype=dtype, order="F")
         self.V[:, 0] = c_tilde / norm
@@ -214,11 +210,16 @@ class RationalDecomposition:
         self.m = 0
         self.nv = 1
         self.poles_used: list[complex] = []
-        self.happy = False
 
     @property
     def dim(self) -> int:
         return self.aug.dim
+
+    @property
+    def happy(self) -> bool:
+        """True after a happy breakdown: the basis has m columns, not m+1,
+        and spans an invariant subspace."""
+        return self.nv == self.m
 
     @property
     def real(self) -> bool:
@@ -278,8 +279,8 @@ def rational_arnoldi_step(d: RationalDecomposition, pole: complex,
     of :attr:`~ratexpint.poles.PoleSet.steps` here as its first pole on a
     real decomposition, and pole by pole on a complex one.
 
-    On happy breakdown the decomposition is flagged and must not be
-    extended further.
+    After a happy breakdown (:attr:`RationalDecomposition.happy`) the
+    decomposition must not be extended further.
     """
     if d.happy:
         raise KrylovError("decomposition reached an invariant subspace; cannot extend")
@@ -326,13 +327,11 @@ def rational_arnoldi_step(d: RationalDecomposition, pole: complex,
 
 
 def _extend(d: RationalDecomposition, x: np.ndarray, j: int) -> None:
-    """Orthogonalize ``x`` against the basis into column j of H; append the
-    new basis vector, or flag a happy breakdown."""
+    """Orthogonalize ``x`` against the basis into column j of H and append
+    the new basis vector, unless it breaks down."""
     res = orthogonal_extend(d.V[:, :d.nv], x)
     d.H[:d.nv, j] = res.h
-    if res.breakdown:
-        d.happy = True
-    else:
+    if not res.breakdown:
         d.H[d.nv, j] = res.beta
         d.V[:, d.nv] = res.v
         d.nv += 1
@@ -415,6 +414,21 @@ def check_settings(tol: float, m_min: int, check_cadence: int, m_hard: Optional[
     for name, value in (("m_min", m_min), ("check_cadence", check_cadence), ("m_hard", m_hard)):
         if value is not None and value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
+
+
+def _engine_input(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndarray],
+                  poles: PoleSet, tol: float, m_min: int, check_cadence: int,
+                  m_hard: Optional[int]) -> tuple[AugmentedOperator, np.ndarray, int]:
+    """What both engines check and build first: the settings, the augmented
+    operator and start vector, and the cap m_hard, by default
+    len(poles) + ``DEFAULT_STEPS_PAST_POLES`` (the polynomial engine has no
+    poles). A real payload needs a conjugate-closed pole set."""
+    check_settings(tol, m_min, check_cadence, m_hard)
+    aug, c_tilde = assemble_augmented(op, alpha, c_vectors)
+    if not (np.iscomplexobj(c_tilde) or poles.conjugate_closed):
+        raise ValueError("a real payload takes only a conjugate-closed pole set; "
+                         "give a lone complex pole a complex payload")
+    return aug, c_tilde, len(poles) + DEFAULT_STEPS_PAST_POLES if m_hard is None else m_hard
 
 
 @dataclass
@@ -531,16 +545,12 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
         If the hard subspace cap is hit first; the partial result rides on
         the exception's ``report``.
     """
-    check_settings(tol, m_min, check_cadence, m_hard)
     poles = pole_set if pole_set is not None else PoleSet(())
-    aug, c_tilde = assemble_augmented(op, alpha, c_vectors)
-    if not (np.iscomplexobj(c_tilde) or poles.conjugate_closed):
-        raise ValueError("a real payload takes only a conjugate-closed pole set; "
-                         "give a lone complex pole a complex payload")
+    aug, c_tilde, m_hard = _engine_input(op, alpha, c_vectors, poles, tol, m_min,
+                                         check_cadence, m_hard)
     if not np.any(c_tilde):  # the action on zero is zero: no step, no solve
         return ExpmvReport(vector=np.zeros_like(c_tilde), n=op.n, estimate=0.0, converged=True)
 
-    m_hard = len(poles) + DEFAULT_STEPS_PAST_POLES if m_hard is None else m_hard
     d = RationalDecomposition(aug, c_tilde,
                               capacity=min(max(2 * m_min, len(poles) + 8, 40), m_hard))
 
@@ -576,14 +586,14 @@ def expmv_polynomial(op: SparseOperator, alpha: float, c_vectors: Sequence[np.nd
     sub-step clock tau runs over fractions of theta: each segment reads its
     basis at time tau * theta and checks the estimate against the
     proportional budget tol * tau. If the subspace cap ``m_hard`` (by default
-    128) is reached first, tau is halved and the same basis re-evaluated,
-    since the Krylov space does not depend on tau; the accepted segments
+    128, the rational engine's default with no poles) is reached first, tau
+    is halved and the adaptive loop checks the same basis again, since the
+    Krylov space does not depend on tau; the accepted segments
     compose e^{theta A~} = prod e^{tau_i theta A~}. With no pole steps, the
     estimate is checked at ``m_min`` and then every ``check_cadence`` steps.
     """
-    check_settings(tol, m_min, check_cadence, m_hard)
-    m_hard = DEFAULT_STEPS_PAST_POLES if m_hard is None else m_hard
-    aug, c_tilde = assemble_augmented(op, alpha, c_vectors)
+    aug, c_tilde, m_hard = _engine_input(op, alpha, c_vectors, PoleSet(()), tol, m_min,
+                                         check_cadence, m_hard)
     if not np.any(c_tilde):  # the action on zero is zero: no step, no solve
         return ExpmvReport(vector=np.zeros_like(c_tilde), n=op.n, estimate=0.0, converged=True)
 
@@ -596,15 +606,15 @@ def expmv_polynomial(op: SparseOperator, alpha: float, c_vectors: Sequence[np.nd
     while done < 1.0 - 1e-15:
         tau = min(tau, 1.0 - done)
         d = RationalDecomposition(aug, w, capacity=m_hard)
-        w, estimate, converged = _adaptive_krylov(
-            d, (), None, tau * theta, tol * tau, m_min, m_hard, check_cadence, history)
-        while not converged:
+        while True:
+            # at the cap, with a polynomial newest step, this call only checks
+            w, estimate, converged = _adaptive_krylov(
+                d, (), None, tau * theta, tol * tau, m_min, m_hard, check_cadence, history)
+            if converged:
+                break
             tau /= 2.0
             if tau < SUBSTEP_UNDERFLOW:
                 raise KrylovError(f"sub-step underflow: tau={tau:.3e}")
-            w, estimate = _approximant_and_estimate(d, tau * theta)
-            history.append((d.m, estimate))
-            converged = estimate <= tol * tau
         sizes.append(d.m)
         done += tau
 

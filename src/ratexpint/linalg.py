@@ -6,7 +6,7 @@ of small matrices, Gram-Schmidt orthogonalization, and the cap that runs
 the bundled OpenBLAS on one thread.
 
 Dense matrices and vectors are plain numpy arrays throughout; complex
-inputs are supported everywhere.
+vectors are supported everywhere, while a ``SparseOperator`` is real.
 """
 
 from __future__ import annotations
@@ -34,7 +34,9 @@ class DimensionMismatch(ValueError):
 class SparseOperator:
     """Real square sparse matrix in CSR form.
 
-    Instances are immutable after construction and safe for concurrent reads.
+    Integer entries become float64; complex ones raise ``ValueError``, even
+    with a zero imaginary part, rather than lose it in a cast. Instances are
+    immutable after construction and safe for concurrent reads.
     """
 
     __slots__ = ("n", "_csr", "_symmetric")
@@ -43,6 +45,8 @@ class SparseOperator:
         csr = sp.csr_matrix(csr)
         if csr.shape[0] != csr.shape[1]:
             raise ValueError(f"operator must be square, got {csr.shape}")
+        if np.iscomplexobj(csr):
+            raise ValueError(f"operator must be real, got {csr.dtype} entries")
         if not np.issubdtype(csr.dtype, np.floating):
             csr = csr.astype(np.float64)
         if not np.all(np.isfinite(csr.data)):
@@ -90,7 +94,8 @@ class SparseOperator:
 
     @classmethod
     def from_dense(cls, a: np.ndarray) -> "SparseOperator":
-        return cls(sp.csr_matrix(np.asarray(a, dtype=np.float64)))
+        a = np.asarray(a)
+        return cls(sp.csr_matrix(a.astype(np.result_type(a, np.float64), copy=False)))
 
     def scaled(self, factor: float) -> "SparseOperator":
         return SparseOperator(self._csr * float(factor))

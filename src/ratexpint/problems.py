@@ -118,9 +118,12 @@ class Graph:
         """Edges ``(i, j)`` (weight 1) or ``(i, j, w)``; self-loops and zero
         weights are dropped and duplicate edges summed. Node ids past
         ``n - 1`` grow the graph. An edge without non-negative integer ids
-        and a finite non-negative weight raises ``ValueError``."""
-        ijw = np.array([(e[0], e[1], e[2] if len(e) == 3 else 1.0) for e in raw_edges],
-                       dtype=np.float64).reshape(-1, 3)
+        and a finite non-negative weight raises ``ValueError``, and so does
+        a complex weight, even with a zero imaginary part."""
+        ijw = np.array([(e[0], e[1], e[2] if len(e) == 3 else 1.0) for e in raw_edges])
+        if np.iscomplexobj(ijw):
+            raise ValueError("edge weights must be real, got complex ones")
+        ijw = ijw.astype(np.float64).reshape(-1, 3)
         valid = (np.isfinite(ijw) & (ijw >= 0)).all(axis=1) \
             & (ijw[:, :2] == np.round(ijw[:, :2])).all(axis=1)
         if not valid.all():

@@ -45,7 +45,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .amg import AmgHierarchy, AmgPreconditioner, build_aggregates
+from .amg import AmgHierarchy, AmgPreconditioner, build_aggregates, shifted_pencil
 from .linalg import SparseOperator
 
 PRECONDITIONERS = ("none", "aggregation-amg")
@@ -117,12 +117,9 @@ class SolveInfo:
 
 
 def shifted_matrix(op: SparseOperator, pole: complex, scale: float) -> sp.csr_matrix:
-    """(xi I + alpha A) as a sparse matrix; complex dtype iff the pole is complex."""
-    pole = complex(pole)
-    dtype = np.complex128 if pole.imag != 0 else np.float64
-    shift = pole if pole.imag != 0 else pole.real
-    a = op.tocsr().astype(dtype) * scale
-    return (a + sp.identity(op.n, format="csr", dtype=dtype) * shift).tocsr()
+    """(xi I + alpha A) as a sparse matrix: :func:`~ratexpint.amg.shifted_pencil`
+    with M = I, so its dtype is complex iff the pole is."""
+    return shifted_pencil(sp.identity(op.n, format="csr"), op.tocsr(), pole, scale)
 
 
 class Factorization:

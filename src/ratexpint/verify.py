@@ -150,7 +150,7 @@ def check_error_expansion(instances: int = 20, seed: int = 303,
             cs = [rng.standard_normal(n) for _ in range(p + 1)]
             aug, ct = assemble_augmented(op, 1.0, cs)
             solver = ShiftedSolver(op, SolverConfig(mode="direct"))
-            d = RationalDecomposition(aug, ct, dtype=np.complex128)
+            d = RationalDecomposition(aug, ct.astype(np.complex128))
             schedule = [complex(6.0, 2.0), complex(6.0, -2.0), 4.0, INF_POLE]
             for xi in schedule:
                 if d.happy:
@@ -210,7 +210,7 @@ def estimator_study(op: SparseOperator, h: float, c0: np.ndarray,
     exact = dense_expm(aug.dense()) @ ct
     if solver is None:
         solver = ShiftedSolver(op, SolverConfig(mode="direct"))
-    d = RationalDecomposition(aug, ct, capacity=m_cap + 2, dtype=np.complex128)
+    d = RationalDecomposition(aug, ct.astype(np.complex128), capacity=m_cap + 2)
     points = []
     pole_iter = iter(pole_set)
 

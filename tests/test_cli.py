@@ -539,6 +539,14 @@ def test_graph_info_without_edges_exits_two(tmp_path, capsys):
     assert "empty graph" in capsys.readouterr().err
 
 
+def test_graph_info_complex_matrix_market_exits_two(tmp_path, capsys):
+    path = tmp_path / "complex.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate complex general\n"
+                    "3 3 2\n1 2 1.0 0.5\n2 3 2.0 0.0\n")
+    assert run_cli("graph", "info", str(path)) == 2
+    assert "edge weights must be real" in capsys.readouterr().err
+
+
 def test_graph_info_builtin(capsys):
     code = run_cli("graph", "info", "builtin:road2600")
     assert code == 0

@@ -75,6 +75,15 @@ def test_operator_requires_finite_entries():
         SparseOperator(bad)
 
 
+@pytest.mark.parametrize("build", [lambda a: SparseOperator(sp.csr_matrix(a)),
+                                   SparseOperator.from_dense], ids=["csr", "from_dense"])
+def test_operator_rejects_complex_entries_instead_of_dropping_them(build):
+    with pytest.raises(ValueError, match="must be real"):
+        build(np.array([[2, 1j], [-1j, 2]]))
+    # integer entries still become float64
+    assert build(np.array([[2, 1], [1, 2]])).tocsr().dtype == np.float64
+
+
 # ---------------------------------------------------------------------------
 # dense_expm
 # ---------------------------------------------------------------------------
