@@ -266,6 +266,8 @@ def write_run_report(path: Path, args: argparse.Namespace, traj: Trajectory, che
         fh.write(f"max_solver_residual = {traj.max_residual():.6e}\n")
         fh.write(f"numeric_factorizations = {cache.numeric_factorizations}\n")
         fh.write(f"lu_nnz = {cache.lu_nnz}\n")
+        fh.write(f"lu_built_ahead = {cache.built_ahead}\n")
+        fh.write(f"lu_unused = {cache.unused}\n")
         fh.write(f"cache_hits = {cache.hits}\n")
         fh.write(f"cache_drops = {cache.drops}\n")
         threads = "unchanged (no OpenBLAS found)" if traj.blas_threads is None \

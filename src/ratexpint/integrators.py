@@ -137,8 +137,8 @@ def step(problem: Problem, tab: Tableau, u: np.ndarray, t: float, h: float,
     Runs at the caller's BLAS thread count; only :func:`integrate` caps it
     at one thread.
     """
-    if h <= 0:
-        raise ValueError("step size must be positive")
+    if not 0 < h < np.inf:
+        raise ValueError(f"step size must be positive and finite, got {h}")
     reports: list[ExpmvReport] = []
     g_values: list[np.ndarray] = []
 

@@ -17,6 +17,7 @@ shifted systems (xi I + h A) and read it at their own time points.
 from __future__ import annotations
 
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -422,8 +423,11 @@ def _engine_input(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndarr
     """What both engines check and build first: the settings, the augmented
     operator and start vector, and the cap m_hard, by default
     len(poles) + ``DEFAULT_STEPS_PAST_POLES`` (the polynomial engine has no
-    poles). A real payload needs a conjugate-closed pole set."""
+    poles). A real payload needs a conjugate-closed pole set, and the scale
+    alpha must be finite."""
     check_settings(tol, m_min, check_cadence, m_hard)
+    if not np.isfinite(alpha):
+        raise ValueError(f"operator scale alpha must be finite, got {alpha}")
     aug, c_tilde = assemble_augmented(op, alpha, c_vectors)
     if not (np.iscomplexobj(c_tilde) or poles.conjugate_closed):
         raise ValueError("a real payload takes only a conjugate-closed pole set; "
@@ -454,6 +458,12 @@ class ExpmvReport:
         return self.vector[:self.n]
 
 
+def _solved_poles(step: tuple, real: bool) -> tuple:
+    """The poles of a pole step that each make an Arnoldi step: on a real
+    decomposition a conjugate pair is one pair step with its first pole."""
+    return step[:1] if real else step
+
+
 def _adaptive_krylov(d: RationalDecomposition, steps: Sequence[tuple],
                      solver: Optional[ShiftedSolver], theta: float, tol: float,
                      m_min: int, cap: int, check_cadence: int, history: list):
@@ -479,7 +489,7 @@ def _adaptive_krylov(d: RationalDecomposition, steps: Sequence[tuple],
 
     def grow():
         step = pending.popleft() if pending else (INF_POLE,)
-        for pole in step[:1] if d.real else step:
+        for pole in _solved_poles(step, d.real):
             if not d.happy:
                 rational_arnoldi_step(d, pole, solver)
 
@@ -535,7 +545,10 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
     pair's tighter target (:func:`~ratexpint.solvers.split_tolerance`). A
     complex payload takes any pole set, a lone complex pole included, and
     each pole makes its own solve. A zero payload gives the zero vector
-    with estimate 0, no Arnoldi step and no solve.
+    with estimate 0, no Arnoldi step and no solve. On the direct path the
+    LUs are built two at a time, the next pole's on a worker thread that
+    the call joins before it returns or raises
+    (:meth:`~ratexpint.solvers.ShiftedSolver.building_ahead`).
 
     Raises
     ------
@@ -556,8 +569,10 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
 
     log_start = len(solver.solve_log) if solver is not None else 0
     history: list[tuple[int, float]] = []
-    result, estimate, converged = _adaptive_krylov(
-        d, poles.steps, solver, theta, tol, m_min, m_hard, check_cadence, history)
+    solved = (xi for step in poles.steps for xi in _solved_poles(step, d.real))
+    with solver.building_ahead(solved) if solver is not None else nullcontext():
+        result, estimate, converged = _adaptive_krylov(
+            d, poles.steps, solver, theta, tol, m_min, m_hard, check_cadence, history)
     solves = solver.solve_log[log_start:] if solver is not None else []
 
     report = ExpmvReport(

@@ -27,6 +27,19 @@ each lookup and build, makes a cache safe to share between threads; the
 operator's AMG hierarchy (:class:`~ratexpint.amg.AmgHierarchy`, everything
 but the shift) sits beside its table.
 
+On the direct path the LUs are built two at a time. An LU depends only on
+A, alpha and its pole, and SuperLU releases the GIL while it factors, so
+while :func:`~ratexpint.krylov.expmv_rational` runs
+(:meth:`ShiftedSolver.building_ahead`), a lookup that misses pole xi first
+starts the LU of the next upper pole of the pole set on one worker thread
+and then factors xi on the caller's thread; the lookup of that next pole
+waits for its build. A scale's LUs are thus built in pairs, (1, 2),
+(3, 4), ..., and the results are bit-identical, because an LU does not
+depend on the thread that builds it.
+The call joins the worker before it returns or raises, so no thread
+outlives it. The iterative path builds nothing ahead: an AMG build holds
+the GIL for most of its time.
+
 Iterative solves take symmetric operators only, as every problem builder
 makes; a nonsymmetric one belongs on the direct path. They run
 preconditioned COCG (van der Vorst & Melissen, IEEE Trans. Magn. 26
@@ -38,8 +51,9 @@ costs one operator apply and one V-cycle.
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -162,6 +176,31 @@ class Factorization:
         return self._lu.solve(rhs.astype(self.dtype, copy=False))
 
 
+class _BuildAhead:
+    """The LU of (xi I + alpha A) for ``key = (xi, alpha)``, built on a
+    worker thread that starts with the object. Once the thread has ended,
+    ``lu`` holds the :class:`Factorization`, or ``error`` what its build
+    raised. The worker calls nothing but :func:`shifted_matrix` and
+    :class:`Factorization`, and takes no lock."""
+
+    __slots__ = ("key", "lu", "error", "thread")
+
+    def __init__(self, op: SparseOperator, key: tuple):
+        self.key = key
+        self.lu: Optional[Factorization] = None
+        self.error: Optional[Exception] = None
+        self.thread = threading.Thread(target=self._build, args=(op,),
+                                       name="ratexpint-lu-ahead")
+        self.thread.start()
+
+    def _build(self, op: SparseOperator) -> None:
+        pole, scale = self.key
+        try:
+            self.lu = Factorization(shifted_matrix(op, pole, scale), pole)
+        except Exception as exc:  # raised by the lookup of this pole
+            self.error = exc
+
+
 class SolverCache:
     """Per-process cache of everything the shifted systems of one operator
     need.
@@ -181,6 +220,28 @@ class SolverCache:
     one per conjugate pair, and ``lu_nnz`` sums :attr:`Factorization.nnz`
     over the LUs built. ``hits`` counts reused table entries and ``drops``
     the tables dropped for a new scale.
+
+    A lookup of :meth:`factorization` that misses and names an ``ahead``
+    pole builds one LU ahead, under these rules:
+
+    - **One build per key.** If the ``ahead`` LU is absent from the table
+      and no build ahead is running, its build starts on a worker thread
+      and sits in the table while it runs; then the missed pole is factored
+      on the caller's thread. A lookup of the ``ahead`` pole waits for that
+      build, so concurrent callers still share one build per key.
+    - **Errors.** A build ahead that fails keeps its :class:`SolverError`,
+      which the lookup of its pole raises (a later lookup builds again). A
+      failed build that no lookup asks for is discarded.
+    - **Thread lifetime.** At most one worker runs. :meth:`join` waits for
+      it; a caller that names ``ahead`` calls it before it returns, as
+      :meth:`ShiftedSolver.building_ahead` does, and a lookup at a new
+      scale joins it before it drops the table.
+    - **Counters.** Every counter changes under the lock.
+      ``numeric_factorizations`` and ``lu_nnz`` count an LU built ahead
+      only when a lookup first returns it, so they count the LUs that
+      solves asked for. ``built_ahead`` counts the LUs that the worker
+      built, and ``unused`` those of them that no lookup has returned,
+      dropped ones included.
     """
 
     def __init__(self, op: SparseOperator):
@@ -189,8 +250,11 @@ class SolverCache:
         self._entries: dict = {}
         self._scale: Optional[float] = None
         self._hierarchy: Optional[AmgHierarchy] = None
+        self._ahead: Optional[_BuildAhead] = None  # the build ahead not yet joined
         self.numeric_factorizations = 0
         self.lu_nnz = 0
+        self.built_ahead = 0
+        self.unused = 0
         self.hits = 0
         self.drops = 0
 
@@ -198,6 +262,7 @@ class SolverCache:
         with self._lock:
             scale = key[1]
             if scale != self._scale:
+                self._join()
                 if self._entries:
                     self._entries.clear()
                     self.drops += 1
@@ -205,19 +270,64 @@ class SolverCache:
             entry = self._entries.get(key)
             if entry is None:
                 entry = self._entries[key] = build()
+            elif isinstance(entry, _BuildAhead):
+                entry = self._claim(entry)
             else:
                 self.hits += 1
             return entry
 
-    def factorization(self, pole: complex, scale: float) -> Factorization:
+    def _count(self, fact: Factorization) -> None:
+        self.numeric_factorizations += 1
+        self.lu_nnz += fact.nnz
+
+    def _start(self, key: tuple) -> None:
+        """Start the build ahead of ``key`` unless it is in the table or
+        another build ahead runs. Called under the lock."""
+        if key in self._entries or (self._ahead is not None and self._ahead.thread.is_alive()):
+            return
+        self._join()
+        self._ahead = self._entries[key] = _BuildAhead(self.op, key)
+
+    def _join(self) -> None:
+        """Wait for the build ahead, if any, and count it. Called under the lock."""
+        ahead, self._ahead = self._ahead, None
+        if ahead is not None:
+            ahead.thread.join()
+            if ahead.error is None:
+                self.built_ahead += 1
+                self.unused += 1
+
+    def _claim(self, entry: _BuildAhead) -> Factorization:
+        """Put the LU of a build ahead in its place in the table, or raise its
+        error. Called under the lock."""
+        if entry is self._ahead:
+            self._join()
+        del self._entries[entry.key]
+        if entry.error is not None:
+            raise entry.error
+        self.unused -= 1
+        self._count(entry.lu)
+        self._entries[entry.key] = entry.lu
+        return entry.lu
+
+    def join(self) -> None:
+        """Wait for the build ahead, if one runs."""
+        with self._lock:
+            self._join()
+
+    def factorization(self, pole: complex, scale: float,
+                      ahead: Optional[complex] = None) -> Factorization:
         """LU of (xi I + alpha A), ordered by minimum degree on the pattern
-        of A^T + A."""
+        of A^T + A. If the lookup misses, the LU of (``ahead`` I + alpha A)
+        is built meanwhile on the worker thread (see :class:`SolverCache`);
+        the caller then owes a :meth:`join`."""
         pole, scale = complex(pole), float(scale)
 
         def build():
+            if ahead is not None and ahead != pole:
+                self._start((complex(ahead), scale))
             fact = Factorization(shifted_matrix(self.op, pole, scale), pole)
-            self.numeric_factorizations += 1
-            self.lu_nnz += fact.nnz
+            self._count(fact)
             return fact
 
         return self._lookup((pole, scale), build)
@@ -355,6 +465,28 @@ class ShiftedSolver:
                              "use the direct solver")
         self.cache = cache if cache is not None else SolverCache(op)
         self.solve_log: list[SolveInfo] = []
+        self._next_pole: dict = {}  # upper pole -> the next one, inside building_ahead
+
+    @contextmanager
+    def building_ahead(self, poles: Iterable[complex]):
+        """Inside the block, a direct solve whose LU lookup misses starts
+        the LU of the next upper pole on the cache's worker thread (see
+        :class:`SolverCache`). ``poles`` are the poles to be solved with,
+        in order; each is served by its upper pole (Im xi >= 0), and a
+        repeated one is dropped. On exit, also by an exception, the block
+        joins the worker. On the iterative path it does nothing.
+        """
+        if self.config.mode != "direct":
+            yield
+            return
+        upper = list(dict.fromkeys(xi.conjugate() if xi.imag < 0 else xi
+                                   for xi in map(complex, poles)))
+        self._next_pole = dict(zip(upper, upper[1:]))
+        try:
+            yield
+        finally:
+            self._next_pole = {}
+            self.cache.join()
 
     def solve_shifted(self, pole: complex, scale: float, rhs: np.ndarray,
                       split: bool = False) -> np.ndarray:
@@ -376,7 +508,7 @@ class ShiftedSolver:
         served = pole.conjugate() if flip else pole
         b = np.conj(rhs) if flip else rhs
         if self.config.mode == "direct":
-            x = self.cache.factorization(served, scale).solve(b)
+            x = self.cache.factorization(served, scale, self._next_pole.get(served)).solve(b)
             if flip:
                 x = np.conj(x)
             bnorm = float(np.linalg.norm(rhs))

@@ -456,6 +456,19 @@ def test_integrate_rejects_non_finite_or_non_positive_h_and_T(h, T):
         integrate(prob, tableau("sw2"), h, T, eng)
 
 
+@pytest.mark.parametrize("h", [float("nan"), float("inf"), -0.5])
+@pytest.mark.parametrize("engine", ["rational", "polynomial"])
+def test_step_rejects_a_non_finite_or_non_positive_h(engine, h):
+    # a NaN or infinite h is a configuration error (exit 2), not a failed
+    # factorization (SolverError, exit 3) or scipy's complaint about NaNs
+    rng = np.random.default_rng(6)
+    n = 10
+    prob = linear_problem(random_spd(rng, n, lam_max=4.0), rng.standard_normal(n))
+    config = rational_config() if engine == "rational" else EngineConfig(engine="polynomial")
+    with pytest.raises(ValueError, match="positive and finite"):
+        step(prob, tableau("sw2"), prob.u0, 0.0, h, Engine(prob, config))
+
+
 def test_integrate_rejects_negative_snapshot_stride():
     # unchecked, idx % -1 == 0 stores every step
     rng = np.random.default_rng(6)

@@ -105,6 +105,22 @@ def test_expmv_rejects_infinite_tolerance(engine):
             expmv_polynomial(op, 1.0, [np.ones(3)], tol=float("inf"))
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+@pytest.mark.parametrize("engine", ["rational", "polynomial"])
+def test_expmv_rejects_a_non_finite_scale(engine, alpha):
+    # unchecked, the rational engine's LU of (xi I + alpha A) failed as a
+    # SolverError and the polynomial engine's projected lu_factor raised
+    # scipy's own ValueError
+    op = fd_laplacian_1d(20, 1.0, "dirichlet")
+    solver = ShiftedSolver(op, SolverConfig(mode="direct"))
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        if engine == "rational":
+            expmv_rational(op, alpha, [np.ones(20)], builtin_pole_set("cf12"), solver)
+        else:
+            expmv_polynomial(op, alpha, [np.ones(20)])
+    assert solver.cache.numeric_factorizations == solver.cache.built_ahead == 0
+
+
 def test_assemble_rejects_mismatched_payload():
     op = SparseOperator.identity(3)
     with pytest.raises(ValueError):

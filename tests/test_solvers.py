@@ -1,6 +1,8 @@
 """Shifted-system solvers: direct, iterative, cache."""
 
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -10,7 +12,7 @@ import scipy.sparse.linalg as spla
 
 from ratexpint import solvers
 from ratexpint.amg import build_aggregates
-from ratexpint.integrators import Engine, EngineConfig
+from ratexpint.integrators import Engine, EngineConfig, integrate
 from ratexpint.linalg import SparseOperator
 from ratexpint.poles import builtin_pole_set
 from ratexpint.problems import (Problem, allen_cahn_2d, builtin_graph, fd_laplacian_1d,
@@ -19,6 +21,7 @@ from ratexpint.problems import (Problem, allen_cahn_2d, builtin_graph, fd_laplac
 from ratexpint.solvers import (IterativeDivergence, ShiftedSolver, SolverCache,
                                SolverConfig, SolverError, cocg, shifted_matrix,
                                solve_iterative)
+from ratexpint.tableaus import tableau
 
 
 def _upwind(n):
@@ -608,3 +611,146 @@ def test_split_target_of_a_near_real_pair_stops_at_rounding():
     solver = ShiftedSolver(op, cfg)
     solver.solve_shifted(pole, 0.5, np.random.default_rng(23).standard_normal(op.n), split=True)
     assert solver.solve_log[0].residual <= 10 * solvers.SPLIT_TOLERANCE_FLOOR
+
+
+# ---------------------------------------------------------------------------
+# LUs built ahead on the worker thread.
+# ---------------------------------------------------------------------------
+
+def recorded_builds(monkeypatch, delay=0.0):
+    """Record ``(pole, built on the caller's thread)`` for every shifted
+    matrix the cache builds; a build on the worker first sleeps ``delay``."""
+    builds = []
+    build = solvers.shifted_matrix
+
+    def recording(op, pole, scale):
+        caller = threading.current_thread().name != "ratexpint-lu-ahead"
+        if not caller:
+            time.sleep(delay)
+        builds.append((complex(pole), caller))
+        return build(op, pole, scale)
+
+    monkeypatch.setattr(solvers, "shifted_matrix", recording)
+    return builds
+
+
+def test_lu_built_ahead_solves_bitwise_as_one_built_by_the_caller(monkeypatch):
+    builds = recorded_builds(monkeypatch)
+    op = fd_laplacian_2d(32, 1.0, "neumann")
+    poles = [2.0 + 1.0j, 3.0 + 2.0j, 5.0]
+    b = np.random.default_rng(3).standard_normal(op.n)
+    plain, ahead = SolverCache(op), SolverCache(op)
+    try:
+        ahead.factorization(poles[0], 0.5, poles[1])
+        ahead.join()
+        assert sorted(builds, key=str) == [(poles[0], True), (poles[1], False)]
+        for pole, then in zip(poles, poles[1:] + [None]):
+            x = ahead.factorization(pole, 0.5, then).solve(b)
+            assert np.array_equal(x, plain.factorization(pole, 0.5).solve(b))
+    finally:
+        ahead.join()
+    # the next pole was built once by the worker, then once by the plain
+    # cache: its lookup through the cache that built it ahead built nothing
+    assert [caller for pole, caller in builds if pole == poles[1]] == [False, True]
+    assert ahead.numeric_factorizations == plain.numeric_factorizations == 3
+    assert ahead.lu_nnz == plain.lu_nnz
+    assert (ahead.built_ahead, ahead.unused, ahead.hits) == (1, 0, 1)
+
+
+def test_failed_build_ahead_raises_only_at_its_lookup():
+    # -2 is a negated eigenvalue of A (see test_singular_shift_rejected)
+    op = SparseOperator.from_dense(np.diag([1.0, 2.0, 3.0]))
+    cache = SolverCache(op)
+    try:
+        cache.factorization(1.0, 1.0, -2.0)
+        cache.join()
+        assert cache.factorization(1.0, 1.0) is not None
+        with pytest.raises(SolverError, match="negated eigenvalue"):
+            cache.factorization(-2.0, 1.0)
+        with pytest.raises(SolverError):  # built again on the caller's thread
+            cache.factorization(-2.0, 1.0)
+        # a failed build that no lookup asks for is discarded with its table
+        cache.factorization(4.0, 1.0, -2.0)
+        cache.factorization(4.0, 0.5)
+    finally:
+        cache.join()
+    assert (cache.numeric_factorizations, cache.built_ahead, cache.unused) == (3, 0, 0)
+
+
+def test_new_scale_joins_the_build_ahead_and_counts_it_unused(monkeypatch):
+    recorded_builds(monkeypatch, delay=0.2)
+    cache = SolverCache(fd_laplacian_2d(16, 1.0, "neumann"))
+    threads = threading.active_count()
+    cache.factorization(2.0 + 1.0j, 0.5, 3.0 + 1.0j)
+    worker = cache._ahead.thread
+    assert worker.is_alive() and threading.active_count() == threads + 1
+    cache.factorization(2.0 + 1.0j, 0.25)
+    assert not worker.is_alive() and threading.active_count() == threads
+    assert list(cache._entries) == [(2.0 + 1.0j, 0.25)]
+    assert (cache.drops, cache.numeric_factorizations, cache.built_ahead,
+            cache.unused) == (1, 2, 1, 1)
+
+
+def test_builds_ahead_stay_single_flight_under_concurrency(monkeypatch):
+    # eight callers walk one pole order, each naming the next pole ahead:
+    # every LU is still built once, on one thread or the other, and every
+    # one built ahead is used
+    builds = recorded_builds(monkeypatch)
+    cache = SolverCache(fd_laplacian_2d(24, 1.0, "dirichlet"))
+    poles = [1.0 + k * 1.0j for k in range(6)]
+
+    def work(start):
+        order = poles[start % 2:] + poles[:start % 2]
+        try:
+            return [cache.factorization(pole, 0.5, then)
+                    for pole, then in zip(order, order[1:] + [None])]
+        finally:
+            cache.join()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            entries = list(pool.map(work, range(16), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted((pole for pole, _ in builds), key=abs) == poles
+    assert all(len({id(e) for e in column}) == 1 for column in zip(*entries[::2]))
+    assert cache.numeric_factorizations == len(poles) and cache.unused == 0
+    assert cache.built_ahead == sum(not caller for _, caller in builds)
+
+
+def test_direct_integrate_runs_at_most_one_thread_beyond_the_callers(monkeypatch):
+    threads = threading.active_count()
+    seen = []
+    build = solvers.shifted_matrix
+
+    def counting(op, pole, scale):
+        seen.append(threading.active_count())
+        return build(op, pole, scale)
+
+    monkeypatch.setattr(solvers, "shifted_matrix", counting)
+    prob = allen_cahn_2d(32)
+    engine = Engine(prob, EngineConfig(solver=SolverConfig(mode="direct")))
+    integrate(prob, tableau("sw2"), 0.5, 1.0, engine)
+    assert engine.solver.cache.built_ahead == 2
+    assert max(seen) == threads + 1 and threading.active_count() == threads
+
+    # the caller's second build, the third LU, fails while the fourth is
+    # built ahead: the call joins the worker before the error leaves it
+    on_caller = []
+
+    def failing(op, pole, scale):
+        if threading.current_thread() is threading.main_thread():
+            on_caller.append(pole)
+            if len(on_caller) == 2:
+                raise SolverError("injected")
+        return counting(op, pole, scale)
+
+    monkeypatch.setattr(solvers, "shifted_matrix", failing)
+    engine = Engine(prob, EngineConfig(solver=SolverConfig(mode="direct")))
+    with pytest.raises(SolverError, match="injected"):
+        integrate(prob, tableau("sw2"), 0.5, 1.0, engine)
+    cache = engine.solver.cache
+    assert (cache.numeric_factorizations, cache.built_ahead, cache.unused) == (2, 2, 1)
+    assert threading.active_count() == threads
