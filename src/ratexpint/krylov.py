@@ -546,9 +546,9 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
     complex payload takes any pole set, a lone complex pole included, and
     each pole makes its own solve. A zero payload gives the zero vector
     with estimate 0, no Arnoldi step and no solve. On the direct path the
-    LUs are built two at a time, the next pole's on a worker thread that
-    the call joins before it returns or raises
-    (:meth:`~ratexpint.solvers.ShiftedSolver.building_ahead`).
+    LUs are built two at a time: a lookup that misses a pole's LU also
+    builds the next pole's on a worker thread, which it joins before it
+    returns or raises (:meth:`~ratexpint.solvers.ShiftedSolver.building_ahead`).
 
     Raises
     ------

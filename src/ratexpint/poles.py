@@ -9,6 +9,7 @@ convention are flipped on load.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -34,7 +35,8 @@ def is_infinite(xi: complex) -> bool:
 
 @dataclass(frozen=True)
 class PoleSet:
-    """Ordered list of finite, nonzero poles in the positive-real convention.
+    """Ordered list of finite, nonzero poles in the positive-real convention;
+    a zero or non-finite pole raises ``ValueError``.
 
     :attr:`steps` groups the poles as the adaptive loop consumes them.
     Sets meant for real data are conjugate-closed with pairs adjacent (see
@@ -51,6 +53,8 @@ class PoleSet:
                 raise ValueError("pole sets must not contain 0")
             if is_infinite(xi):
                 raise ValueError("infinite poles are implicit; do not list them")
+            if not cmath.isfinite(xi):
+                raise ValueError(f"poles must be finite, got {xi}")
 
     @functools.cached_property
     def steps(self) -> tuple:

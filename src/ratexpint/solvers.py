@@ -30,15 +30,13 @@ but the shift) sits beside its table.
 On the direct path the LUs are built two at a time. An LU depends only on
 A, alpha and its pole, and SuperLU releases the GIL while it factors, so
 while :func:`~ratexpint.krylov.expmv_rational` runs
-(:meth:`ShiftedSolver.building_ahead`), a lookup that misses pole xi first
-starts the LU of the next upper pole of the pole set on one worker thread
-and then factors xi on the caller's thread; the lookup of that next pole
-waits for its build. A scale's LUs are thus built in pairs, (1, 2),
-(3, 4), ..., and the results are bit-identical, because an LU does not
-depend on the thread that builds it.
-The call joins the worker before it returns or raises, so no thread
-outlives it. The iterative path builds nothing ahead: an AMG build holds
-the GIL for most of its time.
+(:meth:`ShiftedSolver.building_ahead`), a lookup that misses pole xi also
+builds the LU of the next upper pole of the pole set on one worker thread
+while it factors xi on the caller's thread, and joins the worker before
+it returns. A scale's LUs are thus built in pairs, (1, 2), (3, 4), ...,
+and the results are bit-identical, because an LU does not depend on the
+thread that builds it. The iterative path builds nothing ahead: an AMG
+build holds the GIL for most of its time.
 
 Iterative solves take symmetric operators only, as every problem builder
 makes; a nonsymmetric one belongs on the direct path. They run
@@ -51,7 +49,7 @@ costs one operator apply and one V-cycle.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
@@ -176,29 +174,12 @@ class Factorization:
         return self._lu.solve(rhs.astype(self.dtype, copy=False))
 
 
-class _BuildAhead:
-    """The LU of (xi I + alpha A) for ``key = (xi, alpha)``, built on a
-    worker thread that starts with the object. Once the thread has ended,
-    ``lu`` holds the :class:`Factorization`, or ``error`` what its build
-    raised. The worker calls nothing but :func:`shifted_matrix` and
-    :class:`Factorization`, and takes no lock."""
-
-    __slots__ = ("key", "lu", "error", "thread")
-
-    def __init__(self, op: SparseOperator, key: tuple):
-        self.key = key
-        self.lu: Optional[Factorization] = None
-        self.error: Optional[Exception] = None
-        self.thread = threading.Thread(target=self._build, args=(op,),
-                                       name="ratexpint-lu-ahead")
-        self.thread.start()
-
-    def _build(self, op: SparseOperator) -> None:
-        pole, scale = self.key
-        try:
-            self.lu = Factorization(shifted_matrix(op, pole, scale), pole)
-        except Exception as exc:  # raised by the lookup of this pole
-            self.error = exc
+def _build_into(out: list, op: SparseOperator, pole: complex, scale: float) -> None:
+    """Append the LU of (xi I + alpha A) to ``out``: the body of the worker
+    thread of :meth:`SolverCache.factorization`. A failed build appends
+    nothing; the lookup of its pole builds it again and raises there."""
+    with suppress(Exception):
+        out.append(Factorization(shifted_matrix(op, pole, scale), pole))
 
 
 class SolverCache:
@@ -222,35 +203,26 @@ class SolverCache:
     the tables dropped for a new scale.
 
     A lookup of :meth:`factorization` that misses and names an ``ahead``
-    pole builds one LU ahead, under these rules:
-
-    - **One build per key.** If the ``ahead`` LU is absent from the table
-      and no build ahead is running, its build starts on a worker thread
-      and sits in the table while it runs; then the missed pole is factored
-      on the caller's thread. A lookup of the ``ahead`` pole waits for that
-      build, so concurrent callers still share one build per key.
-    - **Errors.** A build ahead that fails keeps its :class:`SolverError`,
-      which the lookup of its pole raises (a later lookup builds again). A
-      failed build that no lookup asks for is discarded.
-    - **Thread lifetime.** At most one worker runs. :meth:`join` waits for
-      it; a caller that names ``ahead`` calls it before it returns, as
-      :meth:`ShiftedSolver.building_ahead` does, and a lookup at a new
-      scale joins it before it drops the table.
-    - **Counters.** Every counter changes under the lock.
-      ``numeric_factorizations`` and ``lu_nnz`` count an LU built ahead
-      only when a lookup first returns it, so they count the LUs that
-      solves asked for. ``built_ahead`` counts the LUs that the worker
-      built, and ``unused`` those of them that no lookup has returned,
-      dropped ones included.
+    pole whose LU is absent builds that LU too, on one worker thread named
+    ``ratexpint-lu-ahead``, while the caller's thread factors the missed
+    pole. It joins the worker and stores both LUs before it returns or
+    raises, so the table holds only finished entries and no thread
+    outlives the lookup. A build ahead that fails is discarded: the lookup
+    of its pole builds it again on the caller's thread and raises there.
+    ``numeric_factorizations`` and ``lu_nnz`` count an LU built ahead when
+    a lookup first returns it (not a hit), so they count the LUs that
+    solves asked for. ``built_ahead`` counts the LUs that the worker built,
+    and ``unused`` those of them that no lookup has returned, dropped ones
+    included.
     """
 
     def __init__(self, op: SparseOperator):
         self.op = op
         self._lock = threading.Lock()
         self._entries: dict = {}
+        self._unclaimed: set = set()  # keys of LUs built ahead, not yet returned
         self._scale: Optional[float] = None
         self._hierarchy: Optional[AmgHierarchy] = None
-        self._ahead: Optional[_BuildAhead] = None  # the build ahead not yet joined
         self.numeric_factorizations = 0
         self.lu_nnz = 0
         self.built_ahead = 0
@@ -262,16 +234,18 @@ class SolverCache:
         with self._lock:
             scale = key[1]
             if scale != self._scale:
-                self._join()
                 if self._entries:
                     self._entries.clear()
+                    self._unclaimed.clear()
                     self.drops += 1
                 self._scale = scale
             entry = self._entries.get(key)
             if entry is None:
                 entry = self._entries[key] = build()
-            elif isinstance(entry, _BuildAhead):
-                entry = self._claim(entry)
+            elif key in self._unclaimed:
+                self._unclaimed.remove(key)
+                self.unused -= 1
+                self._count(entry)
             else:
                 self.hits += 1
             return entry
@@ -280,53 +254,30 @@ class SolverCache:
         self.numeric_factorizations += 1
         self.lu_nnz += fact.nnz
 
-    def _start(self, key: tuple) -> None:
-        """Start the build ahead of ``key`` unless it is in the table or
-        another build ahead runs. Called under the lock."""
-        if key in self._entries or (self._ahead is not None and self._ahead.thread.is_alive()):
-            return
-        self._join()
-        self._ahead = self._entries[key] = _BuildAhead(self.op, key)
-
-    def _join(self) -> None:
-        """Wait for the build ahead, if any, and count it. Called under the lock."""
-        ahead, self._ahead = self._ahead, None
-        if ahead is not None:
-            ahead.thread.join()
-            if ahead.error is None:
-                self.built_ahead += 1
-                self.unused += 1
-
-    def _claim(self, entry: _BuildAhead) -> Factorization:
-        """Put the LU of a build ahead in its place in the table, or raise its
-        error. Called under the lock."""
-        if entry is self._ahead:
-            self._join()
-        del self._entries[entry.key]
-        if entry.error is not None:
-            raise entry.error
-        self.unused -= 1
-        self._count(entry.lu)
-        self._entries[entry.key] = entry.lu
-        return entry.lu
-
-    def join(self) -> None:
-        """Wait for the build ahead, if one runs."""
-        with self._lock:
-            self._join()
-
     def factorization(self, pole: complex, scale: float,
                       ahead: Optional[complex] = None) -> Factorization:
         """LU of (xi I + alpha A), ordered by minimum degree on the pattern
         of A^T + A. If the lookup misses, the LU of (``ahead`` I + alpha A)
-        is built meanwhile on the worker thread (see :class:`SolverCache`);
-        the caller then owes a :meth:`join`."""
+        is built meanwhile on a worker thread (see :class:`SolverCache`)."""
         pole, scale = complex(pole), float(scale)
+        key = (complex(ahead), scale) if ahead is not None and ahead != pole else None
 
         def build():
-            if ahead is not None and ahead != pole:
-                self._start((complex(ahead), scale))
-            fact = Factorization(shifted_matrix(self.op, pole, scale), pole)
+            built, worker = [], None
+            if key is not None and key not in self._entries:
+                worker = threading.Thread(target=_build_into, args=(built, self.op, *key),
+                                          name="ratexpint-lu-ahead")
+                worker.start()
+            try:
+                fact = Factorization(shifted_matrix(self.op, pole, scale), pole)
+            finally:
+                if worker is not None:
+                    worker.join()
+                if built:
+                    self._entries[key] = built[0]
+                    self._unclaimed.add(key)
+                    self.built_ahead += 1
+                    self.unused += 1
             self._count(fact)
             return fact
 
@@ -469,16 +420,13 @@ class ShiftedSolver:
 
     @contextmanager
     def building_ahead(self, poles: Iterable[complex]):
-        """Inside the block, a direct solve whose LU lookup misses starts
-        the LU of the next upper pole on the cache's worker thread (see
-        :class:`SolverCache`). ``poles`` are the poles to be solved with,
-        in order; each is served by its upper pole (Im xi >= 0), and a
-        repeated one is dropped. On exit, also by an exception, the block
-        joins the worker. On the iterative path it does nothing.
+        """Inside the block, a direct solve whose LU lookup misses also
+        builds the LU of the next upper pole, on a worker thread that the
+        lookup joins (see :class:`SolverCache`). ``poles`` are the poles to
+        be solved with, in order; each is served by its upper pole
+        (Im xi >= 0), and a repeated one is dropped. Iterative solves read
+        no order.
         """
-        if self.config.mode != "direct":
-            yield
-            return
         upper = list(dict.fromkeys(xi.conjugate() if xi.imag < 0 else xi
                                    for xi in map(complex, poles)))
         self._next_pole = dict(zip(upper, upper[1:]))
@@ -486,7 +434,6 @@ class ShiftedSolver:
             yield
         finally:
             self._next_pole = {}
-            self.cache.join()
 
     def solve_shifted(self, pole: complex, scale: float, rhs: np.ndarray,
                       split: bool = False) -> np.ndarray:

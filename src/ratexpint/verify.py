@@ -17,8 +17,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .integrators import Engine, EngineConfig, integrate, stage_to_expmv
-from .krylov import (RationalDecomposition, _approximant_and_estimate, assemble_augmented,
-                     dense_expm, expmv_rational, rational_arnoldi_step)
+from .krylov import (RationalDecomposition, _approximant_and_estimate, _solved_poles,
+                     assemble_augmented, dense_expm, expmv_rational, rational_arnoldi_step)
 from .linalg import SparseOperator, phi_dense_all
 from .poles import INF_POLE, PoleSet, builtin_pole_set, is_infinite
 from .problems import Problem, fd_laplacian_1d, fd_laplacian_2d
@@ -136,8 +136,11 @@ def check_phi_combination_identity(instances: int = 50, seed: int = 202,
 
 def check_error_expansion(instances: int = 20, seed: int = 303,
                           terms: int = 30, tol: float = 1e-8) -> CheckResult:
-    """Truncated error series vs explicitly computed approximation error."""
+    """Truncated error series vs explicitly computed approximation error,
+    on real payloads: the conjugate pair is one real pair step, as the
+    engine takes it."""
     rng = np.random.default_rng(seed)
+    schedule = PoleSet((complex(6.0, 2.0), complex(6.0, -2.0), complex(4.0)))
     worst = 0.0
 
     def run():
@@ -150,12 +153,11 @@ def check_error_expansion(instances: int = 20, seed: int = 303,
             cs = [rng.standard_normal(n) for _ in range(p + 1)]
             aug, ct = assemble_augmented(op, 1.0, cs)
             solver = ShiftedSolver(op, SolverConfig(mode="direct"))
-            d = RationalDecomposition(aug, ct.astype(np.complex128))
-            schedule = [complex(6.0, 2.0), complex(6.0, -2.0), 4.0, INF_POLE]
-            for xi in schedule:
-                if d.happy:
-                    break
-                rational_arnoldi_step(d, xi, None if is_infinite(xi) else solver)
+            d = RationalDecomposition(aug, ct)
+            for step in schedule.steps + ((INF_POLE,),):
+                for xi in _solved_poles(step, d.real):
+                    if not d.happy:
+                        rational_arnoldi_step(d, xi, solver)
             exact = dense_expm(h * aug.dense()) @ ct
             approx, expansion = _approximant_and_estimate(d, h, terms)
             true_err = float(np.linalg.norm(exact - approx))
@@ -201,18 +203,20 @@ def estimator_study(op: SparseOperator, h: float, c0: np.ndarray,
     """(m, estimate, true error) along the adaptive schedule.
 
     The step size is the operator scale, as in the update stage of a step
-    (theta = 1); after every pole a polynomial step settles the
-    decomposition so the estimate is evaluated under its stated convention.
-    The truth is the dense-exponential oracle applied to the augmented
-    matrix.
+    (theta = 1). The decomposition takes the payload's arithmetic and
+    consumes :attr:`~ratexpint.poles.PoleSet.steps` as the adaptive loop
+    does: on a real payload a conjugate pair is one pair step. After every
+    pole step a polynomial step settles the decomposition so the estimate
+    is evaluated under its stated convention. The truth is the
+    dense-exponential oracle applied to the augmented matrix.
     """
     aug, ct = assemble_augmented(op, h, [c0])
     exact = dense_expm(aug.dense()) @ ct
     if solver is None:
         solver = ShiftedSolver(op, SolverConfig(mode="direct"))
-    d = RationalDecomposition(aug, ct.astype(np.complex128), capacity=m_cap + 2)
+    d = RationalDecomposition(aug, ct, capacity=m_cap + 2)
     points = []
-    pole_iter = iter(pole_set)
+    steps = iter(pole_set.steps)
 
     def record():
         approx, est = _approximant_and_estimate(d, 1.0)
@@ -220,9 +224,11 @@ def estimator_study(op: SparseOperator, h: float, c0: np.ndarray,
         points.append((d.m, est, true))
 
     while d.m < m_cap and not d.happy:
-        xi = next(pole_iter, INF_POLE)
-        rational_arnoldi_step(d, xi, None if is_infinite(xi) else solver)
-        if not is_infinite(xi) and d.m < m_cap and not d.happy:
+        step = next(steps, (INF_POLE,))
+        for xi in _solved_poles(step, d.real):
+            if not d.happy:
+                rational_arnoldi_step(d, xi, solver)
+        if not is_infinite(step[0]) and d.m < m_cap and not d.happy:
             rational_arnoldi_step(d, INF_POLE)
         record()
     return points

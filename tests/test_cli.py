@@ -196,11 +196,14 @@ def test_run_zero_repeated_count_is_a_config_error(tmp_path, capsys):
     ("--tol", "inf"),
     ("--solver", "iterative", "--poles", "builtin:cf12"),
     ("--solver", "iterative", "--poles", "builtin:cf12", "--nx", "64"),
+    ("--repeated-pole", "nan"),
+    ("--solver", "iterative", "--repeated-pole", "nan"),
 ], ids=["check-cadence-0", "tol-0", "solver-maxiter-0", "solver-tol-1.5", "tol-inf",
-        "iterative-cf12", "iterative-cf12-nx64"])
+        "iterative-cf12", "iterative-cf12-nx64", "nan-pole", "iterative-nan-pole"])
 def test_engine_settings_that_cannot_converge_exit_two(tmp_path, capsys, flags):
-    # unchecked, these hang (cadence 0 at nx=64), crash with exit 1 (tol 0),
-    # read as a numerical failure with exit 3 (maxiter 0 and, once the
+    # unchecked, these hang (cadence 0 at nx=64), crash with exit 1 (tol 0,
+    # a NaN pole on the iterative path), read as a numerical failure with
+    # exit 3 (maxiter 0, a NaN pole on the direct path and, once the
     # adaptive loop reaches a pole with a negative real part, iterative cf12)
     # or accept any answer (a solver tolerance of 1 or more, an infinite tol)
     code = run_cli("run", "--problem", "ac2d", "--nx", "16", *flags,

@@ -41,6 +41,15 @@ def test_zero_pole_rejected_everywhere():
         PoleSet(poles=(0.0 + 0.0j,))
 
 
+def test_non_finite_pole_rejected():
+    # a NaN pole would reach the solver and fail there as a numerical error
+    for bad in (complex("nan"), complex(4.0, float("nan")), complex(float("inf"), 1.0)):
+        with pytest.raises(ValueError, match="finite|implicit"):
+            PoleSet(poles=(4 + 2j, 4 - 2j, bad))
+    with pytest.raises(ValueError, match="finite"):
+        repeated_real(float("nan"), 4)
+
+
 def test_conjugate_closure_check():
     assert PoleSet((1 + 2j, 1 - 2j, 3 + 0j)).conjugate_closed
     assert not PoleSet((1 + 2j, 3 + 0j)).conjugate_closed

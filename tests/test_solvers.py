@@ -640,15 +640,11 @@ def test_lu_built_ahead_solves_bitwise_as_one_built_by_the_caller(monkeypatch):
     poles = [2.0 + 1.0j, 3.0 + 2.0j, 5.0]
     b = np.random.default_rng(3).standard_normal(op.n)
     plain, ahead = SolverCache(op), SolverCache(op)
-    try:
-        ahead.factorization(poles[0], 0.5, poles[1])
-        ahead.join()
-        assert sorted(builds, key=str) == [(poles[0], True), (poles[1], False)]
-        for pole, then in zip(poles, poles[1:] + [None]):
-            x = ahead.factorization(pole, 0.5, then).solve(b)
-            assert np.array_equal(x, plain.factorization(pole, 0.5).solve(b))
-    finally:
-        ahead.join()
+    ahead.factorization(poles[0], 0.5, poles[1])
+    assert sorted(builds, key=str) == [(poles[0], True), (poles[1], False)]
+    for pole, then in zip(poles, poles[1:] + [None]):
+        x = ahead.factorization(pole, 0.5, then).solve(b)
+        assert np.array_equal(x, plain.factorization(pole, 0.5).solve(b))
     # the next pole was built once by the worker, then once by the plain
     # cache: its lookup through the cache that built it ahead built nothing
     assert [caller for pole, caller in builds if pole == poles[1]] == [False, True]
@@ -661,31 +657,28 @@ def test_failed_build_ahead_raises_only_at_its_lookup():
     # -2 is a negated eigenvalue of A (see test_singular_shift_rejected)
     op = SparseOperator.from_dense(np.diag([1.0, 2.0, 3.0]))
     cache = SolverCache(op)
-    try:
-        cache.factorization(1.0, 1.0, -2.0)
-        cache.join()
-        assert cache.factorization(1.0, 1.0) is not None
-        with pytest.raises(SolverError, match="negated eigenvalue"):
-            cache.factorization(-2.0, 1.0)
-        with pytest.raises(SolverError):  # built again on the caller's thread
-            cache.factorization(-2.0, 1.0)
-        # a failed build that no lookup asks for is discarded with its table
-        cache.factorization(4.0, 1.0, -2.0)
-        cache.factorization(4.0, 0.5)
-    finally:
-        cache.join()
+    # the failed build ahead is discarded, so its lookup builds it again
+    # on the caller's thread and raises there, each time
+    cache.factorization(1.0, 1.0, -2.0)
+    assert cache.factorization(1.0, 1.0) is not None
+    with pytest.raises(SolverError, match="negated eigenvalue"):
+        cache.factorization(-2.0, 1.0)
+    with pytest.raises(SolverError):
+        cache.factorization(-2.0, 1.0)
+    cache.factorization(4.0, 1.0, -2.0)
+    cache.factorization(4.0, 0.5)
     assert (cache.numeric_factorizations, cache.built_ahead, cache.unused) == (3, 0, 0)
 
 
-def test_new_scale_joins_the_build_ahead_and_counts_it_unused(monkeypatch):
+def test_new_scale_drops_the_lu_built_ahead_and_counts_it_unused(monkeypatch):
     recorded_builds(monkeypatch, delay=0.2)
     cache = SolverCache(fd_laplacian_2d(16, 1.0, "neumann"))
     threads = threading.active_count()
     cache.factorization(2.0 + 1.0j, 0.5, 3.0 + 1.0j)
-    worker = cache._ahead.thread
-    assert worker.is_alive() and threading.active_count() == threads + 1
+    # the slower worker was joined, and its LU stored, inside the lookup
+    assert threading.active_count() == threads
+    assert (cache.built_ahead, cache.unused) == (1, 1)
     cache.factorization(2.0 + 1.0j, 0.25)
-    assert not worker.is_alive() and threading.active_count() == threads
     assert list(cache._entries) == [(2.0 + 1.0j, 0.25)]
     assert (cache.drops, cache.numeric_factorizations, cache.built_ahead,
             cache.unused) == (1, 2, 1, 1)
@@ -701,11 +694,8 @@ def test_builds_ahead_stay_single_flight_under_concurrency(monkeypatch):
 
     def work(start):
         order = poles[start % 2:] + poles[:start % 2]
-        try:
-            return [cache.factorization(pole, 0.5, then)
-                    for pole, then in zip(order, order[1:] + [None])]
-        finally:
-            cache.join()
+        return [cache.factorization(pole, 0.5, then)
+                for pole, then in zip(order, order[1:] + [None])]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -737,7 +727,7 @@ def test_direct_integrate_runs_at_most_one_thread_beyond_the_callers(monkeypatch
     assert max(seen) == threads + 1 and threading.active_count() == threads
 
     # the caller's second build, the third LU, fails while the fourth is
-    # built ahead: the call joins the worker before the error leaves it
+    # built ahead: the lookup joins the worker before the error leaves it
     on_caller = []
 
     def failing(op, pole, scale):
