@@ -5,7 +5,8 @@ exponential action evaluates a whole linear combination of phi-functions in
 one go, a rational Arnoldi decomposition extended one pole or one
 conjugate pair at a time, the a-posteriori error estimate that drives
 subspace adaptivity, and the two ``expmv`` engines (rational with pole
-sets, polynomial with sub-stepping) used by the exponential integrators.
+sets; polynomial with sub-stepping, on one reduced vector of the plain
+operator) used by the exponential integrators.
 Both engines take one operator scale alpha, a time theta and a ready
 payload [c_0, ..., c_p] and return
 sum_k theta^k phi_k(-theta alpha A) c_k, the top block of
@@ -16,6 +17,7 @@ shifted systems (xi I + h A) and read it at their own time points.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -39,6 +41,18 @@ DEFAULT_STEPS_PAST_POLES = 128
 #: Sub-step sizes below this fraction of the requested step abort the
 #: polynomial engine.
 SUBSTEP_UNDERFLOW = 1e-12
+
+#: Largest estimated loss of orthogonality a Lanczos basis vector may carry
+#: before it is orthogonalized against the whole basis. The estimates read
+#: about 100x the measured loss on the ac2d and graph payloads, whose bases
+#: then keep ||V^H V - I||_2 below 1e-10.
+LANCZOS_ORTHOGONALITY = 1e-9
+
+#: Share of a polynomial sub-step's budget tol * tau that the rounding of its
+#: reduced vector may take; a sub-step over it runs on A~ instead.
+REDUCTION_ROUNDING_SHARE = 0.25
+
+_EPS = np.finfo(float).eps
 
 
 class KrylovError(ArithmeticError):
@@ -92,8 +106,9 @@ class AugmentedOperator:
     def apply(self, x: np.ndarray) -> np.ndarray:
         n, p = self.n, self.p
         top = -self.alpha * self.op.matvec(x[:n])
-        if p:
-            top = top + self.C @ x[n:]
+        if not p:
+            return top
+        top = top + self.C @ x[n:]
         out = np.zeros(self.dim, dtype=np.result_type(top.dtype, x.dtype))
         out[:n] = top
         if p > 1:
@@ -194,10 +209,22 @@ class RationalDecomposition:
     basis vector is contiguous and Gram-Schmidt reads the basis in place.
     The decomposition mutates in place; it is confined to one expmv call and
     never shared.
+
+    With ``lanczos`` set, every step is polynomial and each new vector is
+    orthogonalized, twice, against the two newest basis vectors only, so H
+    is tridiagonal and Gram-Schmidt costs O(n) per step instead of O(mn).
+    That needs a symmetric operator: a plain, symmetric A with no payload
+    tail (p = 0). The vectors then stay orthogonal only to about the
+    accuracy the exponential needs (Druskin, Greenbaum & Knizhnerman,
+    SISC 19 (1998)).
     """
 
-    def __init__(self, aug: AugmentedOperator, c_tilde: np.ndarray, capacity: int = 40):
+    def __init__(self, aug: AugmentedOperator, c_tilde: np.ndarray, capacity: int = 40,
+                 lanczos: bool = False):
+        if lanczos and (aug.p or not aug.op.symmetric):
+            raise ValueError("a Lanczos basis needs a symmetric operator with no payload tail")
         self.aug = aug
+        self.lanczos = lanczos
         norm = float(np.linalg.norm(c_tilde))
         if norm == 0:
             raise ValueError("start vector is zero")
@@ -211,6 +238,8 @@ class RationalDecomposition:
         self.m = 0
         self.nv = 1
         self.poles_used: list[complex] = []
+        #: Lanczos only: estimates of v_k^H v for the two newest basis vectors v
+        self.omega = (np.zeros(0), np.ones(1))
 
     @property
     def dim(self) -> int:
@@ -286,6 +315,8 @@ def rational_arnoldi_step(d: RationalDecomposition, pole: complex,
     if d.happy:
         raise KrylovError("decomposition reached an invariant subspace; cannot extend")
     finite = not is_infinite(pole)
+    if finite and d.lanczos:
+        raise ValueError("a Lanczos basis takes only infinite poles")
     if finite:
         pole = complex(pole)
         if pole.imag == 0:
@@ -329,13 +360,43 @@ def rational_arnoldi_step(d: RationalDecomposition, pole: complex,
 
 def _extend(d: RationalDecomposition, x: np.ndarray, j: int) -> None:
     """Orthogonalize ``x`` against the basis into column j of H and append
-    the new basis vector, unless it breaks down."""
-    res = orthogonal_extend(d.V[:, :d.nv], x)
-    d.H[:d.nv, j] = res.h
+    the new basis vector, unless it breaks down. A Lanczos decomposition
+    orthogonalizes against its two newest basis vectors only."""
+    first = max(d.nv - 2, 0) if d.lanczos else 0
+    res = orthogonal_extend(d.V[:, first:d.nv], x)
+    d.H[first:d.nv, j] = res.h
     if not res.breakdown:
+        v = res.v
+        if d.lanczos and (_orthogonality_loss(d, j, res.beta) > LANCZOS_ORTHOGONALITY
+                          or d.nv == d.dim):
+            full = orthogonal_extend(d.V[:, :d.nv], v)
+            if full.breakdown:  # v lies in the span of the basis
+                return
+            v = full.v
+            d.omega[1][:-1] = _EPS
         d.H[d.nv, j] = res.beta
-        d.V[:, d.nv] = res.v
+        d.V[:, d.nv] = v
         d.nv += 1
+
+
+def _orthogonality_loss(d: RationalDecomposition, j: int, beta: float) -> float:
+    """Largest estimate of |v_k^H v| over the older basis vectors v_k, k < j - 1,
+    for the new Lanczos vector v with subdiagonal ``beta``, by Simon's
+    recurrence (Math. Comp. 42 (1984)), which reads only H. The estimates of
+    the two newest vectors are kept on ``d.omega`` for the next step."""
+    prev, cur = d.omega
+    alpha = np.diag(d.H).real[:j + 1]
+    sub = np.diag(d.H, -1).real[:j]  # sub[k] = beta_{k+1}
+    new = np.full(j + 2, _EPS)
+    new[-1] = 1.0
+    if j >= 2:
+        k = np.arange(j - 1)
+        t = sub[k] * cur[k + 1] + (alpha[k] - alpha[j]) * cur[k] - sub[j - 1] * prev[k]
+        t[1:] += sub[:j - 2] * cur[:j - 2]
+        rounding = _EPS * (np.abs(alpha).max() + 2.0 * sub.max())
+        new[:j - 1] = (t + np.copysign(rounding, t)) / beta
+    d.omega = (cur, new)
+    return float(np.abs(new[:j - 1]).max(initial=0.0))
 
 
 def arnoldi_relation_residual(d: RationalDecomposition) -> float:
@@ -351,22 +412,23 @@ def arnoldi_relation_residual(d: RationalDecomposition) -> float:
     return float(num / den)
 
 
-def _approximant_and_estimate(d: RationalDecomposition, h: float, terms: int = 1):
-    """(approximant, estimate) of e^{h A~} c~ from one LU of K_m^T and one
-    dense exponential.
+def _approximant_and_estimate(d: RationalDecomposition, h: float, terms: int = 1,
+                              phi: int = 0):
+    """(approximant, estimate) of h^phi phi_phi(h A~) c~ from one LU of
+    K_m^T and one dense exponential; phi = 0 reads e^{h A~} c~.
 
     With S = H_m K_m^{-1} the compression of A~ onto the subspace (K_m the
     square part of :meth:`~RationalDecomposition.kmat`), the approximant is
-    norm(c~) V_m e^{hS} e_1 and the estimate is
+    norm(c~) V_m h^phi phi_phi(hS) e_1 and the estimate is
     h norm(c~) h_{m+1,m} ||sum_{k<=terms} gamma_k (h A~)^{k-1} v_{m+1}||,
-    gamma_k = e_m^T K_m^{-1} phi_k(hS) e_1. One term is the leading-term
-    a-posteriori estimate that drives the adaptive loop; more terms give the
-    truncated error series. Both come from e^{hW}, W = [[S, e_1, 0], [0, J]]
-    with J the nilpotent Jordan block of size ``terms``: its top-left block
-    is e^{hS} and the columns right of it are h^k phi_k(hS) e_1. The estimate
-    is derived under the convention that the newest step used an infinite
-    pole, which the adaptive loop enforces before checking; it is zero after
-    happy breakdown and at h = 0.
+    gamma_k = h^phi e_m^T K_m^{-1} phi_{phi+k}(hS) e_1. One term is the
+    leading-term a-posteriori estimate that drives the adaptive loop; more
+    terms give the truncated error series. Both come from e^{hW},
+    W = [[S, e_1, 0], [0, J]] with J the nilpotent Jordan block of size
+    phi + ``terms``: its top-left block is e^{hS} and the columns right of
+    it are h^k phi_k(hS) e_1. The estimate is derived under the convention
+    that the newest step used an infinite pole, which the adaptive loop
+    enforces before checking; it is zero after happy breakdown and at h = 0.
     """
     import warnings
 
@@ -384,18 +446,19 @@ def _approximant_and_estimate(d: RationalDecomposition, h: float, terms: int = 1
         raise SingularProjection(
             "projected system K_m is singular; append a polynomial step and retry")
     S = sla.lu_solve(lu, d.H[:m, :m].T).T
-    W = np.zeros((m + terms, m + terms), dtype=S.dtype)
+    size = m + phi + terms
+    W = np.zeros((size, size), dtype=S.dtype)
     W[:m, :m] = S
     W[0, m] = 1.0
-    tail = np.arange(m, m + terms - 1)
+    tail = np.arange(m, size - 1)
     W[tail, tail + 1] = 1.0
     E = dense_expm(h * W)
-    y = d.start_norm * (d.V[:, :m] @ E[:m, 0])
+    y = d.start_norm * (d.V[:, :m] @ E[:m, m + phi - 1 if phi else 0])
     beta = d.beta_last
     if beta == 0.0 or h == 0.0:
         return y, 0.0
     # lu factors K_m^T, so trans=1 solves with K_m
-    gammas = sla.lu_solve(lu, E[:m, m:] / h ** np.arange(1, terms + 1), trans=1)[m - 1]
+    gammas = sla.lu_solve(lu, E[:m, m + phi:] / h ** np.arange(1, terms + 1), trans=1)[m - 1]
     z = d.V[:, m]
     acc = gammas[0] * z
     for gamma in gammas[1:]:
@@ -466,8 +529,10 @@ def _solved_poles(step: tuple, real: bool) -> tuple:
 
 def _adaptive_krylov(d: RationalDecomposition, steps: Sequence[tuple],
                      solver: Optional[ShiftedSolver], theta: float, tol: float,
-                     m_min: int, cap: int, check_cadence: int, history: list):
-    """Grow ``d`` until the estimate of e^{theta A~} c~ meets ``tol``.
+                     m_min: int, cap: int, check_cadence: int, history: list,
+                     phi: int = 0):
+    """Grow ``d`` until the estimate of theta^phi phi_phi(theta A~) c~
+    (for phi = 0, e^{theta A~} c~) meets ``tol``.
 
     The pole steps (see :attr:`~ratexpint.poles.PoleSet.steps`) are consumed
     in order, each one whole, then polynomial steps follow. A conjugate pair
@@ -500,7 +565,7 @@ def _adaptive_krylov(d: RationalDecomposition, steps: Sequence[tuple],
             rational_arnoldi_step(d, INF_POLE)
         while True:
             try:
-                value, estimate = _approximant_and_estimate(d, theta)
+                value, estimate = _approximant_and_estimate(d, theta, phi=phi)
                 break
             except SingularProjection:
                 if d.m >= cap or d.happy:
@@ -594,44 +659,91 @@ def expmv_polynomial(op: SparseOperator, alpha: float, c_vectors: Sequence[np.nd
                      check_cadence: int = DEFAULT_CHECK_CADENCE,
                      m_hard: Optional[int] = None, theta: float = 1.0) -> ExpmvReport:
     """Polynomial Krylov evaluation of sum_k theta^k phi_k(-theta alpha A) c_k
-    with time sub-stepping.
+    with time sub-stepping, built as phipm builds it (Niesen & Wright, ACM
+    TOMS 38 (2012)).
 
-    Like :func:`expmv_rational`, it reads e^{theta A~(alpha)} c~, here with
-    the adaptive loop and no finite poles (all poles at infinity). Its
-    sub-step clock tau runs over fractions of theta: each segment reads its
-    basis at time tau * theta and checks the estimate against the
-    proportional budget tol * tau. If the subspace cap ``m_hard`` (by default
-    128, the rational engine's default with no poles) is reached first, tau
-    is halved and the adaptive loop checks the same basis again, since the
-    Krylov space does not depend on tau; the accepted segments
-    compose e^{theta A~} = prod e^{tau_i theta A~}. With no pole steps, the
+    With B = -alpha A, each sub-step of length s first reduces its payload
+    to one vector of the plain operator: w_0 = c_0 and w_j = B w_{j-1} + c_j,
+    p operator applies. Then sum_k s^k phi_k(sB) c_k = s^p phi_p(sB) w_p
+    + sum_{j<p} s^j / j! w_j, and only the phi_p action is approximated, in
+    the Krylov space of B from w_p, by the adaptive loop with no finite
+    poles. On a symmetric A that basis is built by Lanczos (each vector
+    orthogonalized against the two newest, see :class:`RationalDecomposition`);
+    otherwise by full two-pass classical Gram-Schmidt. With no pole steps the
     estimate is checked at ``m_min`` and then every ``check_cadence`` steps.
+
+    On rough data the terms s^j / j! w_j grow like (s ||B||)^j and cancel
+    in the sum. A sub-step whose rounding floor,
+    eps * max_{1<=j<p} s^j / j! ||w_j||, exceeds ``REDUCTION_ROUNDING_SHARE``
+    of its budget runs instead as before the reduction: the adaptive loop
+    reads e^{s A~} of the augmented state, with a full Gram-Schmidt basis.
+
+    The sub-step clock tau runs over fractions of theta, s = tau * theta,
+    and each sub-step checks its estimate against the proportional budget
+    tol * tau. If the subspace cap ``m_hard`` (by default 128, the rational
+    engine's default with no poles) is reached first, tau is halved and the
+    adaptive loop checks the same basis again, since w_p and the Krylov
+    space do not depend on tau. The accepted sub-steps compose
+    e^{theta A~} = prod e^{tau_i theta A~}: a sub-step that starts once a
+    fraction t of theta is done takes c_0 = the state reached so far and
+    c_k = C J^{k-1} y, with y = e^{t theta J} e_p the exact Jordan tail.
+    The reported estimate is the sum over the accepted sub-steps, the
+    quantity held to sum tol * tau_i = tol, and the vector is
+    e^{theta A~} c~ with that exact tail appended.
     """
     aug, c_tilde, m_hard = _engine_input(op, alpha, c_vectors, PoleSet(()), tol, m_min,
                                          check_cadence, m_hard)
     if not np.any(c_tilde):  # the action on zero is zero: no step, no solve
         return ExpmvReport(vector=np.zeros_like(c_tilde), n=op.n, estimate=0.0, converged=True)
 
+    n, p, C = aug.n, aug.p, aug.C
+    plain = AugmentedOperator(op=op, alpha=aug.alpha, C=C[:, :0])  # B, no tail
     history: list[tuple[int, float]] = []
-    w = c_tilde
+    u = c_tilde[:n]
+    estimate = 0.0
     done = 0.0
     tau = 1.0
     sizes: list[int] = []  # subspace size of each accepted sub-step
 
     while done < 1.0 - 1e-15:
         tau = min(tau, 1.0 - done)
-        d = RationalDecomposition(aug, w, capacity=m_hard)
-        while True:
+        y = _jordan_tail(done * theta, p)
+        w = [u]
+        for k in range(1, p + 1):
+            w.append(plain.apply(w[-1]) + C[:, :p - k + 1] @ y[k - 1:])
+        floor = max((_EPS * (tau * theta) ** j / math.factorial(j) * np.linalg.norm(w[j])
+                     for j in range(1, p)), default=0.0)
+        if floor > REDUCTION_ROUNDING_SHARE * tol * tau:
+            d = RationalDecomposition(aug, np.concatenate([u, y]), capacity=m_hard)
+            phi, taylor = 0, []
+        elif np.any(w[p]):
+            d = RationalDecomposition(plain, w[p], capacity=m_hard, lanczos=op.symmetric)
+            phi, taylor = p, w[:p]
+        else:  # no phi_p term: the Taylor part is exact over what is left of theta
+            d, taylor, tau = None, w[:p], 1.0 - done
+            top, sub_estimate = np.zeros_like(u), 0.0
+        while d is not None:
             # at the cap, with a polynomial newest step, this call only checks
-            w, estimate, converged = _adaptive_krylov(
-                d, (), None, tau * theta, tol * tau, m_min, m_hard, check_cadence, history)
+            top, sub_estimate, converged = _adaptive_krylov(
+                d, (), None, tau * theta, tol * tau, m_min, m_hard, check_cadence,
+                history, phi=phi)
             if converged:
                 break
             tau /= 2.0
             if tau < SUBSTEP_UNDERFLOW:
                 raise KrylovError(f"sub-step underflow: tau={tau:.3e}")
-        sizes.append(d.m)
+        sizes.append(0 if d is None else d.m)
+        u = top[:n]
+        for j, w_j in enumerate(taylor):
+            u = u + (tau * theta) ** j / math.factorial(j) * w_j
+        estimate += sub_estimate
         done += tau
 
-    return ExpmvReport(vector=w, n=op.n, estimate=estimate, converged=True,
-                       estimate_history=history, substeps=len(sizes), arnoldi_steps=sum(sizes))
+    return ExpmvReport(vector=np.concatenate([u, _jordan_tail(theta, p)]), n=n,
+                       estimate=estimate, converged=True, estimate_history=history,
+                       substeps=len(sizes), arnoldi_steps=sum(sizes))
+
+
+def _jordan_tail(t: float, p: int) -> np.ndarray:
+    """e^{t J_p} e_p: entry i is t^(p-1-i) / (p-1-i)!."""
+    return np.array([t ** (p - 1 - i) / math.factorial(p - 1 - i) for i in range(p)])

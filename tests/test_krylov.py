@@ -1,18 +1,24 @@
 """Rational Krylov engine: augmented operators, Arnoldi relation, estimates,
 adaptive expmv engines. Expected values come from dense brute-force oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ratexpint import krylov
+from ratexpint.integrators import Engine, EngineConfig, integrate
 from ratexpint.krylov import (KrylovError, RationalDecomposition, ToleranceNotReached,
                               _approximant_and_estimate, arnoldi_relation_residual,
                               assemble_augmented, expmv_polynomial, expmv_rational,
                               rational_arnoldi_step)
 from ratexpint.linalg import SparseOperator, dense_expm, phi_dense_all
 from ratexpint.poles import INF_POLE, PoleSet, builtin_pole_set, repeated_real
-from ratexpint.problems import fd_laplacian_1d
+from ratexpint.problems import allen_cahn_2d, fd_laplacian_1d
+from ratexpint.tableaus import tableau
 from ratexpint.solvers import ShiftedSolver, SolverCache, SolverConfig, SolverError
 
 
@@ -37,7 +43,7 @@ def test_assemble_p0_acts_as_scaled_negation():
     assert aug.p == 0
     assert np.array_equal(ct, np.ones(6))
     x = rng.standard_normal(6)
-    assert np.allclose(aug.apply(x), -0.7 * op.matvec(x))
+    assert np.array_equal(aug.apply(x), -0.7 * op.matvec(x))
 
 
 def test_assemble_top_block_matches_phi_combination():
@@ -529,6 +535,24 @@ def test_expansion_matches_true_error(seed):
     assert abs(expansion - true_err) <= 1e-10 * max(true_err, 1e-30) + 1e-14
 
 
+@pytest.mark.parametrize("phi", [0, 1, 2, 3])
+def test_phi_approximant_and_expansion_match_true_error(phi):
+    """The approximant and error series of h^phi phi_phi(hB) w on a Lanczos
+    basis of B = -A, the phi_p action the polynomial engine reads."""
+    rng = np.random.default_rng(70 + phi)
+    n, h = 40, 0.25
+    op = random_spd(rng, n, lam_max=6.0)
+    w = rng.standard_normal(n)
+    d = RationalDecomposition(assemble_augmented(op, 1.0, [w])[0], w, lanczos=True)
+    for _ in range(6):
+        rational_arnoldi_step(d, INF_POLE)
+    exact = h ** phi * (phi_dense_all(-h * op.todense(), phi)[phi] @ w)
+    approx, expansion = _approximant_and_estimate(d, h, terms=30, phi=phi)
+    true_err = np.linalg.norm(exact - approx)
+    assert 1e-13 < true_err < 1e-4 * np.linalg.norm(exact)
+    assert abs(expansion - true_err) <= 1e-8 * true_err
+
+
 def test_expansion_partial_sums_settle():
     rng = np.random.default_rng(11)
     d, _, _ = _built_decomposition(rng, lam_max=4.0)
@@ -727,6 +751,133 @@ def test_polynomial_substepping_triggers_and_composes():
     exact = dense_expm(-op.todense()) @ c0
     # sub-step budgeting keeps the composed error near the target
     assert np.linalg.norm(rep.vector - exact) <= 1e-6 * max(np.linalg.norm(exact), 1.0)
+    # the report sums the estimates of the accepted sub-steps, the quantity
+    # held to sum tol * tau_i = tol, not just the last one
+    assert rep.estimate_history[-1][1] < rep.estimate <= 1e-8
+
+
+def _phi_scalar(k: int, z: np.ndarray) -> np.ndarray:
+    """phi_k(z) for real z <= 0, elementwise: the Taylor series for |z| < 1,
+    phi_j = (phi_{j-1} - 1/(j-1)!) / z from phi_0 = exp elsewhere."""
+    out = np.empty_like(z)
+    small = np.abs(z) < 1.0
+    out[small] = sum(z[small] ** i / math.factorial(i + k) for i in range(30))
+    big = z[~small]
+    val = np.exp(big)
+    for j in range(1, k + 1):
+        val = (val - 1.0 / math.factorial(j - 1)) / big
+    out[~small] = val
+    return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(20, 120), decades=st.floats(1.0, 4.0),
+       p=st.integers(0, 3), theta=st.sampled_from([1.0, 0.5, 1.0 / 3.0]),
+       log_tol=st.floats(-12.0, -6.0), smooth=st.booleans(), symmetric=st.just(True))
+@example(seed=3, n=60, decades=3.0, p=3, theta=1.0, log_tol=-10.0, smooth=False,
+         symmetric=False)
+def test_polynomial_expmv_matches_an_eigh_oracle(seed, n, decades, p, theta, log_tol, smooth,
+                                                 symmetric):
+    """sum_k theta^k phi_k(-theta A) c_k within 10 tol of an oracle built from
+    eigh and scalar phi-functions. A nonsymmetric A = D S D^{-1} (S symmetric,
+    D diagonal) takes the full Gram-Schmidt basis and keeps an eigh oracle."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s = q @ np.diag(rng.uniform(0.0, 10.0 ** decades, n)) @ q.T
+    s = (s + s.T) / 2
+    scale = np.ones(n) if symmetric else np.exp(rng.uniform(-0.5, 0.5, n))
+    lam, vec = np.linalg.eigh(s)
+    right, left = scale[:, None] * vec, vec.T / scale   # A = right diag(lam) left
+    cs = [rng.standard_normal(n) for _ in range(p + 1)]
+    if smooth:
+        cs = [right @ (left @ c / (1.0 + lam)) for c in cs]
+    tol = 10.0 ** log_tol
+    op = SparseOperator.from_dense(scale[:, None] * s / scale[None, :])
+    assert op.symmetric == symmetric
+    try:
+        rep = expmv_polynomial(op, 1.0, cs, tol=tol, theta=theta)
+    except ArithmeticError:
+        return  # a typed numerical failure is allowed; any other exception fails
+    oracle = sum(theta ** k * (right @ (_phi_scalar(k, -theta * lam) * (left @ c)))
+                 for k, c in enumerate(cs))
+    err = np.abs(rep.phi_combination - oracle).max() / max(1.0, np.abs(oracle).max())
+    assert err <= 10 * tol
+
+
+def _engine_bases(monkeypatch, problem) -> list:
+    """Every decomposition the polynomial engine builds over one sw2 step."""
+    seen = []
+    adaptive = krylov._adaptive_krylov
+
+    def spy(d, *args, **kwargs):
+        seen.append(d)
+        return adaptive(d, *args, **kwargs)
+
+    monkeypatch.setattr(krylov, "_adaptive_krylov", spy)
+    integrate(problem, tableau("sw2"), 0.5, 0.5, Engine(problem, EngineConfig(engine="polynomial")))
+    return seen
+
+
+def _above_tridiagonal(d) -> float:
+    return float(np.abs(np.triu(d.hess(), 2)).max())
+
+
+def test_lanczos_basis_on_a_symmetric_operator(monkeypatch):
+    problem = allen_cahn_2d(64)
+    bases = _engine_bases(monkeypatch, problem)
+    assert bases and all(d.lanczos and d.m >= 10 for d in bases)
+    for d in bases:
+        V = d.basis()
+        assert np.linalg.norm(V.T @ V - np.eye(d.nv), 2) <= 1e-10
+        assert arnoldi_relation_residual(d) <= 1e-10
+        assert _above_tridiagonal(d) == 0.0
+
+
+def test_full_gram_schmidt_on_a_nonsymmetric_operator(monkeypatch):
+    problem = allen_cahn_2d(64)
+    scale = np.exp(np.random.default_rng(9).uniform(-0.5, 0.5, problem.A.n))
+    a = SparseOperator(problem.A.tocsr().multiply(scale[:, None] / scale[None, :]).tocsr())
+    bases = _engine_bases(monkeypatch, dataclasses.replace(problem, A=a))
+    assert bases and not any(d.lanczos for d in bases)
+    for d in bases:
+        assert arnoldi_relation_residual(d) <= 1e-10
+        assert _above_tridiagonal(d) > 1e-8 * np.abs(d.hess()).max()
+    with pytest.raises(ValueError, match="symmetric"):
+        RationalDecomposition(assemble_augmented(a, 1.0, [np.ones(a.n)])[0], np.ones(a.n),
+                              lanczos=True)
+
+
+def test_lanczos_basis_that_spans_the_space_breaks_down():
+    # at m = n the next Lanczos vector lies in the span of the basis; taken
+    # as a new basis vector, it filled the basis with NaN and every sub-step
+    # halved down to an underflow
+    rng = np.random.default_rng(5)
+    n, theta, tol = 25, 0.5, 4.2e-12
+    op = random_spd(rng, n, lam_max=10 ** 2.68)
+    cs = [rng.standard_normal(n) for _ in range(2)]
+    rep = expmv_polynomial(op, 1.0, cs, tol=tol, theta=theta)
+    assert rep.arnoldi_steps <= n * rep.substeps
+    phis = phi_dense_all(-theta * op.todense(), 1)
+    expected = phis[0] @ cs[0] + theta * (phis[1] @ cs[1])
+    assert np.abs(rep.phi_combination - expected).max() <= 10 * tol * max(1.0, np.abs(expected).max())
+
+
+def test_lanczos_basis_takes_no_finite_pole():
+    rng = np.random.default_rng(23)
+    op = random_spd(rng, 20)
+    aug, ct = assemble_augmented(op, 1.0, [rng.standard_normal(20)])
+    d = RationalDecomposition(aug, ct, lanczos=True)
+    with pytest.raises(ValueError, match="infinite poles"):
+        rational_arnoldi_step(d, 2.0, direct_solver(op))
+
+
+def test_polynomial_engine_on_a_zero_payload_with_a_tail():
+    # the reduced vector w_p is zero, so the Taylor part is the whole value
+    rng = np.random.default_rng(24)
+    op = random_spd(rng, 20)
+    rep = expmv_polynomial(op, 1.0, [np.zeros(20)] * 3, theta=0.5)
+    assert rep.arnoldi_steps == 0 and rep.estimate == 0.0
+    assert np.array_equal(rep.vector, np.concatenate([np.zeros(20), [0.5, 1.0]]))
 
 
 def test_polynomial_keeps_real_dtype():
