@@ -111,10 +111,10 @@ def test_run_report_counts_cache_drops(tmp_path):
 
 
 def test_run_report_counts_substeps_and_the_largest_estimate(tmp_path):
-    # a cap of 4 makes the polynomial engine sub-step: the Krylov space of
-    # the reduced payload is invariant at m = 5 on this smooth initial state
-    code = run_cli("run", "--problem", "ac2d", "--nx", "16", "--engine", "polynomial",
-                   "--m-hard", "4", "--h", "0.5", "--T", "0.5", "--out", str(tmp_path))
+    # a cap of 6 makes the polynomial engine sub-step on the nx=24 state; at
+    # nx=16 the Krylov space of the reduced payload is invariant at m = 5
+    code = run_cli("run", "--problem", "ac2d", "--nx", "24", "--engine", "polynomial",
+                   "--m-hard", "6", "--h", "0.5", "--T", "0.5", "--out", str(tmp_path))
     assert code == 0
     report = next(tmp_path.glob("*-report.txt")).read_text()
     fields = dict(line.split(" = ", 1) for line in report.splitlines()[1:])
