@@ -237,7 +237,9 @@ def integrate(problem: Problem, tab: Tableau, h: float, T: float,
     full step h, and the final time is exactly T.
 
     ``snapshot_stride = k`` stores every k-th state (0: only initial and
-    final). Aborts with a diagnostic snapshot on non-finite state.
+    final). Aborts with a diagnostic snapshot on non-finite state. The
+    initial state (``u0``, by default ``problem.u0``) must be a finite real
+    vector of shape (n,); anything else raises ``ValueError``.
 
     The whole call runs the bundled OpenBLAS on one thread and restores the
     caller's thread counts on return or raise
@@ -246,8 +248,10 @@ def integrate(problem: Problem, tab: Tableau, h: float, T: float,
     """
     check_time_grid(h, T, snapshot_stride)
     u = np.asarray(problem.u0 if u0 is None else u0)
-    if np.iscomplexobj(u):
-        raise ValueError("initial state must be real")
+    shape = (problem.A.n,)
+    if np.iscomplexobj(u) or u.shape != shape or not np.all(np.isfinite(u)):
+        raise ValueError(f"initial state must be a finite real vector of shape {shape}, "
+                         f"got {u.dtype} of shape {u.shape}")
     u = np.array(u, dtype=np.float64, copy=True)
     traj = Trajectory()
     traj.snapshots.append(u.copy())

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -217,6 +216,10 @@ class RationalDecomposition:
     tail (p = 0). The vectors then stay orthogonal only to about the
     accuracy the exponential needs (Druskin, Greenbaum & Knizhnerman,
     SISC 19 (1998)).
+
+    The basis is read only by :meth:`approximant`, which lifts the projected
+    coefficients of :func:`_approximant_and_estimate` to the full vector;
+    the adaptive loop does so once per call, for the value it returns.
     """
 
     def __init__(self, aug: AugmentedOperator, c_tilde: np.ndarray, capacity: int = 40,
@@ -270,6 +273,11 @@ class RationalDecomposition:
         """K_m, (m+1) x m."""
         return self.K[:self.m + 1, :self.m]
 
+    def approximant(self, y: np.ndarray) -> np.ndarray:
+        """norm(c~) V_m y: the vector whose coefficients in the first m
+        basis vectors are ``y``."""
+        return self.start_norm * (self.V[:, :self.m] @ y)
+
     def _ensure_capacity(self, m_new: int):
         cap = self.H.shape[1]
         if m_new <= cap:
@@ -305,9 +313,10 @@ def rational_arnoldi_step(d: RationalDecomposition, pole: complex,
     Guttel, SIMAX 36 (2015)). Its right-hand side is real, so it is a split
     solve (:meth:`AugmentedOperator.solve`): an iterative one meets the
     tighter target of :func:`~ratexpint.solvers.split_tolerance`. If both halves break down,
-    only the Re column is kept, so that K_m stays square. The adaptive loop passes a pair step
-    of :attr:`~ratexpint.poles.PoleSet.steps` here as its first pole on a
-    real decomposition, and pole by pole on a complex one.
+    only the Re column is kept, so that K_m stays square. The adaptive loop
+    (:func:`_grow`) passes a pair step of :attr:`~ratexpint.poles.PoleSet.steps`
+    here as its first pole on a real decomposition, and pole by pole on a
+    complex one.
 
     After a happy breakdown (:attr:`RationalDecomposition.happy`) the
     decomposition must not be extended further.
@@ -414,12 +423,16 @@ def arnoldi_relation_residual(d: RationalDecomposition) -> float:
 
 def _approximant_and_estimate(d: RationalDecomposition, h: float, terms: int = 1,
                               phi: int = 0):
-    """(approximant, estimate) of h^phi phi_phi(h A~) c~ from one LU of
-    K_m^T and one dense exponential; phi = 0 reads e^{h A~} c~.
+    """(coefficients, estimate) of h^phi phi_phi(h A~) c~ from one LU of
+    K_m^T and one dense exponential; phi = 0 reads e^{h A~} c~. Only
+    projected quantities are formed: the basis is read for the estimate's
+    newest vector v_{m+1}, and the approximant is left to
+    :meth:`RationalDecomposition.approximant` of the coefficients.
 
     With S = H_m K_m^{-1} the compression of A~ onto the subspace (K_m the
-    square part of :meth:`~RationalDecomposition.kmat`), the approximant is
-    norm(c~) V_m h^phi phi_phi(hS) e_1 and the estimate is
+    square part of :meth:`~RationalDecomposition.kmat`), the coefficients
+    are y = h^phi phi_phi(hS) e_1, a view into the dense exponential, so
+    the approximant is norm(c~) V_m y; the estimate is
     h norm(c~) h_{m+1,m} ||sum_{k<=terms} gamma_k (h A~)^{k-1} v_{m+1}||,
     gamma_k = h^phi e_m^T K_m^{-1} phi_{phi+k}(hS) e_1. One term is the
     leading-term a-posteriori estimate that drives the adaptive loop; more
@@ -453,7 +466,7 @@ def _approximant_and_estimate(d: RationalDecomposition, h: float, terms: int = 1
     tail = np.arange(m, size - 1)
     W[tail, tail + 1] = 1.0
     E = dense_expm(h * W)
-    y = d.start_norm * (d.V[:, :m] @ E[:m, m + phi - 1 if phi else 0])
+    y = E[:m, m + phi - 1 if phi else 0]
     beta = d.beta_last
     if beta == 0.0 or h == 0.0:
         return y, 0.0
@@ -521,10 +534,25 @@ class ExpmvReport:
         return self.vector[:self.n]
 
 
-def _solved_poles(step: tuple, real: bool) -> tuple:
-    """The poles of a pole step that each make an Arnoldi step: on a real
-    decomposition a conjugate pair is one pair step with its first pole."""
-    return step[:1] if real else step
+def _grow(d: RationalDecomposition, pending: deque, target: int,
+          solver: Optional[ShiftedSolver]) -> None:
+    """Grow ``d`` to at least ``target`` steps, then settle it for a check.
+
+    Pole steps are taken from the front of ``pending`` (see
+    :attr:`~ratexpint.poles.PoleSet.steps`), each one whole, and polynomial
+    steps once it is empty. A conjugate pair is one pair step with its first
+    pole on a real ``d`` and two single steps on a complex one, the second
+    skipped after a happy breakdown. If the newest pole is finite, one
+    polynomial step follows, so that the estimate of
+    :func:`_approximant_and_estimate` holds under its stated convention.
+    """
+    while d.m < target and not d.happy:
+        step = pending.popleft() if pending else (INF_POLE,)
+        for pole in step[:1] if d.real else step:
+            if not d.happy:
+                rational_arnoldi_step(d, pole, solver)
+    if not d.happy and not is_infinite(d.poles_used[-1]):
+        rational_arnoldi_step(d, INF_POLE)
 
 
 def _adaptive_krylov(d: RationalDecomposition, steps: Sequence[tuple],
@@ -534,16 +562,15 @@ def _adaptive_krylov(d: RationalDecomposition, steps: Sequence[tuple],
     """Grow ``d`` until the estimate of theta^phi phi_phi(theta A~) c~
     (for phi = 0, e^{theta A~} c~) meets ``tol``.
 
-    The pole steps (see :attr:`~ratexpint.poles.PoleSet.steps`) are consumed
-    in order, each one whole, then polynomial steps follow. A conjugate pair
-    is one pair step on a real ``d`` and two single steps on a complex one,
-    the second skipped after a happy breakdown. The estimate is checked at
-    ``m_min``, then after every pole step while pole steps remain (a
-    conjugate pair is one step), then every ``check_cadence`` polynomial
-    steps. Checks fall only between pole steps, each after a polynomial
-    step that settles a finite newest pole. A singular projection is
-    retried after one more polynomial step. Every check is appended to
-    ``history`` as (m, estimate).
+    The pole steps ``steps`` are consumed in order by :func:`_grow`, then
+    polynomial steps follow. The estimate is checked at ``m_min``, then
+    after every pole step while pole steps remain (a conjugate pair is one
+    step), then every ``check_cadence`` polynomial steps; :func:`_grow`
+    settles a finite newest pole before each check. A check forms only
+    projected quantities (:func:`_approximant_and_estimate`), and the basis
+    is read once, for the value returned. A singular projection is retried
+    after one more polynomial step. Every check is appended to ``history``
+    as (m, estimate).
 
     Returns (value, estimate, converged); not converged means the subspace
     reached ``cap`` first.
@@ -551,36 +578,24 @@ def _adaptive_krylov(d: RationalDecomposition, steps: Sequence[tuple],
     cap = min(cap, d.dim)
     target = max(1, min(m_min, cap))
     pending = deque(steps)
-
-    def grow():
-        step = pending.popleft() if pending else (INF_POLE,)
-        for pole in _solved_poles(step, d.real):
-            if not d.happy:
-                rational_arnoldi_step(d, pole, solver)
-
     while True:
-        while d.m < target and not d.happy:
-            grow()
-        if not d.happy and not is_infinite(d.poles_used[-1]):
-            rational_arnoldi_step(d, INF_POLE)
+        _grow(d, pending, target, solver)
         while True:
             try:
-                value, estimate = _approximant_and_estimate(d, theta, phi=phi)
+                y, estimate = _approximant_and_estimate(d, theta, phi=phi)
                 break
             except SingularProjection:
                 if d.m >= cap or d.happy:
                     raise
                 rational_arnoldi_step(d, INF_POLE)
         history.append((d.m, estimate))
-        if estimate <= tol:
-            return value, estimate, True
-        if d.m >= cap:
-            return value, estimate, False
+        if estimate <= tol or d.m >= cap:
+            return d.approximant(y), estimate, estimate <= tol
         target = min(d.m + (1 if pending else check_cadence), cap)
 
 
 def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndarray],
-                   pole_set: Optional[PoleSet], solver: Optional[ShiftedSolver], *,
+                   poles: PoleSet, solver: ShiftedSolver, *,
                    tol: float = DEFAULT_TOL, m_min: int = DEFAULT_M_MIN,
                    check_cadence: int = DEFAULT_CHECK_CADENCE,
                    m_hard: Optional[int] = None, theta: float = 1.0) -> ExpmvReport:
@@ -591,17 +606,18 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
     is (xi I + alpha A) whatever theta is: calls that share alpha share
     their factorizations. The estimate is that of the time point theta
     (Goeckler & Grimm, SIMAX 35 (2014), for a fixed rational Krylov space
-    read at several times). The steps of ``pole_set`` are consumed in
+    read at several times). The steps of ``poles`` are consumed in
     order, a conjugate pair always whole; after them the subspace keeps
     growing with polynomial steps until the error estimate meets ``tol``.
-    The estimate is first evaluated at ``m_min``, then after every pole
-    step, so a pole set that meets ``tol`` early stops before its last,
-    costly shifted systems are set up, and every ``check_cadence`` steps
-    once the poles are consumed. Checks fall between steps, and a
-    polynomial step is inserted before each check when the newest step
-    used a finite pole. A pair and that
-    polynomial step may carry the subspace up to two steps past the cap
-    ``m_hard``, by default len(poles) + 128.
+    An empty ``PoleSet(())`` makes every step polynomial, and ``solver``
+    then makes no solve. The estimate is first evaluated at ``m_min``,
+    then after every pole step, so a pole set that meets ``tol`` early
+    stops before its last, costly shifted systems are set up, and every
+    ``check_cadence`` steps once the poles are consumed. Checks fall
+    between steps, and a polynomial step is inserted before each check
+    when the newest step used a finite pole (:func:`_adaptive_krylov`).
+    A pair and that polynomial step may carry the subspace up to two
+    steps past the cap ``m_hard``, by default len(poles) + 128.
 
     The decomposition takes the payload's arithmetic, on either solver
     path. A real payload needs a conjugate-closed pole set: each conjugate
@@ -611,9 +627,10 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
     complex payload takes any pole set, a lone complex pole included, and
     each pole makes its own solve. A zero payload gives the zero vector
     with estimate 0, no Arnoldi step and no solve. On the direct path the
-    LUs are built two at a time: a lookup that misses a pole's LU also
-    builds the next pole's on a worker thread, which it joins before it
-    returns or raises (:meth:`~ratexpint.solvers.ShiftedSolver.building_ahead`).
+    LUs are built two at a time, in the order of ``poles``: a lookup that
+    misses a pole's LU also builds the next pole's on a worker thread,
+    which it joins before it returns or raises
+    (:meth:`~ratexpint.solvers.ShiftedSolver.building_ahead`).
 
     Raises
     ------
@@ -623,7 +640,6 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
         If the hard subspace cap is hit first; the partial result rides on
         the exception's ``report``.
     """
-    poles = pole_set if pole_set is not None else PoleSet(())
     aug, c_tilde, m_hard = _engine_input(op, alpha, c_vectors, poles, tol, m_min,
                                          check_cadence, m_hard)
     if not np.any(c_tilde):  # the action on zero is zero: no step, no solve
@@ -632,13 +648,12 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
     d = RationalDecomposition(aug, c_tilde,
                               capacity=min(max(2 * m_min, len(poles) + 8, 40), m_hard))
 
-    log_start = len(solver.solve_log) if solver is not None else 0
+    log_start = len(solver.solve_log)
     history: list[tuple[int, float]] = []
-    solved = (xi for step in poles.steps for xi in _solved_poles(step, d.real))
-    with solver.building_ahead(solved) if solver is not None else nullcontext():
+    with solver.building_ahead(poles):
         result, estimate, converged = _adaptive_krylov(
             d, poles.steps, solver, theta, tol, m_min, m_hard, check_cadence, history)
-    solves = solver.solve_log[log_start:] if solver is not None else []
+    solves = solver.solve_log[log_start:]
 
     report = ExpmvReport(
         vector=result, n=op.n, estimate=estimate,

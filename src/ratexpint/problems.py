@@ -333,6 +333,9 @@ def gierer_meinhardt_2d(nx: int, D_a: float = 0.01, D_h: float = 1.0,
     """
     if not (D_a >= 0 and D_h >= 0):
         raise ValueError(f"D_a and D_h must be non-negative, got {D_a} and {D_h}")
+    for name, value in (("p", p), ("mu", mu), ("pprime", pprime), ("nu", nu)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     lap = fd_laplacian_2d(nx, length, bc).tocsr()
     a_op = SparseOperator(sp.block_diag([D_a * lap, D_h * lap], format="csr"))
     n = nx * nx

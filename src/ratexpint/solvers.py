@@ -423,9 +423,11 @@ class ShiftedSolver:
         """Inside the block, a direct solve whose LU lookup misses also
         builds the LU of the next upper pole, on a worker thread that the
         lookup joins (see :class:`SolverCache`). ``poles`` are the poles to
-        be solved with, in order; each is served by its upper pole
-        (Im xi >= 0), and a repeated one is dropped. Iterative solves read
-        no order.
+        be solved with, in order, such as a whole
+        :class:`~ratexpint.poles.PoleSet`; each is served by its upper pole
+        (Im xi >= 0), and a repeated one is dropped. So a conjugate pair
+        gives one entry whether a real decomposition solves it once or a
+        complex one twice. Iterative solves read no order.
         """
         upper = list(dict.fromkeys(xi.conjugate() if xi.imag < 0 else xi
                                    for xi in map(complex, poles)))
@@ -442,9 +444,11 @@ class ShiftedSolver:
 
         A pole with Im xi < 0 is served by the factorization or
         preconditioner of conj(xi): x = conj(solve_conj(xi)(conj(rhs))), exact
-        because A and alpha are real. Only the setup is shared. The logged
-        residual is that of the pole actually asked for (for iterative
-        solves, conjugation leaves it unchanged).
+        because A and alpha are real. Only the setup is shared. The residual
+        is measured on the served system, before the one conjugation of x;
+        conjugation is exact, so it is also the residual of the pole asked
+        for, and a raised :class:`IterativeDivergence` holds the solution
+        for that pole.
 
         ``split`` says that the caller splits x into Re x and Im x (one
         solve for a conjugate pair); an iterative solve then stops at
@@ -456,15 +460,13 @@ class ShiftedSolver:
         b = np.conj(rhs) if flip else rhs
         if self.config.mode == "direct":
             x = self.cache.factorization(served, scale, self._next_pole.get(served)).solve(b)
-            if flip:
-                x = np.conj(x)
-            bnorm = float(np.linalg.norm(rhs))
+            bnorm = float(np.linalg.norm(b))
             res = 0.0
             if bnorm > 0:
                 # one SpMV on the CSR itself, so operator-application
                 # counts see only Krylov steps
                 ax = self.op.tocsr() @ x
-                res = float(np.linalg.norm(rhs - (pole * x + scale * ax))) / bnorm
+                res = float(np.linalg.norm(b - (served * x + scale * ax))) / bnorm
             if not res <= 10 * self.config.tolerance:  # NaN fails too
                 raise SolverError(
                     f"direct solve for pole {pole} is inaccurate: relative residual "
@@ -473,11 +475,11 @@ class ShiftedSolver:
         else:
             tolerance = split_tolerance(pole, self.config.tolerance) if split else None
             info = solve_iterative(self.cache, served, scale, b, self.config, tolerance)
-            if flip:
-                info.x = np.conj(info.x)
-            if not info.converged:
-                raise IterativeDivergence(
-                    f"iterative solve for pole {pole} stalled at residual {info.residual:.3e} "
-                    f"after {info.iterations} iterations", info)
+        if flip:
+            info.x = np.conj(info.x)
+        if not info.converged:
+            raise IterativeDivergence(
+                f"iterative solve for pole {pole} stalled at residual {info.residual:.3e} "
+                f"after {info.iterations} iterations", info)
         self.solve_log.append(replace(info, x=np.empty(0, info.x.dtype)))
         return info.x

@@ -10,6 +10,7 @@ their stated tolerances.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -17,10 +18,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .integrators import Engine, EngineConfig, integrate, stage_to_expmv
-from .krylov import (RationalDecomposition, _approximant_and_estimate, _solved_poles,
-                     assemble_augmented, dense_expm, expmv_rational, rational_arnoldi_step)
+from .krylov import (RationalDecomposition, _approximant_and_estimate, _grow,
+                     assemble_augmented, dense_expm, expmv_rational)
 from .linalg import SparseOperator, phi_dense_all
-from .poles import INF_POLE, PoleSet, builtin_pole_set, is_infinite
+from .poles import PoleSet, builtin_pole_set
 from .problems import Problem, fd_laplacian_1d, fd_laplacian_2d
 from .solvers import ShiftedSolver, SolverConfig
 from .tableaus import tableau
@@ -137,8 +138,10 @@ def check_phi_combination_identity(instances: int = 50, seed: int = 202,
 def check_error_expansion(instances: int = 20, seed: int = 303,
                           terms: int = 30, tol: float = 1e-8) -> CheckResult:
     """Truncated error series vs explicitly computed approximation error,
-    on real payloads: the conjugate pair is one real pair step, as the
-    engine takes it."""
+    on real payloads. Each decomposition grows through the engine's own
+    rule (:func:`~ratexpint.krylov._grow`) to the schedule's length and is
+    settled by one polynomial step: the conjugate pair is one real pair
+    step, as the engine takes it."""
     rng = np.random.default_rng(seed)
     schedule = PoleSet((complex(6.0, 2.0), complex(6.0, -2.0), complex(4.0)))
     worst = 0.0
@@ -154,13 +157,10 @@ def check_error_expansion(instances: int = 20, seed: int = 303,
             aug, ct = assemble_augmented(op, 1.0, cs)
             solver = ShiftedSolver(op, SolverConfig(mode="direct"))
             d = RationalDecomposition(aug, ct)
-            for step in schedule.steps + ((INF_POLE,),):
-                for xi in _solved_poles(step, d.real):
-                    if not d.happy:
-                        rational_arnoldi_step(d, xi, solver)
+            _grow(d, deque(schedule.steps), len(schedule), solver)
             exact = dense_expm(h * aug.dense()) @ ct
-            approx, expansion = _approximant_and_estimate(d, h, terms)
-            true_err = float(np.linalg.norm(exact - approx))
+            y, expansion = _approximant_and_estimate(d, h, terms)
+            true_err = float(np.linalg.norm(exact - d.approximant(y)))
             rel = abs(expansion - true_err) / max(true_err, 1e-300)
             worst = max(worst, float(rel))
         return worst
@@ -203,34 +203,28 @@ def estimator_study(op: SparseOperator, h: float, c0: np.ndarray,
     """(m, estimate, true error) along the adaptive schedule.
 
     The step size is the operator scale, as in the update stage of a step
-    (theta = 1). The decomposition takes the payload's arithmetic and
-    consumes :attr:`~ratexpint.poles.PoleSet.steps` as the adaptive loop
-    does: on a real payload a conjugate pair is one pair step. After every
-    pole step a polynomial step settles the decomposition so the estimate
-    is evaluated under its stated convention. The truth is the
-    dense-exponential oracle applied to the augmented matrix.
+    (theta = 1). The decomposition takes the payload's arithmetic and grows
+    through the engine's own rule (:func:`~ratexpint.krylov._grow`) by one
+    step per point: the next step of :attr:`~ratexpint.poles.PoleSet.steps`,
+    settled by a polynomial step so the estimate is evaluated under its
+    stated convention, and a polynomial step once they are consumed. On a
+    real payload a conjugate pair is one pair step. The points are the
+    checks of the adaptive loop at ``m_min = 1`` and ``check_cadence = 1``,
+    recorded until m reaches ``m_cap`` or a happy breakdown.
+    The truth is the dense-exponential oracle applied to the augmented
+    matrix.
     """
     aug, ct = assemble_augmented(op, h, [c0])
     exact = dense_expm(aug.dense()) @ ct
     if solver is None:
         solver = ShiftedSolver(op, SolverConfig(mode="direct"))
     d = RationalDecomposition(aug, ct, capacity=m_cap + 2)
+    pending = deque(pole_set.steps)
     points = []
-    steps = iter(pole_set.steps)
-
-    def record():
-        approx, est = _approximant_and_estimate(d, 1.0)
-        true = float(np.linalg.norm(exact - approx))
-        points.append((d.m, est, true))
-
     while d.m < m_cap and not d.happy:
-        step = next(steps, (INF_POLE,))
-        for xi in _solved_poles(step, d.real):
-            if not d.happy:
-                rational_arnoldi_step(d, xi, solver)
-        if not is_infinite(step[0]) and d.m < m_cap and not d.happy:
-            rational_arnoldi_step(d, INF_POLE)
-        record()
+        _grow(d, pending, d.m + 1, solver)
+        y, est = _approximant_and_estimate(d, 1.0)
+        points.append((d.m, est, float(np.linalg.norm(exact - d.approximant(y)))))
     return points
 
 

@@ -226,6 +226,15 @@ def test_rational_only_settings_on_the_polynomial_engine_exit_two(tmp_path, caps
     assert f"polynomial engine takes no {flags[0]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--mu", "--p"])
+def test_non_finite_reaction_parameter_exits_two(tmp_path, capsys, flag):
+    code = run_cli("run", "--problem", "gm2d", "--nx", "8", flag, "nan", "--T", "0.5",
+                   "--out", str(tmp_path))
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("flags", [("--h", "0.25", "--T", "inf"), ("--h", "inf", "--T", "0.5"),
                                    ("--snapshots", "-1")],
                          ids=["T-inf", "h-inf", "snapshots-negative"])

@@ -489,6 +489,19 @@ def test_complex_initial_state_rejected():
         integrate(prob, tableau("sw2"), 0.5, 1.0, eng, u0=prob.u0 + 1e-3j)
 
 
+@pytest.mark.parametrize("bad", ["column", "short", "nan"])
+def test_malformed_initial_state_rejected(bad):
+    # unchecked, the (64, 1) state failed inside numpy's broadcasting, the
+    # length-10 one as a payload-length error and the NaN one as a
+    # NumericalBlowup at stage 1, a numerical failure
+    prob = allen_cahn_2d(8)
+    u0 = {"column": prob.u0[:, None], "short": prob.u0[:10],
+          "nan": np.where(np.arange(prob.A.n) == 3, np.nan, prob.u0)}[bad]
+    eng = Engine(prob, rational_config())
+    with pytest.raises(ValueError, match=r"finite real vector of shape \(64,\)"):
+        integrate(prob, tableau("sw2"), 0.5, 1.0, eng, u0=u0)
+
+
 def test_linear_exactness_over_partition():
     rng = np.random.default_rng(7)
     n = 40

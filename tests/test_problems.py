@@ -338,6 +338,15 @@ def test_problem_builders_reject_anti_diffusive_parameters(build, message):
         build()
 
 
+@pytest.mark.parametrize("name, value", [("p", float("inf")), ("mu", float("nan")),
+                                         ("pprime", float("-inf")), ("nu", float("nan"))])
+def test_gierer_meinhardt_rejects_non_finite_reaction_parameters(name, value):
+    # unchecked, the first reaction value was non-finite: a numerical
+    # failure (exit 3) instead of a configuration error (exit 2)
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        gierer_meinhardt_2d(6, **{name: value})
+
+
 def test_problem_builders_accept_zero_diffusion():
     assert allen_cahn_graph(PATH3, diffusion=0.0).A.norm_inf() == 0.0
     assert gierer_meinhardt_2d(4, D_a=0.0, D_h=0.0).A.norm_inf() == 0.0

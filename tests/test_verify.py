@@ -54,3 +54,30 @@ def test_taylor_oracle_is_independent_reference():
     ref = verify.taylor_expm(z, terms=60)
     # crude independent sanity: series of the trace identity det(e^Z) = e^tr(Z)
     assert np.linalg.det(ref) == pytest.approx(np.exp(np.trace(z)), rel=1e-10)
+
+
+@pytest.mark.parametrize("payload", ["real", "complex"])
+def test_estimator_study_checks_where_the_engine_checks(payload):
+    """The study's points are the checks of the adaptive loop at m_min = 1
+    and check_cadence = 1: the oracle and the engine grow one schedule."""
+    from ratexpint.krylov import ToleranceNotReached, expmv_rational
+    from ratexpint.poles import builtin_pole_set
+    from ratexpint.problems import fd_laplacian_1d
+    from ratexpint.solvers import ShiftedSolver, SolverConfig
+
+    n, h, m_cap = 160, 0.5, 30
+    op = verify._rescaled(fd_laplacian_1d(n, float(n), "dirichlet").tocsr(), 0.0, 4.0)
+    rng = np.random.default_rng(35)
+    c0 = rng.uniform(0, 1, n)
+    if payload == "complex":
+        c0 = c0 + 1j * rng.uniform(0, 1, n)
+    poles = builtin_pole_set("cf12")
+    points = verify.estimator_study(op, h, c0, poles, m_cap=m_cap)
+    with pytest.raises(ToleranceNotReached) as err:
+        expmv_rational(op, h, [c0], poles, ShiftedSolver(op, SolverConfig(mode="direct")),
+                       tol=1e-300, m_min=1, check_cadence=1, m_hard=m_cap)
+    history = err.value.report.estimate_history
+    assert [m for m, _ in history] == [m for m, _, _ in points]
+    assert len(history) > len(poles.steps)  # past the pole steps, into polynomial ones
+    for (_, engine_estimate), (_, study_estimate, _) in zip(history, points):
+        assert engine_estimate == pytest.approx(study_estimate, rel=1e-12)
