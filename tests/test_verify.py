@@ -5,6 +5,10 @@ import pytest
 
 import ratexpint.tableaus as tableaus_mod
 from ratexpint import verify
+from ratexpint.krylov import ToleranceNotReached, expmv_rational
+from ratexpint.poles import builtin_pole_set
+from ratexpint.problems import fd_laplacian_1d
+from ratexpint.solvers import ShiftedSolver, SolverConfig
 from ratexpint.tableaus import Tableau
 
 
@@ -60,11 +64,6 @@ def test_taylor_oracle_is_independent_reference():
 def test_estimator_study_checks_where_the_engine_checks(payload):
     """The study's points are the checks of the adaptive loop at m_min = 1
     and check_cadence = 1: the oracle and the engine grow one schedule."""
-    from ratexpint.krylov import ToleranceNotReached, expmv_rational
-    from ratexpint.poles import builtin_pole_set
-    from ratexpint.problems import fd_laplacian_1d
-    from ratexpint.solvers import ShiftedSolver, SolverConfig
-
     n, h, m_cap = 160, 0.5, 30
     op = verify._rescaled(fd_laplacian_1d(n, float(n), "dirichlet").tocsr(), 0.0, 4.0)
     rng = np.random.default_rng(35)
