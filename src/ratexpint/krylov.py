@@ -61,8 +61,10 @@ class KrylovError(ArithmeticError):
 
 
 class SingularProjection(KrylovError):
-    """The square projected system K_m is singular; extend with a polynomial
-    step and retry."""
+    """The square projected system K_m is singular. More steps cannot mend
+    it: a check follows an infinite-pole step, and each further one appends
+    a unit row and column to K_m, so the adaptive loop raises this at the
+    first singular check."""
 
 
 class ToleranceNotReached(KrylovError):
@@ -114,7 +116,8 @@ class AugmentedOperator:
             out[n:n + p - 1] = x[n + 1:]
         return out
 
-    def solve(self, pole: complex, rhs: np.ndarray, solver: ShiftedSolver) -> np.ndarray:
+    def solve(self, pole: complex, rhs: np.ndarray, solver: ShiftedSolver,
+              ahead: Optional[complex] = None) -> np.ndarray:
         """Solve (xi I - A~) x = xi * rhs, for any payload length p.
 
         The tail system (xi I_p - J_p) x_tail = xi * rhs_tail is upper
@@ -122,7 +125,10 @@ class AugmentedOperator:
         first (empty for p = 0); C x_tail then joins the right-hand side of
         one shifted solve (xi I + alpha A) for the top block. A complex pole
         on a real ``rhs`` is a pair step, split into Re x and Im x, so that
-        solve is made with ``split=True``. Pole 0 raises :class:`SolverError`.
+        solve is made with ``split=True``. ``ahead`` is the pole of the next
+        solve, if known, and goes to the shifted solve as it is (see
+        :meth:`~ratexpint.solvers.ShiftedSolver.solve_shifted`). Pole 0 raises
+        :class:`SolverError`.
         """
         n, p = self.n, self.p
         if rhs.shape[0] != n + p:
@@ -136,7 +142,7 @@ class AugmentedOperator:
             x_tail[i] = carry = tail[i] + carry / pole
         split = complex(pole).imag != 0 and not np.iscomplexobj(rhs)
         x_top = solver.solve_shifted(pole, self.alpha, pole * rhs[:n] + self.C @ x_tail,
-                                     split=split)
+                                     split=split, ahead=ahead)
         return np.concatenate([x_top, x_tail])
 
     def norm_bound(self) -> float:
@@ -296,7 +302,8 @@ class RationalDecomposition:
 
 
 def rational_arnoldi_step(d: RationalDecomposition, pole: complex,
-                          solver: Optional[ShiftedSolver] = None) -> RationalDecomposition:
+                          solver: Optional[ShiftedSolver] = None,
+                          ahead: Optional[complex] = None) -> RationalDecomposition:
     """Extend the decomposition by one step with the given pole, or by a
     pair step on a real decomposition given a complex pole.
 
@@ -304,6 +311,8 @@ def rational_arnoldi_step(d: RationalDecomposition, pole: complex,
     finite pole additionally solves the shifted block system. A pole with
     zero imaginary part is passed on as a float, so that on real data its
     solve stays real. The continuation vector is the newest basis vector.
+    ``ahead``, the first pole of the step that will follow, if any, is
+    passed on to the solve (:meth:`AugmentedOperator.solve`).
 
     On a real decomposition a complex pole xi stands for the pair
     (xi, conj(xi)), both recorded in ``poles_used``: the one solve x for xi
@@ -338,7 +347,7 @@ def rational_arnoldi_step(d: RationalDecomposition, pole: complex,
     d._ensure_capacity(d.m + 1 + pair)
 
     b = d.aug.apply(d.V[:, d.nv - 1])
-    x = d.aug.solve(pole, b, solver) if finite else b
+    x = d.aug.solve(pole, b, solver, ahead) if finite else b
 
     j = d.m
     if pair:
@@ -456,8 +465,7 @@ def _approximant_and_estimate(d: RationalDecomposition, h: float, terms: int = 1
         lu = sla.lu_factor(d.kmat()[:m].T)
     diag = np.abs(np.diag(lu[0]))
     if diag.min() <= 1e-14 * max(diag.max(), 1e-300):
-        raise SingularProjection(
-            "projected system K_m is singular; append a polynomial step and retry")
+        raise SingularProjection(f"projected system K_m is singular at m={m}")
     S = sla.lu_solve(lu, d.H[:m, :m].T).T
     size = m + phi + terms
     W = np.zeros((size, size), dtype=S.dtype)
@@ -542,15 +550,19 @@ def _grow(d: RationalDecomposition, pending: deque, target: int,
     :attr:`~ratexpint.poles.PoleSet.steps`), each one whole, and polynomial
     steps once it is empty. A conjugate pair is one pair step with its first
     pole on a real ``d`` and two single steps on a complex one, the second
-    skipped after a happy breakdown. If the newest pole is finite, one
-    polynomial step follows, so that the estimate of
-    :func:`_approximant_and_estimate` holds under its stated convention.
+    skipped after a happy breakdown. Each pole step hands its solves the
+    first pole of the step after it, so that the direct path can build that
+    LU meanwhile (:meth:`~ratexpint.solvers.ShiftedSolver.solve_shifted`).
+    If the newest pole is finite, one polynomial step follows, so that the
+    estimate of :func:`_approximant_and_estimate` holds under its stated
+    convention.
     """
     while d.m < target and not d.happy:
         step = pending.popleft() if pending else (INF_POLE,)
+        ahead = pending[0][0] if pending else None
         for pole in step[:1] if d.real else step:
             if not d.happy:
-                rational_arnoldi_step(d, pole, solver)
+                rational_arnoldi_step(d, pole, solver, ahead)
     if not d.happy and not is_infinite(d.poles_used[-1]):
         rational_arnoldi_step(d, INF_POLE)
 
@@ -568,9 +580,9 @@ def _adaptive_krylov(d: RationalDecomposition, steps: Sequence[tuple],
     step), then every ``check_cadence`` polynomial steps; :func:`_grow`
     settles a finite newest pole before each check. A check forms only
     projected quantities (:func:`_approximant_and_estimate`), and the basis
-    is read once, for the value returned. A singular projection is retried
-    after one more polynomial step. Every check is appended to ``history``
-    as (m, estimate).
+    is read once, for the value returned. A singular projection raises
+    :class:`SingularProjection` at once (see there). Every check is appended
+    to ``history`` as (m, estimate).
 
     Returns (value, estimate, converged); not converged means the subspace
     reached ``cap`` first.
@@ -580,14 +592,7 @@ def _adaptive_krylov(d: RationalDecomposition, steps: Sequence[tuple],
     pending = deque(steps)
     while True:
         _grow(d, pending, target, solver)
-        while True:
-            try:
-                y, estimate = _approximant_and_estimate(d, theta, phi=phi)
-                break
-            except SingularProjection:
-                if d.m >= cap or d.happy:
-                    raise
-                rational_arnoldi_step(d, INF_POLE)
+        y, estimate = _approximant_and_estimate(d, theta, phi=phi)
         history.append((d.m, estimate))
         if estimate <= tol or d.m >= cap:
             return d.approximant(y), estimate, estimate <= tol
@@ -627,15 +632,17 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
     complex payload takes any pole set, a lone complex pole included, and
     each pole makes its own solve. A zero payload gives the zero vector
     with estimate 0, no Arnoldi step and no solve. On the direct path the
-    LUs are built two at a time, in the order of ``poles``: a lookup that
-    misses a pole's LU also builds the next pole's on a worker thread,
-    which it joins before it returns or raises
-    (:meth:`~ratexpint.solvers.ShiftedSolver.building_ahead`).
+    LUs are built two at a time, in the order the loop takes the steps of
+    ``poles``: a lookup that misses a pole's LU also builds the LU of the
+    next step's pole on a worker thread, which it joins before it returns
+    or raises (:meth:`~ratexpint.solvers.ShiftedSolver.solve_shifted`).
 
     Raises
     ------
     ValueError
         If the payload is real and the pole set is not conjugate-closed.
+    SingularProjection
+        If the projected system K_m is singular at a check.
     ToleranceNotReached
         If the hard subspace cap is hit first; the partial result rides on
         the exception's ``report``.
@@ -650,9 +657,8 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
 
     log_start = len(solver.solve_log)
     history: list[tuple[int, float]] = []
-    with solver.building_ahead(poles):
-        result, estimate, converged = _adaptive_krylov(
-            d, poles.steps, solver, theta, tol, m_min, m_hard, check_cadence, history)
+    result, estimate, converged = _adaptive_krylov(
+        d, poles.steps, solver, theta, tol, m_min, m_hard, check_cadence, history)
     solves = solver.solve_log[log_start:]
 
     report = ExpmvReport(

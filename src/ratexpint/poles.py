@@ -105,10 +105,11 @@ def load_poles(path) -> PoleSet:
 
     Format: one ``re im`` float pair per line; ``#`` lines are comments, and
     a ``# convention=positive-real|negative-real`` header declares the sign
-    convention (negative-real files are flipped on load). Sets that are not
-    conjugate-closed with adjacent pairs are rejected; this and any other
-    defect, including a set that :class:`PoleSet` rejects, raise
-    PoleFileError.
+    convention (negative-real files are flipped on load). A malformed line,
+    an empty file, an unknown convention and a set that :class:`PoleSet`
+    rejects raise PoleFileError. A set that is not conjugate-closed loads:
+    only a run on real data needs closure, and it rejects such a set there
+    (``EngineConfig``, ``expmv_rational``).
     """
     convention = "positive-real"
     poles: list[complex] = []
@@ -139,12 +140,9 @@ def load_poles(path) -> PoleSet:
     if convention == "negative-real":
         poles = [-xi for xi in poles]
     try:
-        ps = PoleSet(poles=tuple(poles), name=str(path))
+        return PoleSet(poles=tuple(poles), name=str(path))
     except ValueError as exc:
         raise PoleFileError(f"{path}: {exc}") from exc
-    if not ps.conjugate_closed:
-        raise PoleFileError(f"{path}: pole list is not conjugate-closed with adjacent pairs")
-    return ps
 
 
 def cf_poles(n: int) -> tuple[tuple[complex, ...], float]:

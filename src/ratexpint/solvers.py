@@ -28,15 +28,16 @@ operator's AMG hierarchy (:class:`~ratexpint.amg.AmgHierarchy`, everything
 but the shift) sits beside its table.
 
 On the direct path the LUs are built two at a time. An LU depends only on
-A, alpha and its pole, and SuperLU releases the GIL while it factors, so
-while :func:`~ratexpint.krylov.expmv_rational` runs
-(:meth:`ShiftedSolver.building_ahead`), a lookup that misses pole xi also
-builds the LU of the next upper pole of the pole set on one worker thread
+A, alpha and its pole, and SuperLU releases the GIL while it factors. The
+Krylov loop hands each solve the pole of the next step it will take
+(``ahead`` of :meth:`ShiftedSolver.solve_shifted`), so a lookup that
+misses pole xi also builds the LU of that next step on one worker thread
 while it factors xi on the caller's thread, and joins the worker before
 it returns. A scale's LUs are thus built in pairs, (1, 2), (3, 4), ...,
 and the results are bit-identical, because an LU does not depend on the
-thread that builds it. The iterative path builds nothing ahead: an AMG
-build holds the GIL for most of its time.
+thread that builds it. The solver keeps no pole order of its own. The
+iterative path builds nothing ahead: an AMG build holds the GIL for most
+of its time.
 
 Iterative solves take symmetric operators only, as every problem builder
 makes; a nonsymmetric one belongs on the direct path. They run
@@ -49,9 +50,9 @@ costs one operator apply and one V-cycle.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -402,7 +403,8 @@ class ShiftedSolver:
     ``solve_log`` gets one :class:`SolveInfo` per successful solve, with
     its iterations, residual and convergence flag; its ``x`` is empty and
     keeps only the solution's dtype. So a long run holds no solution
-    vectors, and its memory stays flat over the steps it has taken.
+    vectors, but the log itself still grows by one entry, about 290 bytes,
+    per solve.
     """
 
     def __init__(self, op: SparseOperator, config: Optional[SolverConfig] = None,
@@ -416,29 +418,9 @@ class ShiftedSolver:
                              "use the direct solver")
         self.cache = cache if cache is not None else SolverCache(op)
         self.solve_log: list[SolveInfo] = []
-        self._next_pole: dict = {}  # upper pole -> the next one, inside building_ahead
-
-    @contextmanager
-    def building_ahead(self, poles: Iterable[complex]):
-        """Inside the block, a direct solve whose LU lookup misses also
-        builds the LU of the next upper pole, on a worker thread that the
-        lookup joins (see :class:`SolverCache`). ``poles`` are the poles to
-        be solved with, in order, such as a whole
-        :class:`~ratexpint.poles.PoleSet`; each is served by its upper pole
-        (Im xi >= 0), and a repeated one is dropped. So a conjugate pair
-        gives one entry whether a real decomposition solves it once or a
-        complex one twice. Iterative solves read no order.
-        """
-        upper = list(dict.fromkeys(xi.conjugate() if xi.imag < 0 else xi
-                                   for xi in map(complex, poles)))
-        self._next_pole = dict(zip(upper, upper[1:]))
-        try:
-            yield
-        finally:
-            self._next_pole = {}
 
     def solve_shifted(self, pole: complex, scale: float, rhs: np.ndarray,
-                      split: bool = False) -> np.ndarray:
+                      split: bool = False, ahead: Optional[complex] = None) -> np.ndarray:
         """Solve (xi I + alpha A) x = rhs, log the solve's diagnostics
         (not x, see :class:`ShiftedSolver`) and return x.
 
@@ -454,12 +436,19 @@ class ShiftedSolver:
         solve for a conjugate pair); an iterative solve then stops at
         :func:`split_tolerance` instead of the configured tolerance. A
         direct solve is the same either way.
+
+        ``ahead`` is the pole that the caller will solve with next, if it
+        knows. It is served by its upper pole as ``pole`` is, and a direct
+        lookup that misses builds that LU meanwhile on a worker thread (see
+        :class:`SolverCache`). An iterative solve ignores it.
         """
         flip = pole.imag < 0
         served = pole.conjugate() if flip else pole
         b = np.conj(rhs) if flip else rhs
         if self.config.mode == "direct":
-            x = self.cache.factorization(served, scale, self._next_pole.get(served)).solve(b)
+            if ahead is not None and ahead.imag < 0:
+                ahead = ahead.conjugate()
+            x = self.cache.factorization(served, scale, ahead).solve(b)
             bnorm = float(np.linalg.norm(b))
             res = 0.0
             if bnorm > 0:

@@ -26,11 +26,11 @@ def test_run_writes_outputs_and_exits_zero(tmp_path, capsys, monkeypatch):
     calls = 0
     solve_shifted = ShiftedSolver.solve_shifted
 
-    def recording(self, pole, scale, rhs, split=False):
+    def recording(self, pole, scale, rhs, **kwargs):
         nonlocal calls
         calls += 1
         consumed.add((complex(pole), float(scale)))
-        return solve_shifted(self, pole, scale, rhs, split)
+        return solve_shifted(self, pole, scale, rhs, **kwargs)
 
     monkeypatch.setattr(ShiftedSolver, "solve_shifted", recording)
     trajectories = []
@@ -378,6 +378,15 @@ def test_empty_config_value_counts_as_unset(tmp_path, capsys):
     assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path)) == 0
     report = next(tmp_path.glob("*-report.txt")).read_text()
     assert "steps = 1" in report  # the default h = 0.5
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
+def test_ac2d_run_past_a_uniform_state_exits_zero(tmp_path):
+    # by t = 3.5 the state is uniform, so the start vector nearly spans an
+    # invariant subspace; the default direct path then meets a singular K_m
+    # and exits 3 (the iterative path exits 0)
+    assert run_cli("run", "--problem", "ac2d", "--nx", "32", "--T", "4",
+                   "--out", str(tmp_path)) == 0
 
 
 @pytest.mark.parametrize("cls", [SolverError, IterativeDivergence, KrylovError,

@@ -3,6 +3,7 @@ adaptive expmv engines. Expected values come from dense brute-force oracles."""
 
 import dataclasses
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ from hypothesis import strategies as st
 
 from ratexpint import krylov
 from ratexpint.integrators import Engine, EngineConfig, integrate
-from ratexpint.krylov import (KrylovError, RationalDecomposition, ToleranceNotReached,
-                              _approximant_and_estimate, arnoldi_relation_residual,
-                              assemble_augmented, expmv_polynomial, expmv_rational,
-                              rational_arnoldi_step)
+from ratexpint.krylov import (KrylovError, RationalDecomposition, SingularProjection,
+                              ToleranceNotReached, _approximant_and_estimate,
+                              arnoldi_relation_residual, assemble_augmented,
+                              expmv_polynomial, expmv_rational, rational_arnoldi_step)
 from ratexpint.linalg import SparseOperator, dense_expm, phi_dense_all
 from ratexpint.poles import INF_POLE, PoleSet, builtin_pole_set, repeated_real
 from ratexpint.problems import allen_cahn_2d, fd_laplacian_1d
@@ -181,9 +182,9 @@ def test_block_solve_reads_the_pair_split_from_its_right_hand_side(monkeypatch):
         block = ShiftedSolver(op, cfg)
         flags = []
 
-        def recording(*args, split=False, solve=block.solve_shifted):
-            flags.append(split)
-            return solve(*args, split=split)
+        def recording(*args, solve=block.solve_shifted, **kwargs):
+            flags.append(kwargs.get("split", False))
+            return solve(*args, **kwargs)
         monkeypatch.setattr(block, "solve_shifted", recording)
         aug.solve(pole, rhs, block)
         assert flags == [split]
@@ -458,7 +459,6 @@ def test_all_infinite_poles_match_polynomial_engine():
 
 
 def test_singular_projection_detected():
-    from ratexpint.krylov import SingularProjection
     rng = np.random.default_rng(30)
     op = random_spd(rng, 12, lam_max=5.0)
     aug, ct = assemble_augmented(op, 1.0, [rng.standard_normal(12)])
@@ -471,6 +471,59 @@ def test_singular_projection_detected():
     d.K[:, 1] = 0.0  # the Re column of the pair
     with pytest.raises(SingularProjection):
         _approximant_and_estimate(d, 0.5)
+
+
+@pytest.mark.parametrize("order", ["real", "complex", "lower-first"])
+def test_grow_hands_each_pole_step_the_next_steps_pole(order):
+    # the loop owns the pole order: growing a space by _grow alone builds
+    # the LUs in pairs, whichever pole of a pair comes first and whether a
+    # pair is one step or two
+    cf12 = builtin_pole_set("cf12")
+    steps = [step[::-1] if order == "lower-first" else step for step in cf12.steps]
+    op = fd_laplacian_1d(40, 1.0, "dirichlet")
+    c0 = np.random.default_rng(8).standard_normal(op.n)
+    aug, ct = assemble_augmented(op, 0.5, [c0 + 1j * c0 if order == "complex" else c0])
+    solver = direct_solver(op)
+    krylov._grow(RationalDecomposition(aug, ct), deque(steps), len(cf12), solver)
+    cache = solver.cache
+    assert (cache.numeric_factorizations, cache.built_ahead, cache.unused) \
+        == (len(steps), len(steps) // 2, 0)
+
+
+def _singular_after_infinite_step():
+    """A real decomposition after the steps 4, a pair and inf, with the Re
+    column of the pair zeroed so that the square K_4 is singular."""
+    rng = np.random.default_rng(30)
+    op = random_spd(rng, 12, lam_max=5.0)
+    aug, ct = assemble_augmented(op, 1.0, [rng.standard_normal(12)])
+    d = RationalDecomposition(aug, ct)
+    for xi in (4.0, complex(2, 1), INF_POLE):
+        rational_arnoldi_step(d, xi, direct_solver(op))
+    d.K[:, 1] = 0.0
+    return d
+
+
+def test_infinite_step_keeps_a_singular_projection_singular():
+    # after an infinite-pole step the square K_{m+1} is [[K_m, 0], [0, 1]],
+    # so more polynomial steps cannot mend a singular K_m
+    d = _singular_after_infinite_step()
+    m = d.m
+    K_m = d.kmat()[:m].copy()
+    rational_arnoldi_step(d, INF_POLE)
+    K_next = d.kmat()[:m + 1]
+    assert np.array_equal(K_next[:m, :m], K_m)
+    assert not np.any(K_next[m, :m]) and not np.any(K_next[:m, m]) and K_next[m, m] == 1.0
+    sv_m = np.linalg.svd(K_m, compute_uv=False)
+    sv_next = np.linalg.svd(K_next, compute_uv=False)
+    assert np.allclose(np.sort(sv_next), np.sort(np.append(sv_m, 1.0)), rtol=0, atol=1e-15)
+
+
+def test_singular_projection_raises_at_the_first_check():
+    d = _singular_after_infinite_step()
+    with pytest.raises(SingularProjection, match="at m=4"):
+        krylov._adaptive_krylov(d, (), None, 0.5, 1e-8, m_min=1, cap=40,
+                                check_cadence=5, history=[])
+    assert d.m == 4
 
 
 def test_zero_step_returns_start_vector():

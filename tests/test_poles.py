@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ratexpint.cli import main
 from ratexpint.krylov import expmv_rational
 from ratexpint.linalg import SparseOperator
 from ratexpint.poles import (PoleFileError, PoleSet, builtin_pole_set, cf_poles,
@@ -94,10 +95,28 @@ def test_steps_property(chunks):
         assert ps.conjugate_closed
 
 
-def test_load_rejects_open_set(tmp_path):
-    path = tmp_path / "open.poles"
-    path.write_text("# convention=positive-real\n1.0 2.0\n3.0 0.0\n")
-    with pytest.raises(PoleFileError, match="not conjugate-closed"):
+def test_load_rejects_open_set(tmp_path, capsys):
+    # the file loads and validates; a run on real data rejects it, naming the file
+    path = tmp_path / "lone.poles"
+    path.write_text("4 3\n")
+    assert load_poles(path).conjugate_closed is False
+    assert main(["run", "--nx", "16", "--poles", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "not conjugate-closed" in err and str(path) in err
+    assert main(["poles", "validate", str(path)]) == 0
+    assert "conjugate_closed=False" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1.0\n", "expected 're im'"), ("1.0 x\n", "could not convert"),
+    ("0 0\n", "must not contain 0"), ("inf 0\n", "must be finite"),
+    ("# only a comment\n", "no poles found"),
+    ("# convention=sideways\n1.0 0.0\n", "unknown convention")],
+    ids=["short-line", "not-a-number", "zero", "infinite", "empty", "convention"])
+def test_load_rejects_malformed_files(tmp_path, text, message):
+    path = tmp_path / "bad.poles"
+    path.write_text(text)
+    with pytest.raises(PoleFileError, match=message):
         load_poles(path)
 
 

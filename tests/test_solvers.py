@@ -653,6 +653,25 @@ def test_lu_built_ahead_solves_bitwise_as_one_built_by_the_caller(monkeypatch):
     assert (ahead.built_ahead, ahead.unused, ahead.hits) == (1, 0, 1)
 
 
+@pytest.mark.parametrize("mode", ["direct", "iterative"])
+def test_solve_shifted_builds_the_upper_pole_of_ahead(mode, monkeypatch):
+    # a lower pole handed ahead is served by its upper pole, as a solved one
+    # is; the iterative path builds nothing ahead
+    builds = recorded_builds(monkeypatch)
+    op = fd_laplacian_2d(16, 1.0, "neumann")
+    solver = ShiftedSolver(op, SolverConfig(mode=mode))
+    b = np.random.default_rng(5).standard_normal(op.n)
+    solver.solve_shifted(2.0 + 1.0j, 0.5, b, ahead=3.0 - 2.0j)
+    solver.solve_shifted(3.0 - 2.0j, 0.5, b, ahead=None)
+    cache = solver.cache
+    if mode == "iterative":
+        assert builds == [] and cache.built_ahead == 0
+        return
+    assert sorted(builds, key=str) == [(2.0 + 1.0j, True), (3.0 + 2.0j, False)]
+    assert (cache.numeric_factorizations, cache.built_ahead, cache.unused,
+            cache.hits) == (2, 1, 0, 0)
+
+
 def test_failed_build_ahead_raises_only_at_its_lookup():
     # -2 is a negated eigenvalue of A (see test_singular_shift_rejected)
     op = SparseOperator.from_dense(np.diag([1.0, 2.0, 3.0]))
