@@ -343,7 +343,8 @@ def cocg(matrix, rhs: np.ndarray, tolerance: float, max_iterations: int,
     Magn. 26 (1990)): CG with the unconjugated form r^T z, so on real
     data it is CG. Returns ``(x, iterations, converged)``; it stops when
     the updated residual is at most ``tolerance * |rhs|``, and a breakdown
-    (p^T A p = 0 or r^T z = 0) returns ``converged=False``.
+    (p^T A p = 0 or r^T z = 0) returns ``converged=False``. The vector
+    updates are made in place, through one work vector.
     """
     apply = (lambda v: v) if precond is None else precond.matvec
     threshold = tolerance * np.linalg.norm(rhs)
@@ -351,20 +352,22 @@ def cocg(matrix, rhs: np.ndarray, tolerance: float, max_iterations: int,
     r = rhs.astype(x.dtype)
     z = apply(r)
     rho = r @ z
-    p = z
+    p = z.copy()
+    work = np.empty_like(x)
     for iteration in range(1, max_iterations + 1):
         q = matrix @ p
         pq = p @ q
         if rho == 0 or pq == 0:
             return x, iteration - 1, False
         step = rho / pq
-        x += step * p
-        r = r - step * q
+        x += np.multiply(step, p, out=work)
+        r -= np.multiply(step, q, out=work)
         if np.linalg.norm(r) <= threshold:
             return x, iteration, True
         z = apply(r)
         rho, rho_old = r @ z, rho
-        p = z + (rho / rho_old) * p
+        np.multiply(rho / rho_old, p, out=p)
+        p += z
     return x, max_iterations, False
 
 
