@@ -343,8 +343,7 @@ def cocg(matrix, rhs: np.ndarray, tolerance: float, max_iterations: int,
     Magn. 26 (1990)): CG with the unconjugated form r^T z, so on real
     data it is CG. Returns ``(x, iterations, converged)``; it stops when
     the updated residual is at most ``tolerance * |rhs|``, and a breakdown
-    (p^T A p = 0 or r^T z = 0) returns ``converged=False``. The vector
-    updates are made in place, through one work vector.
+    (p^T A p = 0 or r^T z = 0) returns ``converged=False``.
     """
     apply = (lambda v: v) if precond is None else precond.matvec
     threshold = tolerance * np.linalg.norm(rhs)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ratexpint.amg import OMEGA, AmgHierarchy, AmgPreconditioner, build_aggregates
+from ratexpint.amg import OMEGA, AmgHierarchy, AmgPreconditioner, build_aggregates, transfer
 from ratexpint.problems import allen_cahn_2d, fd_laplacian_2d
 from ratexpint.solvers import shifted_matrix
 
@@ -88,6 +88,20 @@ def test_shift_independent_vcycle_matches_explicit_galerkin_products(pole, scale
     b = rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)
     expected = _galerkin_vcycle(matrix, [p for p, _ in hierarchy.transfers], b)
     assert np.linalg.norm(amg.matvec(b) - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_real_transfers_equal_their_complex_copies_bit_for_bit():
+    # P_k (a CSC view of R_k) and R_k apply to a complex vector in real
+    # arithmetic, with exactly the result of their complex CSR copies
+    hierarchy = _hierarchy(allen_cahn_2d(64).A)
+    rng = np.random.default_rng(5)
+    for p, r in hierarchy.transfers:
+        assert p.format == "csc" and r.format == "csr"
+        for m in (p, r):
+            v = rng.standard_normal(m.shape[1]) + 1j * rng.standard_normal(m.shape[1])
+            expected = m.tocsr().astype(np.complex128) @ v
+            assert np.array_equal(transfer(m, v), expected)
+            assert np.array_equal(transfer(m, v.real), m @ v.real)
 
 
 def test_zero_diagonal_rows_stay_unsmoothed():
