@@ -235,13 +235,37 @@ def write_trajectory_csv(path: Path, traj: Trajectory, max_columns: int = 10000)
                                 + [f"{float(v)!r}" for v in u[idx]])
 
 
-def write_run_report(path: Path, args: argparse.Namespace, traj: Trajectory, checksum: str,
+#: The statistics of one run, in the order the run report and ``bench`` write them.
+RUN_RECORD = ("steps", "expmv_calls", "arnoldi_steps", "avg_krylov_iterations", "substeps",
+              "max_estimate", "shifted_solves", "solver_iterations", "max_solver_residual",
+              "numeric_factorizations", "lu_nnz", "lu_built_ahead", "lu_unused", "cache_hits",
+              "cache_drops", "blas_threads", "wall_time_s", "final_checksum")
+
+
+def run_record(traj: Trajectory, engine: Engine) -> dict[str, str]:
+    """What a run did, named by :data:`RUN_RECORD` and formatted as the run
+    report and ``bench`` write it. ``wall_time_s`` is :func:`integrate`'s own."""
+    steps, cache = traj.steps, engine.solver.cache
+    threads = "unchanged (no OpenBLAS found)" if traj.blas_threads is None \
+        else traj.blas_threads
+    values = (len(steps), sum(s.expmv_calls for s in steps),
+              sum(s.arnoldi_steps for s in steps), f"{traj.average_krylov_iterations():.4f}",
+              sum(s.substeps for s in steps),
+              f"{max((s.max_estimate for s in steps), default=0.0):.6e}",
+              sum(s.shifted_solves for s in steps), sum(s.solver_iterations for s in steps),
+              f"{traj.max_residual():.6e}", cache.numeric_factorizations, cache.lu_nnz,
+              cache.built_ahead, cache.unused, cache.hits, cache.drops, threads,
+              f"{traj.wall_time:.4f}", state_checksum(traj.final_state))
+    return {name: str(value) for name, value in zip(RUN_RECORD, values)}
+
+
+def write_run_report(path: Path, args: argparse.Namespace, record: dict[str, str],
                      engine: Engine):
     """Every setting the run read that has a value, defaults included, with
     the engine, pole set and solver mode the engine resolved; then the run's
-    statistics. Another problem's settings are left out, and so is
-    ``repeated_count`` without ``repeated_pole``."""
-    config, cache = engine.config, engine.solver.cache
+    ``record`` (:func:`run_record`). Another problem's settings are left
+    out, and so is ``repeated_count`` without ``repeated_pole``."""
+    config = engine.config
     unread = {"command", "func"}.union(*PROBLEM_SETTINGS.values())
     unread -= set(PROBLEM_SETTINGS[args.problem])
     if args.repeated_pole is None:
@@ -255,26 +279,8 @@ def write_run_report(path: Path, args: argparse.Namespace, traj: Trajectory, che
         fh.write("# run report\n")
         for key in sorted(settings):
             fh.write(f"{key} = {settings[key]}\n")
-        fh.write(f"steps = {len(traj.steps)}\n")
-        fh.write(f"expmv_calls = {traj.total_expmv_calls()}\n")
-        fh.write(f"arnoldi_steps = {traj.total_arnoldi_steps()}\n")
-        fh.write(f"avg_krylov_iterations = {traj.average_krylov_iterations():.4f}\n")
-        fh.write(f"substeps = {sum(s.substeps for s in traj.steps)}\n")
-        fh.write(f"max_estimate = {max((s.max_estimate for s in traj.steps), default=0.0):.6e}\n")
-        fh.write(f"shifted_solves = {traj.total_shifted_solves()}\n")
-        fh.write(f"solver_iterations = {traj.total_solver_iterations()}\n")
-        fh.write(f"max_solver_residual = {traj.max_residual():.6e}\n")
-        fh.write(f"numeric_factorizations = {cache.numeric_factorizations}\n")
-        fh.write(f"lu_nnz = {cache.lu_nnz}\n")
-        fh.write(f"lu_built_ahead = {cache.built_ahead}\n")
-        fh.write(f"lu_unused = {cache.unused}\n")
-        fh.write(f"cache_hits = {cache.hits}\n")
-        fh.write(f"cache_drops = {cache.drops}\n")
-        threads = "unchanged (no OpenBLAS found)" if traj.blas_threads is None \
-            else traj.blas_threads
-        fh.write(f"blas_threads = {threads}\n")
-        fh.write(f"wall_time_s = {traj.wall_time:.4f}\n")
-        fh.write(f"final_checksum = {checksum}\n")
+        for key, value in record.items():
+            fh.write(f"{key} = {value}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -292,20 +298,19 @@ def cmd_run(args) -> int:
     problem, tab, engine = _setup(args)  # before mkdir: a bad setting writes nothing
     args.out.mkdir(parents=True, exist_ok=True)
     traj = integrate(problem, tab, args.h, args.T, engine, snapshot_stride=args.snapshots)
-    checksum = state_checksum(traj.final_state)
+    record = run_record(traj, engine)
     traj_path = args.out / f"{problem.name}-{tab.name}-trajectory.csv"
     report_path = args.out / f"{problem.name}-{tab.name}-report.txt"
     write_trajectory_csv(traj_path, traj)
-    write_run_report(report_path, args, traj, checksum, engine)
+    write_run_report(report_path, args, record, engine)
     print(f"wrote {traj_path}")
     print(f"wrote {report_path}")
-    print(f"final_checksum = {checksum}")
+    print(f"final_checksum = {record['final_checksum']}")
     return EXIT_OK
 
 
-BENCH_HEADER = ["problem", "nx", "n", "engine", "integrator", "h",
-                "avg_krylov_iterations", "total_expmv_calls", "wall_time_s",
-                "solver_iterations", "max_solver_residual", "final_checksum", "error"]
+#: One row per cell: the cell, the statistics ``run`` reports, the cell's error.
+BENCH_HEADER = ["problem", "nx", "n", "engine", "integrator", "h", *RUN_RECORD, "error"]
 
 
 def cmd_bench(args) -> int:
@@ -323,17 +328,12 @@ def cmd_bench(args) -> int:
             try:
                 problem, tab, engine = _setup(cell)
                 n = problem.n
-                t0 = time.perf_counter()
                 traj = integrate(problem, tab, cell.h, cell.T, engine)
-                wall = time.perf_counter() - t0
-                rows.append([
-                    cell.problem, nx, n, engine_name, tab.name, cell.h,
-                    f"{traj.average_krylov_iterations():.4f}", traj.total_expmv_calls(),
-                    f"{wall:.4f}", traj.total_solver_iterations(),
-                    f"{traj.max_residual():.3e}", state_checksum(traj.final_state), ""])
+                rows.append([cell.problem, nx, n, engine_name, tab.name, cell.h,
+                             *run_record(traj, engine).values(), ""])
             except (ArithmeticError, *CONFIG_ERRORS) as exc:  # recorded; the sweep goes on
                 rows.append([cell.problem, nx, n, engine_name, cell.integrator, cell.h,
-                             "", "", "", "", "", "", str(exc)])
+                             *[""] * len(RUN_RECORD), str(exc)])
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(BENCH_HEADER)
@@ -378,7 +378,19 @@ def cmd_graph_info(args) -> int:
 
 
 def _names(text: str) -> list[str]:
-    return [s.strip() for s in text.split(",") if s.strip()]
+    names = [s.strip() for s in text.split(",") if s.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError(f"empty list {text!r}")
+    return names
+
+
+def _engines(text: str) -> list[str]:
+    names = _names(text)
+    for name in names:
+        if name not in ENGINES:
+            raise argparse.ArgumentTypeError(
+                f"unknown engine {name!r}; expected one of {', '.join(ENGINES)}")
+    return names
 
 
 def _sizes(text: str) -> list[int]:
@@ -401,7 +413,7 @@ def main(argv=None) -> int:
                              allow_abbrev=False)
     _add_run_flags(p_bench)
     p_bench.add_argument("--sizes", type=_sizes, default="64,128", help="comma-separated nx list")
-    p_bench.add_argument("--engines", type=_names, default=",".join(ENGINES),
+    p_bench.add_argument("--engines", type=_engines, default=",".join(ENGINES),
                          help="comma-separated engine list")
     p_bench.set_defaults(func=cmd_bench)
 

@@ -190,21 +190,9 @@ class Trajectory:
     def final_state(self) -> np.ndarray:
         return self.snapshots[-1]
 
-    def total_expmv_calls(self) -> int:
-        return sum(s.expmv_calls for s in self.steps)
-
-    def total_arnoldi_steps(self) -> int:
-        return sum(s.arnoldi_steps for s in self.steps)
-
-    def total_shifted_solves(self) -> int:
-        return sum(s.shifted_solves for s in self.steps)
-
-    def total_solver_iterations(self) -> int:
-        return sum(s.solver_iterations for s in self.steps)
-
     def average_krylov_iterations(self) -> float:
-        calls = self.total_expmv_calls()
-        return self.total_arnoldi_steps() / calls if calls else 0.0
+        calls = sum(s.expmv_calls for s in self.steps)
+        return sum(s.arnoldi_steps for s in self.steps) / calls if calls else 0.0
 
     def max_residual(self) -> float:
         return max((s.max_residual for s in self.steps), default=0.0)

@@ -640,13 +640,16 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
     Raises
     ------
     ValueError
-        If the payload is real and the pole set is not conjugate-closed.
+        If ``solver`` belongs to another operator than ``op``, or if the
+        payload is real and the pole set is not conjugate-closed.
     SingularProjection
         If the projected system K_m is singular at a check.
     ToleranceNotReached
         If the hard subspace cap is hit first; the partial result rides on
         the exception's ``report``.
     """
+    if solver.op is not op:
+        raise ValueError("the shifted solver belongs to another operator")
     aug, c_tilde, m_hard = _engine_input(op, alpha, c_vectors, poles, tol, m_min,
                                          check_cadence, m_hard)
     if not np.any(c_tilde):  # the action on zero is zero: no step, no solve

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from ratexpint import cli, linalg
-from ratexpint.cli import BENCH_HEADER, CONFIG_ERRORS, main, read_config_file
-from ratexpint.integrators import NumericalBlowup
+from ratexpint.cli import BENCH_HEADER, CONFIG_ERRORS, RUN_RECORD, main, read_config_file
+from ratexpint.integrators import ENGINES, NumericalBlowup
 from ratexpint.krylov import KrylovError, SingularProjection, ToleranceNotReached
 from ratexpint.solvers import IterativeDivergence, ShiftedSolver, SolverError
 
@@ -433,8 +433,65 @@ def test_bench_writes_stable_schema(tmp_path):
     assert rows[0] == BENCH_HEADER
     assert len(rows) == 1 + 4  # header + 2 sizes x 2 engines
     for row in rows[1:]:
-        assert row[-1] == ""  # no per-cell errors
-        assert float(row[6]) > 0  # avg iterations
+        cell = dict(zip(BENCH_HEADER, row))
+        assert cell["error"] == ""  # no per-cell errors
+        assert float(cell["avg_krylov_iterations"]) > 0
+
+
+def test_bench_header_is_the_cell_then_the_run_record_then_the_error():
+    assert BENCH_HEADER == ["problem", "nx", "n", "engine", "integrator", "h",
+                            *RUN_RECORD, "error"]
+    assert len(set(BENCH_HEADER)) == len(BENCH_HEADER)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_bench_row_records_what_the_run_report_reports(tmp_path, engine):
+    cell = ("--problem", "ac2d", "--integrator", "sw2", "--h", "0.25", "--T", "0.5")
+    assert run_cli("run", *cell, "--nx", "16", "--engine", engine,
+                   "--out", str(tmp_path / "run")) == 0
+    assert run_cli("bench", *cell, "--sizes", "16", "--engines", engine,
+                   "--out", str(tmp_path / "bench")) == 0
+    report = next((tmp_path / "run").glob("*-report.txt")).read_text()
+    fields = dict(line.split(" = ", 1) for line in report.splitlines()[1:])
+    with open(tmp_path / "bench" / "bench.csv") as fh:
+        [row] = list(csv.DictReader(fh))
+    assert (row["engine"], row["error"]) == (engine, "")
+    # the report ends with the record, in its order
+    assert list(fields)[-len(RUN_RECORD):] == list(RUN_RECORD)
+    for name in RUN_RECORD:
+        if name != "wall_time_s":  # each run times its own integrate
+            assert row[name] == fields[name], name
+    assert float(row["wall_time_s"]) > 0
+    assert int(row["expmv_calls"]) == 4 and int(row["arnoldi_steps"]) > 0
+
+
+@pytest.mark.parametrize("flags, named", [
+    (("--engines", "rationl"), "'rationl'"),
+    (("--engines", ""), "''"),
+    (("--sizes", ""), "''"),
+    (("--sizes", " , "), "' , '"),
+    (("--sizes", "8,x"), "'8,x'")],
+    ids=["unknown-engine", "no-engine", "no-size", "blank-sizes", "bad-size"])
+def test_bench_bad_engine_or_size_list_exits_two(tmp_path, capsys, flags, named):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("bench", *flags, "--T", "0.25", "--out", str(tmp_path))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert flags[0] in err and named in err
+    assert not (tmp_path / "bench.csv").exists()
+
+
+@pytest.mark.parametrize("line, named", [("engines = rational, polynomail", "'polynomail'"),
+                                         ("sizes = ,", "','")],
+                         ids=["engine", "sizes"])
+def test_bench_config_file_lists_are_checked_like_flags(tmp_path, capsys, line, named):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(f"sizes = 8\n{line}\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("bench", "--config", str(cfg), "--T", "0.25", "--out", str(tmp_path))
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "bench.csv").exists()
 
 
 def test_bench_records_cell_failures(tmp_path):

@@ -62,9 +62,10 @@ def test_cell_counts_and_final_state(cell):
     engine = Engine(problem, config())
     traj = integrate(problem, tableau(tab), h, T, engine)
     cache = engine.solver.cache
-    assert (traj.total_arnoldi_steps(), cache.numeric_factorizations,
-            traj.total_shifted_solves(), traj.total_solver_iterations(),
-            sum(s.substeps for s in traj.steps), cache.built_ahead, cache.unused,
+    steps = traj.steps
+    assert (sum(s.arnoldi_steps for s in steps), cache.numeric_factorizations,
+            sum(s.shifted_solves for s in steps), sum(s.solver_iterations for s in steps),
+            sum(s.substeps for s in steps), cache.built_ahead, cache.unused,
             cache.hits) == counts
     probes = np.random.default_rng(0).standard_normal((2, problem.A.n))
     assert list(probes @ traj.final_state) == pytest.approx(projections, rel=1e-12, abs=0)

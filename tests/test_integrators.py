@@ -579,7 +579,7 @@ def test_zero_state_is_a_steady_state(config):
     prob = allen_cahn_2d(16)
     traj = integrate(prob, tableau("sw2"), 0.5, 1.0, Engine(prob, config), u0=np.zeros(256))
     assert not np.any(traj.final_state)
-    assert traj.total_arnoldi_steps() == 0 and traj.total_shifted_solves() == 0
+    assert all(s.arnoldi_steps == 0 and s.shifted_solves == 0 for s in traj.steps)
 
 
 def test_snapshot_stride():
@@ -604,7 +604,7 @@ def test_memory_held_by_an_engine_stays_flat_over_long_runs():
 
     def held_after(steps):
         traj = integrate(prob, tableau("sw2"), h, steps * h, eng)
-        solves = traj.total_shifted_solves()
+        solves = sum(s.shifted_solves for s in traj.steps)
         del traj
         gc.collect()
         return solves, tracemalloc.get_traced_memory()[0]

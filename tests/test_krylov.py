@@ -768,6 +768,37 @@ def test_lone_complex_pole_takes_only_a_complex_payload():
     assert np.linalg.norm(rep.vector - oracle) <= 1e-8 * np.linalg.norm(oracle)
 
 
+def test_a_solver_of_another_operator_is_rejected():
+    # the solver's shifted systems are those of its own operator: with 3A
+    # the result was 4.8e31 times the true one in relative norm, while the
+    # estimate read 9.7e-10 and the report said converged
+    from ratexpint.problems import fd_laplacian_2d
+    op = fd_laplacian_2d(16, 1.0, "neumann")
+    c = np.random.default_rng(0).standard_normal(op.n)
+    for other in (op.scaled(3.0), op.scaled(1.0)):  # an equal copy is another operator too
+        with pytest.raises(ValueError, match="another operator"):
+            expmv_rational(op, 0.01, [c], builtin_pole_set("cf12"), direct_solver(other))
+    assert expmv_rational(op, 0.01, [c], builtin_pole_set("cf12"), direct_solver(op)).converged
+
+
+@pytest.mark.xfail(strict=True, raises=SingularProjection, reason="ROADMAP item 4")
+@pytest.mark.parametrize("poles, mode", [("cf12", "direct"), ("cf16_shifted", "iterative")])
+def test_real_pair_steps_on_the_zero_operator(poles, mode):
+    # e^0 = I, so the value is c0 + c1. The Im half of the first pair solve
+    # holds only rounding (norm 3e-17 here), but breakdown is judged against
+    # that half's own norm: it joins the basis and K_4 has a zero last row.
+    # A complex payload takes no pair step and passes.
+    op = SparseOperator.zeros(20)
+    rng = np.random.default_rng(1)
+    c0, c1 = rng.standard_normal(20), rng.standard_normal(20)
+    solver = ShiftedSolver(op, SolverConfig(mode=mode))
+    rep = expmv_rational(op, 0.5, [c0.astype(complex), c1.astype(complex)],
+                         builtin_pole_set(poles), solver)
+    assert np.linalg.norm(rep.phi_combination - (c0 + c1)) <= 1e-14 * np.linalg.norm(c0 + c1)
+    rep = expmv_rational(op, 0.5, [c0, c1], builtin_pole_set(poles), solver)
+    assert np.linalg.norm(rep.phi_combination - (c0 + c1)) <= 1e-14 * np.linalg.norm(c0 + c1)
+
+
 # ---------------------------------------------------------------------------
 # Polynomial expmv.
 # ---------------------------------------------------------------------------
