@@ -318,7 +318,9 @@ def cmd_bench(args) -> int:
     tableau(args.integrator)  # a bad name fails the sweep, not each cell
     args.out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for nx in args.sizes:
+    # a graph has no grid size: one cell per engine, with nx left empty
+    sizes = args.sizes if "nx" in PROBLEM_SETTINGS[args.problem] else [None]
+    for nx in sizes:
         for engine_name in args.engines:
             cell = argparse.Namespace(**{**vars(args), "nx": nx, "engine": engine_name})
             if engine_name == "polynomial":
@@ -412,7 +414,8 @@ def main(argv=None) -> int:
     p_bench = sub.add_parser("bench", help="benchmark sweep over sizes x engines",
                              allow_abbrev=False)
     _add_run_flags(p_bench)
-    p_bench.add_argument("--sizes", type=_sizes, default="64,128", help="comma-separated nx list")
+    p_bench.add_argument("--sizes", type=_sizes, default="64,128",
+                         help="comma-separated nx list; a graph problem runs once")
     p_bench.add_argument("--engines", type=_engines, default=",".join(ENGINES),
                          help="comma-separated engine list")
     p_bench.set_defaults(func=cmd_bench)

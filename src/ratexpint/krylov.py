@@ -106,7 +106,8 @@ class AugmentedOperator:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         n, p = self.n, self.p
-        top = -self.alpha * self.op.matvec(x[:n])
+        top = self.op.matvec(x[:n])
+        top *= -self.alpha
         if not p:
             return top
         top = top + self.C @ x[n:]
@@ -226,6 +227,12 @@ class RationalDecomposition:
     The basis is read only by :meth:`approximant`, which lifts the projected
     coefficients of :func:`_approximant_and_estimate` to the full vector;
     the adaptive loop does so once per call, for the value it returns.
+    Only the first ``nv`` columns of ``V`` are ever written or read: the
+    storage past them comes from :func:`_new_basis` unfilled, and its
+    values are unspecified. H and K are zero-filled, so a decomposition
+    that has taken only infinite poles (``polynomial``) has K_m = I
+    exactly, and :func:`_approximant_and_estimate` projects onto H_m
+    directly.
     """
 
     def __init__(self, aug: AugmentedOperator, c_tilde: np.ndarray, capacity: int = 40,
@@ -240,13 +247,15 @@ class RationalDecomposition:
         self.start_norm = norm
         dtype = np.result_type(c_tilde.dtype, aug.C.dtype, np.float64)
         capacity = max(4, min(capacity, aug.dim))
-        self.V = np.zeros((aug.dim, capacity + 1), dtype=dtype, order="F")
+        self.V = _new_basis(aug.dim, capacity + 1, dtype)
         self.V[:, 0] = c_tilde / norm
         self.H = np.zeros((capacity + 1, capacity), dtype=dtype)
         self.K = np.zeros((capacity + 1, capacity), dtype=dtype)
         self.m = 0
         self.nv = 1
         self.poles_used: list[complex] = []
+        #: True while every step has taken an infinite pole, so that K_m = I
+        self.polynomial = True
         #: Lanczos only: estimates of v_k^H v for the two newest basis vectors v
         self.omega = (np.zeros(0), np.ones(1))
 
@@ -289,8 +298,8 @@ class RationalDecomposition:
         if m_new <= cap:
             return
         new_cap = max(2 * cap, m_new)
-        V = np.zeros((self.dim, new_cap + 1), dtype=self.V.dtype, order="F")
-        V[:, :self.V.shape[1]] = self.V
+        V = _new_basis(self.dim, new_cap + 1, self.V.dtype)
+        V[:, :self.nv] = self.V[:, :self.nv]
         self.V = V
         self.H, self.K = (self._grown(M, new_cap) for M in (self.H, self.K))
 
@@ -299,6 +308,12 @@ class RationalDecomposition:
         out = np.zeros((cap + 1, cap), dtype=M.dtype)
         out[:M.shape[0], :M.shape[1]] = M
         return out
+
+
+def _new_basis(rows: int, cols: int, dtype) -> np.ndarray:
+    """Column-major storage for a basis of ``cols`` columns, left unfilled:
+    a :class:`RationalDecomposition` writes each column before it reads it."""
+    return np.empty((rows, cols), dtype=dtype, order="F")
 
 
 def rational_arnoldi_step(d: RationalDecomposition, pole: complex,
@@ -341,6 +356,7 @@ def rational_arnoldi_step(d: RationalDecomposition, pole: complex,
             pole = pole.real
         if solver is None:
             raise ValueError("finite poles require a shifted-system solver")
+        d.polynomial = False
     else:
         pole = INF_POLE
     pair = finite and pole.imag != 0 and d.real
@@ -403,13 +419,13 @@ def _orthogonality_loss(d: RationalDecomposition, j: int, beta: float) -> float:
     recurrence (Math. Comp. 42 (1984)), which reads only H. The estimates of
     the two newest vectors are kept on ``d.omega`` for the next step."""
     prev, cur = d.omega
-    alpha = np.diag(d.H).real[:j + 1]
-    sub = np.diag(d.H, -1).real[:j]  # sub[k] = beta_{k+1}
+    alpha = d.H.diagonal()[:j + 1].real
+    sub = d.H.diagonal(-1)[:j].real  # sub[k] = beta_{k+1}
     new = np.full(j + 2, _EPS)
     new[-1] = 1.0
     if j >= 2:
-        k = np.arange(j - 1)
-        t = sub[k] * cur[k + 1] + (alpha[k] - alpha[j]) * cur[k] - sub[j - 1] * prev[k]
+        k = j - 1  # the older vectors v_0, ..., v_{k-1}
+        t = sub[:k] * cur[1:k + 1] + (alpha[:k] - alpha[j]) * cur[:k] - sub[j - 1] * prev[:k]
         t[1:] += sub[:j - 2] * cur[:j - 2]
         rounding = _EPS * (np.abs(alpha).max() + 2.0 * sub.max())
         new[:j - 1] = (t + np.copysign(rounding, t)) / beta
@@ -451,6 +467,10 @@ def _approximant_and_estimate(d: RationalDecomposition, h: float, terms: int = 1
     it are h^k phi_k(hS) e_1. The estimate is derived under the convention
     that the newest step used an infinite pole, which the adaptive loop
     enforces before checking; it is zero after happy breakdown and at h = 0.
+
+    A decomposition that has taken only infinite poles has K_m = I exactly
+    (:attr:`RationalDecomposition.polynomial`), so S = H_m and the solves
+    with K_m are skipped; the LU of I is exact, so the result is the same.
     """
     import warnings
 
@@ -459,14 +479,17 @@ def _approximant_and_estimate(d: RationalDecomposition, h: float, terms: int = 1
     m = d.m
     if m == 0:
         raise KrylovError("empty decomposition")
-    with warnings.catch_warnings():
-        # singularity is detected from the pivots below and raised as our own
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu = sla.lu_factor(d.kmat()[:m].T)
-    diag = np.abs(np.diag(lu[0]))
-    if diag.min() <= 1e-14 * max(diag.max(), 1e-300):
-        raise SingularProjection(f"projected system K_m is singular at m={m}")
-    S = sla.lu_solve(lu, d.H[:m, :m].T).T
+    if d.polynomial:
+        S = d.H[:m, :m]
+    else:
+        with warnings.catch_warnings():
+            # singularity is detected from the pivots below and raised as our own
+            warnings.simplefilter("ignore", sla.LinAlgWarning)
+            lu = sla.lu_factor(d.kmat()[:m].T)
+        diag = np.abs(np.diag(lu[0]))
+        if diag.min() <= 1e-14 * max(diag.max(), 1e-300):
+            raise SingularProjection(f"projected system K_m is singular at m={m}")
+        S = sla.lu_solve(lu, d.H[:m, :m].T).T
     size = m + phi + terms
     W = np.zeros((size, size), dtype=S.dtype)
     W[:m, :m] = S
@@ -478,8 +501,11 @@ def _approximant_and_estimate(d: RationalDecomposition, h: float, terms: int = 1
     beta = d.beta_last
     if beta == 0.0 or h == 0.0:
         return y, 0.0
-    # lu factors K_m^T, so trans=1 solves with K_m
-    gammas = sla.lu_solve(lu, E[:m, m + phi:] / h ** np.arange(1, terms + 1), trans=1)[m - 1]
+    powers = h ** np.arange(1, terms + 1)
+    if d.polynomial:  # row m-1 of K_m^{-1} E is row m-1 of E
+        gammas = E[m - 1, m + phi:] / powers
+    else:  # lu factors K_m^T, so trans=1 solves with K_m
+        gammas = sla.lu_solve(lu, E[:m, m + phi:] / powers, trans=1)[m - 1]
     z = d.V[:, m]
     acc = gammas[0] * z
     for gamma in gammas[1:]:

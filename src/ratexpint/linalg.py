@@ -124,7 +124,7 @@ def dense_expm(z: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(z)):
         raise FloatingPointError("matrix exponential of non-finite input")
     dtype = np.complex128 if np.iscomplexobj(z) else np.float64
-    r = sla.expm(z.astype(dtype))
+    r = sla.expm(np.asarray(z, dtype))
     if not np.all(np.isfinite(r)):
         raise FloatingPointError("overflow in the matrix exponential")
     return r
@@ -178,8 +178,11 @@ def orthogonal_extend(basis: np.ndarray, x: np.ndarray) -> OrthResult:
     ----------
     basis : (n, m) array with orthonormal columns; m may be zero. Both
         passes read it as it lies, with no transposed copy, which suits a
-        column-major basis best.
-    x : length-n vector.
+        column-major basis best. Only these m columns are read, so a caller
+        may pass the written columns of storage whose later columns are
+        unspecified. A real basis and vector take the projections as
+        w @ basis, with no conjugate copies.
+    x : length-n vector; it is not modified.
     """
     x = np.asarray(x)
     n = x.shape[0]
@@ -189,16 +192,18 @@ def orthogonal_extend(basis: np.ndarray, x: np.ndarray) -> OrthResult:
     norm0 = float(np.linalg.norm(x))
     w = x.astype(np.promote_types(basis.dtype, x.dtype), copy=True)
     h = np.zeros(m, dtype=w.dtype)
+    real = not np.iscomplexobj(w)
     for _ in range(2):
         if m == 0:
             break
-        c = (w.conj() @ basis).conj()
+        c = w @ basis if real else (w.conj() @ basis).conj()
         w -= basis @ c
         h += c
     beta = float(np.linalg.norm(w))
     if beta <= BREAKDOWN_RTOL * max(norm0, 1e-300):
         return OrthResult(None, h, beta, True)
-    return OrthResult(w / beta, h, beta, False)
+    w /= beta
+    return OrthResult(w, h, beta, False)
 
 
 # ---------------------------------------------------------------------------

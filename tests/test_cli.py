@@ -444,6 +444,16 @@ def test_bench_header_is_the_cell_then_the_run_record_then_the_error():
     assert len(set(BENCH_HEADER)) == len(BENCH_HEADER)
 
 
+def test_bench_runs_a_graph_once_per_engine(tmp_path):
+    # the graph does not depend on nx, so --sizes does not multiply its cells
+    code = run_cli("bench", "--problem", "ac-graph", "--sizes", "8,16", "--engines", "rational",
+                   "--h", "0.05", "--T", "0.1", "--out", str(tmp_path))
+    assert code == 0
+    with open(tmp_path / "bench.csv") as fh:
+        [row] = list(csv.DictReader(fh))
+    assert (row["nx"], row["n"], row["engine"], row["error"]) == ("", "2652", "rational", "")
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 def test_bench_row_records_what_the_run_report_reports(tmp_path, engine):
     cell = ("--problem", "ac2d", "--integrator", "sw2", "--h", "0.25", "--T", "0.5")

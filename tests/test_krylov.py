@@ -7,6 +7,7 @@ from collections import deque
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -615,6 +616,118 @@ def test_expansion_partial_sums_settle():
     tail = diffs[8:]
     assert np.all(tail <= np.maximum.accumulate(diffs)[7] + 1e-300)
     assert diffs[-1] <= 1e-12 * max(partials[-1], 1e-30) + 1e-16
+
+
+def _lu_approximant_and_estimate(d, h, terms, phi):
+    """The general path of :func:`_approximant_and_estimate`, rebuilt here:
+    S from an LU of K_m^T and the gammas by a solve with K_m, whatever poles
+    the decomposition took."""
+    m = d.m
+    lu = sla.lu_factor(d.kmat()[:m].T)
+    S = sla.lu_solve(lu, d.H[:m, :m].T).T
+    size = m + phi + terms
+    W = np.zeros((size, size), dtype=S.dtype)
+    W[:m, :m] = S
+    W[0, m] = 1.0
+    for i in range(m, size - 1):
+        W[i, i + 1] = 1.0
+    E = dense_expm(h * W)
+    y = E[:m, m + phi - 1 if phi else 0]
+    gammas = sla.lu_solve(lu, E[:m, m + phi:] / h ** np.arange(1, terms + 1), trans=1)[m - 1]
+    z = d.V[:, m]
+    acc = gammas[0] * z
+    for gamma in gammas[1:]:
+        z = h * d.aug.apply(z)
+        acc = acc + gamma * z
+    return y, float(h * d.start_norm * d.beta_last * np.linalg.norm(acc))
+
+
+def _decomposition_for(kind):
+    rng = np.random.default_rng(80)
+    n = 50
+    op = random_spd(rng, n, lam_max=30.0)
+    cs = [rng.standard_normal(n) for _ in range(3)]
+    if kind == "lanczos":
+        d = RationalDecomposition(assemble_augmented(op, 1.0, cs[:1])[0], cs[2], lanczos=True)
+        poles = []
+    else:
+        aug, ct = assemble_augmented(op, 0.5, cs)
+        d = RationalDecomposition(aug, ct.astype(np.complex128) if kind == "complex" else ct)
+        poles = {"polynomial": [], "real": [4.0, complex(2, 1)],
+                 "complex": [complex(2, 1), complex(2, -1)]}[kind]
+    for xi in poles + [INF_POLE] * 8:
+        rational_arnoldi_step(d, xi, direct_solver(op))
+    return d
+
+
+@pytest.mark.parametrize("terms, phi", [(1, 0), (3, 0), (2, 2)])
+@pytest.mark.parametrize("kind", ["polynomial", "lanczos", "real", "complex"])
+def test_projection_equals_the_lu_path_bit_for_bit(kind, terms, phi):
+    # a decomposition with only infinite poles has K_m = I and projects onto
+    # H_m directly; the LU of I is exact, so nothing moves. After a finite
+    # pole, K_m is no longer I and the LU path is the only one.
+    d = _decomposition_for(kind)
+    assert d.polynomial == (kind in ("polynomial", "lanczos"))
+    assert d.beta_last > 0
+    for h in (0.3, 1.0):
+        y, estimate = _approximant_and_estimate(d, h, terms=terms, phi=phi)
+        y_lu, estimate_lu = _lu_approximant_and_estimate(d, h, terms, phi)
+        assert y.tobytes() == y_lu.tobytes()
+        assert estimate == estimate_lu
+
+
+def _nan_basis(rows, cols, dtype):
+    return np.full((rows, cols), np.nan, dtype=dtype, order="F")
+
+
+@pytest.mark.parametrize("cell", ["direct", "amg", "polynomial"])
+def test_unwritten_basis_columns_are_never_read(monkeypatch, cell):
+    # the columns of V past nv are unspecified: filled with NaN, they leave
+    # the final state of every engine path the same bit for bit
+    problem = allen_cahn_2d(32)
+    config = {"direct": lambda: EngineConfig(poles=builtin_pole_set("cf12")),
+              "amg": lambda: EngineConfig(poles=builtin_pole_set("cf16_shifted"),
+                                          solver=SolverConfig(mode="iterative")),
+              "polynomial": lambda: EngineConfig(engine="polynomial")}[cell]
+
+    def final_state():
+        engine = Engine(problem, config())
+        return integrate(problem, tableau("sw2"), 0.5, 1.0, engine).final_state
+
+    expected = final_state()
+    allocated = []
+    monkeypatch.setattr(krylov, "_new_basis",
+                        lambda *shape: allocated.append(shape) or _nan_basis(*shape))
+    assert final_state().tobytes() == expected.tobytes()
+    assert allocated
+
+
+def test_a_grown_basis_reads_no_unwritten_column(monkeypatch):
+    # from capacity 4 to 24 steps the basis grows three times, and each
+    # growth copies only the written columns
+    rng = np.random.default_rng(81)
+    n = 60
+    op = random_spd(rng, n, lam_max=50.0)
+    aug, ct = assemble_augmented(op, 0.5, [rng.standard_normal(n) for _ in range(2)])
+    poles = list(builtin_pole_set("cf12"))[::2] + [INF_POLE] * 12
+
+    def build():
+        d = RationalDecomposition(aug, ct, capacity=4)
+        solver = direct_solver(op)
+        for xi in poles:
+            rational_arnoldi_step(d, xi, solver)
+        return d
+
+    expected = build()
+    monkeypatch.setattr(krylov, "_new_basis", _nan_basis)
+    d = build()
+    assert d.m == 24 and d.V.shape[1] == 33
+    for got, want in ((d.basis(), expected.basis()), (d.hess(), expected.hess()),
+                      (d.kmat(), expected.kmat())):
+        assert got.tobytes() == want.tobytes()
+    (y, estimate), (y_want, estimate_want) = (_approximant_and_estimate(e, 0.5)
+                                              for e in (d, expected))
+    assert y.tobytes() == y_want.tobytes() and estimate == estimate_want
 
 
 # ---------------------------------------------------------------------------
