@@ -180,8 +180,7 @@ def orthogonal_extend(basis: np.ndarray, x: np.ndarray) -> OrthResult:
         passes read it as it lies, with no transposed copy, which suits a
         column-major basis best. Only these m columns are read, so a caller
         may pass the written columns of storage whose later columns are
-        unspecified. A real basis and vector take the projections as
-        w @ basis, with no conjugate copies.
+        unspecified.
     x : length-n vector; it is not modified.
     """
     x = np.asarray(x)
@@ -192,11 +191,10 @@ def orthogonal_extend(basis: np.ndarray, x: np.ndarray) -> OrthResult:
     norm0 = float(np.linalg.norm(x))
     w = x.astype(np.promote_types(basis.dtype, x.dtype), copy=True)
     h = np.zeros(m, dtype=w.dtype)
-    real = not np.iscomplexobj(w)
     for _ in range(2):
         if m == 0:
             break
-        c = w @ basis if real else (w.conj() @ basis).conj()
+        c = (w.conj() @ basis).conj()
         w -= basis @ c
         h += c
     beta = float(np.linalg.norm(w))
