@@ -472,8 +472,6 @@ def _approximant_and_estimate(d: RationalDecomposition, h: float, terms: int = 1
     (:attr:`RationalDecomposition.polynomial`), so S = H_m and the solves
     with K_m are skipped; the LU of I is exact, so the result is the same.
     """
-    import warnings
-
     if terms < 1:
         raise ValueError("need at least one term")
     m = d.m
@@ -482,14 +480,14 @@ def _approximant_and_estimate(d: RationalDecomposition, h: float, terms: int = 1
     if d.polynomial:
         S = d.H[:m, :m]
     else:
-        with warnings.catch_warnings():
-            # singularity is detected from the pivots below and raised as our own
-            warnings.simplefilter("ignore", sla.LinAlgWarning)
-            lu = sla.lu_factor(d.kmat()[:m].T)
-        diag = np.abs(np.diag(lu[0]))
+        # LAPACK's getrf/getrs, which lu_factor/lu_solve wrap: no warning
+        # for an exactly singular K_m, whose pivots are read here instead
+        getrf, getrs = sla.get_lapack_funcs(("getrf", "getrs"), (d.K,))
+        lu, piv, _ = getrf(d.kmat()[:m].T)
+        diag = np.abs(np.diag(lu))
         if diag.min() <= 1e-14 * max(diag.max(), 1e-300):
             raise SingularProjection(f"projected system K_m is singular at m={m}")
-        S = sla.lu_solve(lu, d.H[:m, :m].T).T
+        S = getrs(lu, piv, d.H[:m, :m].T)[0].T
     size = m + phi + terms
     W = np.zeros((size, size), dtype=S.dtype)
     W[:m, :m] = S
@@ -505,7 +503,7 @@ def _approximant_and_estimate(d: RationalDecomposition, h: float, terms: int = 1
     if d.polynomial:  # row m-1 of K_m^{-1} E is row m-1 of E
         gammas = E[m - 1, m + phi:] / powers
     else:  # lu factors K_m^T, so trans=1 solves with K_m
-        gammas = sla.lu_solve(lu, E[:m, m + phi:] / powers, trans=1)[m - 1]
+        gammas = getrs(lu, piv, E[:m, m + phi:] / powers, trans=1)[0][m - 1]
     z = d.V[:, m]
     acc = gammas[0] * z
     for gamma in gammas[1:]:

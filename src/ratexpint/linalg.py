@@ -242,11 +242,18 @@ _cap_saved: list = []   # (set_num_threads, the count to restore) per library
 def single_blas_thread():
     """Run the bundled OpenBLAS copies on one thread inside the block.
 
-    The small dense kernels of a Krylov step (a projected ``expm``, a
-    ``lu_solve`` of a few dozen unknowns) cost less than waking a second
-    BLAS thread. Yields the count held, 1, or ``None`` when no OpenBLAS was
-    found, in which case nothing changes. The caller's counts come back when
-    the last of any nested or concurrent holders leaves, exceptions included.
+    The package's small dense kernels cost less than waking a second BLAS
+    thread, and this is their one thread policy. It has two holders:
+    :func:`~ratexpint.integrators.integrate`, for the Krylov steps (a
+    projected ``expm``, an LU of a few dozen unknowns), and
+    :func:`~ratexpint.poles.cf_poles`, for the SVD and the polynomial roots
+    of a CF pole set, which is built before ``integrate`` starts. A pool
+    woken at two threads busy-waits for about 0.1 s after its last call,
+    and setting the count to 1 does not stop a worker that already spins,
+    so a cap taken later cannot free the core it holds. Yields the count
+    held, 1, or ``None`` when no OpenBLAS was found, in which case nothing
+    changes. The caller's counts come back when the last of any nested or
+    concurrent holders leaves, exceptions included.
     """
     global _cap_depth
     with _cap_lock:

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
+from .linalg import single_blas_thread
+
 INF_POLE = complex(math.inf, 0.0)
 
 _CONVENTIONS = ("positive-real", "negative-real")
@@ -156,14 +158,21 @@ def cf_poles(n: int) -> tuple[tuple[complex, ...], float]:
     9.28903^-n. Conjugate pairs are adjacent, upper pole first, sorted by
     |Im| then Re so the strongest poles are consumed first.
 
+    The SVD and the roots run on one OpenBLAS thread
+    (:func:`~ratexpint.linalg.single_blas_thread`): at a caller's count of
+    two they would wake a pool that then busy-waits for about 0.1 s, into
+    the ``integrate`` call that usually follows. The poles do not depend on
+    the thread count.
+
     Raises RuntimeError where the construction loses the exterior roots
     (n >= 17 at this resolution).
     """
     scl, k, nf = 9.0, 75, 1024
     t = np.cos(2.0 * np.pi * np.arange(nf) / nf)
     c = np.real(np.fft.fft(np.exp(scl * (t - 1.0) / (t + 1.0 + 1e-16)))) / nf
-    _, s, vh = np.linalg.svd(sla.hankel(c[1:k + 1]))
-    zr = np.roots(vh[n, :].conj())
+    with single_blas_thread():
+        _, s, vh = np.linalg.svd(sla.hankel(c[1:k + 1]))
+        zr = np.roots(vh[n, :].conj())
     roots = zr[np.abs(zr) > 1.0]
     if len(roots) != n:
         raise RuntimeError(f"expected {n} exterior roots, found {len(roots)}")
@@ -185,7 +194,8 @@ _BUILTIN_DEGREES = {"cf12": 12, "cf16_shifted": 16}
 @functools.cache
 def builtin_pole_set(name: str) -> PoleSet:
     """One of the built-in CF pole sets (``cf12``, ``cf16_shifted``),
-    computed on first use and cached."""
+    computed on first use and cached, on one BLAS thread (see
+    :func:`cf_poles`)."""
     if name not in _BUILTIN_DEGREES:
         raise ValueError(f"no built-in pole set {name!r}; available: "
                          f"{', '.join(_BUILTIN_DEGREES)}")

@@ -17,7 +17,7 @@ from ratexpint.integrators import (Engine, EngineConfig, NumericalBlowup,
                                    integrate, stage_to_expmv, step)
 from ratexpint.krylov import assemble_augmented, dense_expm
 from ratexpint.linalg import SparseOperator, phi_dense_all
-from ratexpint.poles import PoleSet, builtin_pole_set
+from ratexpint.poles import PoleSet, builtin_pole_set, cf_poles
 from ratexpint.problems import (Problem, allen_cahn_2d, fd_laplacian_2d, gierer_meinhardt_2d,
                                 reaction_allen_cahn)
 from ratexpint.solvers import SolverCache, SolverConfig
@@ -701,6 +701,28 @@ def test_nested_integrate_keeps_the_cap_until_the_outer_call_returns(blas_counts
     integrate_blas_problem(outer_g)
     assert after_inner[0] == [1] * len(after_inner[0])
     assert blas_counts() == [2] * len(after_inner[0])
+
+
+@pytest.mark.parametrize("n", [12, 16, 18])
+def test_cf_poles_hold_one_blas_thread_and_restore_the_callers(blas_counts, monkeypatch, n):
+    # a pool woken at 2 threads would spin on into the integrate that follows
+    seen = []
+
+    def recording(function):
+        def wrapped(*args, **kwargs):
+            seen.append(blas_counts())
+            return function(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "svd", recording(np.linalg.svd))
+    monkeypatch.setattr(np, "roots", recording(np.roots))
+    if n > 16:  # the construction loses the exterior roots
+        with pytest.raises(RuntimeError):
+            cf_poles(n)
+    else:
+        cf_poles(n)
+    assert len(seen) == 2 and all(counts == [1] * len(counts) for counts in seen)
+    assert blas_counts() == [2] * len(seen[0])
 
 
 def test_concurrent_integrate_calls_restore_the_callers_count(blas_counts):
