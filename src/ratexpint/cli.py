@@ -23,10 +23,10 @@ from . import verify as verify_mod
 from .integrators import ENGINES, Engine, EngineConfig, Trajectory, check_time_grid, integrate
 from .krylov import DEFAULT_CHECK_CADENCE, DEFAULT_M_MIN, DEFAULT_STEPS_PAST_POLES, DEFAULT_TOL
 from .poles import PoleSet, builtin_pole_set, load_poles, repeated_real, validate
-from .problems import (Graph, Problem, allen_cahn_2d, allen_cahn_graph, builtin_graph,
-                       gierer_meinhardt_2d, largest_connected_component,
+from .problems import (BOUNDARY_CONDITIONS, Graph, Problem, allen_cahn_2d, allen_cahn_graph,
+                       builtin_graph, gierer_meinhardt_2d, largest_connected_component,
                        load_edge_list, load_matrix_market_adjacency)
-from .solvers import PRECONDITIONERS, SolverConfig
+from .solvers import MODES, PRECONDITIONERS, SolverConfig
 from .tableaus import Tableau, available, tableau
 
 PROBLEMS = ("ac2d", "gm2d", "ac-graph")
@@ -35,10 +35,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-
-
-class ConfigError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +51,7 @@ def read_config_file(path: Path) -> dict[str, str]:
             if not line:
                 continue
             if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
             if value.strip():
                 out[key.strip().replace("-", "_")] = value.strip()
@@ -99,7 +95,7 @@ def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--graph-file", default="builtin:road2600",
                    help="edge list or MatrixMarket file, or builtin:<name>")
     p.add_argument("--graph-one-based", action="store_true")
-    p.add_argument("--bc", choices=("dirichlet", "neumann", "periodic"))
+    p.add_argument("--bc", choices=BOUNDARY_CONDITIONS)
     p.add_argument("--eps2", type=float, help="interface parameter squared (ac2d)")
     p.add_argument("--eps", type=float, help="interface parameter (ac-graph)")
     p.add_argument("--diffusion", type=float, default=5e3, help="graph diffusion constant D")
@@ -112,7 +108,7 @@ def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--repeated-pole", type=float, help="single repeated real pole value")
     p.add_argument("--repeated-count", type=int, default=72,
                    help="length of the repeated pole set")
-    p.add_argument("--solver", choices=("direct", "iterative"))
+    p.add_argument("--solver", choices=MODES)
     p.add_argument("--solver-tol", type=float)
     p.add_argument("--solver-maxiter", type=int)
     p.add_argument("--preconditioner", choices=PRECONDITIONERS)
@@ -141,12 +137,12 @@ def _kwargs(args: argparse.Namespace, *names: str, **renamed: str) -> dict:
 
 
 def build_problem(args: argparse.Namespace) -> Problem:
-    if args.problem == "ac2d":
-        return allen_cahn_2d(args.nx, **_kwargs(args, "eps2", "bc"))
-    if args.problem == "gm2d":
-        return gierer_meinhardt_2d(args.nx, **_kwargs(args, "bc", "seed", *GM_PARAMETERS))
-    g = largest_connected_component(load_graph_spec(args.graph_file, args.graph_one_based))
-    return allen_cahn_graph(g, diffusion=args.diffusion, **_kwargs(args, "eps", "seed"))
+    """The problem of ``args.problem``, from the settings that it reads."""
+    settings = _kwargs(args, *PROBLEM_SETTINGS[args.problem])
+    if args.problem == "ac-graph":
+        graph = load_graph_spec(settings.pop("graph_file"), settings.pop("graph_one_based"))
+        return allen_cahn_graph(largest_connected_component(graph), **settings)
+    return (allen_cahn_2d if args.problem == "ac2d" else gierer_meinhardt_2d)(**settings)
 
 
 def load_graph_spec(spec, one_based: bool = False) -> Graph:
@@ -156,7 +152,7 @@ def load_graph_spec(spec, one_based: bool = False) -> Graph:
         return builtin_graph(spec.split(":", 1)[1])
     path = Path(spec)
     if not path.exists():
-        raise ConfigError(f"graph file not found: {path}")
+        raise ValueError(f"graph file not found: {path}")
     if path.suffix in (".mtx", ".mm"):
         return load_matrix_market_adjacency(path)
     return load_edge_list(path, one_based=one_based)
@@ -177,13 +173,16 @@ def load_pole_spec(spec) -> PoleSet:
         return builtin_pole_set(spec.split(":", 1)[1])
     path = Path(spec)
     if not path.exists():
-        raise ConfigError(f"pole file not found: {path}")
+        raise ValueError(f"pole file not found: {path}")
     return load_poles(path)
 
 
+#: The flag of each :class:`SolverConfig` field.
+SOLVER_FLAGS = {"mode": "solver", "tolerance": "solver_tol", "max_iterations": "solver_maxiter",
+                "preconditioner": "preconditioner"}
+
 #: Flags that only the rational engine reads.
-RATIONAL_ONLY_FLAGS = ("poles", "repeated_pole", "solver", "solver_tol", "solver_maxiter",
-                       "preconditioner")
+RATIONAL_ONLY_FLAGS = ("poles", "repeated_pole", *SOLVER_FLAGS.values())
 
 
 def build_engine_config(args: argparse.Namespace) -> EngineConfig:
@@ -191,12 +190,10 @@ def build_engine_config(args: argparse.Namespace) -> EngineConfig:
         given = ["--" + flag.replace("_", "-") for flag in RATIONAL_ONLY_FLAGS
                  if getattr(args, flag) is not None]
         if given:
-            raise ConfigError(f"the polynomial engine takes no {', '.join(given)}")
-    solver_cfg = SolverConfig(**_kwargs(args, "preconditioner", mode="solver",
-                                        tolerance="solver_tol",
-                                        max_iterations="solver_maxiter"))
-    return EngineConfig(solver=solver_cfg, poles=build_pole_set(args), **_kwargs(
-        args, "engine", "tol", "m_min", "m_hard", "check_cadence"))
+            raise ValueError(f"the polynomial engine takes no {', '.join(given)}")
+    return EngineConfig(solver=SolverConfig(**_kwargs(args, **SOLVER_FLAGS)),
+                        poles=build_pole_set(args),
+                        **_kwargs(args, "engine", "tol", "m_min", "m_hard", "check_cadence"))
 
 
 def _setup(args: argparse.Namespace) -> tuple[Problem, Tableau, Engine]:
@@ -219,20 +216,15 @@ def write_trajectory_csv(path: Path, traj: Trajectory, max_columns: int = 10000)
     entries the state is stride-sampled and 2-norm/min/max columns are
     prepended so the full-resolution signal is not silently lost."""
     n = traj.snapshots[0].shape[0]
+    stride = int(np.ceil(n / max_columns))
+    sampled = stride > 1
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        if n <= max_columns:
-            writer.writerow(["t"] + [f"u{i}" for i in range(n)])
-            for t, u in zip(traj.snapshot_times, traj.snapshots):
-                writer.writerow([f"{t!r}"] + [f"{float(v)!r}" for v in u])
-        else:
-            stride = int(np.ceil(n / max_columns))
-            idx = np.arange(0, n, stride)
-            writer.writerow(["t", "norm2", "min", "max"] + [f"u{i}" for i in idx])
-            for t, u in zip(traj.snapshot_times, traj.snapshots):
-                writer.writerow([f"{t!r}", f"{float(np.linalg.norm(u))!r}",
-                                 f"{float(u.min())!r}", f"{float(u.max())!r}"]
-                                + [f"{float(v)!r}" for v in u[idx]])
+        writer.writerow(["t"] + (["norm2", "min", "max"] if sampled else [])
+                        + [f"u{i}" for i in range(0, n, stride)])
+        for t, u in zip(traj.snapshot_times, traj.snapshots):
+            stats = [np.linalg.norm(u), u.min(), u.max()] if sampled else []
+            writer.writerow([f"{t!r}"] + [f"{float(v)!r}" for v in [*stats, *u[::stride]]])
 
 
 #: The statistics of one run, in the order the run report and ``bench`` write them.
@@ -289,8 +281,9 @@ def write_run_report(path: Path, args: argparse.Namespace, record: dict[str, str
 
 #: What :func:`main` reports as exit 2; an ``ArithmeticError``, the root of
 #: every numerical failure, is exit 3, and ``bench`` records either as a
-#: cell's error. ``ConfigError`` and ``PoleFileError`` subclass ``ValueError``;
-#: an unknown integrator, pole set or graph name raises ``ValueError`` itself.
+#: cell's error. ``PoleFileError`` subclasses ``ValueError``; a bad config
+#: line, a missing graph or pole file and an unknown integrator, pole set or graph name
+#: raise ``ValueError`` itself.
 CONFIG_ERRORS = (OSError, ValueError)
 
 

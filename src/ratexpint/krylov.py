@@ -214,7 +214,10 @@ class RationalDecomposition:
     the basis, H, K and the result stay real. V is column-major, so each
     basis vector is contiguous and Gram-Schmidt reads the basis in place.
     The decomposition mutates in place; it is confined to one expmv call and
-    never shared.
+    never shared. A zero start vector raises ``ValueError``, and one whose
+    2-norm is not finite (it overflows, say) ``FloatingPointError``:
+    normalized by inf it would read as zero, and its first step as a happy
+    breakdown.
 
     With ``lanczos`` set, every step is polynomial and each new vector is
     orthogonalized, twice, against the two newest basis vectors only, so H
@@ -244,6 +247,8 @@ class RationalDecomposition:
         norm = float(np.linalg.norm(c_tilde))
         if norm == 0:
             raise ValueError("start vector is zero")
+        if not math.isfinite(norm):
+            raise FloatingPointError(f"start vector has a non-finite 2-norm ({norm})")
         self.start_norm = norm
         dtype = np.result_type(c_tilde.dtype, aug.C.dtype, np.float64)
         capacity = max(4, min(capacity, aug.dim))

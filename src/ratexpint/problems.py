@@ -26,12 +26,6 @@ BOUNDARY_CONDITIONS = ("dirichlet", "neumann", "periodic")
 GM_INHIBITOR_FLOOR = 1e-12
 
 
-def _check_bc(bc: str) -> str:
-    if bc not in BOUNDARY_CONDITIONS:
-        raise ValueError(f"unknown boundary condition {bc!r}; expected one of {BOUNDARY_CONDITIONS}")
-    return bc
-
-
 @dataclass(frozen=True)
 class Problem:
     """A stiff semi-linear system u' = -A u + g(t, u)."""
@@ -53,7 +47,7 @@ class Problem:
 # ---------------------------------------------------------------------------
 
 def _fd_laplacian(shape: tuple[int, ...], length: float, bc: str) -> SparseOperator:
-    _check_bc(bc)
+    """scipy's ``LaplacianNd`` scaled by 1/h^2; it rejects an unknown ``bc``."""
     if shape[0] < 3:
         raise ValueError("need at least 3 grid points")
     if length <= 0:
@@ -78,23 +72,16 @@ def fd_laplacian_2d(nx: int, length: float, bc: str) -> SparseOperator:
     return _fd_laplacian((nx, nx), length, bc)
 
 
-def fd_grid_1d(nx: int, length: float, bc: str, origin: float = 0.0) -> np.ndarray:
-    """Grid coordinates matching the discretization convention.
+def fd_grid_2d(nx: int, length: float, bc: str, origin: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Meshgrid (flattened, row-major) for the 2D operator; dof ordering matches
+    the Kronecker assembly: index = ix * nx + iy.
 
     Periodic and Dirichlet use vertex points starting at the origin; the
     Neumann mirror closure corresponds to cell centers.
     """
-    _check_bc(bc)
-    h = length / nx
-    if bc == "neumann":
-        return origin + (np.arange(nx) + 0.5) * h
-    return origin + np.arange(nx) * h
-
-
-def fd_grid_2d(nx: int, length: float, bc: str, origin: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Meshgrid (flattened, row-major) for the 2D operator; dof ordering matches
-    the Kronecker assembly: index = ix * nx + iy."""
-    x = fd_grid_1d(nx, length, bc, origin)
+    if bc not in BOUNDARY_CONDITIONS:
+        raise ValueError(f"unknown boundary condition {bc!r}; expected one of {BOUNDARY_CONDITIONS}")
+    x = origin + (np.arange(nx) + (0.5 if bc == "neumann" else 0.0)) * (length / nx)
     xx, yy = np.meshgrid(x, x, indexing="ij")
     return xx.ravel(), yy.ravel()
 

@@ -61,6 +61,7 @@ import scipy.sparse.linalg as spla
 from .amg import AmgHierarchy, AmgPreconditioner, build_aggregates, shifted_pencil
 from .linalg import SparseOperator
 
+MODES = ("direct", "iterative")
 PRECONDITIONERS = ("none", "aggregation-amg")
 
 #: Lowest relative residual target of a split solve. A near-real pair such
@@ -87,7 +88,7 @@ class IterativeDivergence(SolverError):
 
 @dataclass
 class SolverConfig:
-    mode: str = "direct"                 # "direct" | "iterative"
+    mode: str = "direct"                 # one of MODES
     # relative residual target of iterative solves, in (0, 1); an iterative
     # pair solve (split into Re and Im parts) targets
     # tolerance * rho^2 instead, rho = min(|Re xi|, |Im xi|) / |xi|
@@ -100,7 +101,7 @@ class SolverConfig:
     preconditioner: str = "aggregation-amg"
 
     def __post_init__(self):
-        if self.mode not in ("direct", "iterative"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown solver mode {self.mode!r}")
         if not 0 < self.tolerance < 1:
             # a zero vector meets a relative residual of 1

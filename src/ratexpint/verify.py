@@ -42,12 +42,6 @@ class CheckResult:
                 f"threshold={self.threshold:9.2e}  ({self.seconds:5.1f}s) {self.detail}")
 
 
-def _timed(fn) -> tuple[float, object]:
-    t0 = time.perf_counter()
-    out = fn()
-    return time.perf_counter() - t0, out
-
-
 # ---------------------------------------------------------------------------
 # Dense exponential vs. truncated Taylor series.
 # ---------------------------------------------------------------------------
@@ -62,30 +56,25 @@ def taylor_expm(z: np.ndarray, terms: int = 60) -> np.ndarray:
 
 
 def check_expm_series(instances: int = 20, seed: int = 101) -> CheckResult:
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
-
-    def run():
-        nonlocal worst
-        for _ in range(instances):
-            z = rng.standard_normal((8, 8))
-            z *= 2.0 / max(np.linalg.norm(z, 2), 1e-12) * rng.uniform(0.2, 1.0)
-            ref = taylor_expm(z)
-            got = dense_expm(z)
-            worst = max(worst, float(np.linalg.norm(got - ref) / np.linalg.norm(ref)))
-        return worst
-
-    secs, measured = _timed(run)
-    return CheckResult("dense expm vs 60-term Taylor series", measured, 1e-12,
-                       measured <= 1e-12, secs)
+    for _ in range(instances):
+        z = rng.standard_normal((8, 8))
+        z *= 2.0 / max(np.linalg.norm(z, 2), 1e-12) * rng.uniform(0.2, 1.0)
+        ref = taylor_expm(z)
+        got = dense_expm(z)
+        worst = max(worst, float(np.linalg.norm(got - ref) / np.linalg.norm(ref)))
+    return CheckResult("dense expm vs 60-term Taylor series", worst, 1e-12,
+                       worst <= 1e-12, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
 # Augmented-operator identity: expmv output vs phi_dense_all combination.
 # ---------------------------------------------------------------------------
 
-def _random_spd_operator(rng, n: int, lam_max: float = 50.0,
-                         semi: bool = False) -> SparseOperator:
+def random_spd_operator(rng, n: int, lam_max: float = 50.0,
+                        semi: bool = False) -> SparseOperator:
     """Random symmetric positive (semi-)definite operator.
 
     ``semi=True`` pins the smallest eigenvalue at zero, matching the
@@ -104,31 +93,26 @@ def check_phi_combination_identity(instances: int = 50, seed: int = 202,
                                    tol: float = 1e-9) -> CheckResult:
     """expmv at scale alpha and time h against the brute-force sum of
     h^k phi_k(-h alpha A) c_k."""
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     poles = builtin_pole_set("cf12")
     worst = 0.0
-
-    def run():
-        nonlocal worst
-        for i in range(instances):
-            n = int(rng.integers(8, 61))
-            p = int(i % 4)
-            alpha = float(rng.uniform(0.2, 2.0))
-            h = float(rng.uniform(0.05, 1.0))
-            op = _random_spd_operator(rng, n, semi=True)
-            cs = [rng.standard_normal(n) for _ in range(p + 1)]
-            solver = ShiftedSolver(op, SolverConfig(mode="direct"))
-            rep = expmv_rational(op, alpha, cs, poles, solver, tol=1e-12, m_min=4,
-                                 check_cadence=2, m_hard=n + p, theta=h)
-            phis = phi_dense_all(-h * alpha * op.todense(), p)
-            ref = sum(h ** k * (phis[k] @ cs[k]) for k in range(p + 1))
-            err = np.linalg.norm(rep.phi_combination - ref) / max(np.linalg.norm(ref), 1e-300)
-            worst = max(worst, float(err))
-        return worst
-
-    secs, measured = _timed(run)
-    return CheckResult("phi-combination identity (expmv vs phi_dense_all)", measured, tol,
-                       measured <= tol, secs)
+    for i in range(instances):
+        n = int(rng.integers(8, 61))
+        p = int(i % 4)
+        alpha = float(rng.uniform(0.2, 2.0))
+        h = float(rng.uniform(0.05, 1.0))
+        op = random_spd_operator(rng, n, semi=True)
+        cs = [rng.standard_normal(n) for _ in range(p + 1)]
+        solver = ShiftedSolver(op, SolverConfig(mode="direct"))
+        rep = expmv_rational(op, alpha, cs, poles, solver, tol=1e-12, m_min=4,
+                             check_cadence=2, m_hard=n + p, theta=h)
+        phis = phi_dense_all(-h * alpha * op.todense(), p)
+        ref = sum(h ** k * (phis[k] @ cs[k]) for k in range(p + 1))
+        err = np.linalg.norm(rep.phi_combination - ref) / max(np.linalg.norm(ref), 1e-300)
+        worst = max(worst, float(err))
+    return CheckResult("phi-combination identity (expmv vs phi_dense_all)", worst, tol,
+                       worst <= tol, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -142,32 +126,26 @@ def check_error_expansion(instances: int = 20, seed: int = 303,
     rule (:func:`~ratexpint.krylov._grow`) to the schedule's length and is
     settled by one polynomial step: the conjugate pair is one real pair
     step, as the engine takes it."""
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     schedule = PoleSet((complex(6.0, 2.0), complex(6.0, -2.0), complex(4.0)))
     worst = 0.0
-
-    def run():
-        nonlocal worst
-        for i in range(instances):
-            n = int(rng.integers(20, 55))
-            p = int(i % 3)
-            op = _random_spd_operator(rng, n, lam_max=8.0)
-            h = float(rng.uniform(0.1, 0.3))
-            cs = [rng.standard_normal(n) for _ in range(p + 1)]
-            aug, ct = assemble_augmented(op, 1.0, cs)
-            solver = ShiftedSolver(op, SolverConfig(mode="direct"))
-            d = RationalDecomposition(aug, ct)
-            _grow(d, deque(schedule.steps), len(schedule), solver)
-            exact = dense_expm(h * aug.dense()) @ ct
-            y, expansion = _approximant_and_estimate(d, h, terms)
-            true_err = float(np.linalg.norm(exact - d.approximant(y)))
-            rel = abs(expansion - true_err) / max(true_err, 1e-300)
-            worst = max(worst, float(rel))
-        return worst
-
-    secs, measured = _timed(run)
-    return CheckResult(f"error expansion ({terms} terms) vs true error", measured, tol,
-                       measured <= tol, secs)
+    for i in range(instances):
+        n = int(rng.integers(20, 55))
+        p = int(i % 3)
+        op = random_spd_operator(rng, n, lam_max=8.0)
+        h = float(rng.uniform(0.1, 0.3))
+        cs = [rng.standard_normal(n) for _ in range(p + 1)]
+        aug, ct = assemble_augmented(op, 1.0, cs)
+        solver = ShiftedSolver(op, SolverConfig(mode="direct"))
+        d = RationalDecomposition(aug, ct)
+        _grow(d, deque(schedule.steps), len(schedule), solver)
+        exact = dense_expm(h * aug.dense()) @ ct
+        y, expansion = _approximant_and_estimate(d, h, terms)
+        true_err = float(np.linalg.norm(exact - d.approximant(y)))
+        worst = max(worst, float(abs(expansion - true_err) / max(true_err, 1e-300)))
+    return CheckResult(f"error expansion ({terms} terms) vs true error", worst, tol,
+                       worst <= tol, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +257,7 @@ def check_tableau_consistency() -> list[CheckResult]:
     t0 = time.perf_counter()
     rng = np.random.default_rng(606)
     n, h = 20, 0.37
-    op = _random_spd_operator(rng, n, lam_max=6.0)
+    op = random_spd_operator(rng, n, lam_max=6.0)
     u = rng.standard_normal(n)
     g1 = rng.standard_normal(n)
     tab = tableau("etd3rk")
@@ -305,7 +283,7 @@ def check_linear_exactness(seed: int = 505, tol: float = 1e-8) -> list[CheckResu
     so it shares no kernel with the dense exponential of the engines."""
     rng = np.random.default_rng(seed)
     n = 48
-    op = _random_spd_operator(rng, n, lam_max=30.0)
+    op = random_spd_operator(rng, n, lam_max=30.0)
     u0 = rng.standard_normal(n)
     T, h = 1.0, 0.25
     steps = int(round(T / h))

@@ -104,6 +104,14 @@ def test_real_transfers_equal_their_complex_copies_bit_for_bit():
             assert np.array_equal(transfer(m, v.real), m @ v.real)
 
 
+def test_a_pole_that_zeroes_the_smoother_diagonal_is_rejected():
+    # the Dirichlet Laplacian has one diagonal value d; xi = -d cancels it
+    op = fd_laplacian_2d(32, 1.0, "dirichlet")
+    d = op.tocsr().diagonal()[0]
+    with pytest.raises(ValueError, match="AMG smoother requires a nonzero diagonal"):
+        AmgPreconditioner(_hierarchy(op), complex(-d), 1.0)
+
+
 def test_zero_diagonal_rows_stay_unsmoothed():
     # rows of A with a zero diagonal keep their tentative prolongator rows;
     # the shift alone makes the smoother's diagonal nonzero there

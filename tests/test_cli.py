@@ -322,6 +322,20 @@ def test_bad_config_line_exits_two_and_names_the_key(tmp_path, capsys, line, fla
     assert not list(tmp_path.glob("*-report.txt"))
 
 
+@pytest.mark.parametrize("case, message", [
+    ("config-line", "run.cfg:2: expected 'key = value'"),
+    ("graph-file", "graph file not found"),
+])
+def test_unreadable_inputs_raise_value_errors(tmp_path, case, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("problem = ac2d\nnx 8\n")
+    with pytest.raises(ValueError, match=message):
+        if case == "config-line":
+            read_config_file(cfg)
+        else:
+            cli.load_graph_spec(tmp_path / "missing.edges")
+
+
 def test_abbreviated_flag_exits_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli("run", "--nx", "8", "--solver-t", "1e-3", "--out", str(tmp_path))

@@ -6,6 +6,7 @@ import gc
 import threading
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,12 +23,7 @@ from ratexpint.problems import (Problem, allen_cahn_2d, fd_laplacian_2d, gierer_
                                 reaction_allen_cahn)
 from ratexpint.solvers import SolverCache, SolverConfig
 from ratexpint.tableaus import Tableau, available, tableau
-
-
-def random_spd(rng, n, lam_max=20.0):
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    lam = rng.uniform(0.0, lam_max, size=n)
-    return SparseOperator.from_dense(q @ np.diag(lam) @ q.T)
+from ratexpint.verify import random_spd_operator
 
 
 def linear_problem(op, u0):
@@ -121,6 +117,16 @@ def test_tableau_rejects_nonzero_first_node():
         Tableau(name="bad", c=(0.5,), stage_coeffs={}, update_coeffs={1: {1: 1.0}})
 
 
+@pytest.mark.parametrize("c, stage_coeffs, update_coeffs, message", [
+    ((), {}, {}, "need at least one stage"),
+    ((0.0, 0.5), {3: {1: {1: 1.0}}}, {1: {1: 1.0}}, "stage index 3 out of range"),
+    ((0.0,), {}, {2: {1: 1.0}}, "update index 2 out of range"),
+], ids=["no-stage", "stage-index", "update-index"])
+def test_tableau_rejects_indices_out_of_range(c, stage_coeffs, update_coeffs, message):
+    with pytest.raises(ValueError, match=message):
+        Tableau(name="bad", c=c, stage_coeffs=stage_coeffs, update_coeffs=update_coeffs)
+
+
 # ---------------------------------------------------------------------------
 # Stage assembly.
 # ---------------------------------------------------------------------------
@@ -149,7 +155,7 @@ def test_etd3rk_stage2_matches_phi_oracle():
     e^{-(h/2)A} u + (h/2) phi_1(-(h/2)A) G_1."""
     rng = np.random.default_rng(1)
     n, h = 20, 0.37
-    op = random_spd(rng, n, lam_max=6.0)
+    op = random_spd_operator(rng, n, lam_max=6.0)
     u = rng.standard_normal(n)
     g1 = rng.standard_normal(n)
     tab = tableau("etd3rk")
@@ -174,7 +180,7 @@ def test_stage_payloads_match_phi_oracle(name, stage):
     e^{-c_j h A} u + h sum_k sum_l beta_jkl phi_l(-c_j h A) G_k."""
     rng = np.random.default_rng(6)
     n, h = 20, 0.37
-    op = random_spd(rng, n, lam_max=6.0)
+    op = random_spd_operator(rng, n, lam_max=6.0)
     tab = tableau(name)
     u = rng.standard_normal(n)
     g_values = [rng.standard_normal(n) for _ in range(tab.stages)]
@@ -230,7 +236,7 @@ def test_step_calls_the_engine_once_per_nonzero_node_plus_the_update(c, stage_co
     tab = Tableau("t", c=c, stage_coeffs=stage_coeffs, update_coeffs={1: {1: 1.0}})
     rng = np.random.default_rng(5)
     n = 12
-    op = random_spd(rng, n, lam_max=6.0)
+    op = random_spd_operator(rng, n, lam_max=6.0)
     prob = linear_problem(op, rng.standard_normal(n))
     eng = Engine(prob, rational_config(tol=1e-10, m_hard=n))
     _, reports = step(prob, tab, prob.u0, 0.0, 0.5, eng)
@@ -241,7 +247,7 @@ def test_step_calls_the_engine_once_per_nonzero_node_plus_the_update(c, stage_co
 def test_homogeneous_step_is_exact_propagation(name):
     rng = np.random.default_rng(3)
     n = 24
-    op = random_spd(rng, n, lam_max=15.0)
+    op = random_spd_operator(rng, n, lam_max=15.0)
     u0 = rng.standard_normal(n)
     prob = linear_problem(op, u0)
     eng = Engine(prob, rational_config(tol=1e-10, m_hard=n))
@@ -266,7 +272,7 @@ def test_scalar_relaxation_against_closed_form():
 def test_engine_equivalence_on_small_problem():
     rng = np.random.default_rng(4)
     n = 30
-    op = random_spd(rng, n, lam_max=12.0)
+    op = random_spd_operator(rng, n, lam_max=12.0)
     u0 = rng.standard_normal(n)
     prob = Problem(name="cubic", A=op, g=lambda t, u: u - u ** 3,
                    u0=u0, params={})
@@ -282,7 +288,8 @@ def test_engine_equivalence_on_small_problem():
 @pytest.mark.parametrize("settings", [
     {"check_cadence": 0}, {"check_cadence": -3}, {"tol": 0.0}, {"tol": float("nan")},
     {"tol": float("inf")}, {"m_min": 0}, {"m_hard": 0},
-    {"solver": SolverConfig(mode="iterative"), "poles": builtin_pole_set("cf12")}])
+    {"solver": SolverConfig(mode="iterative"), "poles": builtin_pole_set("cf12")},
+    {"engine": "krylov"}])
 def test_engine_config_rejects_settings_that_cannot_converge(settings):
     # a cadence below 1 re-checks the same subspace forever; the iterative
     # solver cannot take the cf12 poles with negative real parts, and without
@@ -405,7 +412,7 @@ def test_nonsymmetric_operator_on_the_direct_path_matches_the_polynomial_engine(
 def test_single_step_integrate_equals_step():
     rng = np.random.default_rng(5)
     n = 16
-    op = random_spd(rng, n, lam_max=8.0)
+    op = random_spd_operator(rng, n, lam_max=8.0)
     u0 = rng.standard_normal(n)
     prob = Problem(name="cubic", A=op, g=lambda t, u: u - u ** 3,
                    u0=u0, params={})
@@ -422,7 +429,7 @@ def test_single_step_integrate_equals_step():
 def test_last_step_shortened():
     rng = np.random.default_rng(6)
     n = 10
-    op = random_spd(rng, n, lam_max=4.0)
+    op = random_spd_operator(rng, n, lam_max=4.0)
     prob = linear_problem(op, rng.standard_normal(n))
     eng = Engine(prob, rational_config(tol=1e-10, m_hard=n))
     traj = integrate(prob, tableau("sw2"), 0.4, 1.0, eng)
@@ -434,7 +441,7 @@ def test_last_step_shortened():
 def test_remainder_within_rounding_is_a_full_step():
     rng = np.random.default_rng(6)
     n = 10
-    op = random_spd(rng, n, lam_max=4.0)
+    op = random_spd_operator(rng, n, lam_max=4.0)
     prob = linear_problem(op, rng.standard_normal(n))
     eng = Engine(prob, rational_config(tol=1e-10, m_hard=n))
     traj = integrate(prob, tableau("sw2"), 0.05, 1.0, eng)
@@ -450,7 +457,7 @@ def test_integrate_rejects_non_finite_or_non_positive_h_and_T(h, T):
     # came back as the final one
     rng = np.random.default_rng(6)
     n = 10
-    prob = linear_problem(random_spd(rng, n, lam_max=4.0), rng.standard_normal(n))
+    prob = linear_problem(random_spd_operator(rng, n, lam_max=4.0), rng.standard_normal(n))
     eng = Engine(prob, rational_config(tol=1e-10, m_hard=n))
     with pytest.raises(ValueError, match="positive and finite"):
         integrate(prob, tableau("sw2"), h, T, eng)
@@ -463,7 +470,7 @@ def test_step_rejects_a_non_finite_or_non_positive_h(engine, h):
     # factorization (SolverError, exit 3) or scipy's complaint about NaNs
     rng = np.random.default_rng(6)
     n = 10
-    prob = linear_problem(random_spd(rng, n, lam_max=4.0), rng.standard_normal(n))
+    prob = linear_problem(random_spd_operator(rng, n, lam_max=4.0), rng.standard_normal(n))
     config = rational_config() if engine == "rational" else EngineConfig(engine="polynomial")
     with pytest.raises(ValueError, match="positive and finite"):
         step(prob, tableau("sw2"), prob.u0, 0.0, h, Engine(prob, config))
@@ -473,7 +480,7 @@ def test_integrate_rejects_negative_snapshot_stride():
     # unchecked, idx % -1 == 0 stores every step
     rng = np.random.default_rng(6)
     n = 10
-    prob = linear_problem(random_spd(rng, n, lam_max=4.0), rng.standard_normal(n))
+    prob = linear_problem(random_spd_operator(rng, n, lam_max=4.0), rng.standard_normal(n))
     eng = Engine(prob, rational_config(tol=1e-10, m_hard=n))
     with pytest.raises(ValueError, match="snapshot_stride"):
         integrate(prob, tableau("sw2"), 0.5, 1.0, eng, snapshot_stride=-1)
@@ -482,7 +489,7 @@ def test_integrate_rejects_negative_snapshot_stride():
 def test_complex_initial_state_rejected():
     rng = np.random.default_rng(6)
     n = 10
-    op = random_spd(rng, n, lam_max=4.0)
+    op = random_spd_operator(rng, n, lam_max=4.0)
     prob = linear_problem(op, rng.standard_normal(n))
     eng = Engine(prob, rational_config(tol=1e-10, m_hard=n))
     with pytest.raises(ValueError, match="real"):
@@ -505,7 +512,7 @@ def test_malformed_initial_state_rejected(bad):
 def test_linear_exactness_over_partition():
     rng = np.random.default_rng(7)
     n = 40
-    op = random_spd(rng, n, lam_max=25.0)
+    op = random_spd_operator(rng, n, lam_max=25.0)
     u0 = rng.standard_normal(n)
     prob = linear_problem(op, u0)
     tol = 1e-9
@@ -570,6 +577,20 @@ def test_blowup_aborts_with_diagnostic():
     assert err.value.state.shape == (4,)
 
 
+def test_non_finite_state_after_a_step_raises_blowup():
+    # the reaction stays finite and the engine returns inf: only the check
+    # at the end of the step sees it
+    class InfiniteEngine:
+        def expmv(self, alpha, theta, c_vectors):
+            return SimpleNamespace(phi_combination=np.full(4, np.inf))
+
+    prob = linear_problem(SparseOperator.identity(4), np.ones(4))
+    euler = Tableau(name="euler1", c=(0.0,), stage_coeffs={}, update_coeffs={1: {1: 1.0}})
+    with pytest.raises(NumericalBlowup, match="non-finite state after step at t=0.5") as err:
+        integrate(prob, euler, 0.5, 1.0, InfiniteEngine())
+    assert err.value.t == 0.5 and np.isinf(err.value.state).all()
+
+
 @pytest.mark.parametrize("config", [
     EngineConfig(), EngineConfig(solver=SolverConfig(mode="iterative")),
     EngineConfig(engine="polynomial")], ids=["direct", "iterative", "polynomial"])
@@ -585,7 +606,7 @@ def test_zero_state_is_a_steady_state(config):
 def test_snapshot_stride():
     rng = np.random.default_rng(8)
     n = 8
-    op = random_spd(rng, n, lam_max=3.0)
+    op = random_spd_operator(rng, n, lam_max=3.0)
     prob = linear_problem(op, rng.standard_normal(n))
     eng = Engine(prob, rational_config(tol=1e-8, m_hard=n))
     traj = integrate(prob, tableau("sw2"), 0.1, 1.0, eng, snapshot_stride=3)
@@ -657,7 +678,7 @@ def blas_counts():
 
 def integrate_blas_problem(g):
     rng = np.random.default_rng(12)
-    prob = Problem(name="blas", A=random_spd(rng, 8, lam_max=5.0), g=g,
+    prob = Problem(name="blas", A=random_spd_operator(rng, 8, lam_max=5.0), g=g,
                    u0=rng.standard_normal(8), params={})
     return integrate(prob, tableau("sw2"), 0.25, 0.5,
                      Engine(prob, rational_config(tol=1e-8, m_hard=8)))

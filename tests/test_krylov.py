@@ -22,12 +22,7 @@ from ratexpint.poles import INF_POLE, PoleSet, builtin_pole_set, repeated_real
 from ratexpint.problems import allen_cahn_2d, fd_laplacian_1d
 from ratexpint.solvers import ShiftedSolver, SolverCache, SolverConfig, SolverError
 from ratexpint.tableaus import tableau
-
-
-def random_spd(rng, n, lam_max=20.0):
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    lam = rng.uniform(0.0, lam_max, size=n)
-    return SparseOperator.from_dense(q @ np.diag(lam) @ q.T)
+from ratexpint.verify import random_spd_operator
 
 
 def direct_solver(op):
@@ -40,7 +35,7 @@ def direct_solver(op):
 
 def test_assemble_p0_acts_as_scaled_negation():
     rng = np.random.default_rng(0)
-    op = random_spd(rng, 6)
+    op = random_spd_operator(rng, 6, lam_max=20.0)
     aug, ct = assemble_augmented(op, 0.7, [np.ones(6)])
     assert aug.p == 0
     assert np.array_equal(ct, np.ones(6))
@@ -53,7 +48,7 @@ def test_assemble_top_block_matches_phi_combination():
     equal e^{-h a A} c0 + h phi_1(-h a A) c1."""
     rng = np.random.default_rng(1)
     n, h, alpha = 5, 0.3, 1.1
-    op = random_spd(rng, n, lam_max=4.0)
+    op = random_spd_operator(rng, n, lam_max=4.0)
     c0, c1 = rng.standard_normal(n), rng.standard_normal(n)
     aug, ct = assemble_augmented(op, alpha, [c0, c1])
     full = dense_expm(h * aug.dense()) @ ct
@@ -65,7 +60,7 @@ def test_assemble_top_block_matches_phi_combination():
 def test_assemble_bottom_block_is_jordan_exponential():
     rng = np.random.default_rng(2)
     n, p, h = 4, 3, 0.8
-    op = random_spd(rng, n, lam_max=2.0)
+    op = random_spd_operator(rng, n, lam_max=2.0)
     cs = [rng.standard_normal(n) for _ in range(p + 1)]
     aug, ct = assemble_augmented(op, 1.0, cs)
     full = dense_expm(h * aug.dense()) @ ct
@@ -231,6 +226,46 @@ def test_block_solve_decouples_when_coupling_vanishes():
     assert np.allclose(x[:n], top_ref, atol=1e-12)
 
 
+def _on_identity(*cs):
+    """The augmented operator and start vector of payload ``cs`` on I_4."""
+    return assemble_augmented(SparseOperator.identity(4), 1.0, list(cs))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: _on_identity(np.ones(4), np.ones(4))[0].solve(2.0, np.ones(4), None),
+     ValueError, "expected right-hand side of length 5, got 4"),
+    (lambda: RationalDecomposition(*_on_identity(np.zeros(4))),
+     ValueError, "start vector is zero"),
+    (lambda: RationalDecomposition(*_on_identity(np.full(4, 1e200))),
+     FloatingPointError, r"start vector has a non-finite 2-norm \(inf\)"),
+    (lambda: rational_arnoldi_step(RationalDecomposition(*_on_identity(np.ones(4))), 2.0),
+     ValueError, "finite poles require a shifted-system solver"),
+    (lambda: _approximant_and_estimate(RationalDecomposition(*_on_identity(np.ones(4))), 1.0,
+                                       terms=0),
+     ValueError, "need at least one term"),
+    (lambda: _approximant_and_estimate(RationalDecomposition(*_on_identity(np.ones(4))), 1.0),
+     KrylovError, "empty decomposition"),
+], ids=["block-solve-length", "zero-start", "overflowing-start", "pole-without-solver",
+        "no-estimate-term", "empty-decomposition"])
+def test_malformed_krylov_inputs_raise_with_their_message(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize("engine, p", [("rational", 0), ("polynomial", 0), ("polynomial", 1)])
+def test_a_payload_whose_norm_overflows_raises(engine, p):
+    # the 2-norm overflowed to inf, so the start vector read as zero, the
+    # first step as a happy breakdown, and the engines returned NaN with
+    # estimate 0 as converged
+    op = allen_cahn_2d(8).A
+    cs = [np.zeros(64)] * p + [np.full(64, 1e200)]
+    with pytest.raises(FloatingPointError, match="non-finite 2-norm"):
+        if engine == "rational":
+            expmv_rational(op, 0.5, cs, builtin_pole_set("cf12"), direct_solver(op))
+        else:
+            expmv_polynomial(op, 0.5, cs)
+
+
 def test_block_solve_zero_pole_rejected():
     # for every payload length, p = 0 included
     op = SparseOperator.identity(4)
@@ -247,7 +282,7 @@ def test_block_solve_zero_pole_rejected():
 
 def test_infinite_pole_step_is_polynomial_step():
     rng = np.random.default_rng(3)
-    op = random_spd(rng, 10)
+    op = random_spd_operator(rng, 10, lam_max=20.0)
     aug, ct = assemble_augmented(op, 1.0, [rng.standard_normal(10)])
     d = RationalDecomposition(aug, ct)
     rational_arnoldi_step(d, INF_POLE)
@@ -264,7 +299,7 @@ def test_infinite_pole_step_is_polynomial_step():
 def test_arnoldi_relation_residual_mixed_poles(seed):
     rng = np.random.default_rng(40 + seed)
     n, p = 37, 3
-    op = random_spd(rng, n)
+    op = random_spd_operator(rng, n, lam_max=20.0)
     cs = [rng.standard_normal(n) for _ in range(p + 1)]
     aug, ct = assemble_augmented(op, 0.9, cs)
     solver = direct_solver(op)
@@ -317,7 +352,7 @@ def test_pair_step_matches_complex_decomposition():
     spans the space of the complex one with one solve per pole."""
     rng = np.random.default_rng(41)
     n, p = 60, 2
-    op = random_spd(rng, n, lam_max=80.0)
+    op = random_spd_operator(rng, n, lam_max=80.0)
     cs = [rng.standard_normal(n) for _ in range(p + 1)]
     aug, ct = assemble_augmented(op, 0.5, cs)
     poles = list(builtin_pole_set("cf12"))
@@ -349,7 +384,7 @@ def test_pair_step_matches_complex_decomposition():
 def test_expmv_pair_steps_match_complex_arithmetic():
     rng = np.random.default_rng(42)
     n = 70
-    op = random_spd(rng, n, lam_max=60.0)
+    op = random_spd_operator(rng, n, lam_max=60.0)
     c0 = rng.standard_normal(n)
     poles = builtin_pole_set("cf12")
     kwargs = dict(tol=1e-10, m_min=5, check_cadence=3, theta=0.6)
@@ -367,7 +402,7 @@ def test_expmv_pair_steps_match_complex_arithmetic():
 def test_orthonormality_up_to_m128():
     rng = np.random.default_rng(6)
     n = 220
-    op = random_spd(rng, n, lam_max=100.0)
+    op = random_spd_operator(rng, n, lam_max=100.0)
     aug, ct = assemble_augmented(op, 1.0, [rng.standard_normal(n)])
     solver = direct_solver(op)
     d = RationalDecomposition(aug, ct.astype(np.complex128))
@@ -422,7 +457,7 @@ def test_estimator_tracks_true_error_on_small_instances():
 def test_exactness_on_invariant_subspace():
     rng = np.random.default_rng(7)
     n = 30
-    op = random_spd(rng, n, lam_max=3.0)
+    op = random_spd_operator(rng, n, lam_max=3.0)
     # payload confined to a 4-dim invariant subspace
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     lam = np.concatenate([[0.5, 1.0, 1.5, 2.0], np.full(n - 4, 3.0)])
@@ -447,7 +482,7 @@ def test_all_infinite_poles_match_polynomial_engine():
     # and check it at the same sizes
     rng = np.random.default_rng(8)
     n = 25
-    op = random_spd(rng, n, lam_max=2.0)
+    op = random_spd_operator(rng, n, lam_max=2.0)
     c0 = rng.standard_normal(n)
     solver = direct_solver(op)
     h = 0.9
@@ -461,7 +496,7 @@ def test_all_infinite_poles_match_polynomial_engine():
 
 def test_singular_projection_detected():
     rng = np.random.default_rng(30)
-    op = random_spd(rng, 12, lam_max=5.0)
+    op = random_spd_operator(rng, 12, lam_max=5.0)
     aug, ct = assemble_augmented(op, 1.0, [rng.standard_normal(12)])
     solver = direct_solver(op)
     d = RationalDecomposition(aug, ct)
@@ -495,7 +530,7 @@ def _singular_after_infinite_step():
     """A real decomposition after the steps 4, a pair and inf, with the Re
     column of the pair zeroed so that the square K_4 is singular."""
     rng = np.random.default_rng(30)
-    op = random_spd(rng, 12, lam_max=5.0)
+    op = random_spd_operator(rng, 12, lam_max=5.0)
     aug, ct = assemble_augmented(op, 1.0, [rng.standard_normal(12)])
     d = RationalDecomposition(aug, ct)
     for xi in (4.0, complex(2, 1), INF_POLE):
@@ -529,7 +564,7 @@ def test_singular_projection_raises_at_the_first_check():
 
 def test_zero_step_returns_start_vector():
     rng = np.random.default_rng(9)
-    op = random_spd(rng, 12)
+    op = random_spd_operator(rng, 12, lam_max=20.0)
     aug, ct = assemble_augmented(op, 1.0, [rng.standard_normal(12)])
     d = RationalDecomposition(aug, ct)
     rational_arnoldi_step(d, INF_POLE)
@@ -544,7 +579,7 @@ def test_zero_step_returns_start_vector():
 # ---------------------------------------------------------------------------
 
 def _built_decomposition(rng, n=40, p=1, steps=5, lam_max=8.0):
-    op = random_spd(rng, n, lam_max=lam_max)
+    op = random_spd_operator(rng, n, lam_max=lam_max)
     cs = [rng.standard_normal(n) for _ in range(p + 1)]
     aug, ct = assemble_augmented(op, 1.0, cs)
     solver = direct_solver(op)
@@ -596,7 +631,7 @@ def test_phi_approximant_and_expansion_match_true_error(phi):
     basis of B = -A, the phi_p action the polynomial engine reads."""
     rng = np.random.default_rng(70 + phi)
     n, h = 40, 0.25
-    op = random_spd(rng, n, lam_max=6.0)
+    op = random_spd_operator(rng, n, lam_max=6.0)
     w = rng.standard_normal(n)
     d = RationalDecomposition(assemble_augmented(op, 1.0, [w])[0], w, lanczos=True)
     for _ in range(6):
@@ -645,7 +680,7 @@ def _lu_approximant_and_estimate(d, h, terms, phi):
 def _decomposition_for(kind):
     rng = np.random.default_rng(80)
     n = 50
-    op = random_spd(rng, n, lam_max=30.0)
+    op = random_spd_operator(rng, n, lam_max=30.0)
     cs = [rng.standard_normal(n) for _ in range(3)]
     if kind == "lanczos":
         d = RationalDecomposition(assemble_augmented(op, 1.0, cs[:1])[0], cs[2], lanczos=True)
@@ -707,7 +742,7 @@ def test_a_grown_basis_reads_no_unwritten_column(monkeypatch):
     # growth copies only the written columns
     rng = np.random.default_rng(81)
     n = 60
-    op = random_spd(rng, n, lam_max=50.0)
+    op = random_spd_operator(rng, n, lam_max=50.0)
     aug, ct = assemble_augmented(op, 0.5, [rng.standard_normal(n) for _ in range(2)])
     poles = list(builtin_pole_set("cf12"))[::2] + [INF_POLE] * 12
 
@@ -737,7 +772,7 @@ def test_a_grown_basis_reads_no_unwritten_column(monkeypatch):
 def test_expmv_zero_step_returns_c0():
     rng = np.random.default_rng(12)
     n = 20
-    op = random_spd(rng, n)
+    op = random_spd_operator(rng, n, lam_max=20.0)
     c0, c1 = rng.standard_normal(n), rng.standard_normal(n)
     solver = direct_solver(op)
     rep = expmv_rational(op, 0.0, [c0, 0.0 * c1], PoleSet(()), solver, tol=1e-10,
@@ -750,7 +785,7 @@ def test_expmv_zero_step_returns_c0():
 def test_expmv_matches_dense_oracle():
     rng = np.random.default_rng(13)
     n, p = 50, 2
-    op = random_spd(rng, n, lam_max=40.0)
+    op = random_spd_operator(rng, n, lam_max=40.0)
     cs = [rng.standard_normal(n) for _ in range(p + 1)]
     h = 0.6
     payload = [cs[0], h * cs[1], h * h * cs[2]]
@@ -771,7 +806,7 @@ def test_schedule_checks_after_every_pole_step():
     # polynomial steps
     rng = np.random.default_rng(31)
     n = 60
-    op = random_spd(rng, n, lam_max=200.0)
+    op = random_spd_operator(rng, n, lam_max=200.0)
     c = rng.standard_normal(n)
     rep = expmv_rational(op, 1.0, [c], builtin_pole_set("cf12"), direct_solver(op), tol=1e-14)
     assert rep.converged and rep.solves == 6
@@ -781,7 +816,7 @@ def test_schedule_checks_after_every_pole_step():
 def test_expmv_estimate_history_and_poles_recorded():
     rng = np.random.default_rng(14)
     n = 30
-    op = random_spd(rng, n, lam_max=25.0)
+    op = random_spd_operator(rng, n, lam_max=25.0)
     solver = direct_solver(op)
     rep = expmv_rational(op, 1.0, [rng.standard_normal(n)],
                          builtin_pole_set("cf12"), solver, tol=1e-9,
@@ -796,7 +831,7 @@ def test_expmv_estimate_history_and_poles_recorded():
 def test_expmv_pole_exhaustion_continues_polynomially():
     rng = np.random.default_rng(15)
     n = 40
-    op = random_spd(rng, n, lam_max=30.0)
+    op = random_spd_operator(rng, n, lam_max=30.0)
     solver = direct_solver(op)
     short = PoleSet(poles=(complex(4, 2), complex(4, -2)))
     rep = expmv_rational(op, 1.0, [rng.standard_normal(n)], short, solver,
@@ -810,7 +845,7 @@ def test_expmv_pole_exhaustion_continues_polynomially():
 def test_expmv_hard_cap_raises_with_report():
     rng = np.random.default_rng(16)
     n = 60
-    op = random_spd(rng, n, lam_max=500.0)
+    op = random_spd_operator(rng, n, lam_max=500.0)
     solver = direct_solver(op)
     with pytest.raises(ToleranceNotReached) as err:
         expmv_rational(op, 1.0, [rng.standard_normal(n)], PoleSet(()), solver,
@@ -824,7 +859,7 @@ def test_expmv_hard_cap_raises_with_report():
 def test_expmv_repeated_real_poles():
     rng = np.random.default_rng(17)
     n = 45
-    op = random_spd(rng, n, lam_max=60.0)
+    op = random_spd_operator(rng, n, lam_max=60.0)
     c0 = rng.standard_normal(n)
     solver = direct_solver(op)
     tol = 1e-8
@@ -855,7 +890,7 @@ def test_expmv_repeated_real_poles_stay_real():
 def test_expmv_conjugate_pairs_keep_real_results_real():
     rng = np.random.default_rng(18)
     n = 35
-    op = random_spd(rng, n, lam_max=50.0)
+    op = random_spd_operator(rng, n, lam_max=50.0)
     solver = direct_solver(op)
     rep = expmv_rational(op, 0.5, [rng.standard_normal(n)],
                          builtin_pole_set("cf12"), solver, tol=1e-9,
@@ -868,7 +903,7 @@ def test_lone_complex_pole_takes_only_a_complex_payload():
     # complex one it runs in complex arithmetic and matches the oracle
     rng = np.random.default_rng(19)
     n = 40
-    op = random_spd(rng, n, lam_max=30.0)
+    op = random_spd_operator(rng, n, lam_max=30.0)
     lone = PoleSet((4 + 3j,))
     c0 = rng.standard_normal(n)
     for real_payload in (c0, np.zeros(n)):
@@ -919,7 +954,7 @@ def test_real_pair_steps_on_the_zero_operator(poles, mode):
 def test_polynomial_expmv_matches_dense_oracle():
     rng = np.random.default_rng(19)
     n, p = 50, 2
-    op = random_spd(rng, n, lam_max=40.0)
+    op = random_spd_operator(rng, n, lam_max=40.0)
     cs = [rng.standard_normal(n) for _ in range(p + 1)]
     h = 0.6
     payload = [cs[0], h * cs[1], h * h * cs[2]]
@@ -934,7 +969,7 @@ def test_polynomial_expmv_matches_dense_oracle():
 def test_polynomial_substepping_triggers_and_composes():
     rng = np.random.default_rng(20)
     n = 60
-    op = random_spd(rng, n, lam_max=400.0)
+    op = random_spd_operator(rng, n, lam_max=400.0)
     c0 = rng.standard_normal(n)
     rep = expmv_polynomial(op, 1.0, [c0], tol=1e-8, m_min=4, m_hard=12)
     assert rep.substeps > 1
@@ -1050,7 +1085,7 @@ def test_lanczos_basis_that_spans_the_space_breaks_down():
     # must end the space (a happy breakdown) rather than join the basis
     rng = np.random.default_rng(5)
     n, theta, tol = 25, 0.5, 4.2e-12
-    op = random_spd(rng, n, lam_max=10 ** 2.68)
+    op = random_spd_operator(rng, n, lam_max=10 ** 2.68)
     cs = [rng.standard_normal(n) for _ in range(2)]
     rep = expmv_polynomial(op, 1.0, cs, tol=tol, theta=theta)
     assert rep.arnoldi_steps <= n * rep.substeps
@@ -1062,7 +1097,7 @@ def test_lanczos_basis_that_spans_the_space_breaks_down():
 
 def test_lanczos_basis_takes_no_finite_pole():
     rng = np.random.default_rng(23)
-    op = random_spd(rng, 20)
+    op = random_spd_operator(rng, 20, lam_max=20.0)
     aug, ct = assemble_augmented(op, 1.0, [rng.standard_normal(20)])
     d = RationalDecomposition(aug, ct, lanczos=True)
     with pytest.raises(ValueError, match="infinite poles"):
@@ -1072,7 +1107,7 @@ def test_lanczos_basis_takes_no_finite_pole():
 def test_polynomial_engine_on_a_zero_payload_with_a_tail():
     # the reduced vector w_p is zero, so the Taylor part is the whole value
     rng = np.random.default_rng(24)
-    op = random_spd(rng, 20)
+    op = random_spd_operator(rng, 20, lam_max=20.0)
     rep = expmv_polynomial(op, 1.0, [np.zeros(20)] * 3, theta=0.5)
     assert rep.arnoldi_steps == 0 and rep.estimate == 0.0
     assert np.array_equal(rep.vector, np.concatenate([np.zeros(20), [0.5, 1.0]]))
@@ -1080,14 +1115,14 @@ def test_polynomial_engine_on_a_zero_payload_with_a_tail():
 
 def test_polynomial_keeps_real_dtype():
     rng = np.random.default_rng(21)
-    op = random_spd(rng, 20, lam_max=5.0)
+    op = random_spd_operator(rng, 20, lam_max=5.0)
     rep = expmv_polynomial(op, 0.5, [rng.standard_normal(20)], tol=1e-8)
     assert not np.iscomplexobj(rep.vector)
 
 
 def test_polynomial_substep_underflow_raises():
     rng = np.random.default_rng(22)
-    op = random_spd(rng, 40, lam_max=1e9)
+    op = random_spd_operator(rng, 40, lam_max=1e9)
     with pytest.raises(KrylovError):
         expmv_polynomial(op, 1.0, [rng.standard_normal(40)],
                          tol=1e-12, m_min=2, m_hard=3)
@@ -1105,7 +1140,7 @@ def test_engines_read_the_phi_combination_at_theta(engine, theta, p):
     polynomial engine's cap is small enough to force sub-steps."""
     rng = np.random.default_rng(40)
     n, alpha = 40, 1.3
-    op = random_spd(rng, n, lam_max=300.0)
+    op = random_spd_operator(rng, n, lam_max=300.0)
     cs = [rng.standard_normal(n) for _ in range(p + 1)]
     if engine == "rational":
         rep = expmv_rational(op, alpha, cs, builtin_pole_set("cf12"), direct_solver(op),
@@ -1121,7 +1156,7 @@ def test_engines_read_the_phi_combination_at_theta(engine, theta, p):
 def test_engines_share_their_default_check_schedule():
     rng = np.random.default_rng(41)
     n = 60
-    op = random_spd(rng, n, lam_max=50.0)
+    op = random_spd_operator(rng, n, lam_max=50.0)
     c0 = rng.standard_normal(n)
     rat = expmv_rational(op, 1.0, [c0], PoleSet(()), direct_solver(op))
     poly = expmv_polynomial(op, 1.0, [c0])
@@ -1130,14 +1165,14 @@ def test_engines_share_their_default_check_schedule():
 
 def test_polynomial_engine_takes_the_default_cap_as_none():
     rng = np.random.default_rng(42)
-    op = random_spd(rng, 30, lam_max=5.0)
+    op = random_spd_operator(rng, 30, lam_max=5.0)
     rep = expmv_polynomial(op, 1.0, [rng.standard_normal(30)], m_hard=None)
     assert rep.converged
 
 
 def test_initial_capacity_is_capped_at_the_space_dimension():
     rng = np.random.default_rng(44)
-    aug, ct = assemble_augmented(random_spd(rng, 10), 1.0,
+    aug, ct = assemble_augmented(random_spd_operator(rng, 10, lam_max=20.0), 1.0,
                                  [rng.standard_normal(10), rng.standard_normal(10)])
     d = RationalDecomposition(aug, ct, capacity=10 ** 8)
     assert d.V.shape == (11, 12)
@@ -1153,7 +1188,7 @@ def test_concurrent_expmv_calls_share_cache():
 
     rng = np.random.default_rng(23)
     n = 50
-    op = random_spd(rng, n, lam_max=80.0)
+    op = random_spd_operator(rng, n, lam_max=80.0)
     payloads = [rng.standard_normal(n) for _ in range(4)]
     poles = builtin_pole_set("cf12")
     cache = SolverCache(op)
@@ -1177,7 +1212,7 @@ def test_conjugate_pairs_share_factorizations():
     # twelve poles with six solves, one per pair, and six factorizations
     rng = np.random.default_rng(29)
     n = 50
-    op = random_spd(rng, n, lam_max=80.0)
+    op = random_spd_operator(rng, n, lam_max=80.0)
     poles = builtin_pole_set("cf12")
     solver = ShiftedSolver(op, SolverConfig(mode="direct"))
     rep = expmv_rational(op, 0.5, [rng.standard_normal(n)], poles, solver,

@@ -8,15 +8,7 @@ from hypothesis import strategies as st
 
 from ratexpint.linalg import (DimensionMismatch, SparseOperator, dense_expm,
                               orthogonal_extend, phi_dense_all)
-
-
-def taylor_expm(z, terms=60):
-    out = np.eye(z.shape[0], dtype=complex)
-    term = out.copy()
-    for k in range(1, terms + 1):
-        term = term @ z / k
-        out = out + term
-    return out
+from ratexpint.verify import taylor_expm
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +129,18 @@ def test_expm_rejects_nan():
 def test_expm_overflow_is_an_arithmetic_error():
     with pytest.raises(FloatingPointError, match="overflow"):
         dense_expm(np.array([[1000.0]]))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: SparseOperator(sp.csr_matrix(np.ones((2, 3)))), ValueError,
+     r"operator must be square, got \(2, 3\)"),
+    (lambda: dense_expm(np.ones((2, 3))), ValueError, r"expected a square matrix, got shape \(2, 3\)"),
+    (lambda: orthogonal_extend(np.eye(4)[:, :2], np.ones(3)), DimensionMismatch,
+     "basis/vector dimension mismatch"),
+], ids=["operator-not-square", "expm-not-square", "orthogonal-extend-mismatch"])
+def test_misshapen_inputs_raise_with_their_message(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_expm_large_norm_uses_squaring():

@@ -347,6 +347,30 @@ def test_gierer_meinhardt_rejects_non_finite_reaction_parameters(name, value):
         gierer_meinhardt_2d(6, **{name: value})
 
 
+@pytest.mark.parametrize("case", ["domain", "weight", "edge-field", "mtx-shape", "grid-bc",
+                                  "laplacian-bc"])
+def test_malformed_problem_inputs_raise_with_their_message(tmp_path, case):
+    edges = tmp_path / "g.edges"
+    edges.write_text("0 1\n1 x\n")
+    mtx = tmp_path / "wide.mtx"
+    mtx.write_text("%%MatrixMarket matrix coordinate real general\n2 3 1\n1 2 1.0\n")
+    negative = Graph(sp.csr_matrix(np.array([[0.0, -1.0], [-1.0, 0.0]])))
+    call, message = {
+        "domain": (lambda: fd_laplacian_1d(8, 0.0, "dirichlet"),
+                   "domain length must be positive"),
+        "weight": (lambda: graph_laplacian(negative), "adjacency contains a negative weight"),
+        "edge-field": (lambda: load_edge_list(edges),
+                       r"g.edges:2: invalid literal for int\(\) with base 10: 'x'"),
+        "mtx-shape": (lambda: load_matrix_market_adjacency(mtx),
+                      r"adjacency matrix must be square, got \(2, 3\)"),
+        "grid-bc": (lambda: fd_grid_2d(8, 1.0, "robin"), "unknown boundary condition 'robin'"),
+        # the operator's boundary condition is checked by scipy's LaplacianNd
+        "laplacian-bc": (lambda: fd_laplacian_2d(8, 1.0, "robin"), "Unknown value 'robin'"),
+    }[case]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_problem_builders_accept_zero_diffusion():
     assert allen_cahn_graph(PATH3, diffusion=0.0).A.norm_inf() == 0.0
     assert gierer_meinhardt_2d(4, D_a=0.0, D_h=0.0).A.norm_inf() == 0.0

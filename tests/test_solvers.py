@@ -149,10 +149,17 @@ def test_cache_holds_one_scale(monkeypatch):
 
 @pytest.mark.parametrize("name, value", [
     ("max_iterations", 0), ("tolerance", 0.0), ("tolerance", float("nan")),
-    ("tolerance", 1.0), ("tolerance", 1.5), ("tolerance", float("inf"))])
+    ("tolerance", 1.0), ("tolerance", 1.5), ("tolerance", float("inf")),
+    ("mode", "cg"), ("preconditioner", "ilu")])
 def test_solver_config_rejects_settings_that_cannot_converge(name, value):
     with pytest.raises(ValueError, match=name):
-        SolverConfig(mode="iterative", **{name: value})
+        SolverConfig(**{"mode": "iterative", name: value})
+
+
+def test_direct_solve_rejects_a_right_hand_side_of_the_wrong_length():
+    fact = SolverCache(fd_laplacian_1d(10, 1.0, "dirichlet")).factorization(1.0, 1.0)
+    with pytest.raises(ValueError, match="right-hand side dimension mismatch"):
+        fact.solve(np.ones(9))
 
 
 def test_solver_rejects_cache_of_another_operator():

@@ -12,12 +12,6 @@ from ratexpint.solvers import ShiftedSolver, SolverConfig
 from ratexpint.tableaus import Tableau
 
 
-def test_run_all_green():
-    results = verify.run_all()
-    assert results
-    assert all(r.passed for r in results), [r.name for r in results if not r.passed]
-
-
 def test_corrupted_tableau_names_the_failing_check(monkeypatch):
     # poison the etd3rk stage-2 coefficient
     etd = tableaus_mod.METHODS["etd3rk"]
