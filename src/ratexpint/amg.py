@@ -22,6 +22,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .linalg import SUPERLU_OPTIONS
+
 #: Hierarchy depth, the coarsest level included.
 MAX_LEVELS = 4
 #: Levels at or below this size are not coarsened further but solved by LU.
@@ -184,7 +186,8 @@ class AmgPreconditioner:
     Level k smooths with the matrix xi M_k + alpha A_k
     (:func:`shifted_pencil`): one pre- and one
     post-smoothing Jacobi sweep with damping ``OMEGA`` surround the coarse
-    correction R_k / P_k, and the coarsest level is solved by sparse LU.
+    correction R_k / P_k, and the coarsest level is solved by the sparse LU
+    that every shifted system gets (:data:`~ratexpint.linalg.SUPERLU_OPTIONS`).
     The arithmetic is complex iff the pole is; the real transfers apply to
     it through :func:`transfer`. Each level keeps ``OMEGA`` times its
     inverse diagonal, and the cycle updates its vectors in place, so it
@@ -202,7 +205,7 @@ class AmgPreconditioner:
             if np.any(diag == 0):
                 raise ValueError("AMG smoother requires a nonzero diagonal")
             self.levels.append((s, OMEGA * (1.0 / diag), p, r))
-        self._coarse_lu = spla.splu(matrices[-1].tocsc())
+        self._coarse_lu = spla.splu(matrices[-1].tocsc(), **SUPERLU_OPTIONS)
 
     def _cycle(self, level: int, b: np.ndarray) -> np.ndarray:
         if level == len(self.levels):

@@ -145,17 +145,23 @@ def build_problem(args: argparse.Namespace) -> Problem:
     return (allen_cahn_2d if args.problem == "ac2d" else gierer_meinhardt_2d)(**settings)
 
 
-def load_graph_spec(spec, one_based: bool = False) -> Graph:
-    """``builtin:<name>``, a MatrixMarket adjacency (.mtx/.mm) or an edge list."""
+def load_spec(spec, kind: str, builtin, load):
+    """``builtin(<name>)`` for ``builtin:<name>``, else ``load(path)`` of an
+    existing file; a missing one raises ``ValueError`` naming its ``kind``."""
     spec = str(spec)
     if spec.startswith("builtin:"):
-        return builtin_graph(spec.split(":", 1)[1])
+        return builtin(spec.split(":", 1)[1])
     path = Path(spec)
     if not path.exists():
-        raise ValueError(f"graph file not found: {path}")
-    if path.suffix in (".mtx", ".mm"):
-        return load_matrix_market_adjacency(path)
-    return load_edge_list(path, one_based=one_based)
+        raise ValueError(f"{kind} file not found: {path}")
+    return load(path)
+
+
+def load_graph_spec(spec, one_based: bool = False) -> Graph:
+    """``builtin:<name>``, a MatrixMarket adjacency (.mtx/.mm) or an edge list."""
+    return load_spec(spec, "graph", builtin_graph, lambda path: (
+        load_matrix_market_adjacency(path) if path.suffix in (".mtx", ".mm")
+        else load_edge_list(path, one_based=one_based)))
 
 
 def build_pole_set(args: argparse.Namespace) -> Optional[PoleSet]:
@@ -168,13 +174,7 @@ def build_pole_set(args: argparse.Namespace) -> Optional[PoleSet]:
 
 def load_pole_spec(spec) -> PoleSet:
     """``builtin:<name>`` or a pole file."""
-    spec = str(spec)
-    if spec.startswith("builtin:"):
-        return builtin_pole_set(spec.split(":", 1)[1])
-    path = Path(spec)
-    if not path.exists():
-        raise ValueError(f"pole file not found: {path}")
-    return load_poles(path)
+    return load_spec(spec, "pole", builtin_pole_set, load_poles)
 
 
 #: The flag of each :class:`SolverConfig` field.

@@ -227,7 +227,8 @@ def integrate(problem: Problem, tab: Tableau, h: float, T: float,
     ``snapshot_stride = k`` stores every k-th state (0: only initial and
     final). Aborts with a diagnostic snapshot on non-finite state. The
     initial state (``u0``, by default ``problem.u0``) must be a finite real
-    vector of shape (n,); anything else raises ``ValueError``.
+    vector of shape (n,); anything else raises ``ValueError``, and so does
+    an ``engine`` bound to another operator than ``problem.A``.
 
     The whole call runs the bundled OpenBLAS on one thread and restores the
     caller's thread counts on return or raise
@@ -235,6 +236,8 @@ def integrate(problem: Problem, tab: Tableau, h: float, T: float,
     result records the count held.
     """
     check_time_grid(h, T, snapshot_stride)
+    if engine.problem.A is not problem.A:
+        raise ValueError("the engine belongs to another operator")
     u = np.asarray(problem.u0 if u0 is None else u0)
     shape = (problem.A.n,)
     if np.iscomplexobj(u) or u.shape != shape or not np.all(np.isfinite(u)):

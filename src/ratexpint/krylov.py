@@ -29,7 +29,8 @@ from .linalg import SparseOperator, dense_expm, orthogonal_extend
 from .poles import INF_POLE, PoleSet, is_infinite
 from .solvers import ShiftedSolver, SolverError
 
-#: Defaults of both engines; the cap m_hard is len(poles) + DEFAULT_STEPS_PAST_POLES.
+#: Defaults of both engines; the cap m_hard is len(poles) + DEFAULT_STEPS_PAST_POLES,
+#: and every Krylov basis starts with room for DEFAULT_STEPS_PAST_POLES steps.
 #: The check cadence spaces only the estimate checks that follow polynomial
 #: steps: while pole steps remain, the estimate is checked after each one.
 DEFAULT_TOL = 1e-8
@@ -173,6 +174,10 @@ def assemble_augmented(op: SparseOperator, alpha: float,
     Jordan tail; the exponential action then satisfies
     e^{t A~}(c_0; e_p) = (sum_k t^k phi_k(-t alpha A) c_k; e^{t J_p} e_p),
     so at t = 1 the top block is sum_k phi_k(-alpha A) c_k.
+
+    A payload vector whose 2-norm is not finite (it overflows, say) raises
+    ``FloatingPointError`` naming it, before a shifted solve or a projected
+    exponential meets its rounding.
     """
     if len(c_vectors) == 0:
         raise ValueError("need at least the c_0 payload vector")
@@ -180,6 +185,9 @@ def assemble_augmented(op: SparseOperator, alpha: float,
     for k, c in enumerate(c_vectors):
         if np.shape(c)[0] != n:
             raise ValueError(f"payload c_{k} has length {np.shape(c)[0]}, expected {n}")
+        norm = float(np.linalg.norm(c))
+        if not math.isfinite(norm):
+            raise FloatingPointError(f"payload c_{k} has a non-finite 2-norm ({norm})")
     p = len(c_vectors) - 1
     dtype = np.result_type(np.float64, *(np.asarray(c).dtype for c in c_vectors))
     C = np.zeros((n, p), dtype=dtype)
@@ -230,16 +238,19 @@ class RationalDecomposition:
     The basis is read only by :meth:`approximant`, which lifts the projected
     coefficients of :func:`_approximant_and_estimate` to the full vector;
     the adaptive loop does so once per call, for the value it returns.
-    Only the first ``nv`` columns of ``V`` are ever written or read: the
-    storage past them comes from :func:`_new_basis` unfilled, and its
-    values are unspecified. H and K are zero-filled, so a decomposition
-    that has taken only infinite poles (``polynomial``) has K_m = I
-    exactly, and :func:`_approximant_and_estimate` projects onto H_m
-    directly.
+    The storage starts at ``capacity`` steps, by default
+    ``DEFAULT_STEPS_PAST_POLES``, at most the dimension of the space, and
+    doubles whenever a step needs more; the engines pass no size. Only the
+    first ``nv`` columns of ``V`` are ever written or read: the storage past
+    them comes from :func:`_new_basis` unfilled, so it costs no resident
+    memory until a step writes it, and its values are unspecified. H and K
+    are zero-filled, so a decomposition that has taken only infinite poles
+    (``polynomial``) has K_m = I exactly, and
+    :func:`_approximant_and_estimate` projects onto H_m directly.
     """
 
-    def __init__(self, aug: AugmentedOperator, c_tilde: np.ndarray, capacity: int = 40,
-                 lanczos: bool = False):
+    def __init__(self, aug: AugmentedOperator, c_tilde: np.ndarray,
+                 capacity: int = DEFAULT_STEPS_PAST_POLES, lanczos: bool = False):
         if lanczos and (aug.p or not aug.op.symmetric):
             raise ValueError("a Lanczos basis needs a symmetric operator with no payload tail")
         self.aug = aug
@@ -306,13 +317,8 @@ class RationalDecomposition:
         V = _new_basis(self.dim, new_cap + 1, self.V.dtype)
         V[:, :self.nv] = self.V[:, :self.nv]
         self.V = V
-        self.H, self.K = (self._grown(M, new_cap) for M in (self.H, self.K))
-
-    @staticmethod
-    def _grown(M: np.ndarray, cap: int) -> np.ndarray:
-        out = np.zeros((cap + 1, cap), dtype=M.dtype)
-        out[:M.shape[0], :M.shape[1]] = M
-        return out
+        # zero-filled, as H and K start
+        self.H, self.K = (np.pad(M, ((0, new_cap - cap),) * 2) for M in (self.H, self.K))
 
 
 def _new_basis(rows: int, cols: int, dtype) -> np.ndarray:
@@ -684,8 +690,7 @@ def expmv_rational(op: SparseOperator, alpha: float, c_vectors: Sequence[np.ndar
     if not np.any(c_tilde):  # the action on zero is zero: no step, no solve
         return ExpmvReport(vector=np.zeros_like(c_tilde), n=op.n, estimate=0.0, converged=True)
 
-    d = RationalDecomposition(aug, c_tilde,
-                              capacity=min(max(2 * m_min, len(poles) + 8, 40), m_hard))
+    d = RationalDecomposition(aug, c_tilde)
 
     log_start = len(solver.solve_log)
     history: list[tuple[int, float]] = []
@@ -767,10 +772,10 @@ def expmv_polynomial(op: SparseOperator, alpha: float, c_vectors: Sequence[np.nd
         floor = max((_EPS * (tau * theta) ** j / math.factorial(j) * np.linalg.norm(w[j])
                      for j in range(1, p)), default=0.0)
         if floor > REDUCTION_ROUNDING_SHARE * tol * tau:
-            d = RationalDecomposition(aug, np.concatenate([u, y]), capacity=m_hard)
+            d = RationalDecomposition(aug, np.concatenate([u, y]))
             phi, taylor = 0, []
         elif np.any(w[p]):
-            d = RationalDecomposition(plain, w[p], capacity=m_hard, lanczos=op.symmetric)
+            d = RationalDecomposition(plain, w[p], lanczos=op.symmetric)
             phi, taylor = p, w[:p]
         else:  # no phi_p term: the Taylor part is exact over what is left of theta
             d, taylor, tau = None, w[:p], 1.0 - done

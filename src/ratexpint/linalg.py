@@ -2,8 +2,8 @@
 
 This module is the computational substrate for the rest of the package:
 CSR operators, the dense matrix exponential, phi-functions
-of small matrices, Gram-Schmidt orthogonalization, and the cap that runs
-the bundled OpenBLAS on one thread.
+of small matrices, Gram-Schmidt orthogonalization, the options of every
+sparse LU, and the cap that runs the bundled OpenBLAS on one thread.
 
 Dense matrices and vectors are plain numpy arrays throughout; complex
 vectors are supported everywhere, while a ``SparseOperator`` is real.
@@ -25,6 +25,21 @@ import scipy.sparse as sp
 
 #: Relative threshold below which Gram-Schmidt declares an invariant subspace.
 BREAKDOWN_RTOL = 1e-12
+
+#: The options of every sparse LU of the package: each shifted system
+#: (xi I + alpha A) of :class:`~ratexpint.solvers.Factorization` and the
+#: coarsest level of each :class:`~ratexpint.amg.AmgPreconditioner`. These
+#: matrices have the symmetric sparsity pattern of A (or of a Galerkin product
+#: of it), so they are ordered by minimum degree on the pattern of A^T + A
+#: (SuperLU's partial pivoting keeps the LU accurate when A is not symmetric),
+#: with relaxed supernodes off and a panel size of 1. On a sparse graph
+#: Laplacian SuperLU's default relaxation pads the factors with explicit zeros
+#: to about 2.8 times their fill; the panel size leaves the fill unchanged,
+#: but SuperLU's default panels only cost these thin supernodes time. A
+#: ``cf12`` LU at ac2d nx=128 took about 40 instead of 56 ms, and the LU of
+#: the AMG coarsest level at nx=256 (591 unknowns) 7.8 instead of 17.1 ms
+#: under SuperLU's defaults.
+SUPERLU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "relax": 1, "panel_size": 1}
 
 
 class DimensionMismatch(ValueError):

@@ -13,16 +13,8 @@ Im xi < 0 is served by the factorization or preconditioner of conj(xi)
 through conjugation, and a conjugate pair costs one setup. On real data
 the Krylov engine makes one solve per pair on either path: a pair solve
 is split into its real and imaginary parts, so on the iterative path it
-stops at the tighter target of :func:`split_tolerance`. Every shifted
-matrix has the sparsity pattern of A, which is symmetric for the
-operators of this package, so its LU is ordered by minimum degree on the
-pattern of A^T + A (SuperLU's partial pivoting keeps it accurate when A
-is not symmetric), without relaxed supernodes and with a panel size of 1.
-On a sparse graph Laplacian SuperLU's default relaxation pads the factors
-with explicit zeros to about 2.8 times their fill, while on a 5-point grid
-it saves only a few percent. The panel size leaves the fill unchanged, but
-SuperLU's default panels only cost these thin supernodes time: a ``cf12``
-LU at nx=128 took about 40 instead of 56 ms. One lock, held across
+stops at the tighter target of :func:`split_tolerance`. Every LU is
+built with :data:`~ratexpint.linalg.SUPERLU_OPTIONS`. One lock, held across
 each lookup and build, makes a cache safe to share between threads; the
 operator's AMG hierarchy (:class:`~ratexpint.amg.AmgHierarchy`, everything
 but the shift) sits beside its table.
@@ -59,7 +51,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .amg import AmgHierarchy, AmgPreconditioner, build_aggregates, shifted_pencil
-from .linalg import SparseOperator
+from .linalg import SUPERLU_OPTIONS, SparseOperator
 
 MODES = ("direct", "iterative")
 PRECONDITIONERS = ("none", "aggregation-amg")
@@ -139,11 +131,10 @@ def shifted_matrix(op: SparseOperator, pole: complex, scale: float) -> sp.csr_ma
 class Factorization:
     """Sparse LU of one shifted system, reusable across right-hand sides.
 
-    SuperLU orders it by minimum degree on the pattern of A^T + A, with
-    relaxed supernodes off (``relax=1``) and a panel size of 1: the
-    default panel size leaves the fill as it is (664,094 entries
-    for a ``cf12`` pole at ac2d nx=128, 32,642 on ``road2600``) but took
-    1.3 to 1.4 times as long on both.
+    SuperLU builds it with :data:`~ratexpint.linalg.SUPERLU_OPTIONS`: the
+    default panel size leaves the fill as it is (664,094 entries for a
+    ``cf12`` pole at ac2d nx=128, 32,642 on ``road2600``) but took 1.3 to
+    1.4 times as long on both.
     """
 
     __slots__ = ("_lu", "n", "dtype")
@@ -152,8 +143,7 @@ class Factorization:
         self.n = matrix.shape[0]
         self.dtype = matrix.dtype
         try:
-            self._lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1,
-                                 panel_size=1)
+            self._lu = spla.splu(matrix.tocsc(), **SUPERLU_OPTIONS)
         except RuntimeError as exc:
             raise SolverError(
                 f"factorization of (xi I + alpha A) failed for pole {pole}: {exc}; "

@@ -325,6 +325,7 @@ def test_bad_config_line_exits_two_and_names_the_key(tmp_path, capsys, line, fla
 @pytest.mark.parametrize("case, message", [
     ("config-line", "run.cfg:2: expected 'key = value'"),
     ("graph-file", "graph file not found"),
+    ("pole-file", "pole file not found"),
 ])
 def test_unreadable_inputs_raise_value_errors(tmp_path, case, message):
     cfg = tmp_path / "run.cfg"
@@ -332,8 +333,10 @@ def test_unreadable_inputs_raise_value_errors(tmp_path, case, message):
     with pytest.raises(ValueError, match=message):
         if case == "config-line":
             read_config_file(cfg)
-        else:
+        elif case == "graph-file":
             cli.load_graph_spec(tmp_path / "missing.edges")
+        else:
+            cli.load_pole_spec(tmp_path / "missing.poles")
 
 
 def test_abbreviated_flag_exits_two(tmp_path):

@@ -509,6 +509,15 @@ def test_malformed_initial_state_rejected(bad):
         integrate(prob, tableau("sw2"), 0.5, 1.0, eng, u0=u0)
 
 
+def test_integrate_rejects_an_engine_built_on_another_operator():
+    # unchecked, the engine stepped e^{-hA} of its own operator: with
+    # eps2 = 0.1 instead of 1 the final state was off by 5.8e-5 in max-abs
+    prob = allen_cahn_2d(16, eps2=1.0)
+    eng = Engine(allen_cahn_2d(16, eps2=0.1), EngineConfig())
+    with pytest.raises(ValueError, match="the engine belongs to another operator"):
+        integrate(prob, tableau("sw2"), 0.5, 1.0, eng)
+
+
 def test_linear_exactness_over_partition():
     rng = np.random.default_rng(7)
     n = 40
@@ -580,14 +589,12 @@ def test_blowup_aborts_with_diagnostic():
 def test_non_finite_state_after_a_step_raises_blowup():
     # the reaction stays finite and the engine returns inf: only the check
     # at the end of the step sees it
-    class InfiniteEngine:
-        def expmv(self, alpha, theta, c_vectors):
-            return SimpleNamespace(phi_combination=np.full(4, np.inf))
-
     prob = linear_problem(SparseOperator.identity(4), np.ones(4))
+    engine = SimpleNamespace(problem=prob, expmv=lambda alpha, theta, c_vectors:
+                             SimpleNamespace(phi_combination=np.full(4, np.inf)))
     euler = Tableau(name="euler1", c=(0.0,), stage_coeffs={}, update_coeffs={1: {1: 1.0}})
     with pytest.raises(NumericalBlowup, match="non-finite state after step at t=0.5") as err:
-        integrate(prob, euler, 0.5, 1.0, InfiniteEngine())
+        integrate(prob, euler, 0.5, 1.0, engine)
     assert err.value.t == 0.5 and np.isinf(err.value.state).all()
 
 

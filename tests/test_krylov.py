@@ -236,7 +236,9 @@ def _on_identity(*cs):
      ValueError, "expected right-hand side of length 5, got 4"),
     (lambda: RationalDecomposition(*_on_identity(np.zeros(4))),
      ValueError, "start vector is zero"),
-    (lambda: RationalDecomposition(*_on_identity(np.full(4, 1e200))),
+    # a payload like this raises in assemble_augmented; the reduced vector
+    # of the polynomial engine reaches the decomposition's own check
+    (lambda: RationalDecomposition(_on_identity(np.ones(4))[0], np.full(4, 1e200)),
      FloatingPointError, r"start vector has a non-finite 2-norm \(inf\)"),
     (lambda: rational_arnoldi_step(RationalDecomposition(*_on_identity(np.ones(4))), 2.0),
      ValueError, "finite poles require a shifted-system solver"),
@@ -252,14 +254,20 @@ def test_malformed_krylov_inputs_raise_with_their_message(call, error, message):
         call()
 
 
-@pytest.mark.parametrize("engine, p", [("rational", 0), ("polynomial", 0), ("polynomial", 1)])
-def test_a_payload_whose_norm_overflows_raises(engine, p):
+@pytest.mark.parametrize("engine, p, value", [
+    ("rational", 0, 1e200), ("rational", 1, 1e200), ("rational", 1, np.nan),
+    ("polynomial", 0, 1e200), ("polynomial", 1, 1e200), ("polynomial", 1, np.nan)],
+    ids=["rational-0", "rational-1", "rational-1-nan",
+         "polynomial-0", "polynomial-1", "polynomial-1-nan"])
+def test_a_payload_whose_norm_overflows_raises(engine, p, value):
     # the 2-norm overflowed to inf, so the start vector read as zero, the
     # first step as a happy breakdown, and the engines returned NaN with
-    # estimate 0 as converged
+    # estimate 0 as converged; an overflowing tail c_1 reached the rational
+    # engine's first solve, which blamed its NaN residual on the solver, and
+    # a NaN tail reached the projected exponential
     op = allen_cahn_2d(8).A
-    cs = [np.zeros(64)] * p + [np.full(64, 1e200)]
-    with pytest.raises(FloatingPointError, match="non-finite 2-norm"):
+    cs = [np.zeros(64)] * p + [np.full(64, value)]
+    with pytest.raises(FloatingPointError, match=f"payload c_{p} has a non-finite 2-norm"):
         if engine == "rational":
             expmv_rational(op, 0.5, cs, builtin_pole_set("cf12"), direct_solver(op))
         else:
@@ -1177,6 +1185,21 @@ def test_initial_capacity_is_capped_at_the_space_dimension():
     d = RationalDecomposition(aug, ct, capacity=10 ** 8)
     assert d.V.shape == (11, 12)
     assert d.H.shape == d.K.shape == (12, 11)
+
+
+def test_no_engine_sizes_its_basis_by_m_hard(monkeypatch):
+    # the polynomial engine sized each basis for m_hard up front: at nx=256
+    # an m_hard of 100000 asked for 32 GiB and raised MemoryError
+    widths = []
+    new_basis = krylov._new_basis
+    monkeypatch.setattr(krylov, "_new_basis",
+                        lambda rows, cols, dtype: widths.append(cols) or new_basis(rows, cols, dtype))
+    prob = allen_cahn_2d(32)
+    u = np.random.default_rng(0).standard_normal(prob.n)
+    expmv_polynomial(prob.A, 0.5, [u, u], m_hard=10 ** 6)
+    expmv_rational(prob.A, 0.5, [u, u], builtin_pole_set("cf12"), direct_solver(prob.A),
+                   m_hard=10 ** 6)
+    assert widths and max(widths) <= krylov.DEFAULT_STEPS_PAST_POLES + 1
 
 
 def test_concurrent_expmv_calls_share_cache():
