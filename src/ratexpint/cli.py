@@ -145,7 +145,7 @@ def build_problem(args: argparse.Namespace) -> Problem:
     return (allen_cahn_2d if args.problem == "ac2d" else gierer_meinhardt_2d)(**settings)
 
 
-def load_spec(spec, kind: str, builtin, load):
+def _load_spec(spec, kind: str, builtin, load):
     """``builtin(<name>)`` for ``builtin:<name>``, else ``load(path)`` of an
     existing file; a missing one raises ``ValueError`` naming its ``kind``."""
     spec = str(spec)
@@ -159,7 +159,7 @@ def load_spec(spec, kind: str, builtin, load):
 
 def load_graph_spec(spec, one_based: bool = False) -> Graph:
     """``builtin:<name>``, a MatrixMarket adjacency (.mtx/.mm) or an edge list."""
-    return load_spec(spec, "graph", builtin_graph, lambda path: (
+    return _load_spec(spec, "graph", builtin_graph, lambda path: (
         load_matrix_market_adjacency(path) if path.suffix in (".mtx", ".mm")
         else load_edge_list(path, one_based=one_based)))
 
@@ -174,7 +174,7 @@ def build_pole_set(args: argparse.Namespace) -> Optional[PoleSet]:
 
 def load_pole_spec(spec) -> PoleSet:
     """``builtin:<name>`` or a pole file."""
-    return load_spec(spec, "pole", builtin_pole_set, load_poles)
+    return _load_spec(spec, "pole", builtin_pole_set, load_poles)
 
 
 #: The flag of each :class:`SolverConfig` field.

@@ -7,9 +7,10 @@ seeded projections of the final state. A refactor that should move no
 number fails here when it moves one; a change that means to move them
 updates these values and says why. The six small cells take about half a
 second together, and the four workloads of ``perfbench/workloads.py`` at
-seed 7, read from that file as it is, about 1.5 s.
+seed 7, read from that file as it is, about a second.
 """
 
+import functools
 import importlib.util
 import sys
 from pathlib import Path
@@ -77,6 +78,7 @@ WORKLOADS = {
 }
 
 
+@functools.cache
 def _load_workloads():
     """``perfbench/workloads.py``, imported by its path and left unchanged."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"

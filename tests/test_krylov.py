@@ -1192,8 +1192,8 @@ def test_no_engine_sizes_its_basis_by_m_hard(monkeypatch):
     # an m_hard of 100000 asked for 32 GiB and raised MemoryError
     widths = []
     new_basis = krylov._new_basis
-    monkeypatch.setattr(krylov, "_new_basis",
-                        lambda rows, cols, dtype: widths.append(cols) or new_basis(rows, cols, dtype))
+    monkeypatch.setattr(krylov, "_new_basis", lambda rows, cols, dtype:
+                        widths.append(cols) or new_basis(rows, cols, dtype))
     prob = allen_cahn_2d(32)
     u = np.random.default_rng(0).standard_normal(prob.n)
     expmv_polynomial(prob.A, 0.5, [u, u], m_hard=10 ** 6)
